@@ -36,6 +36,8 @@ from .ingest import (
     FilterPolicy,
     LoanOutcome,
     LoanRecord,
+    LoanTape,
+    ObservationTable,
     ObservedLoan,
     OutcomeKind,
     PaymentHistory,
@@ -87,10 +89,12 @@ __all__ = [
     "survival",
     "RiskBand",
     "LoanRecord",
+    "LoanTape",
     "PaymentHistory",
     "LoanOutcome",
     "OutcomeKind",
     "ObservedLoan",
+    "ObservationTable",
     "FilterPolicy",
     "classify_risk_band",
     "determine_outcome",

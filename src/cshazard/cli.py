@@ -80,10 +80,9 @@ def _outdir(args) -> Path:
 
 
 def cmd_ingest(args) -> None:
-    records = ingest.load_loan_data(args.loans, args.payments)
-    kept = ingest.filter_loans(records)
-    observations = ingest.build_observations(kept)
-    if not observations:
+    tape = ingest.load_loan_data(args.loans, args.payments)
+    observations = ingest.build_observations(tape)
+    if len(observations) == 0:
         raise EmptyResultError("all loans were filtered out or unusable")
     out = _outdir(args) / args.out
     ingest.write_observations_csv(out, observations)
@@ -117,8 +116,8 @@ def _select_band(observations, band_label: str):
         band = ingest.RiskBand.from_label(band_label)
     except ValueError:
         raise UnknownKeyError(f"unknown risk band: {band_label!r}") from None
-    subset = [o for o in observations if o.band is band]
-    if not subset:
+    subset = observations.take(observations.band == band.value)
+    if len(subset) == 0:
         raise UnknownKeyError(f"no observations in band {band.label!r}")
     return band, subset
 
@@ -133,6 +132,8 @@ def cmd_estimate(args) -> None:
     window = _parse_window(args.window)
     curve = estimator.estimate_csh(observations, cause, age_range=window,
                                    band=band_label, theta=args.theta)
+    if curve.ages.size == 0:
+        raise EmptyResultError(f"no loans at risk in window {args.window}")
     if args.interpolate:
         curve = estimator.interpolate_zero_defaults(curve)
     out = _outdir(args) / args.out
@@ -178,21 +179,23 @@ def _curves_from_inputs(args) -> tuple[dict, list[str]]:
         if args.bands:
             labels = [b.strip() for b in args.bands.split(",") if b.strip()]
         else:
-            present = {o.band for o in observations if o.band is not None}
-            labels = [b.label for b in ingest.RiskBand if b in present]
+            present = set(observations.band.tolist())
+            labels = [b.label for b in ingest.RiskBand if b.value in present]
         if len(labels) < 2:
             raise EmptyResultError("need at least two bands to compare")
         window = _parse_window(args.window)
         if window is None:
-            top = max(o.exit_age for o in observations)
-            window = (1, top)
+            window = (1, int(observations.exit_age.max()))
         curves = {}
         order = []
         for label in labels:
             band, subset = _select_band(observations, label)
-            curves[band.label] = estimator.estimate_csh(
-                subset, Cause.DEFAULT, age_range=window,
-                band=band.label, theta=args.theta)
+            curve = estimator.estimate_csh(subset, Cause.DEFAULT, age_range=window,
+                                           band=band.label, theta=args.theta)
+            if curve.ages.size == 0:
+                raise EmptyResultError(
+                    f"no loans in band {band.label!r} at risk in window {args.window}")
+            curves[band.label] = curve
             order.append(band.label)
         return estimator.align_grids(curves), order
     raise SchemaError(
@@ -305,11 +308,11 @@ def _read_recovery_observations(path: str | Path):
         if reader.fieldnames is None or not {"age", "recovery"} <= set(reader.fieldnames):
             raise SchemaError(f"{path}: need columns age, recovery")
         rows = []
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 rows.append((int(row["age"]), float(row["recovery"])))
             except (TypeError, ValueError):
-                raise SchemaError(f"{path} line {i}: bad age/recovery value") from None
+                raise SchemaError(f"{path}:{reader.line_num}: bad age/recovery value") from None
     if not rows:
         raise EmptyResultError(f"{path}: no recovery observations")
     return rows
@@ -494,6 +497,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < args.theta < 1.0:
+            raise ValueError(f"--theta must lie in (0, 1), got {args.theta}")
         args.handler(args)
     except CshazardError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import IncompatibleInputsError, SchemaError
-from .ingest import RiskBand
+from .ingest import ObservationTable, RiskBand
 from .riskmodel import Cause
 
 __all__ = [
@@ -150,18 +150,12 @@ def normal_quantile(p: float) -> float:
 
 
 def observations_to_arrays(observations):
-    """Pack ObservedLoan records into the arrays the kernels consume."""
-    m = len(observations)
-    entry = np.empty(m, np.int64)
-    exit_age = np.empty(m, np.int64)
-    event = np.empty(m, np.bool_)
-    is_default = np.empty(m, np.bool_)
-    for i, obs in enumerate(observations):
-        entry[i] = obs.entry_age
-        exit_age[i] = obs.exit_age
-        event[i] = obs.observed_event
-        is_default[i] = obs.cause is Cause.DEFAULT
-    return entry, exit_age, event, is_default
+    """(entry, exit_age, event, is_default): the arrays the kernels consume.
+
+    Takes an ObservationTable or an iterable of ObservedLoan.
+    """
+    table = ObservationTable.of(observations)
+    return table.entry_age, table.exit_age, table.event, table.cause == Cause.DEFAULT.value
 
 
 def curve_from_counts(band: str, cause: Cause | None, n: int, ages, events,
@@ -171,8 +165,10 @@ def curve_from_counts(band: str, cause: Cause | None, n: int, ages, events,
     Ages with zero at-risk count are dropped.  Variance and CI formulas:
     var = e(a-e)/a^3 and log-scale bounds hazard*exp(+-z*sqrt(1/e - 1/a)),
     with the upper bound capped at 1 (the cap can bind in small samples;
-    the bound is below 1 asymptotically).
+    the bound is below 1 asymptotically).  theta must lie in (0, 1).
     """
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}")
     ages = np.asarray(ages, dtype=np.int64)
     events = np.asarray(events, dtype=np.int64)
     at_risk = np.asarray(at_risk, dtype=np.int64)
@@ -246,8 +242,6 @@ def confidence_interval(curve: HazardCurve, theta: float) -> tuple[np.ndarray, n
     Rows with zero events have no defined interval (NaN); saturated rows
     (events == at_risk) collapse to the point estimate.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
     rebuilt = curve_from_counts(curve.band, curve.cause, curve.n, curve.ages,
                                 curve.events, curve.at_risk, theta=theta)
     return rebuilt.ci_lo, rebuilt.ci_hi
@@ -348,14 +342,11 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
     return curve
 
 
-def split_by_band(observations) -> dict[RiskBand, list]:
+def split_by_band(observations) -> dict[RiskBand, ObservationTable]:
     """Group observations by their risk band (observations lacking one are skipped)."""
-    groups: dict[RiskBand, list] = {}
-    for obs in observations:
-        if obs.band is None:
-            continue
-        groups.setdefault(obs.band, []).append(obs)
-    return groups
+    table = ObservationTable.of(observations)
+    return {RiskBand(code): table.take(table.band == code)
+            for code in np.unique(table.band).tolist() if code >= 0}
 
 
 def check_shared_grid(curve_a: HazardCurve, curve_b: HazardCurve) -> np.ndarray:

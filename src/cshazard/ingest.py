@@ -7,17 +7,32 @@ pipeline classifies each loan into an APR risk band, applies the eligibility
 filter, determines the outcome from the payment vectors, and emits one
 observation per retained loan in loan-age coordinates.
 
-Monetary fields are parsed as exact decimals so that outcome classification
-(zero-payment runs, principal-vs-balance comparisons) never depends on binary
-float representation.
+Ingest is columnar.  Both files load into a `LoanTape` of column arrays
+whose payment rows are sorted by (loan, trust month), so each loan's history
+is one contiguous segment.  The eligibility, integrity and outcome rules run
+once over all segments as array operations, and the result is an
+`ObservationTable` of parallel arrays.  `LoanRecord` and `ObservedLoan` are
+the row views; lists of them are accepted wherever a tape or a table is.
+
+Monetary fields are exact: a plain decimal cell with at most two fraction
+digits is read straight into integer cents, any other cell is parsed with
+`Decimal`, and when some payment cell is not a whole number of cents the
+tape's payment columns hold `Decimal` objects instead of cents.  Outcome
+classification (zero-payment runs, principal-vs-balance comparisons) thus
+never depends on binary float representation.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from itertools import repeat
+from numbers import Integral
 from pathlib import Path
+
+import numpy as np
 
 from .errors import SchemaError
 from .riskmodel import Cause
@@ -25,10 +40,12 @@ from .riskmodel import Cause
 __all__ = [
     "RiskBand",
     "LoanRecord",
+    "LoanTape",
     "PaymentHistory",
     "OutcomeKind",
     "LoanOutcome",
     "ObservedLoan",
+    "ObservationTable",
     "FilterPolicy",
     "classify_risk_band",
     "filter_loans",
@@ -77,22 +94,19 @@ _BAND_LABELS = {
 
 # Left-closed APR boundaries: [0,5) super-prime, [5,10) prime, [10,15)
 # near-prime, [15,20) subprime, [20,inf) deep subprime.
-_BAND_EDGES = (
-    (5.0, RiskBand.SUPER_PRIME),
-    (10.0, RiskBand.PRIME),
-    (15.0, RiskBand.NEAR_PRIME),
-    (20.0, RiskBand.SUBPRIME),
-)
+_BAND_EDGES = np.array([5.0, 10.0, 15.0, 20.0])
+
+
+def _band_codes(apr_pct):
+    """RiskBand values of APR percentages (boundaries belong upward)."""
+    return np.searchsorted(_BAND_EDGES, apr_pct, side="right")
 
 
 def classify_risk_band(apr_pct: float) -> RiskBand:
     """Map an APR percentage to its risk band (boundaries belong upward)."""
     if apr_pct < 0:
         raise ValueError(f"negative APR: {apr_pct}")
-    for edge, band in _BAND_EDGES:
-        if apr_pct < edge:
-            return band
-    return RiskBand.DEEP_SUBPRIME
+    return RiskBand(int(_band_codes(apr_pct)))
 
 
 @dataclass(frozen=True)
@@ -160,6 +174,18 @@ class LoanOutcome:
             raise ValueError("event_month must be >= 1")
 
 
+# Outcomes are coded by the Cause value of their exit; 0 is censored.
+_CENSORED = 0
+_CAUSE_OF_KIND = {OutcomeKind.DEFAULTED: Cause.DEFAULT, OutcomeKind.REPAID: Cause.PREPAY,
+                  OutcomeKind.CENSORED: None}
+_KIND_OF_CODE = {Cause.DEFAULT.value: OutcomeKind.DEFAULTED,
+                 Cause.PREPAY.value: OutcomeKind.REPAID, _CENSORED: OutcomeKind.CENSORED}
+
+_ENTRY_AFTER_EXIT = "entry_age must be <= exit_age"
+_EVENT_WITHOUT_CAUSE = "observed events must carry a cause"
+_CENSORED_WITH_CAUSE = "censored observations must not carry a cause"
+
+
 @dataclass(frozen=True)
 class ObservedLoan:
     """One truncated/censored observation in loan-age coordinates."""
@@ -173,11 +199,89 @@ class ObservedLoan:
 
     def __post_init__(self) -> None:
         if self.entry_age > self.exit_age:
-            raise ValueError("entry_age must be <= exit_age")
+            raise ValueError(_ENTRY_AFTER_EXIT)
         if self.observed_event and self.cause is None:
-            raise ValueError("observed events must carry a cause")
+            raise ValueError(_EVENT_WITHOUT_CAUSE)
         if not self.observed_event and self.cause is not None:
-            raise ValueError("censored observations must not carry a cause")
+            raise ValueError(_CENSORED_WITH_CAUSE)
+
+
+def _row_problem(entry_age, exit_age, event, cause) -> tuple[int, str] | None:
+    """(first offending row, message) for the ObservedLoan invariants, or None."""
+    checks = ((entry_age > exit_age, _ENTRY_AFTER_EXIT),
+              (event & (cause == _CENSORED), _EVENT_WITHOUT_CAUSE),
+              (~event & (cause != _CENSORED), _CENSORED_WITH_CAUSE))
+    found = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
+    return min(found, default=None)
+
+
+_OBS_DTYPES = {"loan_id": object, "band": np.int8, "entry_age": np.int64,
+               "exit_age": np.int64, "event": np.bool_, "cause": np.int8}
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """Observations as parallel arrays: what ingest, estimator and CLI pass on.
+
+    `band` holds RiskBand values (-1: none) and `cause` holds Cause values
+    (0: censored).  Integer indexing and iteration yield ObservedLoan rows.
+    """
+
+    loan_id: np.ndarray
+    band: np.ndarray
+    entry_age: np.ndarray
+    exit_age: np.ndarray
+    event: np.ndarray
+    cause: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _OBS_DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in _OBS_DTYPES}) != 1:
+            raise ValueError("observation columns must share one length")
+        problem = _row_problem(self.entry_age, self.exit_age, self.event, self.cause)
+        if problem is not None:
+            raise ValueError(problem[1])
+
+    @classmethod
+    def of(cls, observations) -> "ObservationTable":
+        """The observations as a table; a table is returned unchanged."""
+        if isinstance(observations, cls):
+            return observations
+        rows = list(observations)
+        return cls(
+            loan_id=[o.loan_id for o in rows],
+            band=[-1 if o.band is None else o.band.value for o in rows],
+            entry_age=[o.entry_age for o in rows],
+            exit_age=[o.exit_age for o in rows],
+            event=[o.observed_event for o in rows],
+            cause=[_CENSORED if o.cause is None else o.cause.value for o in rows],
+        )
+
+    def __len__(self) -> int:
+        return self.entry_age.size
+
+    def __getitem__(self, i: int) -> ObservedLoan:
+        band, cause = int(self.band[i]), int(self.cause[i])
+        return ObservedLoan(
+            entry_age=int(self.entry_age[i]), exit_age=int(self.exit_age[i]),
+            observed_event=bool(self.event[i]),
+            cause=Cause(cause) if cause != _CENSORED else None,
+            loan_id=self.loan_id[i], band=RiskBand(band) if band >= 0 else None,
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObservationTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _OBS_DTYPES)
+
+    def take(self, index) -> "ObservationTable":
+        """The rows selected by a boolean mask or an index array."""
+        return ObservationTable(**{name: getattr(self, name)[index] for name in _OBS_DTYPES})
 
 
 @dataclass(frozen=True)
@@ -196,94 +300,298 @@ class FilterPolicy:
     allowed_terms: tuple = (72, 73)
 
 
-def filter_loans(records, policy: FilterPolicy = FilterPolicy()) -> list:
-    """Retain records passing every eligibility and integrity criterion.
+# ---------------------------------------------------------------------------
+# Money: int64 cents, or Decimal objects (dtype object) in currency units.
 
-    The integrity check drops loans whose outcome cannot be determined: total
-    principal paid falls short of the first-month balance while the final
-    month's balance is missing (and loans whose first balance is itself
-    missing).  An empty result is allowed.
+# Whole-cent amounts at or above this many cents are kept as Decimal, so the
+# sum of a payment history can never overflow int64.
+_CENTS_LIMIT = 10**12
+
+
+def _decimal(value) -> Decimal:
+    """An amount given as a Decimal, an integer or a float (read by its repr), as a finite Decimal."""
+    if isinstance(value, Integral):
+        value = Decimal(int(value))
+    elif not isinstance(value, Decimal):
+        value = Decimal(repr(float(value)))
+    if not value.is_finite():
+        raise ValueError(f"non-finite amount: {value}")
+    return value
+
+
+def _cents_of(value: Decimal) -> int | None:
+    """The amount in whole cents, or None when cents cannot hold it exactly."""
+    cents = value.scaleb(2)
+    if cents != cents.to_integral_value() or abs(cents) >= _CENTS_LIMIT:
+        return None
+    return int(cents)
+
+
+def _as_decimals(column: np.ndarray) -> np.ndarray:
+    """A money column as Decimal objects in currency units."""
+    if column.dtype == object:
+        return column
+    out = np.empty(column.size, dtype=object)
+    out[:] = [Decimal(c).scaleb(-2) for c in column.tolist()]
+    return out
+
+
+def _money_array(values) -> np.ndarray:
+    """Amounts as an int64 cents column, or as Decimal objects when one is not whole cents."""
+    amounts = [_decimal(v) for v in values]
+    cents = [_cents_of(a) for a in amounts]
+    if None not in cents:
+        return np.array(cents, dtype=np.int64)
+    return np.array(amounts, dtype=object)
+
+
+# ---------------------------------------------------------------------------
+# Payment segments and the outcome rules
+
+
+@dataclass(frozen=True)
+class _Payments:
+    """Payment rows grouped by loan: segment k is rows start[k] : start[k] + months[k].
+
+    Segments are contiguous, in increasing order, and cover every row; within
+    a segment rows run through trust months 1..months[k].  Missing balances
+    read as zero and are flagged in `balance_missing`.  The three money
+    columns share one representation (all cents or all Decimal).
     """
-    kept = []
-    for rec in records:
-        if rec.has_coborrower:
-            continue
-        if rec.income_verification != policy.income_verification:
-            continue
-        if rec.subvention:
-            continue
-        if rec.vehicle_condition != policy.vehicle_condition:
-            continue
-        if rec.initial_status in policy.excluded_initial_status:
-            continue
-        if rec.loan_age_at_entry >= policy.max_entry_age:
-            continue
-        if rec.original_term not in policy.allowed_terms:
-            continue
-        if rec.history is not None and not _history_integrity_ok(rec.history):
-            continue
-        kept.append(rec)
-    return kept
+
+    start: np.ndarray
+    months: np.ndarray
+    balance: np.ndarray
+    balance_missing: np.ndarray
+    payment: np.ndarray
+    principal: np.ndarray
+
+    @classmethod
+    def from_histories(cls, histories) -> "_Payments":
+        months = np.array([h.months for h in histories], dtype=np.int64)
+        balance = [b for h in histories for b in h.balance]
+        missing = np.array([b is None for b in balance], dtype=np.bool_)
+        return cls._unified(
+            months, [Decimal(0) if b is None else b for b in balance], missing,
+            [p for h in histories for p in h.payment],
+            [p for h in histories for p in h.principal])
+
+    @classmethod
+    def _unified(cls, months, balance, missing, payment, principal) -> "_Payments":
+        money = [_money_array(col) if isinstance(col, list) else col
+                 for col in (balance, payment, principal)]
+        if any(col.dtype == object for col in money):
+            money = [_as_decimals(col) for col in money]
+        start = np.cumsum(months) - months
+        return cls(start, months, money[0], missing, money[1], money[2])
+
+    def history(self, k: int) -> PaymentHistory:
+        rows = slice(int(self.start[k]), int(self.start[k] + self.months[k]))
+        balance = _as_decimals(self.balance[rows]).tolist()
+        missing = self.balance_missing[rows].tolist()
+        return PaymentHistory(
+            balance=tuple(None if m else b for b, m in zip(balance, missing)),
+            payment=tuple(_as_decimals(self.payment[rows]).tolist()),
+            principal=tuple(_as_decimals(self.principal[rows]).tolist()),
+        )
+
+    def _paid(self, principal) -> np.ndarray:
+        """Total principal paid per segment."""
+        if self.start.size == 0:
+            return principal[:0]
+        return np.add.reduceat(principal, self.start)
+
+    def integrity_ok(self) -> np.ndarray:
+        """Per segment: whether the outcome can be determined.
+
+        It cannot when the first balance is missing, or when the principal
+        paid falls short of the first balance while the last balance is
+        missing.
+        """
+        first = self.start
+        last = self.start + self.months - 1
+        short = self._paid(self.principal) < self.balance[first]
+        return ~self.balance_missing[first] & ~(short & self.balance_missing[last])
+
+    def outcomes(self, pad: Decimal) -> tuple[np.ndarray, np.ndarray]:
+        """Per segment: (outcome code, 1-based trust month of the event).
+
+        The principal test runs first: if total principal plus the pad covers
+        the first-month balance, the loan is repaid at the first zero-balance
+        month (falling back to the last month when no balance ever reads
+        zero).  Otherwise three consecutive zero payments mark a default at
+        the first of the three.  Anything else is censored at the last trust
+        month.  A segment whose first balance is missing has no outcome;
+        callers drop such loans first (see `integrity_ok`).
+        """
+        balance, principal = self.balance, self.principal
+        pad = _decimal(pad)
+        if balance.dtype != object:
+            pad_cents = _cents_of(pad)
+            if pad_cents is None:
+                balance, principal = _as_decimals(balance), _as_decimals(principal)
+            else:
+                pad = pad_cents
+        n, start = balance.size, self.start
+        if start.size == 0:
+            return np.zeros(0, np.int8), np.zeros(0, np.int64)
+        row = np.arange(n)
+        end = (start + self.months)[np.repeat(np.arange(start.size), self.months)]
+        zero_balance = ~self.balance_missing & (balance == 0)
+        first_zero = np.minimum.reduceat(np.where(zero_balance, row, n), start)
+        zero = self.payment == 0
+        run = np.zeros(n, np.bool_)
+        run[:-2] = zero[:-2] & zero[1:-1] & zero[2:]
+        run &= row + 3 <= end  # all three months inside the loan's own history
+        first_run = np.minimum.reduceat(np.where(run, row, n), start)
+        repaid = self._paid(principal) + pad >= balance[start]
+        defaulted = ~repaid & (first_run < n)
+        code = np.where(repaid, Cause.PREPAY.value,
+                        np.where(defaulted, Cause.DEFAULT.value, _CENSORED)).astype(np.int8)
+        month = np.where(repaid & (first_zero < n), first_zero - start + 1,
+                         np.where(defaulted, first_run - start + 1, self.months))
+        return code, month
 
 
-def _history_integrity_ok(history: PaymentHistory) -> bool:
-    first_bal = history.balance[0]
-    if first_bal is None:
-        return False
-    paid = sum(history.principal)
-    if paid < first_bal and history.balance[-1] is None:
-        return False
-    return True
-
-
-def determine_outcome(history: PaymentHistory, pad: Decimal = DEFAULT_PAD) -> LoanOutcome:
-    """Classify one loan's payment vectors as repaid, defaulted, or censored.
-
-    The principal test runs first: if total principal plus the pad covers the
-    first-month balance, the loan is repaid at the first zero-balance month
-    (falling back to the last month when no balance ever reads zero).
-    Otherwise three consecutive zero payments mark a default at the first of
-    the three.  Anything else is censored at the last trust month.
-    """
-    first_bal = history.balance[0]
-    if first_bal is None:
-        raise ValueError("first-month balance missing; outcome undeterminable")
-    paid = sum(history.principal)
-    if paid + pad >= first_bal:
-        for month, bal in enumerate(history.balance, start=1):
-            if bal is not None and bal == 0:
-                return LoanOutcome(OutcomeKind.REPAID, month)
-        return LoanOutcome(OutcomeKind.REPAID, history.months)
-    zeros = 0
-    for month, pmt in enumerate(history.payment, start=1):
-        if pmt == 0:
-            zeros += 1
-            if zeros == 3:
-                return LoanOutcome(OutcomeKind.DEFAULTED, month - 2)
-        else:
-            zeros = 0
-    return LoanOutcome(OutcomeKind.CENSORED, history.months)
-
-
-def to_observation(record: LoanRecord, outcome: LoanOutcome) -> ObservedLoan:
-    """Translate a trust-month outcome into loan-age coordinates.
+def _observation_ages(loan_age_at_entry, event_month):
+    """(entry_age, exit_age) of a loan entering at loan_age_at_entry.
 
     Entry age is one-based: a loan entering the pool at loan age a is first
     observable at age a + 1, and an event in trust month m happens at loan
     age a + m.
     """
+    return loan_age_at_entry + 1, loan_age_at_entry + event_month
+
+
+# ---------------------------------------------------------------------------
+# The loan tape
+
+
+_LOAN_FIELDS = ("loan_id", "apr_pct", "original_amount", "original_term",
+                "loan_age_at_entry", "has_coborrower", "income_verification",
+                "subvention", "vehicle_condition", "initial_status", "recovered_amount")
+
+
+@dataclass(frozen=True, eq=False)
+class LoanTape:
+    """A loan tape in columns: one entry per loan plus the payment segments.
+
+    `segment[i]` is the payment segment of loan i, or -1 when the payment
+    file has no rows for it.  `original_amount` and `recovered_amount` are
+    money columns (int64 cents or Decimal objects).  Integer indexing and
+    iteration yield LoanRecord rows.
+    """
+
+    loan_id: np.ndarray
+    apr_pct: np.ndarray
+    original_amount: np.ndarray
+    original_term: np.ndarray
+    loan_age_at_entry: np.ndarray
+    has_coborrower: np.ndarray
+    income_verification: np.ndarray
+    subvention: np.ndarray
+    vehicle_condition: np.ndarray
+    initial_status: np.ndarray
+    recovered_amount: np.ndarray
+    segment: np.ndarray
+    payments: _Payments
+
+    @classmethod
+    def from_records(cls, records) -> "LoanTape":
+        records = list(records)
+        histories = [r.history for r in records if r.history is not None]
+        has_history = np.array([r.history is not None for r in records], dtype=np.bool_)
+        segment = np.cumsum(has_history) - 1
+        segment[~has_history] = -1
+
+        def column(name, dtype):
+            values = [getattr(r, name) for r in records]
+            return _money_array(values) if dtype is Decimal else np.array(values, dtype=dtype)
+
+        dtypes = (object, np.float64, Decimal, np.int64, np.int64, np.bool_, object,
+                  np.bool_, object, object, Decimal)
+        return cls(**{name: column(name, dtype) for name, dtype in zip(_LOAN_FIELDS, dtypes)},
+                   segment=segment, payments=_Payments.from_histories(histories))
+
+    def __len__(self) -> int:
+        return self.loan_id.size
+
+    def __getitem__(self, i: int) -> LoanRecord:
+        k = int(self.segment[i])
+        return LoanRecord(
+            loan_id=self.loan_id[i], apr_pct=float(self.apr_pct[i]),
+            original_amount=_as_decimals(self.original_amount[i:i + 1])[0],
+            original_term=int(self.original_term[i]),
+            loan_age_at_entry=int(self.loan_age_at_entry[i]),
+            has_coborrower=bool(self.has_coborrower[i]),
+            income_verification=self.income_verification[i],
+            subvention=bool(self.subvention[i]),
+            vehicle_condition=self.vehicle_condition[i],
+            initial_status=self.initial_status[i],
+            recovered_amount=_as_decimals(self.recovered_amount[i:i + 1])[0],
+            history=self.payments.history(k) if k >= 0 else None,
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def take(self, index) -> "LoanTape":
+        """The loans selected by a boolean mask or an index array."""
+        return replace(self, segment=self.segment[index],
+                       **{name: getattr(self, name)[index] for name in _LOAN_FIELDS})
+
+
+def _eligible(tape: LoanTape, policy: FilterPolicy) -> np.ndarray:
+    keep = (~tape.has_coborrower
+            & (tape.income_verification == policy.income_verification)
+            & ~tape.subvention
+            & (tape.vehicle_condition == policy.vehicle_condition)
+            & ~np.isin(tape.initial_status, list(policy.excluded_initial_status))
+            & (tape.loan_age_at_entry < policy.max_entry_age)
+            & np.isin(tape.original_term, list(policy.allowed_terms)))
+    has_history = tape.segment >= 0
+    keep[has_history] &= tape.payments.integrity_ok()[tape.segment[has_history]]
+    return keep
+
+
+def filter_loans(records, policy: FilterPolicy = FilterPolicy()):
+    """Retain loans passing every eligibility and integrity criterion.
+
+    The integrity check drops loans whose outcome cannot be determined: total
+    principal paid falls short of the first-month balance while the final
+    month's balance is missing (and loans whose first balance is itself
+    missing).  An empty result is allowed.  A LoanTape gives a LoanTape; an
+    iterable of LoanRecord gives the retained records as a list.
+    """
+    if isinstance(records, LoanTape):
+        return records.take(_eligible(records, policy))
+    records = list(records)
+    keep = _eligible(LoanTape.from_records(records), policy)
+    return [rec for rec, ok in zip(records, keep.tolist()) if ok]
+
+
+def determine_outcome(history: PaymentHistory, pad: Decimal = DEFAULT_PAD) -> LoanOutcome:
+    """Classify one loan's payment vectors as repaid, defaulted, or censored.
+
+    The rules are those of the tape-wide classifier (`_Payments.outcomes`),
+    run on a one-loan tape.
+    """
+    if history.balance[0] is None:
+        raise ValueError("first-month balance missing; outcome undeterminable")
+    code, month = _Payments.from_histories([history]).outcomes(pad)
+    return LoanOutcome(_KIND_OF_CODE[int(code[0])], int(month[0]))
+
+
+def to_observation(record: LoanRecord, outcome: LoanOutcome) -> ObservedLoan:
+    """Translate a trust-month outcome into loan-age coordinates."""
     if record.history is not None and outcome.event_month > record.history.months:
         raise ValueError("event_month exceeds payment-history length")
-    observed = outcome.kind is not OutcomeKind.CENSORED
-    cause = None
-    if outcome.kind is OutcomeKind.DEFAULTED:
-        cause = Cause.DEFAULT
-    elif outcome.kind is OutcomeKind.REPAID:
-        cause = Cause.PREPAY
+    cause = _CAUSE_OF_KIND[outcome.kind]
+    entry_age, exit_age = _observation_ages(record.loan_age_at_entry, outcome.event_month)
     return ObservedLoan(
-        entry_age=record.loan_age_at_entry + 1,
-        exit_age=record.loan_age_at_entry + outcome.event_month,
-        observed_event=observed,
+        entry_age=entry_age,
+        exit_age=exit_age,
+        observed_event=cause is not None,
         cause=cause,
         loan_id=record.loan_id,
         band=record.band,
@@ -291,139 +599,338 @@ def to_observation(record: LoanRecord, outcome: LoanOutcome) -> ObservedLoan:
 
 
 def build_observations(records, policy: FilterPolicy = FilterPolicy(),
-                       pad: Decimal = DEFAULT_PAD) -> list[ObservedLoan]:
-    """Filter, classify, and convert loan records into observations.
+                       pad: Decimal = DEFAULT_PAD) -> ObservationTable:
+    """Filter, classify, and convert loans into observations.
 
-    Output is ordered by loan_id so parallel upstream processing cannot
-    change the result.
+    Takes a LoanTape or an iterable of LoanRecord.  Output is ordered by
+    loan_id so parallel upstream processing cannot change the result.
     """
-    out = []
-    for rec in filter_loans(records, policy):
-        if rec.history is None:
-            raise SchemaError(f"loan {rec.loan_id} has no payment history")
-        outcome = determine_outcome(rec.history, pad=pad)
-        out.append(to_observation(rec, outcome))
-    out.sort(key=lambda o: o.loan_id)
-    return out
+    tape = records if isinstance(records, LoanTape) else LoanTape.from_records(records)
+    kept = filter_loans(tape, policy)
+    orphan = kept.segment < 0
+    if orphan.any():
+        raise SchemaError(f"loan {kept.loan_id[np.argmax(orphan)]} has no payment history")
+    code, month = kept.payments.outcomes(pad)
+    code, month = code[kept.segment], month[kept.segment]
+    entry_age, exit_age = _observation_ages(kept.loan_age_at_entry, month)
+    table = ObservationTable(loan_id=kept.loan_id, band=_band_codes(kept.apr_pct),
+                             entry_age=entry_age, exit_age=exit_age,
+                             event=code != _CENSORED, cause=code)
+    return table.take(np.argsort(table.loan_id, kind="stable"))
 
 
 # ---------------------------------------------------------------------------
 # CSV input/output
 
-_LOAN_COLUMNS = [
-    "loan_id", "apr_pct", "original_amount", "original_term",
-    "loan_age_at_entry", "has_coborrower", "income_verification",
-    "subvention", "vehicle_condition", "initial_status", "recovered_amount",
-]
+_LOAN_COLUMNS = list(_LOAN_FIELDS)
 _PAYMENT_COLUMNS = ["loan_id", "trust_month", "balance", "payment", "principal"]
 _OBS_COLUMNS = ["loan_id", "band", "entry_age", "exit_age", "event", "cause"]
 
 _TRUE = {"true", "1", "yes", "y", "t"}
 _FALSE = {"false", "0", "no", "n", "f"}
 
+_COMMA, _NEWLINE, _CR, _MINUS, _PLUS, _POINT, _ZERO, _NINE, _N, _A = b",\n\r-+.09NA"
+# A plain cell has at most this many characters: sign, 12 digits, point.
+_PLAIN_WIDTH = 14
+_PLAIN_DIGITS = 12
 
-def _parse_bool(raw: str, column: str, where: str) -> bool:
+
+def _parse_bool(raw: str) -> bool:
     key = raw.strip().lower()
     if key in _TRUE:
         return True
     if key in _FALSE:
         return False
-    raise SchemaError(f"{where}: column {column!r} has non-boolean value {raw!r}")
+    raise ValueError(f"non-boolean value {raw!r}")
 
 
-def _parse_int(raw: str, column: str, where: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise SchemaError(f"{where}: column {column!r} has non-integer value {raw!r}") from None
+def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
+                 point: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read plain numeric cells straight from the bytes, all cells at once.
+
+    A plain cell is an optional sign and 1..12 digits; with `point`, at most
+    one '.' may sit among them with at most two digits after it, and the
+    value is returned in hundredths (cents).  Returns (values, plain); cells
+    that are not plain read 0 and are left to the caller.
+    """
+    n = start.size
+    value = np.zeros(n, np.int64)
+    plain = np.ones(n, np.bool_)
+    if n == 0:
+        return value, plain
+    length = end - start
+    digits = np.zeros(n, np.int64)
+    after_point = np.full(n, -1, np.int64)  # digits after the point; -1: no point yet
+    negative = np.zeros(n, np.bool_)
+    last = buf.size - 1
+    for k in range(int(min(length.max(), _PLAIN_WIDTH))):
+        inside = k < length
+        c = buf[np.minimum(start + k, last)]
+        digit = inside & (c >= _ZERO) & (c <= _NINE)
+        value = np.where(digit, value * 10 + (c.astype(np.int64) - _ZERO), value)
+        digits += digit
+        after_point += digit & (after_point >= 0)
+        dot = inside & (c == _POINT)
+        plain &= ~(dot & ((after_point >= 0) | (not point)))
+        after_point[dot] = 0
+        sign = inside & ((c == _MINUS) | (c == _PLUS)) if k == 0 else False
+        negative |= sign & (c == _MINUS)
+        plain &= ~inside | digit | dot | sign
+    plain &= (length <= _PLAIN_WIDTH) & (digits >= 1) & (digits <= _PLAIN_DIGITS)
+    if point:
+        plain &= after_point <= 2
+        value *= 10 ** np.clip(2 - after_point, 0, 2)
+    value = np.where(plain, np.where(negative, -value, value), 0)
+    return value, plain
 
 
-def _parse_decimal(raw: str, column: str, where: str, allow_missing: bool = False):
-    text = raw.strip()
-    if text == "" or text.upper() == "NA":
-        if allow_missing:
-            return None
-        raise SchemaError(f"{where}: column {column!r} is missing a value")
-    try:
-        return Decimal(text)
-    except InvalidOperation:
-        raise SchemaError(f"{where}: column {column!r} has non-numeric value {raw!r}") from None
-
-
-def _check_header(reader: csv.DictReader, required, where: str) -> None:
-    have = reader.fieldnames or []
-    missing = [c for c in required if c not in have]
+def _wanted_columns(where: str, header: list, required) -> list[int]:
+    """The header position of each required column (a repeated name: the last)."""
+    missing = [c for c in required if c not in header]
     if missing:
         raise SchemaError(f"{where}: missing required column(s) {', '.join(missing)}")
+    position = {name: j for j, name in enumerate(header)}
+    return [position[name] for name in required]
 
 
-def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> list[LoanRecord]:
-    """Read the static and long CSVs and return records with histories attached."""
-    records = _read_static_csv(loans_path)
-    histories = _read_long_csv(payments_path)
-    for rec in records:
-        hist = histories.get(rec.loan_id)
-        if hist is not None:
-            rec.history = hist
-    return records
+def _check_widths(where: str, width: int, found, lines) -> None:
+    """Rows may carry extra trailing fields (ignored), never fewer than the header."""
+    short = np.flatnonzero(np.asarray(found) < width)
+    if short.size:
+        k = short[0]
+        raise SchemaError(f"{where}:{lines[k]}: expected {width} fields, found {found[k]}")
 
 
-def _read_static_csv(path: str | Path) -> list[LoanRecord]:
-    where = str(path)
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, _LOAN_COLUMNS, where)
-        for i, row in enumerate(reader, start=2):
-            loc = f"{where}:{i}"
+class _Columns:
+    """The cells of a CSV file's required columns, as byte offsets into one buffer.
+
+    Parsing works on whole columns, so no Python object is made per row
+    except where a column is read as text.  Cell k of row i is
+    buf[cells[0, k, i] : cells[1, k, i]]; the byte after it is a separator.
+    Only files holding a quote go through `csv.reader`: on a 470k-row
+    payment file its per-cell strings took over twice the time and memory
+    of the byte scan (see BENCH_columnar_ingest.json).
+    """
+
+    def __init__(self, where: str, required, buf: np.ndarray, cells: np.ndarray,
+                 line: np.ndarray) -> None:
+        self.where = where
+        self.index = {name: k for k, name in enumerate(required)}
+        self.buf, self.cells, self.line = buf, cells, line
+        self.rows = line.size
+
+    @classmethod
+    def read(cls, path: str | Path, required) -> "_Columns":
+        where = str(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b'"' in data:
+            return cls._read_quoted(where, data, required)
+        if data.count(b"\r") != data.count(b"\r\n"):  # a bare CR ends a line too
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        header = data[:data.index(b"\n")].decode("utf-8").rstrip("\r").split(",")
+        wanted = _wanted_columns(where, header, required)
+        buf = np.frombuffer(data, np.uint8)
+        ends = np.flatnonzero(buf == _NEWLINE)
+        begins = ends[:-1] + 1
+        ends = ends[1:] - (buf[ends[1:] - 1] == _CR)  # a CRLF line ends at its CR
+        lines = np.flatnonzero(ends > begins)  # blank lines are skipped, as csv readers do
+        begins, ends = begins[lines], ends[lines]
+        commas = np.append(np.flatnonzero(buf == _COMMA), buf.size)
+        first = np.searchsorted(commas, begins)  # the row's first comma
+        found = np.searchsorted(commas, ends) - first + 1
+        _check_widths(where, len(header), found, lines + 2)
+        cells = np.empty((2, len(wanted), lines.size), np.int64)
+        for k, j in enumerate(wanted):
+            cells[0, k] = begins if j == 0 else commas[first + j - 1] + 1
+            cells[1, k] = np.where(j + 1 < found, commas[first + j], ends)
+        return cls(where, required, buf, cells, lines + 2)
+
+    @classmethod
+    def _read_quoted(cls, where: str, data: bytes, required) -> "_Columns":
+        """Files with quoted fields go through the csv module."""
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        header = next(reader, [])
+        wanted = _wanted_columns(where, header, required)
+        parts, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            _check_widths(where, len(header), [len(row)], [reader.line_num])
+            parts.extend(row[j].encode("utf-8") for j in wanted)
+            lines.append(reader.line_num)
+        # Laid out like an unquoted file: every cell is followed by one separator.
+        size = np.fromiter(map(len, parts), np.int64, len(parts))
+        ends = (np.cumsum(size + 1) - 1).reshape(len(lines), len(wanted)).T
+        cells = np.stack([ends - size.reshape(len(lines), len(wanted)).T, ends])
+        buf = np.frombuffer(b"\n".join(parts) + b"\n", np.uint8)
+        return cls(where, required, buf, cells, np.array(lines, dtype=np.int64))
+
+    def _field(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        k = self.index[name]
+        return self.cells[0, k], self.cells[1, k]
+
+    def loc(self, i: int) -> str:
+        return f"{self.where}:{self.line[i]}"
+
+    def cell(self, name: str, i: int) -> str:
+        start, end = self._field(name)
+        return self.buf[start[i]:end[i]].tobytes().decode("utf-8")
+
+    def texts(self, name: str) -> list[str]:
+        """The column's cells as strings."""
+        start, end = self._field(name)
+        inside = np.zeros(self.buf.size + 1, np.int8)  # each cell and its separator
+        inside[start] += 1
+        inside[end + 1] -= 1
+        np.cumsum(inside, dtype=np.int8, out=inside)
+        gathered = self.buf[inside[:-1].view(np.bool_)]
+        gathered[np.cumsum(end - start + 1) - 1] = _NEWLINE
+        texts = gathered.tobytes().decode("utf-8").split("\n")
+        if len(texts) != self.rows + 1:  # a quoted cell holds a line break
+            return [self.cell(name, i) for i in range(self.rows)]
+        texts.pop()
+        return texts
+
+    def stripped(self, name: str) -> np.ndarray:
+        return np.array(list(map(str.strip, self.texts(name))), dtype=object)
+
+    def labels(self, name: str, parse, dtype) -> np.ndarray:
+        """Parse each distinct cell once; a ValueError becomes a located SchemaError."""
+        texts = self.texts(name)
+        table = {}
+        for raw in dict.fromkeys(texts):
             try:
-                apr = float(row["apr_pct"])
+                table[raw] = parse(raw)
+            except ValueError as exc:
+                raise SchemaError(f"{self.loc(texts.index(raw))}: column {name!r}: "
+                                  f"{exc}") from None
+        return np.fromiter(map(table.__getitem__, texts), dtype, len(texts))
+
+    def ints(self, name: str) -> np.ndarray:
+        values, plain = _parse_plain(self.buf, *self._field(name), point=False)
+        for i in np.flatnonzero(~plain).tolist():
+            raw = self.cell(name, i)
+            try:
+                values[i] = int(raw.strip())
             except ValueError:
-                raise SchemaError(f"{loc}: column 'apr_pct' has non-numeric value "
-                                  f"{row['apr_pct']!r}") from None
-            records.append(LoanRecord(
-                loan_id=row["loan_id"].strip(),
-                apr_pct=apr,
-                original_amount=_parse_decimal(row["original_amount"], "original_amount", loc),
-                original_term=_parse_int(row["original_term"], "original_term", loc),
-                loan_age_at_entry=_parse_int(row["loan_age_at_entry"], "loan_age_at_entry", loc),
-                has_coborrower=_parse_bool(row["has_coborrower"], "has_coborrower", loc),
-                income_verification=row["income_verification"].strip(),
-                subvention=_parse_bool(row["subvention"], "subvention", loc),
-                vehicle_condition=row["vehicle_condition"].strip(),
-                initial_status=row["initial_status"].strip(),
-                recovered_amount=_parse_decimal(row["recovered_amount"], "recovered_amount", loc),
-            ))
-    return records
+                raise SchemaError(f"{self.loc(i)}: column {name!r} has non-integer "
+                                  f"value {raw!r}") from None
+            except OverflowError:
+                raise SchemaError(f"{self.loc(i)}: column {name!r} value {raw!r} "
+                                  f"is out of range") from None
+        return values
+
+    def money(self, name: str, allow_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(amounts, missing): cents, or Decimals when some cell is not whole cents.
+
+        Empty and NA cells are missing (read as 0) where `allow_missing`,
+        and a SchemaError otherwise; so are non-numeric and non-finite cells.
+        """
+        start, end = self._field(name)
+        values, plain = _parse_plain(self.buf, start, end, point=True)
+        missing = np.zeros(self.rows, np.bool_)
+        if allow_missing:
+            last = max(self.buf.size - 1, 0)
+            missing = (end == start) | ((end - start == 2)
+                                        & (self.buf[np.minimum(start, last)] == _N)
+                                        & (self.buf[np.minimum(start + 1, last)] == _A))
+        odd = {}
+        for i in np.flatnonzero(~plain & ~missing).tolist():
+            raw = self.cell(name, i)
+            text = raw.strip()
+            if text == "" or text.upper() == "NA":
+                if not allow_missing:
+                    raise SchemaError(f"{self.loc(i)}: column {name!r} is missing a value")
+                missing[i] = True
+                continue
+            try:
+                amount = Decimal(text)
+            except InvalidOperation:
+                raise SchemaError(f"{self.loc(i)}: column {name!r} has non-numeric "
+                                  f"value {raw!r}") from None
+            if not amount.is_finite():
+                raise SchemaError(f"{self.loc(i)}: column {name!r} has non-finite "
+                                  f"value {raw!r}")
+            cents = _cents_of(amount)
+            if cents is None:
+                odd[i] = amount
+            else:
+                values[i] = cents
+        if odd:
+            values = _as_decimals(values)
+            for i, amount in odd.items():
+                values[i] = amount
+        return values, missing
 
 
-def _read_long_csv(path: str | Path) -> dict[str, PaymentHistory]:
-    where = str(path)
-    rows: dict[str, list] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, _PAYMENT_COLUMNS, where)
-        for i, row in enumerate(reader, start=2):
-            loc = f"{where}:{i}"
-            loan_id = row["loan_id"].strip()
-            month = _parse_int(row["trust_month"], "trust_month", loc)
-            bal = _parse_decimal(row["balance"], "balance", loc, allow_missing=True)
-            pmt = _parse_decimal(row["payment"], "payment", loc)
-            prc = _parse_decimal(row["principal"], "principal", loc)
-            rows.setdefault(loan_id, []).append((month, bal, pmt, prc))
-    histories = {}
-    for loan_id, entries in rows.items():
-        entries.sort(key=lambda e: e[0])
-        months = [e[0] for e in entries]
-        if months != list(range(1, len(months) + 1)):
-            raise SchemaError(f"{where}: loan {loan_id} trust_month values are not "
-                              f"a contiguous 1..{len(months)} sequence")
-        histories[loan_id] = PaymentHistory(
-            balance=tuple(e[1] for e in entries),
-            payment=tuple(e[2] for e in entries),
-            principal=tuple(e[3] for e in entries),
-        )
-    return histories
+def _parse_apr(raw: str) -> float:
+    try:
+        apr = float(raw)
+    except ValueError:
+        raise ValueError(f"non-numeric value {raw!r}") from None
+    if not 0.0 <= apr < float("inf"):
+        raise ValueError(f"value {raw!r} is not a finite APR >= 0")
+    return apr
+
+
+def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
+    """The long file as payment segments, plus the segment of each loan_id."""
+    cols = _Columns.read(path, _PAYMENT_COLUMNS)
+    raw_ids = cols.texts("loan_id")
+    segment_of: dict[str, int] = {}
+    code_of_raw = {raw: segment_of.setdefault(raw.strip(), len(segment_of))
+                   for raw in dict.fromkeys(raw_ids)}
+    code = np.fromiter(map(code_of_raw.__getitem__, raw_ids), np.int64, len(raw_ids))
+    del raw_ids
+    month = cols.ints("trust_month")
+    balance, missing = cols.money("balance", allow_missing=True)
+    payment, _ = cols.money("payment")
+    principal, _ = cols.money("principal")
+    in_order = (code[1:] > code[:-1]) | ((code[1:] == code[:-1]) & (month[1:] > month[:-1]))
+    if not in_order.all():
+        order = np.lexsort((month, code))
+        code, month, balance, missing, payment, principal = (
+            a[order] for a in (code, month, balance, missing, payment, principal))
+    months = np.bincount(code, minlength=len(segment_of))
+    payments = _Payments._unified(months, balance, missing, payment, principal)
+    expected = np.arange(code.size) - payments.start[code] + 1
+    wrong = month != expected
+    if wrong.any():
+        k = int(code[np.argmax(wrong)])
+        loan_id = next(key for key, seg in segment_of.items() if seg == k)
+        raise SchemaError(f"{cols.where}: loan {loan_id} trust_month values are not "
+                          f"a contiguous 1..{months[k]} sequence")
+    return payments, segment_of
+
+
+def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:
+    """Read the static and long CSVs into a LoanTape."""
+    cols = _Columns.read(loans_path, _LOAN_COLUMNS)
+    loan_id = cols.stripped("loan_id")
+    original_amount, _ = cols.money("original_amount")
+    not_positive = original_amount <= 0
+    if not_positive.any():
+        raise SchemaError(f"{cols.loc(int(np.argmax(not_positive)))}: column "
+                          f"'original_amount' must be positive")
+    columns = dict(
+        loan_id=loan_id,
+        apr_pct=cols.labels("apr_pct", _parse_apr, np.float64),
+        original_amount=original_amount,
+        original_term=cols.ints("original_term"),
+        loan_age_at_entry=cols.ints("loan_age_at_entry"),
+        has_coborrower=cols.labels("has_coborrower", _parse_bool, np.bool_),
+        income_verification=cols.stripped("income_verification"),
+        subvention=cols.labels("subvention", _parse_bool, np.bool_),
+        vehicle_condition=cols.stripped("vehicle_condition"),
+        initial_status=cols.stripped("initial_status"),
+        recovered_amount=cols.money("recovered_amount")[0],
+    )
+    payments, segment_of = _read_payments(payments_path)
+    segment = np.fromiter(map(segment_of.get, loan_id, repeat(-1)), np.int64, loan_id.size)
+    return LoanTape(**columns, segment=segment, payments=payments)
 
 
 def write_loans_csv(path: str | Path, records) -> None:
@@ -454,43 +961,43 @@ def write_payments_csv(path: str | Path, records) -> None:
                                  str(hist.payment[m]), str(hist.principal[m])])
 
 
+# Labels by code; index -1 (no band) and 0 (censored) give "".
+_BAND_LABEL_OF = np.array([b.label for b in RiskBand] + [""], dtype=object)
+_CAUSE_LABEL_OF = np.array(["", Cause.DEFAULT.label, Cause.PREPAY.label], dtype=object)
+
+
 def write_observations_csv(path: str | Path, observations) -> None:
+    table = ObservationTable.of(observations)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_OBS_COLUMNS)
-        for obs in observations:
-            writer.writerow([
-                obs.loan_id,
-                obs.band.label if obs.band is not None else "",
-                obs.entry_age,
-                obs.exit_age,
-                int(obs.observed_event),
-                obs.cause.label if obs.cause is not None else "",
-            ])
+        writer.writerows(zip(
+            table.loan_id.tolist(), _BAND_LABEL_OF[table.band].tolist(),
+            table.entry_age.tolist(), table.exit_age.tolist(),
+            table.event.astype(np.int8).tolist(), _CAUSE_LABEL_OF[table.cause].tolist(),
+        ))
 
 
-def read_observations_csv(path: str | Path) -> list[ObservedLoan]:
-    where = str(path)
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, _OBS_COLUMNS, where)
-        for i, row in enumerate(reader, start=2):
-            loc = f"{where}:{i}"
-            event = _parse_bool(row["event"], "event", loc)
-            cause_raw = row["cause"].strip()
-            cause = Cause.from_label(cause_raw) if cause_raw else None
-            band_raw = row["band"].strip()
-            try:
-                band = RiskBand.from_label(band_raw) if band_raw else None
-            except ValueError as exc:
-                raise SchemaError(f"{loc}: {exc}") from None
-            out.append(ObservedLoan(
-                entry_age=_parse_int(row["entry_age"], "entry_age", loc),
-                exit_age=_parse_int(row["exit_age"], "exit_age", loc),
-                observed_event=event,
-                cause=cause,
-                loan_id=row["loan_id"].strip(),
-                band=band,
-            ))
-    return out
+def _band_code(raw: str) -> int:
+    return RiskBand.from_label(raw).value if raw.strip() else -1
+
+
+def _cause_code(raw: str) -> int:
+    return Cause.from_label(raw).value if raw.strip() else _CENSORED
+
+
+def read_observations_csv(path: str | Path) -> ObservationTable:
+    cols = _Columns.read(path, _OBS_COLUMNS)
+    columns = dict(
+        event=cols.labels("event", _parse_bool, np.bool_),
+        cause=cols.labels("cause", _cause_code, np.int8),
+        band=cols.labels("band", _band_code, np.int8),
+        entry_age=cols.ints("entry_age"),
+        exit_age=cols.ints("exit_age"),
+        loan_id=cols.stripped("loan_id"),
+    )
+    problem = _row_problem(columns["entry_age"], columns["exit_age"],
+                           columns["event"], columns["cause"])
+    if problem is not None:
+        raise SchemaError(f"{cols.loc(problem[0])}: {problem[1]}")
+    return ObservationTable(**columns)

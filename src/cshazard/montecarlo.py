@@ -67,6 +67,8 @@ class SimConfig:
             raise ValueError("cohort size must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
 
 # ---------------------------------------------------------------------------

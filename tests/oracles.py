@@ -7,6 +7,8 @@ an algebra slip in the library cannot silently agree with itself.
 """
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 from scipy import optimize, stats
 
@@ -41,6 +43,37 @@ def life_table(observations, cause, lo: int, hi: int):
         hazard = events / at_risk if at_risk > 0 else None
         table[x] = (at_risk, events, hazard)
     return table
+
+
+# ---------------------------------------------------------------------------
+# loan outcome by a per-loan Decimal scan
+
+
+def decimal_outcome(balance, payment, principal, pad=Decimal("10")):
+    """(integrity_ok, kind, event_month) for one payment history, month by month.
+
+    Amounts are Decimals (balance None where unreported).  integrity_ok is
+    False when the outcome is undeterminable: the first balance is missing,
+    or principal paid falls short of it while the last balance is missing;
+    kind and month are then None.  Otherwise the principal test (paid + pad
+    covers the first balance) gives "repaid" at the first zero balance or
+    the last month; else the first run of three zero payments gives
+    "defaulted" at its first month; else "censored" at the last month.
+    """
+    first = balance[0]
+    if first is None:
+        return False, None, None
+    paid = sum(principal, Decimal(0))
+    if paid < first and balance[-1] is None:
+        return False, None, None
+    months = len(balance)
+    if paid + pad >= first:
+        zero_months = [m for m, b in enumerate(balance, start=1) if b is not None and b == 0]
+        return True, "repaid", zero_months[0] if zero_months else months
+    for m in range(1, months - 1):
+        if payment[m - 1] == payment[m] == payment[m + 1] == 0:
+            return True, "defaulted", m
+    return True, "censored", months
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import cshazard
 from conftest import hump_observations, make_obs, staged_curve
-from cshazard import cli
+from cshazard import cli, ingest
 from cshazard.actuarial import (
     AmortizationSchedule,
     annualize,
@@ -138,6 +138,35 @@ def test_ingest_missing_column_is_schema_error(tmp_path, capsys):
     assert "column" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_ingest_non_finite_principal_is_located_schema_error(tmp_path, capsys, cell):
+    loans, payments = write_portfolio(tmp_path)
+    lines = payments.read_text().splitlines()
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:-1] + [cell])
+    payments.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["ingest", str(loans), str(payments),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"payments.csv:3: column 'principal' has non-finite value '{cell}'" \
+        in capsys.readouterr().err
+
+
+def test_ingest_filters_each_loan_once(tmp_path, monkeypatch):
+    calls = []
+    original = ingest.filter_loans
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "filter_loans", counting)
+    loans, payments = write_portfolio(tmp_path)
+    assert cli.main(["ingest", str(loans), str(payments),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- estimate
 
 def test_estimate_matches_hand_count(tmp_path):
@@ -201,6 +230,37 @@ def test_estimate_unreadable_observations(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("row, message", [
+    ("e,near_prime,5,4,0,", "entry_age must be <= exit_age"),
+    ("e,near_prime,1,4,1,lapsed", "unknown cause label: 'lapsed'"),
+    ("e,platinum,1,4,0,", "unknown risk band: 'platinum'"),
+])
+def test_estimate_row_errors_carry_location(tmp_path, capsys, row, message):
+    path = four_loan_observations(tmp_path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    rc = cli.main(["estimate", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"observations.csv:6: " in err and message in err
+
+
+def test_estimate_rejects_theta_outside_unit_interval(tmp_path):
+    obs = four_loan_observations(tmp_path)
+    rc = cli.main(["estimate", str(obs), "--theta", "1.5",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out" / "curve.csv").exists()
+
+
+def test_estimate_window_beyond_the_data_is_empty_result(tmp_path):
+    obs = four_loan_observations(tmp_path)
+    rc = cli.main(["estimate", str(obs), "--window", "200:300",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert not (tmp_path / "out" / "curve.csv").exists()
+
+
 # ---------------------------------------------------------------- converge
 
 def write_staged_pair(tmp):
@@ -222,6 +282,18 @@ def test_converge_curve_mode(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
     manifest = read_manifest(tmp_path / "out" / "matrix.json")
     assert set(manifest["outputs"]) == {"matrix.json", "trace.csv"}
+
+
+@pytest.mark.parametrize("theta", ["1.5", "0", "nan"])
+def test_theta_outside_unit_interval_exits_2(tmp_path, capsys, theta):
+    a, b = write_staged_pair(tmp_path)
+    runs = {"matrix.json": ["converge", str(a), str(b), "--format", "json"],
+            "study.json": ["simulate", "--n", "400", "--r", "3", "--format", "json"]}
+    for out, argv in runs.items():
+        rc = cli.main(argv + ["--theta", theta, "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--theta must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / out).exists()
 
 
 def test_converge_outputs_are_byte_stable(tmp_path):
@@ -255,6 +327,10 @@ def test_converge_observations_mode(tmp_path):
     # both bands draw from one distribution, so the CIs overlap immediately
     assert months[("deep_subprime", "prime")] == 3
     assert doc["min_test_age"] == 3
+    rc = cli.main(["converge", str(path), "--window", "200:300",
+                   "--output-dir", str(tmp_path / "beyond")])
+    assert rc == 3
+    assert not (tmp_path / "beyond" / "matrix.csv").exists()
 
 
 def test_converge_mismatched_grids(tmp_path):
@@ -388,11 +464,15 @@ def test_recovery_outputs_are_byte_stable(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_recovery_input_errors(tmp_path):
+def test_recovery_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("age,amount\n3,0.5\n")
     assert cli.main(["recovery", str(bad),
                      "--output-dir", str(tmp_path / "out")]) == 2
+    bad.write_text("age,recovery\n3,0.5\n\nx,0.4\n")
+    assert cli.main(["recovery", str(bad),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+    assert "bad.csv:4: bad age/recovery value" in capsys.readouterr().err
     empty = tmp_path / "empty.csv"
     empty.write_text("age,recovery\n")
     assert cli.main(["recovery", str(empty),

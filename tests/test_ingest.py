@@ -7,9 +7,16 @@ scan, else censored at the last month).
 """
 from __future__ import annotations
 
+import re
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import decimal_outcome
 
 from cshazard.errors import SchemaError
 from cshazard.ingest import (
@@ -128,6 +135,30 @@ def test_pad_is_configurable():
 def test_outcome_is_total_over_goldens():
     kinds = {determine_outcome(hist(b, p, q)).kind for _, b, p, q, _, _ in GOLDEN}
     assert kinds == {OutcomeKind.REPAID, OutcomeKind.DEFAULTED, OutcomeKind.CENSORED}
+
+
+@pytest.mark.parametrize("number", [int, float], ids=["int", "float"])
+def test_amounts_given_as_numbers_match_decimals(number):
+    for _, balance, payment, principal, kind, month in GOLDEN:
+        as_numbers = PaymentHistory(
+            balance=tuple(None if v is None else number(Decimal(str(v))) for v in balance),
+            payment=tuple(number(Decimal(str(v))) for v in payment),
+            principal=tuple(number(Decimal(str(v))) for v in principal))
+        if number is int and as_numbers != hist(balance, payment, principal):
+            continue  # a fraction that int() cuts off
+        assert determine_outcome(as_numbers) == LoanOutcome(kind, month)
+        assert determine_outcome(as_numbers, pad=number(10)) == LoanOutcome(kind, month)
+    # 0.1 + 0.2 falls short of 0.3 in binary, not as amounts
+    sums = PaymentHistory(balance=(10.3,), payment=(0.3,), principal=(0.1,))
+    assert determine_outcome(sums, pad=10.2).kind is OutcomeKind.REPAID
+    rec = conforming_record(history=PaymentHistory(balance=(500, 400), payment=(50, 50),
+                                                   principal=(5, 5)))
+    rec.original_amount, rec.recovered_amount = 20000, 0
+    assert filter_loans([rec]) == [rec]
+    assert [(o.exit_age, o.cause) for o in build_observations([rec])] == [(7, None)]
+    with pytest.raises(ValueError, match="non-finite amount"):
+        determine_outcome(PaymentHistory(balance=(500,), payment=(50,),
+                                         principal=(float("nan"),)))
 
 
 def test_outcome_requires_first_balance():
@@ -298,7 +329,7 @@ def test_observation_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "obs.csv"
     write_observations_csv(path, obs)
-    assert read_observations_csv(path) == obs
+    assert list(read_observations_csv(path)) == obs
 
 
 def test_observation_csv_schema_errors(tmp_path):
@@ -312,3 +343,165 @@ def test_observation_csv_schema_errors(tmp_path):
         encoding="utf-8")
     with pytest.raises(SchemaError):
         read_observations_csv(worse)
+
+
+# ---------------------------------------------------------------------------
+# columnar ingest against the per-loan Decimal oracle
+
+
+def render(amount, style):
+    """One money cell in a chosen spelling; every spelling is the same Decimal."""
+    if style == "exponent":
+        return format(amount, "E")
+    if style == "mils":
+        return format(amount.quantize(Decimal("0.001")), "f")
+    return format(amount, "f")
+
+
+@st.composite
+def loan_histories(draw):
+    """Small tapes whose histories hit zero runs, pad ties, gaps and odd spellings."""
+    loans = []
+    for i in range(draw(st.integers(1, 6))):
+        months = draw(st.integers(1, 7))
+        first = draw(st.sampled_from([0, 1000, 4000, 5000, 10000]) | st.integers(0, 12000))
+        mils = st.sampled_from([0, 0, 0, 1000, 2000, 5000]) | st.integers(0, 6000)
+        principal = [draw(mils) for _ in range(months)]
+        payment = [p if draw(st.booleans()) else draw(mils) for p in principal]
+        balance = [first * 10] + [draw(st.sampled_from([0, 1000]) | mils) for _ in range(months - 1)]
+        if draw(st.booleans()):  # add a mil here and there: not whole cents
+            principal[draw(st.integers(0, months - 1))] += draw(st.integers(1, 9))
+        values = [[None if draw(st.integers(0, 5)) == 0 else Decimal(b).scaleb(-3)
+                   for b in balance],
+                  [Decimal(p).scaleb(-3) for p in payment],
+                  [Decimal(p).scaleb(-3) for p in principal]]
+        cells = [["" if v is None and draw(st.booleans()) else "NA" if v is None
+                  else render(v, draw(st.sampled_from(["plain", "exponent", "mils"])))
+                  for v in column] for column in values]
+        loans.append((f"L{i:02d}", draw(st.integers(0, 17)), values, cells))
+    return loans
+
+
+def write_tape(directory, loans):
+    with open(directory / "loans.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_loan_header()) + "\n")
+        for loan_id, age, _, _ in loans:
+            fh.write(f"{loan_id},12.5,20000,72,{age},false,stated_not_verified,"
+                     f"false,used,current,0\n")
+    with open(directory / "payments.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("loan_id,trust_month,balance,payment,principal\n")
+        for loan_id, _, _, (bal, pmt, prc) in loans:
+            for m in range(len(bal)):
+                fh.write(f"{loan_id},{m + 1},{bal[m]},{pmt[m]},{prc[m]}\n")
+
+
+def _loan_header():
+    return ["loan_id", "apr_pct", "original_amount", "original_term",
+            "loan_age_at_entry", "has_coborrower", "income_verification",
+            "subvention", "vehicle_condition", "initial_status", "recovered_amount"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(loan_histories(), st.sampled_from([Decimal("10"), Decimal("0"), Decimal("10.005")]))
+def test_segment_classifier_matches_decimal_oracle(loans, pad):
+    expected = []
+    for loan_id, age, (bal, pmt, prc), _ in loans:
+        ok, kind, month = decimal_outcome(bal, pmt, prc, pad)
+        if ok:
+            assert determine_outcome(PaymentHistory(tuple(bal), tuple(pmt), tuple(prc)),
+                                     pad=pad) == LoanOutcome(OutcomeKind(kind), month)
+            cause = {"defaulted": Cause.DEFAULT, "repaid": Cause.PREPAY}.get(kind)
+            expected.append(ObservedLoan(entry_age=age + 1, exit_age=age + month,
+                                         observed_event=cause is not None, cause=cause,
+                                         loan_id=loan_id, band=RiskBand.NEAR_PRIME))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        write_tape(directory, loans)
+        tape = load_loan_data(directory / "loans.csv", directory / "payments.csv")
+        assert list(build_observations(tape, pad=pad)) == expected
+
+
+def test_money_cells_keep_exact_values(tmp_path):
+    loans = [("L1", 3, None, [["100.00", "1.5E+1", ""], ["5", "0.005", "0"],
+                              ["90.00", "+.50", "0.001"]])]
+    write_tape(tmp_path, loans)
+    back = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")[0].history
+    assert back.balance == (Decimal("100"), Decimal("15"), None)
+    assert back.payment == (Decimal("5"), Decimal("0.005"), Decimal("0"))
+    assert back.principal == (Decimal("90"), Decimal("0.5"), Decimal("0.001"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "sNaN"])
+def test_non_finite_money_is_located_schema_error(tmp_path, cell):
+    write_tape(tmp_path, [("L1", 3, None, [["100", "50"], ["10", "10"], ["10", cell]])])
+    with pytest.raises(SchemaError, match=r"payments\.csv:3: column 'principal' has "
+                                          r"non-finite value"):
+        load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
+
+
+def test_reader_handles_quotes_crlf_and_blank_lines(tmp_path):
+    rec = conforming_record("L,1", history=hist([300, 200, 100, 0], [110, 110, 110, 0],
+                                                 [100, 100, 100, 0]))
+    write_loans_csv(tmp_path / "loans.csv", [rec])  # the id needs quoting
+    write_payments_csv(tmp_path / "payments.csv", [rec])
+    quoted = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
+    assert list(build_observations(quoted)) == list(build_observations([rec]))
+
+    plain = conforming_record("L1", history=rec.history)
+    write_loans_csv(tmp_path / "loans.csv", [plain])
+    write_payments_csv(tmp_path / "payments.csv", [plain])
+    text = (tmp_path / "payments.csv").read_text().replace("\r\n", "\n")
+    (tmp_path / "payments.csv").write_text(text.replace("\n", "\r\n\r\n", 2),
+                                           newline="")
+    back = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
+    assert back[0].history == plain.history
+    (tmp_path / "payments.csv").write_text(text.replace("\n", "\r"), newline="")
+    back = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
+    assert back[0].history == plain.history
+
+
+def test_reader_ignores_extra_fields_and_rejects_short_rows(tmp_path):
+    rec = conforming_record("L1", history=hist([300, 200], [110, 110], [100, 100]))
+    write_loans_csv(tmp_path / "loans.csv", [rec])
+    payments = tmp_path / "payments.csv"
+    payments.write_text("loan_id,trust_month,balance,payment,principal\n"
+                        "L1,1,300,110,100,extra,\nL1,2,200,110,100\n", encoding="utf-8")
+    back = load_loan_data(tmp_path / "loans.csv", payments)  # extra fields are ignored
+    assert back[0].history == rec.history
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_text("principal,note,trust_month,payment,balance,loan_id\n"
+                         "100,x,2,110,200,L1\n100,y,1,110,300,L1\n", encoding="utf-8")
+    assert load_loan_data(tmp_path / "loans.csv", reordered)[0].history == rec.history
+    payments.write_text(payments.read_text().replace("L1,2,200,110,100", "L1,2,200,110"))
+    with pytest.raises(SchemaError, match=r"payments\.csv:3: expected 5 fields, found 4"):
+        load_loan_data(tmp_path / "loans.csv", payments)
+    payments.write_text(payments.read_text().replace("extra", '"quoted"'))
+    with pytest.raises(SchemaError, match=r"payments\.csv:3: expected 5 fields, found 4"):
+        load_loan_data(tmp_path / "loans.csv", payments)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x,prime,5,4,0,", "entry_age must be <= exit_age"),
+    ("x,prime,1,4,1,lapsed", "unknown cause label"),
+    ("x,platinum,1,4,0,", "unknown risk band"),
+    ("x,prime,1,4,1,", "observed events must carry a cause"),
+])
+def test_observation_row_errors_carry_location(tmp_path, row, message):
+    path = tmp_path / "obs.csv"
+    path.write_text("loan_id,band,entry_age,exit_age,event,cause\n"
+                    f"ok,prime,1,2,0,\n{row}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"obs\.csv:3: .*{message}"):
+        read_observations_csv(path)
+
+
+@pytest.mark.parametrize("apr, amount, message", [
+    ("nan", "20000", "column 'apr_pct': value 'nan' is not a finite APR >= 0"),
+    ("-1.5", "20000", "column 'apr_pct': value '-1.5' is not a finite APR >= 0"),
+    ("12.5", "0", "column 'original_amount' must be positive"),
+])
+def test_loan_attribute_errors_carry_location(tmp_path, apr, amount, message):
+    write_tape(tmp_path, [("L1", 3, None, [["100"], ["10"], ["10"]])])
+    loans = tmp_path / "loans.csv"
+    loans.write_text(loans.read_text().replace(",12.5,20000,", f",{apr},{amount},"))
+    with pytest.raises(SchemaError, match=rf"loans\.csv:2: {re.escape(message)}"):
+        load_loan_data(loans, tmp_path / "payments.csv")

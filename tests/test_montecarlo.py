@@ -117,6 +117,8 @@ def test_config_validation(bench_dist, bench_trunc):
         SimConfig(dist=bench_dist, trunc=bench_trunc, n=0, replicates=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(dist=bench_dist, trunc=bench_trunc, n=10, replicates=0, seed=0)
+    with pytest.raises(ValueError, match="theta"):
+        SimConfig(dist=bench_dist, trunc=bench_trunc, n=10, replicates=1, seed=0, theta=1.5)
 
 
 # ---------------------------------------------------------------- study report
