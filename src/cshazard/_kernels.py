@@ -1,31 +1,15 @@
-"""Hot loops for cohort simulation and at-risk/event counting.
-
-Two interchangeable implementations live here: numba-compiled loops and
-vectorized numpy twins.  Selection happens once at import time; set
-``CSHAZARD_NUMBA=0`` to force the pure-numpy path (the default is numba
-whenever it imports).  Both paths are exercised against each other in the
-test suite and must produce bit-identical outputs.
-"""
+"""Hot loops for cohort simulation and at-risk/event counting, in numpy."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_FLAG = os.environ.get("CSHAZARD_NUMBA", "1").strip().lower()
-USING_NUMBA = HAVE_NUMBA and _FLAG not in ("0", "false", "no", "off")
+# perfbench/run.py reads this for each run's environment record; the kernels are numpy only.
+USING_NUMBA = False
 
 
-def assemble_cohort_numpy(u_entry, u_life, u_cause, cdf, cause1_share,
-                          entry_lo, entry_hi, min_age, censor_offset):
-    """Transform uniform draws into retained observations (numpy path).
+def assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
+                    entry_lo, entry_hi, min_age, censor_offset):
+    """Transform uniform draws into retained observations.
 
     Entry ages are uniform on {entry_lo..entry_hi}; lifetimes are sampled by
     inverse CDF with the strict-inequality tie rule (smallest age whose
@@ -53,43 +37,8 @@ def assemble_cohort_numpy(u_entry, u_life, u_cause, cdf, cause1_share,
     )
 
 
-def _assemble_cohort_loops(u_entry, u_life, u_cause, cdf, cause1_share,
-                           entry_lo, entry_hi, min_age, censor_offset):
-    n = u_entry.shape[0]
-    span = entry_hi - entry_lo + 1
-    k = cdf.shape[0]
-    entry = np.empty(n, np.int64)
-    exit_age = np.empty(n, np.int64)
-    event = np.empty(n, np.bool_)
-    is_default = np.empty(n, np.bool_)
-    kept = 0
-    for j in range(n):
-        off = int(u_entry[j] * span)
-        if off > span - 1:
-            off = span - 1
-        y = entry_lo + off
-        idx = 0
-        while idx < k - 1 and u_life[j] >= cdf[idx]:
-            idx += 1
-        x = min_age + idx
-        if y > x:
-            continue
-        c = y + censor_offset
-        entry[kept] = y
-        exit_age[kept] = x if x < c else c
-        event[kept] = x <= c
-        is_default[kept] = u_cause[j] < cause1_share[idx]
-        kept += 1
-    return (
-        entry[:kept].copy(),
-        exit_age[:kept].copy(),
-        event[:kept].copy(),
-        is_default[:kept].copy(),
-    )
-
-
-def count_exits_numpy(entry, exit_age, event, is_default, age_lo, age_hi):
-    """Per-age at-risk and cause-split event counts (numpy path).
+def count_exits(entry, exit_age, event, is_default, age_lo, age_hi):
+    """Per-age at-risk and cause-split event counts.
 
     at_risk[x] counts observations with entry <= x <= exit; the event arrays
     count observed exits at x by cause.  Ages run age_lo..age_hi inclusive.
@@ -110,41 +59,3 @@ def count_exits_numpy(entry, exit_age, event, is_default, age_lo, age_hi):
         ev_default.astype(np.int64),
         ev_prepay.astype(np.int64),
     )
-
-
-def _count_exits_loops(entry, exit_age, event, is_default, age_lo, age_hi):
-    width = age_hi - age_lo + 1
-    at_risk = np.zeros(width, np.int64)
-    ev_default = np.zeros(width, np.int64)
-    ev_prepay = np.zeros(width, np.int64)
-    for j in range(entry.shape[0]):
-        lo = entry[j]
-        hi = exit_age[j]
-        if lo < age_lo:
-            lo = age_lo
-        if hi > age_hi:
-            hi = age_hi
-        for x in range(lo, hi + 1):
-            at_risk[x - age_lo] += 1
-        ex = exit_age[j]
-        if event[j] and age_lo <= ex <= age_hi:
-            if is_default[j]:
-                ev_default[ex - age_lo] += 1
-            else:
-                ev_prepay[ex - age_lo] += 1
-    return at_risk, ev_default, ev_prepay
-
-
-if HAVE_NUMBA:
-    assemble_cohort_numba = njit(cache=True)(_assemble_cohort_loops)
-    count_exits_numba = njit(cache=True)(_count_exits_loops)
-else:  # pragma: no cover
-    assemble_cohort_numba = None
-    count_exits_numba = None
-
-if USING_NUMBA:
-    assemble_cohort = assemble_cohort_numba
-    count_exits = count_exits_numba
-else:
-    assemble_cohort = assemble_cohort_numpy
-    count_exits = count_exits_numpy

@@ -255,6 +255,22 @@ class SavingsEstimate:
     remaining_payments: int
 
 
+def _savings(old_payment: float, new_payment: float, n: int,
+             discount_rate: float | None) -> SavingsEstimate:
+    """The estimate for n payments; total_saving is discounted when a nonzero rate is given."""
+    monthly = old_payment - new_payment
+    if not discount_rate:
+        total = monthly * n
+    elif math.isfinite(discount_rate) and discount_rate > -1.0:
+        total = monthly * (1.0 - (1.0 + discount_rate) ** -n) / discount_rate
+    else:
+        raise ValueError(f"discount_rate must be finite and above -1, got {discount_rate}")
+    return SavingsEstimate(
+        old_payment=old_payment, new_payment=new_payment,
+        monthly_saving=monthly, total_saving=total, remaining_payments=n,
+    )
+
+
 def refinance_savings(balance: float, old_payment: float, old_rate: float,
                       new_rate: float, discount_rate: float | None = None
                       ) -> SavingsEstimate:
@@ -266,18 +282,7 @@ def refinance_savings(balance: float, old_payment: float, old_rate: float,
     if new_rate >= old_rate:
         raise ValueError("refinance rate must be below the current rate")
     n = remaining_payments(balance, old_payment, old_rate)
-    new_payment = monthly_payment(balance, new_rate, n)
-    monthly = old_payment - new_payment
-    if discount_rate is None:
-        total = monthly * n
-    elif discount_rate == 0:
-        total = monthly * n
-    else:
-        total = monthly * (1.0 - (1.0 + discount_rate) ** -n) / discount_rate
-    return SavingsEstimate(
-        old_payment=old_payment, new_payment=new_payment,
-        monthly_saving=monthly, total_saving=total, remaining_payments=n,
-    )
+    return _savings(old_payment, monthly_payment(balance, new_rate, n), n, discount_rate)
 
 
 def nominal_monthly_rate(apr_pct: float) -> float:
@@ -304,15 +309,7 @@ def savings_from_apr(balance: float, old_payment: float, old_apr_pct: float,
         raise ValueError("refinance APR must be below the current APR")
     n = remaining_payments(balance, old_payment, effective_monthly_rate(old_apr_pct))
     new_payment = monthly_payment(balance, nominal_monthly_rate(new_apr_pct), n)
-    monthly = old_payment - new_payment
-    if discount_rate:
-        total = monthly * (1.0 - (1.0 + discount_rate) ** -n) / discount_rate
-    else:
-        total = monthly * n
-    return SavingsEstimate(
-        old_payment=old_payment, new_payment=new_payment,
-        monthly_saving=monthly, total_saving=total, remaining_payments=n,
-    )
+    return _savings(old_payment, new_payment, n, discount_rate)
 
 
 def ltv_trajectory(schedule: AmortizationSchedule, initial_value: float,

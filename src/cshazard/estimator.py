@@ -41,6 +41,10 @@ DEFAULT_THETA = 0.05
 # available behind the full-range flag.
 DEFAULT_WINDOW = (10, 55)
 
+# The per-age arrays of a HazardCurve, all of one length.
+_ROW_FIELDS = ("ages", "events", "at_risk", "hazard", "variance", "ci_lo", "ci_hi",
+               "interpolated")
+
 
 @dataclass(frozen=True)
 class HazardCurve:
@@ -65,10 +69,7 @@ class HazardCurve:
     theta: float = DEFAULT_THETA
 
     def __post_init__(self) -> None:
-        lengths = {arr.shape[0] for arr in (self.ages, self.events, self.at_risk,
-                                            self.hazard, self.variance, self.ci_lo,
-                                            self.ci_hi, self.interpolated)}
-        if len(lengths) != 1:
+        if len({getattr(self, name).shape[0] for name in _ROW_FIELDS}) != 1:
             raise ValueError("curve arrays must share one length")
         if np.any(self.events > self.at_risk):
             raise ValueError("event_count cannot exceed at_risk")
@@ -94,16 +95,13 @@ class HazardCurve:
     def hazard_at(self, age: int) -> float:
         return self.row(age)["hazard"]
 
+    def take(self, index) -> "HazardCurve":
+        """The rows selected by a boolean mask or an index array."""
+        return replace(self, **{name: getattr(self, name)[index] for name in _ROW_FIELDS})
+
     def restrict(self, lo: int, hi: int) -> "HazardCurve":
         """Slice the curve to ages within [lo, hi]."""
-        mask = (self.ages >= lo) & (self.ages <= hi)
-        return replace(
-            self,
-            ages=self.ages[mask], events=self.events[mask],
-            at_risk=self.at_risk[mask], hazard=self.hazard[mask],
-            variance=self.variance[mask], ci_lo=self.ci_lo[mask],
-            ci_hi=self.ci_hi[mask], interpolated=self.interpolated[mask],
-        )
+        return self.take((self.ages >= lo) & (self.ages <= hi))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +156,22 @@ def observations_to_arrays(observations):
     return table.entry_age, table.exit_age, table.event, table.cause == Cause.DEFAULT.value
 
 
+def _variance(events: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
+    """Delta-method variance of the hazard estimate per age: e(a - e)/a^3."""
+    return events * (at_risk - events) / at_risk.astype(np.float64) ** 3
+
+
+def _log_ci(hazard, events, at_risk, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-scale bounds hazard*exp(+-z*sqrt(1/e - 1/a)), the upper one capped at 1.
+
+    Rows with zero events, or with events == at_risk, get no usable interval
+    here; each caller masks them by its own rule.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se_log = np.sqrt((at_risk - events) / (at_risk * events.astype(np.float64)))
+        return hazard * np.exp(-z * se_log), np.minimum(hazard * np.exp(z * se_log), 1.0)
+
+
 def curve_from_counts(band: str, cause: Cause | None, n: int, ages, events,
                       at_risk, theta: float = DEFAULT_THETA) -> HazardCurve:
     """Assemble a HazardCurve from raw per-age counts.
@@ -174,13 +188,8 @@ def curve_from_counts(band: str, cause: Cause | None, n: int, ages, events,
     at_risk = np.asarray(at_risk, dtype=np.int64)
     keep = at_risk > 0
     ages, events, at_risk = ages[keep], events[keep], at_risk[keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hazard = events / at_risk
-        variance = events * (at_risk - events) / at_risk.astype(np.float64) ** 3
-        z = normal_quantile(1.0 - theta / 2.0)
-        se_log = np.sqrt((at_risk - events) / (at_risk * events.astype(np.float64)))
-        ci_lo = hazard * np.exp(-z * se_log)
-        ci_hi = np.minimum(hazard * np.exp(z * se_log), 1.0)
+    hazard = events / at_risk
+    ci_lo, ci_hi = _log_ci(hazard, events, at_risk, normal_quantile(1.0 - theta / 2.0))
     undefined = events == 0
     ci_lo[undefined] = np.nan
     ci_hi[undefined] = np.nan
@@ -189,7 +198,7 @@ def curve_from_counts(band: str, cause: Cause | None, n: int, ages, events,
     ci_hi[saturated] = hazard[saturated]
     return HazardCurve(
         band=band, cause=cause, n=n, ages=ages, events=events, at_risk=at_risk,
-        hazard=hazard, variance=variance, ci_lo=ci_lo, ci_hi=ci_hi,
+        hazard=hazard, variance=_variance(events, at_risk), ci_lo=ci_lo, ci_hi=ci_hi,
         interpolated=np.zeros(ages.shape, np.bool_), theta=theta,
     )
 
@@ -229,11 +238,9 @@ def asymptotic_variance(curve: HazardCurve) -> np.ndarray:
     In fraction form this is f(U - f)/(n U^3) with f and U the event and
     at-risk fractions; the sample size cancels, leaving e(a - e)/a^3.
     """
-    a = curve.at_risk.astype(np.float64)
-    e = curve.events.astype(np.float64)
-    if np.any(a <= 0):
+    if np.any(curve.at_risk <= 0):
         raise ValueError("at_risk must be positive at every curve row")
-    return e * (a - e) / a**3
+    return _variance(curve.events, curve.at_risk)
 
 
 def confidence_interval(curve: HazardCurve, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -327,19 +334,17 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
 
     cause = None if cause_label == "all" else Cause.from_label(cause_label)
     ages = col("age", np.int64, 0)
-    order = np.argsort(ages)
     curve = HazardCurve(
-        band=band, cause=cause, n=0,
-        ages=ages[order],
-        events=col("events", np.int64, 0)[order],
-        at_risk=col("at_risk", np.int64, 0)[order],
-        hazard=col("hazard", np.float64)[order],
-        variance=col("var", np.float64)[order],
-        ci_lo=col("ci_lo", np.float64)[order],
-        ci_hi=col("ci_hi", np.float64)[order],
-        interpolated=col("interpolated", np.float64, 0)[order].astype(np.bool_),
+        band=band, cause=cause, n=0, ages=ages,
+        events=col("events", np.int64, 0),
+        at_risk=col("at_risk", np.int64, 0),
+        hazard=col("hazard", np.float64),
+        variance=col("var", np.float64),
+        ci_lo=col("ci_lo", np.float64),
+        ci_hi=col("ci_hi", np.float64),
+        interpolated=col("interpolated", np.float64, 0).astype(np.bool_),
     )
-    return curve
+    return curve.take(np.argsort(ages))
 
 
 def split_by_band(observations) -> dict[RiskBand, ObservationTable]:
@@ -373,14 +378,5 @@ def align_grids(curves: dict) -> dict:
         common = ages if common is None else common & ages
     if not common:
         raise IncompatibleInputsError("hazard curves share no common ages")
-    aligned = {}
-    for label, curve in curves.items():
-        mask = np.isin(curve.ages, sorted(common))
-        aligned[label] = replace(
-            curve,
-            ages=curve.ages[mask], events=curve.events[mask],
-            at_risk=curve.at_risk[mask], hazard=curve.hazard[mask],
-            variance=curve.variance[mask], ci_lo=curve.ci_lo[mask],
-            ci_hi=curve.ci_hi[mask], interpolated=curve.interpolated[mask],
-        )
-    return aligned
+    keep = sorted(common)
+    return {label: curve.take(np.isin(curve.ages, keep)) for label, curve in curves.items()}

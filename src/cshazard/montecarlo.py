@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .estimator import normal_quantile
-from .ingest import ObservedLoan
+from .estimator import _log_ci, normal_quantile
+from .ingest import ObservationTable
 from .riskmodel import Cause, CompetingRisksDistribution, TruncationLaw, survival
 
 __all__ = [
@@ -159,19 +159,14 @@ def _replicate_arrays(config: SimConfig, replicate_index: int):
     )
 
 
-def simulate_cohort(config: SimConfig, replicate_index: int) -> list[ObservedLoan]:
-    """One replicate's retained observations as typed records."""
+def simulate_cohort(config: SimConfig, replicate_index: int) -> ObservationTable:
+    """One replicate's retained observations (no loan ids, no band)."""
     entry, exit_age, event, is_default = _replicate_arrays(config, replicate_index)
-    out = []
-    for i in range(entry.size):
-        cause = None
-        if event[i]:
-            cause = Cause.DEFAULT if is_default[i] else Cause.PREPAY
-        out.append(ObservedLoan(
-            entry_age=int(entry[i]), exit_age=int(exit_age[i]),
-            observed_event=bool(event[i]), cause=cause,
-        ))
-    return out
+    cause = np.where(is_default, Cause.DEFAULT.value, Cause.PREPAY.value)
+    return ObservationTable(
+        loan_id=np.full(entry.size, "", dtype=object), band=np.full(entry.size, -1),
+        entry_age=entry, exit_age=exit_age, event=event, cause=np.where(event, cause, 0),
+    )
 
 
 @dataclass(frozen=True)
@@ -284,11 +279,9 @@ def run_study(config: SimConfig) -> StudyReport:
             lam = np.full(n_ages, np.nan)
             lam[has_risk] = ev[has_risk] / at_risk[has_risk]
             estimates[rep, :, ci] = lam
+            # zero-event and saturated rows have no usable interval: undefined
             ok = has_risk & (ev > 0) & (ev < at_risk)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                se_log = np.sqrt((at_risk - ev) / (at_risk * ev.astype(np.float64)))
-                lo = lam * np.exp(-z * se_log)
-                hi = np.minimum(lam * np.exp(z * se_log), 1.0)
+            lo, hi = _log_ci(lam, ev, at_risk, z)
             defined[rep, :, ci] = ok
             covered[rep, :, ci] = ok & (lo <= lam_true[:, ci]) & (lam_true[:, ci] <= hi)
 

@@ -109,6 +109,37 @@ def enumerate_truncated(dist, trunc, x: int, cause):
 
 
 # ---------------------------------------------------------------------------
+# cohort assembly by a per-draw loop
+
+
+def loop_assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
+                         entry_lo, entry_hi, min_age, censor_offset):
+    """The simulation kernel's observations, one draw at a time.
+
+    The lifetime index is found by a linear scan for the first cumulative
+    mass strictly above the draw (the last age catches everything beyond);
+    a draw whose entry age exceeds its lifetime is dropped.  Returns
+    (entry, exit, event, is_default) as int64 and bool arrays.
+    """
+    span = entry_hi - entry_lo + 1
+    k = len(cdf)
+    rows = []
+    for u_y, u_x, u_c in zip(u_entry, u_life, u_cause):
+        y = entry_lo + min(int(u_y * span), span - 1)
+        idx = 0
+        while idx < k - 1 and u_x >= cdf[idx]:
+            idx += 1
+        x = min_age + idx
+        if y > x:
+            continue
+        censor = y + censor_offset
+        rows.append((y, min(x, censor), x <= censor, u_c < cause1_share[idx]))
+    entry, exit_age, event, is_default = zip(*rows) if rows else ((),) * 4
+    return (np.array(entry, dtype=np.int64), np.array(exit_age, dtype=np.int64),
+            np.array(event, dtype=np.bool_), np.array(is_default, dtype=np.bool_))
+
+
+# ---------------------------------------------------------------------------
 # amortization by recursion plus a scipy solve for the payment
 
 

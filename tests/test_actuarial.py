@@ -1,6 +1,8 @@
 """Amortization, risk-adjusted returns, refinance savings, LTV paths."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,11 @@ def test_discounted_total_savings():
     undiscounted = refinance_savings(5000, 120, 0.015, 0.005, discount_rate=0.0)
     assert undiscounted.total_saving == pytest.approx(monthly * n, abs=1e-9)
     assert est.total_saving < undiscounted.total_saving
+    for bad in (-1.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="discount_rate"):
+            refinance_savings(5000, 120, 0.015, 0.005, discount_rate=bad)
+        with pytest.raises(ValueError, match="discount_rate"):
+            savings_from_apr(7485, 360, 22.37, 3.59, discount_rate=bad)
 
 
 def test_ltv_trajectory():

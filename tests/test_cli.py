@@ -427,6 +427,17 @@ def test_savings_rejects_rate_increase(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("rate", ["-1", "-2", "nan", "inf"])
+def test_savings_rejects_bad_discount_rate(tmp_path, capsys, rate):
+    rc = cli.main(["savings", "--balance", "7485", "--payment", "360",
+                   "--old-apr", "22.37", "--new-apr", "3.59",
+                   f"--discount-rate={rate}",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "discount_rate" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "savings.csv").exists()
+
+
 # ---------------------------------------------------------------- recovery
 
 def write_recoveries_csv(path):

@@ -1,16 +1,10 @@
-"""Numba kernels against their numpy twins: outputs must be bit-identical."""
-import os
-import subprocess
-import sys
-
+"""The numpy kernels against pure-Python loops: outputs must be identical."""
 import numpy as np
 import pytest
+from oracles import loop_assemble_cohort
 
 from cshazard import _kernels
 from cshazard.montecarlo import benchmark_distribution
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba not installed")
 
 
 def bench_arrays():
@@ -50,59 +44,18 @@ def naive_counts(entry, exit_age, event, is_default, age_lo, age_hi):
     return at_risk, ev_d, ev_p
 
 
-def test_environment_has_numba():
-    # where numba imports, _kernels must pick it up; where it is missing the
-    # numpy-only coverage shows as a skip with a reason, not as silence
-    pytest.importorskip("numba")
-    assert _kernels.HAVE_NUMBA
-
-
-def test_dispatch_matches_env_flag():
-    flag = os.environ.get("CSHAZARD_NUMBA", "1").strip().lower()
-    expect = _kernels.HAVE_NUMBA and flag not in ("0", "false", "no", "off")
-    assert _kernels.USING_NUMBA == expect
-    if _kernels.USING_NUMBA:
-        assert _kernels.assemble_cohort is _kernels.assemble_cohort_numba
-        assert _kernels.count_exits is _kernels.count_exits_numba
-    else:
-        assert _kernels.assemble_cohort is _kernels.assemble_cohort_numpy
-        assert _kernels.count_exits is _kernels.count_exits_numpy
-
-
-@pytest.mark.parametrize("value,expect_numpy", [
-    ("0", True), ("false", True), ("no", True), ("OFF", True),
-    # a truthy flag can select the compiled path only where numba imports
-    pytest.param("1", False, marks=needs_numba),
-    pytest.param("yes", False, marks=needs_numba),
-])
-def test_flag_forces_numpy_path(value, expect_numpy):
-    code = ("from cshazard import _kernels; "
-            "print(_kernels.USING_NUMBA, "
-            "_kernels.assemble_cohort is _kernels.assemble_cohort_numpy)")
-    env = dict(os.environ, CSHAZARD_NUMBA=value)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    using, is_numpy = out.stdout.split()
-    assert (is_numpy == "True") == expect_numpy
-    assert (using == "False") == expect_numpy
-
-
-@needs_numba
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_assemble_cohort_paths_agree(seed):
     cdf, share = bench_arrays()
     rng = np.random.default_rng(seed)
     u_entry, u_life, u_cause = random_draws(rng, 5000)
-    a = _kernels.assemble_cohort_numba(u_entry, u_life, u_cause, cdf, share,
-                                       1, 5, 1, 5)
-    b = _kernels.assemble_cohort_numpy(u_entry, u_life, u_cause, cdf, share,
-                                       1, 5, 1, 5)
-    for left, right in zip(a, b):
+    got = _kernels.assemble_cohort(u_entry, u_life, u_cause, cdf, share, 1, 5, 1, 5)
+    want = loop_assemble_cohort(u_entry, u_life, u_cause, cdf, share, 1, 5, 1, 5)
+    for left, right in zip(got, want):
         np.testing.assert_array_equal(left, right)
         assert left.dtype == right.dtype
 
 
-@needs_numba
 def test_assemble_cohort_agrees_on_cdf_ties():
     # a draw landing exactly on a cumulative boundary belongs to the next age
     cdf, share = bench_arrays()
@@ -110,38 +63,31 @@ def test_assemble_cohort_agrees_on_cdf_ties():
     n = u_life.size
     half = np.full(n, 0.5)
     zeros = np.zeros(n)
-    a = _kernels.assemble_cohort_numba(zeros, u_life, half, cdf, share, 1, 5, 1, 5)
-    b = _kernels.assemble_cohort_numpy(zeros, u_life, half, cdf, share, 1, 5, 1, 5)
-    for left, right in zip(a, b):
+    got = _kernels.assemble_cohort(zeros, u_life, half, cdf, share, 1, 5, 1, 5)
+    want = loop_assemble_cohort(zeros, u_life, half, cdf, share, 1, 5, 1, 5)
+    for left, right in zip(got, want):
         np.testing.assert_array_equal(left, right)
     # entry is forced to 1, so every draw is retained; boundary draw cdf[i]
     # maps to age i + 2 under the strict-exceedance rule
-    exits = b[1]
+    exits = got[1]
     assert exits[0] == 2  # u = cdf[0] -> second age
     assert exits[-2] == 1  # u = 0 -> first age
     assert exits[-1] == 6  # u near 1 -> censored at entry + offset
 
 
-@needs_numba
-@pytest.mark.parametrize("seed", [10, 11, 12])
-def test_count_exits_paths_agree(seed):
+@pytest.mark.parametrize("seed,n,lo,hi", [
+    pytest.param(30, 800, 3, 8, id="30"), pytest.param(31, 800, 3, 8, id="31"),
+    pytest.param(10, 4000, 2, 9, id="10"), pytest.param(11, 4000, 2, 9, id="11"),
+    pytest.param(12, 4000, 2, 9, id="12"),
+])
+def test_count_exits_matches_naive_loop(seed, n, lo, hi):
     rng = np.random.default_rng(seed)
-    entry, exit_age, event, is_default = random_cohort(rng, 4000)
-    a = _kernels.count_exits_numba(entry, exit_age, event, is_default, 2, 9)
-    b = _kernels.count_exits_numpy(entry, exit_age, event, is_default, 2, 9)
-    for left, right in zip(a, b):
-        np.testing.assert_array_equal(left, right)
-        assert left.dtype == np.int64 and right.dtype == np.int64
-
-
-@pytest.mark.parametrize("seed", [30, 31])
-def test_count_exits_matches_naive_loop(seed):
-    rng = np.random.default_rng(seed)
-    entry, exit_age, event, is_default = random_cohort(rng, 800)
-    got = _kernels.count_exits(entry, exit_age, event, is_default, 3, 8)
-    want = naive_counts(entry, exit_age, event, is_default, 3, 8)
+    entry, exit_age, event, is_default = random_cohort(rng, n)
+    got = _kernels.count_exits(entry, exit_age, event, is_default, lo, hi)
+    want = naive_counts(entry, exit_age, event, is_default, lo, hi)
     for left, right in zip(got, want):
         np.testing.assert_array_equal(left, right)
+        assert left.dtype == np.int64
 
 
 def test_count_exits_window_edges():
