@@ -75,6 +75,7 @@ from .actuarial import (
     monthly_payment,
     refinance_savings,
     remaining_payments,
+    returns_table,
     savings_from_apr,
 )
 
@@ -117,6 +118,7 @@ __all__ = [
     "balance_at",
     "annualize",
     "lifetime_return",
+    "returns_table",
     "remaining_payments",
     "refinance_savings",
     "savings_from_apr",

@@ -25,6 +25,7 @@ __all__ = [
     "one_month_return",
     "annualize",
     "lifetime_return",
+    "returns_table",
     "remaining_payments",
     "refinance_savings",
     "savings_from_apr",
@@ -40,12 +41,12 @@ _CEIL_GUARD = 1e-9
 
 def monthly_payment(principal: float, rate: float, term: int) -> float:
     """Level payment amortizing `principal` over `term` months at monthly `rate`."""
-    if principal <= 0:
-        raise ValueError("principal must be positive")
-    if term < 1:
-        raise ValueError("term must be >= 1")
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
+    if not (math.isfinite(principal) and principal > 0):
+        raise ValueError(f"principal must be finite and positive, got {principal}")
+    if not isinstance(term, (int, np.integer)) or term < 1:
+        raise ValueError(f"term must be an integer >= 1, got {term!r}")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and >= 0, got {rate}")
     if rate == 0:
         return principal / term
     return principal * rate / (1.0 - (1.0 + rate) ** -term)
@@ -110,69 +111,57 @@ def annualize(monthly_rate: float) -> float:
 
 
 def hazard_lookup(curve: HazardCurve | None):
-    """Build an age -> hazard callable from a curve.
+    """Build an age -> hazard callable from a curve (None means hazard zero)."""
+    return lambda age: float(_by_age(curve, np.array([age]))[0])
 
-    Ages beyond the last curve row carry the last value forward (constant
-    tail); ages before the first row carry the first value back.  A missing
-    curve means hazard zero everywhere.
+
+def _by_age(source, ages: np.ndarray) -> np.ndarray:
+    """A HazardCurve, an age -> value callable, or None (zero) at each age.
+
+    A curve gives the row of the latest grid age <= age, and its first row
+    before the grid starts.
     """
-    if curve is None:
-        return lambda age: 0.0
-    ages = curve.ages
-    hazard = curve.hazard
-
-    def lookup(age: int) -> float:
-        if age <= int(ages[0]):
-            return float(hazard[0])
-        if age >= int(ages[-1]):
-            return float(hazard[-1])
-        idx = np.searchsorted(ages, age)
-        if int(ages[idx]) == age:
-            return float(hazard[idx])
-        # interior gap in the grid: carry the previous value forward
-        return float(hazard[idx - 1])
-
-    return lookup
-
-
-def _as_hazard_fn(source):
     if source is None:
-        return lambda age: 0.0
+        return np.zeros(ages.size)
     if isinstance(source, HazardCurve):
-        return hazard_lookup(source)
-    if callable(source):
-        return source
-    raise TypeError("hazard source must be a HazardCurve, callable, or None")
+        row = np.searchsorted(source.ages, ages, side="right") - 1
+        return source.hazard[np.clip(row, 0, source.ages.size - 1)]
+    return np.array([float(source(j)) for j in ages.tolist()])
+
+
+def _hazards(default_hazard, prepay_hazard, ages: np.ndarray):
+    """Both hazards at consecutive ages up to the term, checked, with the final
+    month closed out: the mass left beyond default prepays the final payment."""
+    lam1, lam2 = _by_age(default_hazard, ages), _by_age(prepay_hazard, ages)
+    bad = ~((lam1 >= 0.0) & (lam1 <= 1.0) & (lam2 >= 0.0) & (lam2 <= 1.0)
+            & (lam1 + lam2 <= 1.0 + 1e-12))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"invalid hazards at age {ages[i]}: {lam1[i]}, {lam2[i]}")
+    lam2[-1] = 1.0 - lam1[-1]
+    return lam1, lam2
+
+
+def _event_rows(lam1: np.ndarray, lam2: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """[cause, row, column]: hazard times survival over the row's earlier live columns.
+
+    Cause 0 is default, 1 prepay; dead columns get zero; each row sums to 1.
+    """
+    alive = np.ones(live.shape)
+    np.cumprod(np.where(live, 1.0 - (lam1 + lam2), 1.0)[:, :-1], axis=1, out=alive[:, 1:])
+    probs = np.where(live, np.stack([lam1, lam2])[:, None, :] * alive, 0.0)
+    total = probs.sum(axis=(0, 2))
+    worst = total[np.argmax(np.abs(total - 1.0))]
+    if not abs(worst - 1.0) <= 1e-9:
+        raise NumericalError(f"event probabilities sum to {worst}, not 1")
+    return probs
 
 
 def event_probabilities(default_hazard, prepay_hazard, start: int, term: int):
-    """Per-month probabilities of defaulting/prepaying at each j in [start, term].
-
-    Row j is the cause hazard at j times the probability of surviving ages
-    [start, j).  The final month is closed out: whatever survival mass is
-    left beyond the default hazard goes to the prepay path, whose cash flow
-    is exactly the scheduled final payment.  Columns sum to 1.
-    """
-    lam1_fn = _as_hazard_fn(default_hazard)
-    lam2_fn = _as_hazard_fn(prepay_hazard)
-    m = term - start + 1
-    p_def = np.zeros(m)
-    p_pre = np.zeros(m)
-    alive = 1.0
-    for i, j in enumerate(range(start, term + 1)):
-        lam1 = float(lam1_fn(j))
-        lam2 = float(lam2_fn(j))
-        if not (0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0 and lam1 + lam2 <= 1.0 + 1e-12):
-            raise ValueError(f"invalid hazards at age {j}: {lam1}, {lam2}")
-        if j == term:
-            lam2 = 1.0 - lam1
-        p_def[i] = lam1 * alive
-        p_pre[i] = lam2 * alive
-        alive *= 1.0 - (lam1 + lam2)
-    total = p_def.sum() + p_pre.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise NumericalError(f"event probabilities sum to {total}, not 1")
-    return p_def, p_pre
+    """Probabilities of defaulting and of prepaying at each age in [start, term]."""
+    ages = np.arange(start, term + 1)
+    live = np.ones((1, ages.size), dtype=bool)
+    return tuple(_event_rows(*_hazards(default_hazard, prepay_hazard, ages), live)[:, 0])
 
 
 def lifetime_return(schedule: AmortizationSchedule, default_hazard, prepay_hazard,
@@ -183,48 +172,98 @@ def lifetime_return(schedule: AmortizationSchedule, default_hazard, prepay_hazar
     future month j the default path pays the scheduled payment through j-1
     and then the recovery value (recovery fraction of original principal at
     default age j); the prepay path pays through j-1 and then the surviving
-    balance plus the final scheduled payment.  recovery is a callable
-    age -> fraction of original principal (None means zero).  Root-solving is
-    bisection on the monotone EPV.
+    balance plus the final scheduled payment.  A hazard is a HazardCurve,
+    an age -> hazard callable, or None (zero); recovery is a callable
+    age -> fraction of original principal (None means zero).  Root-solving
+    is bisection on the monotone EPV.
     """
     if not 1 <= month <= schedule.term:
         raise ValueError(f"month {month} outside [1, {schedule.term}]")
-    price = schedule.balance(month - 1)
-    if price <= 0:
+    return float(_solve(schedule, default_hazard, prepay_hazard, recovery, month, month)[0])
+
+
+def returns_table(schedule: AmortizationSchedule, default_hazard, prepay_hazard,
+                  recovery) -> np.ndarray:
+    """lifetime_return of every valuation month 1..term, solved together."""
+    return _solve(schedule, default_hazard, prepay_hazard, recovery, 1, schedule.term)
+
+
+_BLOCK = 48  # valuation months solved together; about 2 MB of work arrays at T=360
+# OpenBLAS dot kernels accumulate in lanes over blocks of 16 or 32 elements,
+# so leading zeros in a multiple of 32 leave a dot's bits unchanged (the
+# tests compare every table row with the month solved alone).
+_DOT_ALIGN = 32
+
+
+def _solve(schedule, default_hazard, prepay_hazard, recovery, first: int, last: int):
+    """Monthly rates of valuation months first..last."""
+    price = schedule.balances[first - 1:last]
+    if np.any(price <= 0):
         raise ValueError("entering balance must be positive")
-    p_def, p_pre = event_probabilities(default_hazard, prepay_hazard,
-                                       month, schedule.term)
-    rec_fn = recovery if recovery is not None else (lambda age: 0.0)
-    steps = np.arange(1, schedule.term - month + 2)  # discount step of month j
-    rec_values = np.array([float(rec_fn(j)) * schedule.principal
-                           for j in range(month, schedule.term + 1)])
-    bal_values = schedule.balances[month:schedule.term + 1]
-    payment = schedule.payment
+    ages = np.arange(first, schedule.term + 1)
+    lam1, lam2 = _hazards(default_hazard, prepay_hazard, ages)
+    # the final cash flow of the default path (recovery) and of the prepay path
+    cash = np.stack([_by_age(recovery, ages) * schedule.principal,
+                     schedule.balances[first:] + schedule.payment])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([
+            _bisect(lam1[b:], lam2[b:], cash[:, b:], schedule.payment, price[b:b + _BLOCK])
+            for b in range(0, price.size, _BLOCK)])
 
-    def epv(rho: float) -> float:
-        disc = (1.0 + rho) ** -steps.astype(np.float64)
-        annuity = np.concatenate(([0.0], np.cumsum(disc)[:-1]))
-        path_def = payment * annuity + rec_values * disc
-        path_pre = payment * annuity + (bal_values + payment) * disc
-        return float(p_def @ path_def + p_pre @ path_pre)
 
-    lo, hi = _BRACKET
-    g_lo = epv(lo) - price
-    g_hi = epv(hi) - price
-    if g_lo < 0 or g_hi > 0:
+def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
+    """Bisection for consecutive valuation months, one per row.
+
+    Columns run from the first row's month to the term, so row r starts r
+    columns in.  Each row repeats the one-month solve bit for bit: its dots
+    start at column r mod 32 and it stops once its own hi - lo < 1e-14.
+    """
+    rows, width = price.size, lam1.size
+    dead = np.arange(width) < np.arange(rows)[:, None]
+    exponent = np.arange(rows)[:, None] - np.arange(width) - 1.0  # minus the discount step
+    probs = _event_rows(lam1, lam2, ~dead)
+    # 0 * inf where the discount factors overflow must count as 0, so zero
+    # cash flows and zero-probability terms are set to exactly 0
+    no_cash, idle = (cash == 0.0)[:, None, :], probs == 0.0
+    disc, annuity = np.zeros((2, rows, width))
+    paths = np.empty((2, rows, width))
+    dots = np.empty((2, rows, 1, 1))
+
+    def gap(rho):
+        """EPV minus price per row; +inf where the discount factors overflow."""
+        # no where= here: numpy's masked power can fall back to libm pow and change bits
+        np.power((1.0 + rho)[:, None], exponent, out=disc)
+        np.copyto(disc, 0.0, where=dead)
+        np.cumsum(disc[:, :-1], axis=1, out=annuity[:, 1:])
+        np.multiply(cash[:, None, :], disc, out=paths)
+        np.copyto(paths, 0.0, where=no_cash)
+        np.add(paths, payment * annuity, out=paths)
+        np.copyto(paths, 0.0, where=idle)
+        for c in range(min(rows, _DOT_ALIGN)):
+            r = slice(c, None, _DOT_ALIGN)
+            np.matmul(probs[:, r, None, c:], paths[:, r, c:, None], out=dots[:, r])
+        g = dots[0, :, 0, 0] + dots[1, :, 0, 0] - price
+        if np.isnan(g).any():
+            raise NumericalError("EPV is not a number; check the schedule and recovery")
+        return g
+
+    (a, b), active = _BRACKET, np.ones(rows, dtype=bool)
+    lo, hi = np.full(rows, a), np.full(rows, b)
+    g_lo, g_hi = gap(lo), gap(hi)
+    if np.any((g_lo < 0) | (g_hi > 0)):
+        r = int(np.argmax((g_lo < 0) | (g_hi > 0)))
         raise NumericalError(
-            f"EPV root not bracketed on [{lo}, {hi}]: g({lo})={g_lo:.3g}, g({hi})={g_hi:.3g}")
+            f"EPV root not bracketed on [{a}, {b}]: g({a})={g_lo[r]:.3g}, g({b})={g_hi[r]:.3g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        g_mid = epv(mid) - price
-        if g_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
+        above = gap(mid) > 0
+        lo = np.where(active & above, mid, lo)
+        hi = np.where(active & ~above, mid, hi)
+        active &= hi - lo >= 1e-14
+        if not active.any():
             break
     rho = 0.5 * (lo + hi)
-    if abs(epv(rho) - price) > 1e-8 * price:
+    if not np.all(np.abs(gap(rho)) <= 1e-8 * price):
         raise NumericalError("EPV reconstruction failed at the solved rate")
     return rho
 

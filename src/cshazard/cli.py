@@ -242,19 +242,17 @@ def _recovery_fn(args):
 def cmd_returns(args) -> None:
     rate = actuarial.nominal_monthly_rate(args.apr)
     schedule = actuarial.AmortizationSchedule.build(args.balance, rate, args.term)
-    default_fn = actuarial.hazard_lookup(
-        estimator.read_curve_csv(args.default_curve) if args.default_curve else None)
-    prepay_fn = actuarial.hazard_lookup(
-        estimator.read_curve_csv(args.prepay_curve) if args.prepay_curve else None)
-    rec_fn = _recovery_fn(args)
+    rates = actuarial.returns_table(
+        schedule,
+        estimator.read_curve_csv(args.default_curve) if args.default_curve else None,
+        estimator.read_curve_csv(args.prepay_curve) if args.prepay_curve else None,
+        _recovery_fn(args))
 
     out = _outdir(args) / args.out
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["age", "price", "monthly_return", "annual_return"])
-        for x in range(1, args.term + 1):
-            rho = actuarial.lifetime_return(schedule, default_fn, prepay_fn,
-                                            rec_fn, x)
+        for x, rho in enumerate(rates.tolist(), start=1):
             writer.writerow([x, f"{schedule.balance(x - 1):.2f}",
                              repr(rho), repr(actuarial.annualize(rho))])
     manifest = RunManifest(

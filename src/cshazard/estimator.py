@@ -309,18 +309,26 @@ def write_curve_csv(path: str | Path, curve: HazardCurve) -> None:
 
 
 def read_curve_csv(path: str | Path) -> HazardCurve:
+    """Read one curve: every row carries the first row's band and cause, and
+    ages strictly increase.  The first row breaking either rule is a
+    SchemaError located by file and line."""
     where = str(path)
     rows = []
-    band = ""
-    cause_label = "all"
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _CURVE_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise SchemaError(f"{where}: missing required column(s) {', '.join(missing)}")
         for row in reader:
-            band = row["band"]
-            cause_label = row["cause"]
+            if rows:
+                first, prev = rows[0], rows[-1]
+                if (row["band"], row["cause"]) != (first["band"], first["cause"]):
+                    raise SchemaError(
+                        f"{where}:{reader.line_num}: band/cause {row['band']}/{row['cause']} "
+                        f"differs from the first row's {first['band']}/{first['cause']}")
+                if float(row["age"]) <= float(prev["age"]):
+                    raise SchemaError(f"{where}:{reader.line_num}: age {row['age']} does not "
+                                      f"follow age {prev['age']}; ages must increase")
             rows.append(row)
     if not rows:
         raise SchemaError(f"{where}: curve file has no rows")
@@ -332,10 +340,10 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
             vals.append(default if raw == "" else float(raw))
         return np.asarray(vals, dtype=dtype)
 
-    cause = None if cause_label == "all" else Cause.from_label(cause_label)
-    ages = col("age", np.int64, 0)
-    curve = HazardCurve(
-        band=band, cause=cause, n=0, ages=ages,
+    cause_label = rows[0]["cause"]
+    return HazardCurve(
+        band=rows[0]["band"], cause=None if cause_label == "all" else Cause.from_label(cause_label),
+        n=0, ages=col("age", np.int64, 0),
         events=col("events", np.int64, 0),
         at_risk=col("at_risk", np.int64, 0),
         hazard=col("hazard", np.float64),
@@ -344,7 +352,6 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
         ci_hi=col("ci_hi", np.float64),
         interpolated=col("interpolated", np.float64, 0).astype(np.bool_),
     )
-    return curve.take(np.argsort(ages))
 
 
 def split_by_band(observations) -> dict[RiskBand, ObservationTable]:

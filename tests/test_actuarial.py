@@ -24,6 +24,7 @@ from cshazard.actuarial import (
     one_month_return,
     refinance_savings,
     remaining_payments,
+    returns_table,
     savings_from_apr,
 )
 from cshazard.errors import NumericalError
@@ -185,6 +186,75 @@ def test_lifetime_return_input_checks():
     with pytest.raises(NumericalError):
         # recovery 50x the principal cannot be priced inside the bracket
         lifetime_return(schedule, lambda j: 0.9, None, lambda age: 50.0, 1)
+
+
+@pytest.mark.parametrize("principal,rate,term", [
+    (math.nan, 0.01, 12), (math.inf, 0.01, 12), (0.0, 0.01, 12),
+    (100.0, math.nan, 12), (100.0, math.inf, 12), (100.0, -0.01, 12),
+    (100.0, 0.01, 0), (100.0, 0.01, 12.5),
+])
+def test_schedule_rejects_bad_contract(principal, rate, term):
+    with pytest.raises(ValueError):
+        AmortizationSchedule.build(principal, rate, term)
+
+
+def test_nan_epv_is_a_numerical_error():
+    schedule = AmortizationSchedule.build(100.0, 0.02, 12)
+    with pytest.raises(NumericalError, match="not a number"):
+        lifetime_return(schedule, lambda j: 0.1, None, lambda age: math.nan, 1)
+
+
+def random_loan(rng, term):
+    """A schedule and per-age default, prepay and recovery maps, some hazards zero.
+
+    Recovery is a fraction of principal below the balance outstanding at
+    default, so every valuation month has a root inside the bracket.
+    """
+    schedule = AmortizationSchedule.build(float(rng.uniform(50, 5000)),
+                                          float(rng.uniform(0.0, 0.03)), term)
+    ages = range(1, term + 1)
+
+    def hazards():
+        return {j: 0.0 if rng.random() < 0.2 else float(rng.uniform(0, 0.3)) for j in ages}
+
+    rec = {j: float(rng.uniform(0, 0.8)) * schedule.balance(j - 1) / schedule.principal
+           for j in ages}
+    return schedule, hazards(), hazards(), rec
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 24))
+def test_returns_table_rows_are_lifetime_returns(seed, term):
+    rng = np.random.default_rng(seed)
+    schedule, lam1, lam2, rec = random_loan(rng, term)
+    table = returns_table(schedule, lam1.get, lam2.get, rec.get)
+    assert table.shape == (term,)
+    for month in range(1, term + 1):
+        assert table[month - 1] == lifetime_return(schedule, lam1.get, lam2.get, rec.get, month)
+    for month in {1, (term + 1) // 2, term}:
+        want = path_enumeration_rho(schedule, lam1, lam2, rec, month)
+        assert table[month - 1] == pytest.approx(want, abs=1e-10)
+
+
+def test_returns_table_blocks_repeat_single_month_solves():
+    # 100 months span three solve blocks and share dot products between
+    # months 32 apart; each row must still be the one-month solve, bit for bit
+    curve = curve_from_counts("x", None, 100, np.arange(1, 61),
+                              np.arange(60) % 7, np.full(60, 400))
+    schedule = AmortizationSchedule.build(15000.0, 0.011, 100)
+    table = returns_table(schedule, curve, lambda j: 0.01, lambda age: 0.35)
+    singles = [lifetime_return(schedule, curve, lambda j: 0.01, lambda age: 0.35, month)
+               for month in range(1, 101)]
+    assert table.tolist() == singles
+
+
+def test_long_term_without_recovery_stays_finite():
+    # at the bracket end (1 - 0.99)^-360 overflows; with zero recovery that
+    # must still read as an EPV above the price, not as a NaN
+    schedule = AmortizationSchedule.build(20000.0, 0.005, 360)
+    table = returns_table(schedule, lambda j: 0.002, lambda j: 0.01, None)
+    assert np.isfinite(table).all()
+    assert table[0] == lifetime_return(schedule, lambda j: 0.002, lambda j: 0.01, None, 1)
 
 
 def test_remaining_payments_examples():

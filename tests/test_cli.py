@@ -1,17 +1,19 @@
 """End-to-end command-line pipeline: files in, files + manifests out."""
+import csv
 import dataclasses
 import hashlib
 import json
 import shutil
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import cshazard
-from conftest import hump_observations, make_obs, staged_curve
+from conftest import curve_with_cis, hump_observations, make_obs, staged_curve
 from cshazard import cli, ingest
 from cshazard.actuarial import (
     AmortizationSchedule,
@@ -366,7 +368,6 @@ def test_returns_certain_schedule_yields_contract_rate(tmp_path):
 
 
 def test_returns_with_hazards_matches_library(tmp_path):
-    from conftest import curve_with_cis
     import numpy as np
     ages = np.arange(1, 13)
     d_curve = curve_with_cis("pool", ages, np.full(12, 0.001),
@@ -394,6 +395,65 @@ def test_returns_with_hazards_matches_library(tmp_path):
                            lambda age: recovery_at(fit, age), 4)
     assert got == want  # CSV stores repr, so the round trip is exact
     assert want < 0.01  # risk with partial recovery costs return
+
+
+@pytest.mark.parametrize("flag", ["--apr=nan", "--apr=inf", "--balance=inf",
+                                  "--balance=0", "--term=0"])
+def test_returns_rejects_bad_schedule_inputs(tmp_path, capsys, flag):
+    argv = {"--balance": "20000", "--apr": "6.5", "--term": "12"}
+    argv.update([flag.split("=")])
+    rc = cli.main(["returns", *[f"{k}={v}" for k, v in argv.items()],
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out" / "returns.csv").exists()
+
+
+def test_returns_long_zero_hazard_term_is_quiet_and_exact(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["returns", "--balance", "20000", "--apr", "6.5", "--term", "360",
+                       "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "returns.csv", newline="") as fh:
+        rates = [float(row["monthly_return"]) for row in csv.DictReader(fh)]
+    assert len(rates) == 360
+    assert max(abs(r - 6.5 / 1200) for r in rates) <= 1e-10
+
+
+def exit_recipe(code, tmp):
+    """CLI arguments of a run that ends with one exit code the README documents."""
+    import numpy as np
+    if code == 0:
+        return ["returns", "--balance", "100", "--apr", "12", "--term", "12"]
+    if code == 2:  # unrecognized input header
+        (tmp / "junk.csv").write_text("shape,color\ncircle,red\n")
+        return ["converge", str(tmp / "junk.csv")]
+    if code == 3:  # nothing at risk in the window
+        return ["estimate", str(four_loan_observations(tmp)), "--window", "200:300"]
+    if code == 4:
+        return ["estimate", str(four_loan_observations(tmp)), "--band", "No Such Band"]
+    if code == 5:  # curves on disjoint age grids
+        write_curve_csv(tmp / "a.csv", staged_curve("a", 10, 0.05))
+        write_curve_csv(tmp / "b.csv", staged_curve("b", 50, 0.2, ages=np.arange(41, 80)))
+        return ["converge", str(tmp / "a.csv"), str(tmp / "b.csv")]
+    # code 6: a full recovery after a 90% default hazard cannot be priced in the bracket
+    ages = np.arange(1, 13)
+    write_curve_csv(tmp / "d.csv", curve_with_cis("pool", ages, np.full(12, 0.8),
+                                                  np.full(12, 1.0), hazard=np.full(12, 0.9)))
+    return ["returns", "--balance", "100", "--apr", "24", "--term", "12",
+            "--recovery-rate", "1", "--default-curve", str(tmp / "d.csv")]
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4, 5, 6])
+def test_each_documented_exit_code(tmp_path, capsys, code):
+    rc = cli.main([*exit_recipe(code, tmp_path), "--output-dir", str(tmp_path / "out")])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert (err == "") if code == 0 else err.startswith("error: ")
+    if code == 6:
+        assert "EPV root not bracketed" in err
 
 
 # ---------------------------------------------------------------- savings

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_obs
 from oracles import life_table, z_quantile
 
-from cshazard.errors import IncompatibleInputsError
+from cshazard.errors import IncompatibleInputsError, SchemaError
 from cshazard.estimator import (
     DEFAULT_WINDOW,
     align_grids,
@@ -236,6 +236,26 @@ def test_curve_csv_round_trip(tmp_path, four_loan_cohort):
                  "ci_lo", "ci_hi", "interpolated"):
         np.testing.assert_array_equal(getattr(back, name), getattr(curve, name),
                                       err_msg=name)
+
+
+CURVE_HEADER = "band,cause,age,events,at_risk,hazard,var,ci_lo,ci_hi,interpolated"
+
+
+@pytest.mark.parametrize("rows,line,message", [
+    (["prime,default,1", "prime,default,2", "near_prime,prepay,3"], 4,
+     "band/cause near_prime/prepay differs from the first row's prime/default"),
+    (["prime,default,1", "prime,prepay,2"], 3,
+     "band/cause prime/prepay differs from the first row's prime/default"),
+    (["prime,default,1", "prime,default,2", "prime,default,2"], 4,
+     "age 2 does not follow age 2"),
+    (["prime,default,2", "prime,default,1"], 3, "age 1 does not follow age 2"),
+])
+def test_curve_csv_rows_must_share_a_label_and_increase_in_age(tmp_path, rows, line, message):
+    path = tmp_path / "curve.csv"
+    path.write_text("\n".join([CURVE_HEADER, *(r + ",1,9,0.1,,,,0" for r in rows)]) + "\n")
+    with pytest.raises(SchemaError) as info:
+        read_curve_csv(path)
+    assert str(info.value).startswith(f"{path}:{line}: {message}")
 
 
 def test_shared_grid_checks(four_loan_cohort):
