@@ -308,49 +308,58 @@ def write_curve_csv(path: str | Path, curve: HazardCurve) -> None:
             ])
 
 
+# Numeric curve columns and the value an empty cell reads as; the columns
+# that default to 0 (counts, ages and the flag) must also be finite.
+_CURVE_NUMBERS = {"age": 0, "events": 0, "at_risk": 0, "hazard": np.nan, "var": np.nan,
+                  "ci_lo": np.nan, "ci_hi": np.nan, "interpolated": 0}
+
+
 def read_curve_csv(path: str | Path) -> HazardCurve:
-    """Read one curve: every row carries the first row's band and cause, and
-    ages strictly increase.  The first row breaking either rule is a
-    SchemaError located by file and line."""
+    """Read one curve: every row carries the first row's band and cause, ages
+    strictly increase, and numeric cells are numbers or empty.  The first row
+    breaking a rule is a SchemaError located by file and line."""
     where = str(path)
-    rows = []
+    first = prev = None
+    values = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _CURVE_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise SchemaError(f"{where}: missing required column(s) {', '.join(missing)}")
         for row in reader:
-            if rows:
-                first, prev = rows[0], rows[-1]
-                if (row["band"], row["cause"]) != (first["band"], first["cause"]):
+            line = f"{where}:{reader.line_num}"
+            numbers = []
+            for name, default in _CURVE_NUMBERS.items():
+                raw = row[name].strip()
+                try:
+                    value = default if raw == "" else float(raw)
+                    if default == 0 and not math.isfinite(value):
+                        raise ValueError
+                except ValueError:
                     raise SchemaError(
-                        f"{where}:{reader.line_num}: band/cause {row['band']}/{row['cause']} "
-                        f"differs from the first row's {first['band']}/{first['cause']}")
-                if float(row["age"]) <= float(prev["age"]):
-                    raise SchemaError(f"{where}:{reader.line_num}: age {row['age']} does not "
-                                      f"follow age {prev['age']}; ages must increase")
-            rows.append(row)
-    if not rows:
+                        f"{line}: column {name}: {raw!r} is not a valid number") from None
+                numbers.append(value)
+            if first is None:
+                first = row
+            elif (row["band"], row["cause"]) != (first["band"], first["cause"]):
+                raise SchemaError(
+                    f"{line}: band/cause {row['band']}/{row['cause']} "
+                    f"differs from the first row's {first['band']}/{first['cause']}")
+            elif numbers[0] <= values[-1][0]:
+                raise SchemaError(f"{line}: age {row['age']} does not "
+                                  f"follow age {prev['age']}; ages must increase")
+            prev = row
+            values.append(numbers)
+    if first is None:
         raise SchemaError(f"{where}: curve file has no rows")
 
-    def col(name, dtype, default=np.nan):
-        vals = []
-        for row in rows:
-            raw = row[name].strip()
-            vals.append(default if raw == "" else float(raw))
-        return np.asarray(vals, dtype=dtype)
-
-    cause_label = rows[0]["cause"]
+    ages, events, at_risk, hazard, variance, ci_lo, ci_hi, interpolated = np.array(values).T.copy()
+    cause_label = first["cause"]
     return HazardCurve(
-        band=rows[0]["band"], cause=None if cause_label == "all" else Cause.from_label(cause_label),
-        n=0, ages=col("age", np.int64, 0),
-        events=col("events", np.int64, 0),
-        at_risk=col("at_risk", np.int64, 0),
-        hazard=col("hazard", np.float64),
-        variance=col("var", np.float64),
-        ci_lo=col("ci_lo", np.float64),
-        ci_hi=col("ci_hi", np.float64),
-        interpolated=col("interpolated", np.float64, 0).astype(np.bool_),
+        band=first["band"], cause=None if cause_label == "all" else Cause.from_label(cause_label),
+        n=0, ages=ages.astype(np.int64), events=events.astype(np.int64),
+        at_risk=at_risk.astype(np.int64), hazard=hazard, variance=variance,
+        ci_lo=ci_lo, ci_hi=ci_hi, interpolated=interpolated.astype(np.bool_),
     )
 
 

@@ -90,6 +90,30 @@ def _entry_window_prob(trunc: TruncationLaw, x: int) -> float:
     return (hi - lo + 1) * trunc.prob(lo)
 
 
+def _event_fraction(dist: CompetingRisksDistribution, trunc: TruncationLaw,
+                    x: int, cause: Cause, alpha: float) -> float:
+    share = dist.cause1_share[dist.index(x)]
+    if cause is Cause.PREPAY:
+        share = 1.0 - share
+    return dist.prob(x) * share * _entry_window_prob(trunc, x) / alpha
+
+
+def _at_risk_fraction(dist: CompetingRisksDistribution, trunc: TruncationLaw,
+                      x: int, alpha: float) -> float:
+    return _entry_window_prob(trunc, x) * survival(dist, x) / alpha
+
+
+def _hazard_and_variance(dist: CompetingRisksDistribution, trunc: TruncationLaw,
+                         x: int, cause: Cause, n_observed: float,
+                         alpha: float) -> tuple[float, float]:
+    """(f/U, f(U-f)/(n U^3)) at x, given the retention probability alpha."""
+    f = _event_fraction(dist, trunc, x, cause, alpha)
+    u = _at_risk_fraction(dist, trunc, x, alpha)
+    if u <= 0:
+        raise ValueError(f"no at-risk mass at age {x} under this truncation law")
+    return f / u, f * (u - f) / (n_observed * u**3)
+
+
 def observed_event_fraction(dist: CompetingRisksDistribution, trunc: TruncationLaw,
                             x: int, cause: Cause) -> float:
     """Expected fraction of retained loans observed exiting at x by `cause`.
@@ -98,27 +122,19 @@ def observed_event_fraction(dist: CompetingRisksDistribution, trunc: TruncationL
     times the probability the observation window straddles x, normalized by
     the retention probability.
     """
-    share = dist.cause1_share[dist.index(x)]
-    if cause is Cause.PREPAY:
-        share = 1.0 - share
-    alpha = truncated_alpha(dist, trunc)
-    return dist.prob(x) * share * _entry_window_prob(trunc, x) / alpha
+    return _event_fraction(dist, trunc, x, cause, truncated_alpha(dist, trunc))
 
 
 def observed_at_risk_fraction(dist: CompetingRisksDistribution, trunc: TruncationLaw,
                               x: int) -> float:
     """Expected fraction of retained loans at risk at age x."""
-    alpha = truncated_alpha(dist, trunc)
-    return _entry_window_prob(trunc, x) * survival(dist, x) / alpha
+    return _at_risk_fraction(dist, trunc, x, truncated_alpha(dist, trunc))
 
 
 def truncated_hazard(dist: CompetingRisksDistribution, trunc: TruncationLaw,
                      x: int, cause: Cause) -> float:
     """Cause-specific hazard under truncation; equals the unconditional one."""
-    u = observed_at_risk_fraction(dist, trunc, x)
-    if u <= 0:
-        raise ValueError(f"no at-risk mass at age {x} under this truncation law")
-    return observed_event_fraction(dist, trunc, x, cause) / u
+    return _hazard_and_variance(dist, trunc, x, cause, 1.0, truncated_alpha(dist, trunc))[0]
 
 
 def analytic_variance(dist: CompetingRisksDistribution, trunc: TruncationLaw,
@@ -129,39 +145,37 @@ def analytic_variance(dist: CompetingRisksDistribution, trunc: TruncationLaw,
     i.e. the retained count.  When a study draws n and discards truncated
     lifetimes, pass n times the retention probability.
     """
-    f = observed_event_fraction(dist, trunc, x, cause)
-    u = observed_at_risk_fraction(dist, trunc, x)
-    if u <= 0:
-        raise ValueError(f"no at-risk mass at age {x}")
-    return f * (u - f) / (n_observed * u**3)
+    return _hazard_and_variance(dist, trunc, x, cause, n_observed,
+                                truncated_alpha(dist, trunc))[1]
 
 
 # ---------------------------------------------------------------------------
 # Simulation
 
 
-def _replicate_arrays(config: SimConfig, replicate_index: int):
-    """Draw one cohort as packed arrays (entry, exit, event, is_default)."""
+def _uniforms(config: SimConfig, replicate_index: int):
+    """One replicate's three uniform streams: entry, lifetime and cause."""
     if replicate_index < 0:
         raise ValueError("replicate_index must be >= 0")
     seq = np.random.SeedSequence(entropy=config.seed,
                                  spawn_key=(replicate_index,))
     rng = np.random.default_rng(seq)
-    u_entry = rng.random(config.n)
-    u_life = rng.random(config.n)
-    u_cause = rng.random(config.n)
-    cdf = np.cumsum(np.asarray(config.dist.pmf, dtype=np.float64))
-    share = np.asarray(config.dist.cause1_share, dtype=np.float64)
-    return _kernels.assemble_cohort(
-        u_entry, u_life, u_cause, cdf, share,
-        config.trunc.lo, config.trunc.hi, config.dist.min_age,
-        config.trunc.censor_offset,
-    )
+    return rng.random(config.n), rng.random(config.n), rng.random(config.n)
+
+
+def _law_arrays(dist: CompetingRisksDistribution):
+    """(cdf, default share) per age, as the kernels take them."""
+    return (np.cumsum(np.asarray(dist.pmf, dtype=np.float64)),
+            np.asarray(dist.cause1_share, dtype=np.float64))
 
 
 def simulate_cohort(config: SimConfig, replicate_index: int) -> ObservationTable:
     """One replicate's retained observations (no loan ids, no band)."""
-    entry, exit_age, event, is_default = _replicate_arrays(config, replicate_index)
+    entry, exit_age, event, is_default = _kernels.assemble_cohort(
+        *_uniforms(config, replicate_index), *_law_arrays(config.dist),
+        config.trunc.lo, config.trunc.hi, config.dist.min_age,
+        config.trunc.censor_offset,
+    )
     cause = np.where(is_default, Cause.DEFAULT.value, Cause.PREPAY.value)
     return ObservationTable(
         loan_id=np.full(entry.size, "", dtype=object), band=np.full(entry.size, -1),
@@ -246,8 +260,44 @@ class StudyReport:
                     writer.writerow(row)
 
 
+# Replicates are scored in blocks of about this many (replicate, age) rows, so
+# the interval pass holds a bounded set of temporaries however long the law.
+_SCORE_BLOCK_ROWS = 1 << 12
+
+
+def _observation_kinds(dist: CompetingRisksDistribution, trunc: TruncationLaw):
+    """Collapse the (entry offset, lifetime index) cells to the observations
+    they produce.
+
+    Cells that give the same entry, exit and event flag share a kind, so every
+    draw censored at one entry age counts alike whatever its lifetime.  Entry
+    offsets above the last age are always truncated and share one dead offset
+    row.  Returns (offsets, kind, entry, exit, event): `offsets` rows in the
+    cell grid, `kind` the kind of each cell by row-major code over
+    (offsets, ages), every truncated cell mapping to the dead kind numbered
+    after the others, and the observation of each live kind.
+    """
+    span = trunc.hi - trunc.lo + 1
+    n_live = min(span, max(dist.max_age - trunc.lo + 1, 0))
+    offsets = n_live + (n_live < span)
+    entry = trunc.lo + np.arange(offsets)[:, None]
+    life = dist.min_age + np.arange(dist.max_age - dist.min_age + 1)
+    keep, exit_age, event = _kernels.truncate_censor(entry, life, trunc.censor_offset)
+    radix = dist.max_age + 2  # exceeds every exit age
+    dead = np.iinfo(np.int64).max
+    key, kind = np.unique(np.where(keep, (entry * radix + exit_age) * 2 + event, dead),
+                          return_inverse=True)
+    key = key[:np.searchsorted(key, dead)]
+    return offsets, kind.reshape(-1), key // (2 * radix), key // 2 % radix, key % 2 == 1
+
+
 def run_study(config: SimConfig) -> StudyReport:
-    """Run the full replicate loop and aggregate against analytic truth."""
+    """Run the full replicate loop and aggregate against analytic truth.
+
+    Every draw lands in one (entry offset, lifetime index, cause) cell, and
+    every cell gives one kind of observation, so a replicate is counted from
+    its histogram over those kinds rather than from its individual draws.
+    """
     dist, trunc = config.dist, config.trunc
     ages = np.arange(dist.min_age, dist.max_age + 1)
     n_ages = ages.size
@@ -259,48 +309,64 @@ def run_study(config: SimConfig) -> StudyReport:
     asym = np.empty((n_ages, 2))
     for ai, x in enumerate(ages):
         for ci, cause in enumerate((Cause.DEFAULT, Cause.PREPAY)):
-            lam_true[ai, ci] = truncated_hazard(dist, trunc, int(x), cause)
-            asym[ai, ci] = analytic_variance(dist, trunc, int(x), cause, n_observed)
+            lam_true[ai, ci], asym[ai, ci] = _hazard_and_variance(
+                dist, trunc, int(x), cause, n_observed, alpha)
 
+    span = trunc.hi - trunc.lo + 1
+    offsets, kind, entry, exit_age, event = _observation_kinds(dist, trunc)
+    # each kind splits by cause: code 2k + 1 is kind k's default, 2k its prepayment
+    entry, exit_age, event = np.repeat(entry, 2), np.repeat(exit_age, 2), np.repeat(event, 2)
+    is_default = np.tile([False, True], entry.size // 2)
+    n_codes = entry.size
+    cdf, share = _law_arrays(dist)
     z = normal_quantile(1.0 - config.theta / 2.0)
-    estimates = np.full((r, n_ages, 2), np.nan)
-    covered = np.zeros((r, n_ages, 2), dtype=bool)
-    defined = np.zeros((r, n_ages, 2), dtype=bool)
-    retained = np.empty(r)
 
-    for rep in range(r):
-        entry, exit_age, event, is_default = _replicate_arrays(config, rep)
-        retained[rep] = entry.size / config.n
-        at_risk, ev_d, ev_p = _kernels.count_exits(
-            entry, exit_age, event, is_default,
-            int(ages[0]), int(ages[-1]))
-        for ci, ev in enumerate((ev_d, ev_p)):
-            has_risk = at_risk > 0
-            lam = np.full(n_ages, np.nan)
-            lam[has_risk] = ev[has_risk] / at_risk[has_risk]
-            estimates[rep, :, ci] = lam
-            # zero-event and saturated rows have no usable interval: undefined
-            ok = has_risk & (ev > 0) & (ev < at_risk)
-            lo, hi = _log_ci(lam, ev, at_risk, z)
-            defined[rep, :, ci] = ok
-            covered[rep, :, ci] = ok & (lo <= lam_true[:, ci]) & (lam_true[:, ci] <= hi)
+    estimates = np.empty((r, n_ages, 2))
+    defined_counts = np.zeros((n_ages, 2), dtype=np.int64)
+    covered_counts = np.zeros((n_ages, 2), dtype=np.int64)
+    kept = np.empty(r, dtype=np.int64)
+    block = min(r, max(1, _SCORE_BLOCK_ROWS // n_ages))
+    at_risk = np.empty((block, n_ages, 1), dtype=np.int64)  # broadcasts over the cause axis
+    events = np.empty((block, n_ages, 2), dtype=np.int64)
+    for first in range(0, r, block):
+        stop = min(first + block, r)
+        for b, rep in enumerate(range(first, stop)):
+            offset, idx, cause_bit = _kernels.draw_cells(*_uniforms(config, rep), cdf, share,
+                                                         span)
+            if offsets < span:
+                offset = np.minimum(offset, offsets - 1)
+            hist = np.bincount(kind[offset * n_ages + idx] * 2 + cause_bit,
+                               minlength=n_codes + 2)
+            sel = (hist[:n_codes] > 0).nonzero()[0]  # the occupied live codes
+            weights = hist[sel]
+            kept[rep] = weights.sum()
+            at_risk[b, :, 0], events[b, :, 0], events[b, :, 1] = _kernels.count_exits(
+                entry[sel], exit_age[sel], event[sel], is_default[sel],
+                int(ages[0]), int(ages[-1]), weights=weights)
+
+        ar, ev = at_risk[:stop - first], events[:stop - first]
+        with np.errstate(invalid="ignore"):
+            estimates[first:stop] = np.where(ar > 0, ev / ar, np.nan)
+        # zero-event and saturated rows have no usable interval: undefined
+        defined = (ev > 0) & (ev < ar)
+        lo, hi = _log_ci(estimates[first:stop], ev, ar, z)
+        defined_counts += defined.sum(axis=0)
+        covered_counts += (defined & (lo <= lam_true) & (lam_true <= hi)).sum(axis=0)
 
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         lam_mean = np.nanmean(estimates, axis=0)
         emp_var = np.nanvar(estimates, axis=0, ddof=1) if r > 1 else np.full(
             (n_ages, 2), np.nan)
-    defined_counts = defined.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coverage = np.where(defined_counts > 0,
-                            covered.sum(axis=0) / defined_counts, np.nan)
+        coverage = np.where(defined_counts > 0, covered_counts / defined_counts, np.nan)
 
     return StudyReport(
         ages=ages, lam_true=lam_true, lam_mean=lam_mean, emp_var=emp_var,
         asym_var=asym, coverage=coverage, ci_defined=defined_counts,
         estimates=estimates,
         alpha_true=alpha,
-        alpha_hat=float(retained.mean()),
+        alpha_hat=float((kept / config.n).mean()),
         n=config.n, replicates=config.replicates, seed=config.seed,
         theta=config.theta,
     )

@@ -7,11 +7,13 @@ an algebra slip in the library cannot silently agree with itself.
 """
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 
 import numpy as np
 from scipy import optimize, stats
 
+from cshazard.montecarlo import simulate_cohort
 from cshazard.riskmodel import Cause
 
 
@@ -137,6 +139,96 @@ def loop_assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
     entry, exit_age, event, is_default = zip(*rows) if rows else ((),) * 4
     return (np.array(entry, dtype=np.int64), np.array(exit_age, dtype=np.int64),
             np.array(event, dtype=np.bool_), np.array(is_default, dtype=np.bool_))
+
+
+# ---------------------------------------------------------------------------
+# simulation-study counts from each replicate's observations
+
+
+def loop_study_counts(config):
+    """Every replicate's (kept, at_risk, events) by looping over observations.
+
+    Each replicate's cohort comes from `simulate_cohort`; every retained
+    observation adds one to at_risk at each age of the law from its entry
+    through its exit, and an observed exit adds one event at its exit age
+    under its cause.  Returns kept (r,), at_risk (r, ages) and events
+    (r, ages, 2) with cause 0 = default, 1 = prepay, all int64.
+    """
+    lo, hi = config.dist.min_age, config.dist.max_age
+    width = hi - lo + 1
+    r = config.replicates
+    kept = np.zeros(r, dtype=np.int64)
+    at_risk = np.zeros((r, width), dtype=np.int64)
+    events = np.zeros((r, width, 2), dtype=np.int64)
+    for rep in range(r):
+        for obs in simulate_cohort(config, rep):
+            kept[rep] += 1
+            for x in range(max(obs.entry_age, lo), min(obs.exit_age, hi) + 1):
+                at_risk[rep, x - lo] += 1
+            if obs.observed_event and lo <= obs.exit_age <= hi:
+                events[rep, obs.exit_age - lo, 0 if obs.cause is Cause.DEFAULT else 1] += 1
+    return kept, at_risk, events
+
+
+# ---------------------------------------------------------------------------
+# convergence months by checking every age pair in plain loops
+
+
+def _brute_pair(curve_a, curve_b, min_test_age, run_length):
+    """(month or None, rule name) for two curves on one age grid."""
+    ages = [int(a) for a in curve_a.ages]
+    n = len(ages)
+    decisions = []
+    for k in range(n):
+        a_lo, a_hi = float(curve_a.ci_lo[k]), float(curve_a.ci_hi[k])
+        b_lo, b_hi = float(curve_b.ci_lo[k]), float(curve_b.ci_hi[k])
+        if any(math.isnan(v) for v in (a_lo, a_hi, b_lo, b_hi)):
+            decisions.append("undefined")
+        elif a_lo <= b_hi and b_lo <= a_hi:  # closed intervals: touching overlaps
+            decisions.append("fail_to_reject")
+        else:
+            decisions.append("reject")
+    run_month = None
+    for k in range(n):
+        if ages[k] < min_test_age or k + run_length > n:
+            continue
+        if all(ages[k + t] == ages[k] + t and decisions[k + t] == "fail_to_reject"
+               for t in range(run_length)):
+            run_month = ages[k]
+            break
+    zero_month = None
+    for k in range(n):
+        if all(curve_a.hazard[t] == 0.0 and curve_b.hazard[t] == 0.0 for t in range(k, n)):
+            if max(ages[k], min_test_age) <= ages[-1]:
+                zero_month = max(ages[k], min_test_age)
+            break
+    if run_month is not None and (zero_month is None or run_month <= zero_month):
+        return run_month, "overlap_run"
+    if zero_month is not None:
+        return zero_month, "both_zero"
+    return None, "none"
+
+
+def brute_transition_matrix(curves, band_order, min_test_age, run_length):
+    """Upper-triangular (months, rule names) rows, one band pair at a time.
+
+    For each pair every age is decided by the closed-interval overlap rule
+    (undefined where any bound is NaN); the convergence month is the earlier
+    of the first age >= min_test_age starting run_length consecutive ages
+    that all fail to reject, and the start of the both-zero hazard tail
+    (moved up to min_test_age), with the overlap run winning a tie.  The
+    diagonal is min_test_age under the overlap rule.
+    """
+    months, rules = [], []
+    for i, a in enumerate(band_order):
+        row_m, row_r = [min_test_age], ["overlap_run"]
+        for b in band_order[i + 1:]:
+            month, rule = _brute_pair(curves[a], curves[b], min_test_age, run_length)
+            row_m.append(month)
+            row_r.append(rule)
+        months.append(row_m)
+        rules.append(row_r)
+    return months, rules
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,25 @@ def test_returns_rejects_bad_schedule_inputs(tmp_path, capsys, flag):
     assert not (tmp_path / "out" / "returns.csv").exists()
 
 
+@pytest.mark.parametrize("column,cell", [("hazard", "x"), ("age", "two"), ("var", "?"),
+                                         ("at_risk", "nan"), ("events", "inf")])
+def test_returns_locates_a_non_numeric_curve_cell(tmp_path, capsys, column, cell):
+    row = {"band": "pool", "cause": "default", "age": "2", "events": "1", "at_risk": "10",
+           "hazard": "0.1", "var": "", "ci_lo": "", "ci_hi": "", "interpolated": "0"}
+    row[column] = cell
+    first = "pool,default,1,1,10,0.1,,,,0"
+    (tmp_path / "bad.csv").write_text(",".join(row) + "\n" + first + "\n"
+                                      + ",".join(row.values()) + "\n")
+    rc = cli.main(["returns", "--balance", "100", "--apr", "12", "--term", "12",
+                   "--default-curve", str(tmp_path / "bad.csv"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'bad.csv'}:3: ")
+    assert f"column {column}" in err and repr(cell) in err
+    assert not (tmp_path / "out" / "returns.csv").exists()
+
+
 def test_returns_long_zero_hazard_term_is_quiet_and_exact(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STAGED_ONSETS, curve_with_cis, staged_band_set, staged_curve
+from oracles import brute_transition_matrix
 
 from cshazard.convergence import (
     ConvergenceResult,
@@ -230,3 +231,34 @@ def test_custom_run_length_and_min_age():
     assert convergence_point(a, b, run_length=3).convergence_month == 25
     assert convergence_point(a, b, min_test_age=21, run_length=2).convergence_month == 25
     assert convergence_point(a, b, min_test_age=28).convergence_month is None
+
+
+BOUNDS = [float("nan"), 0.0, 0.1, 0.2, 0.3]  # coarse, so endpoints often touch
+
+
+@st.composite
+def curve_sets(draw):
+    """Two to four curves on one random grid (gaps allowed), with undefined
+    bounds, zero hazards and a both-zero tail drawn often."""
+    ages = np.array(sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=10))))
+    tail = draw(st.integers(0, ages.size))
+    curves = {}
+    for b in range(draw(st.integers(2, 4))):
+        lo = draw(st.lists(st.sampled_from(BOUNDS), min_size=ages.size, max_size=ages.size))
+        hi = draw(st.lists(st.sampled_from(BOUNDS), min_size=ages.size, max_size=ages.size))
+        hazard = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.2]),
+                                        min_size=ages.size, max_size=ages.size)))
+        hazard[ages.size - tail:] = 0.0
+        curves[f"b{b}"] = curve_with_cis(f"b{b}", ages, lo, hi, hazard=hazard)
+    return curves
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_sets(), st.integers(0, 18), st.integers(1, 3), st.randoms())
+def test_transition_matrix_matches_brute_force(curves, min_test_age, run_length, rnd):
+    order = list(curves)
+    rnd.shuffle(order)
+    matrix, _ = transition_matrix(curves, min_test_age, run_length, band_order=order)
+    months, rules = brute_transition_matrix(curves, order, min_test_age, run_length)
+    assert [list(row) for row in matrix.months] == months
+    assert [[rule.value for rule in row] for row in matrix.rules] == rules

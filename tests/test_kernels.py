@@ -120,3 +120,17 @@ def test_retention_and_censoring_invariants():
     assert np.all(exit_age[~event] == entry[~event] + 5)
     # retained fraction near the analytic clearing probability
     assert abs(entry.size / 20000 - 0.864) < 0.01
+
+
+@pytest.mark.parametrize("seed", [20, 21])
+def test_weighted_count_exits_equals_repeated_rows(seed):
+    # a row with weight w counts as w identical observations; weight 0 drops it
+    rng = np.random.default_rng(seed)
+    entry, exit_age, event, is_default = random_cohort(rng, 300)
+    weights = rng.integers(0, 6, size=300)
+    got = _kernels.count_exits(entry, exit_age, event, is_default, 3, 8, weights=weights)
+    want = naive_counts(*(np.repeat(a, weights) for a in
+                          (entry, exit_age, event, is_default)), 3, 8)
+    for left, right in zip(got, want):
+        np.testing.assert_array_equal(left, right)
+        assert left.dtype == np.int64

@@ -1,11 +1,16 @@
 """Simulation study: analytic truncated quantities and the replicate engine."""
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bench_dist, bench_trunc, small_study  # noqa: F401  (fixtures)
-from oracles import enumerate_truncated
+from oracles import enumerate_truncated, loop_study_counts
+from cshazard import _kernels, montecarlo
+from cshazard.estimator import _log_ci, normal_quantile
 from cshazard.montecarlo import (
     SimConfig,
     StudyReport,
@@ -19,7 +24,12 @@ from cshazard.montecarlo import (
     truncated_alpha,
     truncated_hazard,
 )
-from cshazard.riskmodel import Cause, TruncationLaw, all_cause_hazard
+from cshazard.riskmodel import (
+    Cause,
+    CompetingRisksDistribution,
+    TruncationLaw,
+    all_cause_hazard,
+)
 
 CAUSES = (Cause.DEFAULT, Cause.PREPAY)
 
@@ -223,3 +233,99 @@ def test_write_csv_blank_for_undefined(bench_dist, bench_trunc, tmp_path):
     rep.write_csv(out)
     row = out.read_text().strip().splitlines()[1].split(",")
     assert row[4] == ""  # emp_var column is blank, not NaN
+
+
+# ---------------------------------------------------------------- against the loop oracle
+
+@st.composite
+def study_configs(draw):
+    """Random laws in run_study's domain: every age has at-risk mass.
+
+    That needs the entry window to start at the first age (the analytic
+    truth sums survival over entry ages, which must lie in the support), to
+    reach within the censoring offset of the last age, and positive mass at
+    the last age.
+    """
+    k = draw(st.integers(1, 40))
+    min_age = draw(st.integers(1, 6))
+    max_age = min_age + k - 1
+    hi = min_age + draw(st.integers(0, 45))
+    offset = draw(st.integers(max(1, max_age - hi), max(1, max_age - hi) + 12))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                            min_size=k - 1, max_size=k - 1))
+    weights = np.array([*weights, draw(st.floats(0.01, 1.0))])
+    shares = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                           min_size=k, max_size=k))
+    dist = CompetingRisksDistribution(min_age, max_age, tuple((weights / weights.sum()).tolist()),
+                                      tuple(shares))
+    return SimConfig(dist=dist, trunc=TruncationLaw(min_age, hi, offset),
+                     n=draw(st.integers(1, 300)), replicates=draw(st.integers(1, 5)),
+                     seed=draw(st.integers(0, 2**32)),
+                     # below about 1e-16, 1 - theta/2 rounds to 1 and has no quantile
+                     theta=draw(st.floats(1e-9, 1.0, exclude_max=True)))
+
+
+def _forty_age_config(n, r):
+    dist = CompetingRisksDistribution(1, 40, (1 / 40,) * 40, (0.5,) * 40)
+    return SimConfig(dist=dist, trunc=TruncationLaw(1, 3, 38), n=n, replicates=r, seed=5)
+
+
+def _window_past_last_age():
+    dist = CompetingRisksDistribution(2, 6, (0.1, 0.2, 0.3, 0.2, 0.2), (0.3, 0.9, 0.5, 0.1, 0.6))
+    return SimConfig(dist=dist, trunc=TruncationLaw(2, 40, 3), n=200, replicates=3, seed=9)
+
+
+@settings(max_examples=60, deadline=None)
+# replicates are scored in blocks of block_rows // ages: 1 << 12 gives one block here
+@given(study_configs(), st.sampled_from([1, 30, 1 << 12]))
+@example(_window_past_last_age(), 1 << 12)  # most entry offsets lie above the last age
+@example(_forty_age_config(1, 1), 1 << 12)  # one draw, one replicate: most ages have nobody at risk
+@example(_forty_age_config(3, 5), 80)  # blocks of two replicates, the last one short
+def test_run_study_matches_loop_counts(config, block_rows):
+    seen = []
+    count_exits = _kernels.count_exits
+
+    def recording(*args, **kwargs):
+        seen.append(count_exits(*args, **kwargs))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "count_exits", recording)
+        mp.setattr(montecarlo, "_SCORE_BLOCK_ROWS", block_rows)
+        report = run_study(config)
+    kept, at_risk, events = loop_study_counts(config)
+    assert len(seen) == config.replicates
+    for rep, (got_risk, got_d, got_p) in enumerate(seen):
+        np.testing.assert_array_equal(got_risk, at_risk[rep])
+        np.testing.assert_array_equal(got_d, events[rep, :, 0])
+        np.testing.assert_array_equal(got_p, events[rep, :, 1])
+
+    # the report from those counts, replicate by replicate and cause by cause
+    z = normal_quantile(1.0 - config.theta / 2.0)
+    r, n_ages = at_risk.shape
+    estimates = np.full((r, n_ages, 2), np.nan)
+    defined = np.zeros((n_ages, 2), dtype=np.int64)
+    covered = np.zeros((n_ages, 2), dtype=np.int64)
+    for rep in range(r):
+        for c in range(2):
+            ev, ar = events[rep, :, c], at_risk[rep]
+            lam = np.array([e / a if a > 0 else np.nan for e, a in zip(ev.tolist(), ar.tolist())])
+            estimates[rep, :, c] = lam
+            lo, hi = _log_ci(lam, ev, ar, z)
+            for ai in range(n_ages):
+                if 0 < ev[ai] < ar[ai]:
+                    defined[ai, c] += 1
+                    covered[ai, c] += lo[ai] <= report.lam_true[ai, c] <= hi[ai]
+    np.testing.assert_array_equal(report.estimates, estimates)  # NaN where nobody at risk
+    np.testing.assert_array_equal(report.ci_defined, defined)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.testing.assert_array_equal(report.coverage,
+                                      np.where(defined > 0, covered / defined, np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # ages with no estimate at all
+        np.testing.assert_array_equal(report.lam_mean, np.nanmean(estimates, axis=0))
+        if r > 1:
+            np.testing.assert_array_equal(report.emp_var, np.nanvar(estimates, axis=0, ddof=1))
+        else:
+            assert np.all(np.isnan(report.emp_var))
+    assert report.alpha_hat == float(np.mean(kept / config.n))
