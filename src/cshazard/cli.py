@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,6 @@ from .errors import CshazardError, EmptyResultError, SchemaError, UnknownKeyErro
 from .riskmodel import Cause, CompetingRisksDistribution, TruncationLaw
 
 DEFAULT_SEED = 7
-DEFAULT_THETA = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,24 @@ class RunManifest:
         return path
 
 
-def _finish(manifest: RunManifest, outputs: list[Path]) -> None:
+def _finish(args, outputs: list[Path]) -> None:
+    """Write the manifest of this run beside its first output and list the files.
+
+    The manifest is read off the parsed arguments: `args.paths` names the
+    arguments that hold input files, `--seed` (where the subcommand has one)
+    is the seed, and every other parsed value except `--output-dir` is a
+    parameter.
+    """
+    inputs = []
+    for name in args.paths:
+        value = getattr(args, name)
+        inputs.extend(str(v) for v in (value if isinstance(value, list) else [value]) if v)
+    skip = {"subcommand", "handler", "paths", "output_dir", "seed", *args.paths}
+    manifest = RunManifest(
+        command=args.subcommand, inputs=inputs,
+        parameters={k: v for k, v in vars(args).items() if k not in skip},
+        seed=getattr(args, "seed", None),
+    )
     for p in outputs:
         manifest.add_output(p)
     manifest_path = manifest.write(outputs[0])
@@ -86,13 +103,7 @@ def cmd_ingest(args) -> None:
         raise EmptyResultError("all loans were filtered out or unusable")
     out = _outdir(args) / args.out
     ingest.write_observations_csv(out, observations)
-    manifest = RunManifest(
-        command="ingest",
-        inputs=[str(args.loans), str(args.payments)],
-        parameters={"out": args.out},
-        seed=None,
-    )
-    _finish(manifest, [out])
+    _finish(args, [out])
 
 
 def _parse_window(raw: str) -> tuple[int, int] | None:
@@ -138,15 +149,7 @@ def cmd_estimate(args) -> None:
         curve = estimator.interpolate_zero_defaults(curve)
     out = _outdir(args) / args.out
     estimator.write_curve_csv(out, curve)
-    manifest = RunManifest(
-        command="estimate",
-        inputs=[str(args.observations)],
-        parameters={"band": args.band or "", "cause": args.cause,
-                    "theta": args.theta, "window": args.window,
-                    "interpolate": bool(args.interpolate), "out": args.out},
-        seed=None,
-    )
-    _finish(manifest, [out])
+    _finish(args, [out])
 
 
 def _sniff_kind(path: str | Path) -> str:
@@ -216,15 +219,7 @@ def cmd_converge(args) -> None:
         convergence.write_matrix_csv(out, matrix)
     trace = outdir / "trace.csv"
     convergence.write_trace_csv(trace, results)
-    manifest = RunManifest(
-        command="converge",
-        inputs=[str(p) for p in args.inputs],
-        parameters={"min_age": args.min_age, "run": args.run,
-                    "bands": args.bands or "", "window": args.window,
-                    "theta": args.theta, "format": args.format},
-        seed=None,
-    )
-    _finish(manifest, [out, trace])
+    _finish(args, [out, trace])
 
 
 def _recovery_fn(args):
@@ -255,15 +250,7 @@ def cmd_returns(args) -> None:
         for x, rho in enumerate(rates.tolist(), start=1):
             writer.writerow([x, f"{schedule.balance(x - 1):.2f}",
                              repr(rho), repr(actuarial.annualize(rho))])
-    manifest = RunManifest(
-        command="returns",
-        inputs=[p for p in (args.default_curve, args.prepay_curve,
-                            args.recovery_fit) if p],
-        parameters={"balance": args.balance, "apr": args.apr, "term": args.term,
-                    "recovery_rate": args.recovery_rate, "out": args.out},
-        seed=None,
-    )
-    _finish(manifest, [out])
+    _finish(args, [out])
 
 
 def cmd_savings(args) -> None:
@@ -290,14 +277,7 @@ def cmd_savings(args) -> None:
             writer = csv.writer(fh)
             writer.writerow(list(doc))
             writer.writerow([doc[k] for k in doc])
-    manifest = RunManifest(
-        command="savings", inputs=[],
-        parameters={"balance": args.balance, "payment": args.payment,
-                    "old_apr": args.old_apr, "new_apr": args.new_apr,
-                    "discount_rate": args.discount_rate},
-        seed=None,
-    )
-    _finish(manifest, [out])
+    _finish(args, [out])
 
 
 def _read_recovery_observations(path: str | Path):
@@ -308,9 +288,12 @@ def _read_recovery_observations(path: str | Path):
         rows = []
         for row in reader:
             try:
-                rows.append((int(row["age"]), float(row["recovery"])))
+                age, pct = int(row["age"]), float(row["recovery"])
+                if not math.isfinite(pct):
+                    raise ValueError
             except (TypeError, ValueError):
                 raise SchemaError(f"{path}:{reader.line_num}: bad age/recovery value") from None
+            rows.append((age, pct))
     if not rows:
         raise EmptyResultError(f"{path}: no recovery observations")
     return rows
@@ -328,27 +311,18 @@ def cmd_recovery(args) -> None:
     recovery.write_recovery_csv(curve_out, points, smoothed, fit)
     fit_out = outdir / "recovery_fit.json"
     fit_out.write_text(recovery.fit_to_json(fit) + "\n", encoding="utf-8")
-    manifest = RunManifest(
-        command="recovery", inputs=[str(args.recoveries)],
-        parameters={"span": args.span, "restarts": args.restarts,
-                    "budget": args.budget},
-        seed=args.seed,
-    )
-    _finish(manifest, [curve_out, fit_out])
+    _finish(args, [curve_out, fit_out])
 
 
 def _simulation_config(args) -> montecarlo.SimConfig:
     if args.dist:
         dist = CompetingRisksDistribution.from_json_file(args.dist)
-    elif args.preset == "benchmark":
+    else:
+        args.preset = args.preset or "benchmark"  # the manifest names the preset that ran
+        if args.preset != "benchmark":
+            raise UnknownKeyError(f"unknown preset: {args.preset!r}")
         dist = montecarlo.benchmark_distribution()
-    else:
-        raise UnknownKeyError(f"unknown preset: {args.preset!r}")
-    if args.dist:
-        trunc = TruncationLaw(lo=args.entry_lo, hi=args.entry_hi,
-                              censor_offset=args.tau)
-    else:
-        trunc = montecarlo.benchmark_truncation()
+    trunc = TruncationLaw(lo=args.entry_lo, hi=args.entry_hi, censor_offset=args.tau)
     return montecarlo.SimConfig(dist=dist, trunc=trunc, n=args.n,
                                 replicates=args.r, seed=args.seed,
                                 theta=args.theta)
@@ -364,34 +338,37 @@ def cmd_simulate(args) -> None:
     else:
         out = outdir / "study.csv"
         report.write_csv(out)
-    manifest = RunManifest(
-        command="simulate", inputs=[args.dist] if args.dist else [],
-        parameters={"preset": None if args.dist else args.preset,
-                    "n": args.n, "r": args.r, "theta": args.theta,
-                    "entry_lo": args.entry_lo if args.dist else config.trunc.lo,
-                    "entry_hi": args.entry_hi if args.dist else config.trunc.hi,
-                    "tau": args.tau if args.dist else config.trunc.censor_offset,
-                    "format": args.format},
-        seed=args.seed,
-    )
-    _finish(manifest, [out])
+    _finish(args, [out])
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="random seed for seeded commands (default 7)")
-    common.add_argument("--theta", type=float, default=DEFAULT_THETA,
-                        help="two-sided CI error rate (default 0.05)")
-    common.add_argument("--output-dir", default=".",
-                        help="directory for outputs (created if missing)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format where both are supported")
+# The flags several subcommands share; each subcommand names the ones it reads.
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=DEFAULT_SEED, help="random seed (default 7)"),
+    "theta": dict(type=float, default=estimator.DEFAULT_THETA,
+                  help="two-sided CI error rate (default 0.05)"),
+    "format": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
+}
 
+
+def _subcommand(sub, name: str, handler, summary: str, shared=(), paths=()):
+    """A subparser with --output-dir and the shared flags it reads.
+
+    `paths` names the arguments that hold input files, for the manifest.
+    """
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--output-dir", default=".",
+                   help="directory for outputs (created if missing)")
+    for flag in shared:
+        p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    p.set_defaults(handler=handler, paths=paths)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cshazard",
         description="Cause-specific hazard estimation and loan-pool actuarial tools.")
@@ -399,15 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="turn loan + payment CSVs into observations")
+    p = _subcommand(sub, "ingest", cmd_ingest, "turn loan + payment CSVs into observations",
+                    paths=("loans", "payments"))
     p.add_argument("loans", help="static loan attributes CSV")
     p.add_argument("payments", help="long-format payment history CSV")
     p.add_argument("-o", "--out", default="observations.csv")
-    p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="estimate a cause-specific hazard curve")
+    p = _subcommand(sub, "estimate", cmd_estimate, "estimate a cause-specific hazard curve",
+                    shared=("theta",), paths=("observations",))
     p.add_argument("observations", help="observations CSV from ingest")
     p.add_argument("--band", default="",
                    help="restrict to one risk band (default: pool all)")
@@ -418,10 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interpolate", action="store_true",
                    help="fill zero-event hazards from the nearest earlier age")
     p.add_argument("-o", "--out", default="curve.csv")
-    p.set_defaults(handler=cmd_estimate)
 
-    p = sub.add_parser("converge", parents=[common],
-                       help="pairwise convergence months between bands")
+    p = _subcommand(sub, "converge", cmd_converge, "pairwise convergence months between bands",
+                    shared=("theta", "format"), paths=("inputs",))
     p.add_argument("inputs", nargs="+",
                    help="two or more curve CSVs, or one observations CSV")
     p.add_argument("--bands", default="",
@@ -432,10 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="consecutive overlap ages required (default 2)")
     p.add_argument("--window", default="full",
                    help="estimation window in observations mode")
-    p.set_defaults(handler=cmd_converge)
 
-    p = sub.add_parser("returns", parents=[common],
-                       help="per-age risk-adjusted lifetime returns")
+    p = _subcommand(sub, "returns", cmd_returns, "per-age risk-adjusted lifetime returns",
+                    paths=("default_curve", "prepay_curve", "recovery_fit"))
     p.add_argument("--balance", type=float, required=True,
                    help="original principal")
     p.add_argument("--apr", type=float, required=True,
@@ -446,15 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default-cause hazard curve CSV (default: zero hazard)")
     p.add_argument("--prepay-curve", default="",
                    help="prepay-cause hazard curve CSV (default: zero hazard)")
-    p.add_argument("--recovery-fit", default="",
-                   help="gamma-kernel fit JSON for recovery upon default")
-    p.add_argument("--recovery-rate", type=float, default=None,
-                   help="flat recovery fraction of original principal")
+    recovery_source = p.add_mutually_exclusive_group()
+    recovery_source.add_argument("--recovery-fit", default="",
+                                 help="gamma-kernel fit JSON for recovery upon default")
+    recovery_source.add_argument("--recovery-rate", type=float, default=None,
+                                 help="flat recovery fraction of original principal")
     p.add_argument("-o", "--out", default="returns.csv")
-    p.set_defaults(handler=cmd_returns)
 
-    p = sub.add_parser("savings", parents=[common],
-                       help="monthly/total savings from refinancing")
+    p = _subcommand(sub, "savings", cmd_savings, "monthly/total savings from refinancing",
+                    shared=("format",))
     p.add_argument("--balance", type=float, required=True)
     p.add_argument("--payment", type=float, required=True,
                    help="current monthly payment")
@@ -462,31 +436,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--new-apr", type=float, required=True)
     p.add_argument("--discount-rate", type=float, default=None,
                    help="monthly rate for discounting total savings")
-    p.set_defaults(handler=cmd_savings)
 
-    p = sub.add_parser("recovery", parents=[common],
-                       help="smooth and fit a recovery-upon-default curve")
+    p = _subcommand(sub, "recovery", cmd_recovery, "smooth and fit a recovery-upon-default curve",
+                    shared=("seed",), paths=("recoveries",))
     p.add_argument("recoveries", help="CSV with columns age, recovery")
     p.add_argument("--span", type=float, default=recovery.DEFAULT_SPAN)
     p.add_argument("--restarts", type=int, default=recovery.DEFAULT_RESTARTS)
     p.add_argument("--budget", type=int, default=recovery.DEFAULT_BUDGET)
-    p.set_defaults(handler=cmd_recovery)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="run the estimator validation study")
-    p.add_argument("--preset", default="benchmark",
-                   help="built-in scenario name (default: benchmark)")
-    p.add_argument("--dist", default="",
-                   help="JSON file with a custom lifetime distribution")
-    p.add_argument("--entry-lo", type=int, default=1,
-                   help="lowest entry age (with --dist)")
-    p.add_argument("--entry-hi", type=int, default=5,
-                   help="highest entry age (with --dist)")
-    p.add_argument("--tau", type=int, default=5,
-                   help="censoring offset (with --dist)")
+    p = _subcommand(sub, "simulate", cmd_simulate, "run the estimator validation study",
+                    shared=("seed", "theta", "format"), paths=("dist",))
+    law = p.add_mutually_exclusive_group()
+    law.add_argument("--preset", help="built-in scenario name (default: benchmark)")
+    law.add_argument("--dist", default="",
+                     help="JSON file with a custom lifetime distribution")
+    trunc = montecarlo.benchmark_truncation()
+    p.add_argument("--entry-lo", type=int, default=trunc.lo,
+                   help="lowest entry age (default %(default)s)")
+    p.add_argument("--entry-hi", type=int, default=trunc.hi,
+                   help="highest entry age (default %(default)s)")
+    p.add_argument("--tau", type=int, default=trunc.censor_offset,
+                   help="censoring offset (default %(default)s)")
     p.add_argument("--n", type=int, default=10000, help="cohort size")
     p.add_argument("--r", type=int, default=1000, help="replicates")
-    p.set_defaults(handler=cmd_simulate)
 
     return parser
 
@@ -495,8 +467,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 < args.theta < 1.0:
-            raise ValueError(f"--theta must lie in (0, 1), got {args.theta}")
+        if "theta" in vars(args):
+            estimator.check_theta(args.theta, "--theta")
         args.handler(args)
     except CshazardError as exc:
         print(f"error: {exc}", file=sys.stderr)

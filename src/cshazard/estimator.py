@@ -26,6 +26,7 @@ __all__ = [
     "HazardCurve",
     "estimate_csh",
     "asymptotic_variance",
+    "check_theta",
     "confidence_interval",
     "interpolate_zero_defaults",
     "normal_quantile",
@@ -120,6 +121,15 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
+def check_theta(theta: float, name: str = "theta") -> None:
+    """Reject a two-sided CI error rate outside (0, 1), or one so small that
+    the quantile argument 1 - theta/2 rounds to 1."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {theta}")
+    if 1.0 - theta / 2.0 == 1.0:
+        raise ValueError(f"{name} {theta} is so small that 1 - theta/2 rounds to 1")
+
+
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1)."""
     if not 0.0 < p < 1.0:
@@ -179,10 +189,9 @@ def curve_from_counts(band: str, cause: Cause | None, n: int, ages, events,
     Ages with zero at-risk count are dropped.  Variance and CI formulas:
     var = e(a-e)/a^3 and log-scale bounds hazard*exp(+-z*sqrt(1/e - 1/a)),
     with the upper bound capped at 1 (the cap can bind in small samples;
-    the bound is below 1 asymptotically).  theta must lie in (0, 1).
+    the bound is below 1 asymptotically).  theta must pass check_theta.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    check_theta(theta)
     ages = np.asarray(ages, dtype=np.int64)
     events = np.asarray(events, dtype=np.int64)
     at_risk = np.asarray(at_risk, dtype=np.int64)
@@ -309,14 +318,15 @@ def write_curve_csv(path: str | Path, curve: HazardCurve) -> None:
 
 
 # Numeric curve columns and the value an empty cell reads as; the columns
-# that default to 0 (counts, ages and the flag) must also be finite.
-_CURVE_NUMBERS = {"age": 0, "events": 0, "at_risk": 0, "hazard": np.nan, "var": np.nan,
-                  "ci_lo": np.nan, "ci_hi": np.nan, "interpolated": 0}
+# that default to 0 (counts, ages and the flag) must hold whole numbers.
+_CURVE_NUMBERS = {"age": 0.0, "events": 0.0, "at_risk": 0.0, "hazard": np.nan, "var": np.nan,
+                  "ci_lo": np.nan, "ci_hi": np.nan, "interpolated": 0.0}
 
 
 def read_curve_csv(path: str | Path) -> HazardCurve:
-    """Read one curve: every row carries the first row's band and cause, ages
-    strictly increase, and numeric cells are numbers or empty.  The first row
+    """Read one curve: every row is complete and carries the first row's band
+    and cause, ages strictly increase, and numeric cells are numbers or empty
+    (whole numbers in the count, age and flag columns).  The first row
     breaking a rule is a SchemaError located by file and line."""
     where = str(path)
     first = prev = None
@@ -328,16 +338,19 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
             raise SchemaError(f"{where}: missing required column(s) {', '.join(missing)}")
         for row in reader:
             line = f"{where}:{reader.line_num}"
+            if None in row.values():
+                raise SchemaError(f"{line}: row has fewer than {len(reader.fieldnames)} fields")
             numbers = []
             for name, default in _CURVE_NUMBERS.items():
                 raw = row[name].strip()
                 try:
                     value = default if raw == "" else float(raw)
-                    if default == 0 and not math.isfinite(value):
+                    if default == 0 and not value.is_integer():
                         raise ValueError
                 except ValueError:
+                    kind = "whole number" if default == 0 else "number"
                     raise SchemaError(
-                        f"{line}: column {name}: {raw!r} is not a valid number") from None
+                        f"{line}: column {name}: {raw!r} is not a valid {kind}") from None
                 numbers.append(value)
             if first is None:
                 first = row

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .estimator import _log_ci, normal_quantile
+from .estimator import _log_ci, check_theta, normal_quantile
 from .ingest import ObservationTable
 from .riskmodel import Cause, CompetingRisksDistribution, TruncationLaw, survival
 
@@ -67,8 +67,7 @@ class SimConfig:
             raise ValueError("cohort size must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        check_theta(self.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +75,11 @@ class SimConfig:
 
 
 def truncated_alpha(dist: CompetingRisksDistribution, trunc: TruncationLaw) -> float:
-    """Probability a drawn lifetime clears truncation: sum_y Pr(Y=y) Pr(X>=y)."""
-    return sum(trunc.prob(y) * survival(dist, min(y, dist.max_age + 1))
+    """Probability a drawn lifetime clears truncation: sum_y Pr(Y=y) Pr(X>=y).
+
+    Pr(X >= y) is 1 below the law's first age and 0 past its last.
+    """
+    return sum(trunc.prob(y) * survival(dist, min(max(y, dist.min_age), dist.max_age + 1))
                for y in trunc.support)
 
 

@@ -66,7 +66,7 @@ def recovery_points(observations) -> RecoveryPoints:
     for age, pct in observations:
         age = int(age)
         pct = float(pct)
-        if pct < 0 or pct > 1.5:
+        if not 0.0 <= pct <= 1.5:
             raise ValueError(f"recovery fraction {pct} at age {age} outside [0, 1.5]")
         if pct > 1.0:
             warnings.warn(f"recovery fraction {pct} above 1 at age {age}", stacklevel=2)

@@ -298,6 +298,16 @@ def test_theta_outside_unit_interval_exits_2(tmp_path, capsys, theta):
         assert not (tmp_path / "out" / out).exists()
 
 
+def test_theta_whose_half_vanishes_beside_one_exits_2(tmp_path, capsys):
+    runs = {"curve.csv": ["estimate", str(four_loan_observations(tmp_path))],
+            "study.csv": ["simulate", "--n", "10", "--r", "1"]}
+    for out, argv in runs.items():
+        rc = cli.main(argv + ["--theta", "1e-20", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: --theta 1e-20 is so small" in capsys.readouterr().err
+        assert not (tmp_path / "out" / out).exists()
+
+
 def test_converge_outputs_are_byte_stable(tmp_path):
     a, b = write_staged_pair(tmp_path)
     blobs = []
@@ -410,7 +420,9 @@ def test_returns_rejects_bad_schedule_inputs(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("column,cell", [("hazard", "x"), ("age", "two"), ("var", "?"),
-                                         ("at_risk", "nan"), ("events", "inf")])
+                                         ("at_risk", "nan"), ("events", "inf"),
+                                         ("age", "1.9"), ("events", "2.7"),
+                                         ("at_risk", "10.5"), ("interpolated", "0.4")])
 def test_returns_locates_a_non_numeric_curve_cell(tmp_path, capsys, column, cell):
     row = {"band": "pool", "cause": "default", "age": "2", "events": "1", "at_risk": "10",
            "hazard": "0.1", "var": "", "ci_lo": "", "ci_hi": "", "interpolated": "0"}
@@ -563,6 +575,13 @@ def test_recovery_input_errors(tmp_path, capsys):
     assert cli.main(["recovery", str(bad),
                      "--output-dir", str(tmp_path / "out")]) == 2
     assert "bad.csv:4: bad age/recovery value" in capsys.readouterr().err
+    for cell in ("nan", "inf"):
+        write_recoveries_csv(bad)
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write(f"5,{cell}\n")
+        assert cli.main(["recovery", str(bad),
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        assert "bad.csv:22: bad age/recovery value" in capsys.readouterr().err
     empty = tmp_path / "empty.csv"
     empty.write_text("age,recovery\n")
     assert cli.main(["recovery", str(empty),
@@ -609,10 +628,107 @@ def test_simulate_custom_distribution(tmp_path):
     assert doc["ages"] == [1, 2, 3]
 
 
+def test_simulate_entry_flags_apply_to_the_preset(tmp_path):
+    (tmp_path / "bench.json").write_text(benchmark_distribution().to_json())
+    window = ["--entry-hi", "3", "--tau", "7", "--n", "300", "--r", "2"]
+    for name, law in (("preset", []), ("dist", ["--dist", str(tmp_path / "bench.json")])):
+        assert cli.main(["simulate", *law, *window,
+                         "--output-dir", str(tmp_path / name)]) == 0
+    preset, dist = (tmp_path / name / "study.csv" for name in ("preset", "dist"))
+    assert preset.read_bytes() == dist.read_bytes()
+    manifest = read_manifest(preset)
+    assert manifest["inputs"] == [] and manifest["seed"] == 7
+    assert manifest["parameters"] == {"preset": "benchmark", "n": 300, "r": 2, "theta": 0.05,
+                                      "entry_lo": 1, "entry_hi": 3, "tau": 7, "format": "csv"}
+    manifest = read_manifest(dist)
+    assert manifest["inputs"] == [str(tmp_path / "bench.json")]
+    assert manifest["parameters"]["preset"] is None
+
+
+def test_simulate_entry_window_below_the_first_age(tmp_path):
+    from cshazard.riskmodel import CompetingRisksDistribution
+    dist = CompetingRisksDistribution(min_age=3, max_age=8,
+                                      pmf=(0.1, 0.2, 0.3, 0.1, 0.2, 0.1),
+                                      cause1_share=(0.5, 0.4, 0.3, 0.6, 0.5, 0.5))
+    (tmp_path / "dist.json").write_text(dist.to_json())
+    for hi in (3, 5):
+        out = tmp_path / f"hi{hi}"
+        rc = cli.main(["simulate", "--dist", str(tmp_path / "dist.json"), "--entry-lo", "1",
+                       "--entry-hi", str(hi), "--tau", "5", "--n", "300", "--r", "2",
+                       "--format", "json", "--output-dir", str(out)])
+        assert rc == 0
+        brute = sum(dist.prob(x) for y in range(1, hi + 1)
+                    for x in range(3, 9) if x >= y) / hi
+        doc = json.loads((out / "study.json").read_text())
+        assert doc["alpha_true"] == pytest.approx(brute, rel=1e-12)
+    assert brute == pytest.approx(0.92)  # entries at 4 and 5 lose the early exits
+
+
 def test_simulate_unknown_preset(tmp_path):
     rc = cli.main(["simulate", "--preset", "no-such-preset",
                    "--output-dir", str(tmp_path / "out")])
     assert rc == 4
+
+
+# ---------------------------------------------------------------- flags and manifests
+
+BASE_ARGV = {
+    "ingest": ["ingest", "loans.csv", "payments.csv"],
+    "estimate": ["estimate", "observations.csv"],
+    "converge": ["converge", "a.csv", "b.csv"],
+    "returns": ["returns", "--balance", "100", "--apr", "12", "--term", "12"],
+    "savings": ["savings", "--balance", "7485", "--payment", "360",
+                "--old-apr", "22.37", "--new-apr", "3.59"],
+    "recovery": ["recovery", "recoveries.csv"],
+    "simulate": ["simulate"],
+}
+FLAG_VALUE = {"--seed": "3", "--theta": "0.1", "--format": "json"}
+
+
+@pytest.mark.parametrize("command,extra", [
+    *((c, [flag, FLAG_VALUE[flag]]) for c, flags in (
+        ("ingest", ("--seed", "--theta", "--format")),
+        ("estimate", ("--seed", "--format")),
+        ("converge", ("--seed",)),
+        ("returns", ("--seed", "--theta", "--format")),
+        ("savings", ("--seed", "--theta")),
+        ("recovery", ("--theta", "--format"))) for flag in flags),
+    ("returns", ["--recovery-fit", "fit.json", "--recovery-rate", "0.3"]),
+    ("simulate", ["--preset", "benchmark", "--dist", "dist.json"]),
+])
+def test_flags_a_subcommand_would_ignore_are_usage_errors(capsys, command, extra):
+    cli.build_parser().parse_args(BASE_ARGV[command])
+    with pytest.raises(SystemExit) as info:
+        cli.main([*BASE_ARGV[command], *extra])
+    assert info.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert ": error: " in message and extra[0] in message
+
+
+def test_manifests_record_the_parsed_arguments(tmp_path):
+    a, b = write_staged_pair(tmp_path)
+    fit = GammaKernelFit(c=0.05, k=3.0, theta=3.0, residual=0.0)
+    (tmp_path / "fit.json").write_text(fit_to_json(fit))
+    runs = [
+        (["converge", str(a), str(b), "--run", "3"], "matrix.csv",
+         [str(a), str(b)],
+         {"min_age": 10, "run": 3, "bands": "", "window": "full", "theta": 0.05,
+          "format": "csv"}),
+        (["returns", "--balance", "100", "--apr", "12", "--term", "12",
+          "--default-curve", str(a), "--recovery-fit", str(tmp_path / "fit.json")],
+         "returns.csv", [str(a), str(tmp_path / "fit.json")],
+         {"balance": 100.0, "apr": 12.0, "term": 12, "recovery_rate": None,
+          "out": "returns.csv"}),
+        (BASE_ARGV["savings"] + ["--format", "json"], "savings.json", [],
+         {"balance": 7485.0, "payment": 360.0, "old_apr": 22.37, "new_apr": 3.59,
+          "discount_rate": None, "format": "json"}),
+    ]
+    for argv, output, inputs, parameters in runs:
+        assert cli.main([*argv, "--output-dir", str(tmp_path / argv[0])]) == 0
+        manifest = read_manifest(tmp_path / argv[0] / output)
+        assert manifest["command"] == argv[0]
+        assert (manifest["inputs"], manifest["seed"]) == (inputs, None)
+        assert manifest["parameters"] == parameters
 
 
 # ---------------------------------------------------------------- entry point

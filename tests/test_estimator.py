@@ -194,6 +194,43 @@ def test_life_table_equivalence_random_cohorts(seed):
                 assert row["hazard"] == hazard  # same division, bit for bit
 
 
+@st.composite
+def cohorts_and_windows(draw):
+    """A small cohort and an estimation window that may start after some
+    exits or end before some entries."""
+    n = draw(st.integers(1, 30))
+    obs = []
+    for i in range(n):
+        entry = draw(st.integers(1, 15))
+        exit_age = entry + draw(st.integers(0, 10))
+        cause = draw(st.sampled_from([Cause.DEFAULT, Cause.PREPAY, None]))
+        obs.append(make_obs(i, entry, exit_age, cause))
+    lo = draw(st.integers(1, 28))
+    hi = lo + draw(st.integers(0, 12))
+    return obs, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohorts_and_windows(), st.sampled_from([Cause.DEFAULT, Cause.PREPAY, None]))
+def test_estimate_matches_life_table_on_random_windows(cohort_window, cause):
+    cohort, lo, hi = cohort_window
+    curve = estimate_csh(cohort, cause, age_range=(lo, hi))
+    table = life_table(cohort, cause, lo, hi)
+    expected = [(x, *table[x]) for x in range(lo, hi + 1) if table[x][0] > 0]
+    got = list(zip(curve.ages.tolist(), curve.at_risk.tolist(), curve.events.tolist(),
+                   curve.hazard.tolist()))
+    assert got == expected  # same ages, counts and division, bit for bit
+
+
+def test_theta_must_leave_a_quantile_argument_below_one():
+    for theta in (0.0, 1.0, float("nan"), 1e-20, 1e-16):
+        with pytest.raises(ValueError, match="theta"):
+            curve_from_counts("x", Cause.DEFAULT, 10, [1], [1], [5], theta=theta)
+    # the smallest theta whose 1 - theta/2 is still below 1 keeps finite bounds
+    curve = curve_from_counts("x", Cause.DEFAULT, 10, [1], [1], [5], theta=2.3e-16)
+    assert 0.0 < curve.ci_lo[0] < curve.hazard[0] < curve.ci_hi[0] == 1.0
+
+
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_cause_additivity_exact(seed):
     rng = np.random.default_rng(seed)
@@ -249,6 +286,7 @@ CURVE_HEADER = "band,cause,age,events,at_risk,hazard,var,ci_lo,ci_hi,interpolate
     (["prime,default,1", "prime,default,2", "prime,default,2"], 4,
      "age 2 does not follow age 2"),
     (["prime,default,2", "prime,default,1"], 3, "age 1 does not follow age 2"),
+    (["prime,default,1", "prime,default"], 3, "row has fewer than 10 fields"),
 ])
 def test_curve_csv_rows_must_share_a_label_and_increase_in_age(tmp_path, rows, line, message):
     path = tmp_path / "curve.csv"

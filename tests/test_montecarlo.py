@@ -127,8 +127,20 @@ def test_config_validation(bench_dist, bench_trunc):
         SimConfig(dist=bench_dist, trunc=bench_trunc, n=0, replicates=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(dist=bench_dist, trunc=bench_trunc, n=10, replicates=0, seed=0)
-    with pytest.raises(ValueError, match="theta"):
-        SimConfig(dist=bench_dist, trunc=bench_trunc, n=10, replicates=1, seed=0, theta=1.5)
+    for theta in (1.5, 1e-20):
+        with pytest.raises(ValueError, match="theta"):
+            SimConfig(dist=bench_dist, trunc=bench_trunc, n=10, replicates=1, seed=0,
+                      theta=theta)
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 3), (1, 5), (2, 9), (4, 12)])
+def test_truncated_alpha_matches_enumeration_beyond_the_support(lo, hi):
+    # entries below the first age keep every lifetime; entries past the last keep none
+    dist = CompetingRisksDistribution(3, 8, (0.1, 0.2, 0.3, 0.1, 0.2, 0.1),
+                                      (0.5, 0.4, 0.3, 0.6, 0.5, 0.5))
+    trunc = TruncationLaw(lo, hi, 5)
+    brute = enumerate_truncated(dist, trunc, 5, Cause.DEFAULT)[2]
+    assert truncated_alpha(dist, trunc) == pytest.approx(brute, rel=1e-12)
 
 
 # ---------------------------------------------------------------- study report
@@ -241,14 +253,14 @@ def test_write_csv_blank_for_undefined(bench_dist, bench_trunc, tmp_path):
 def study_configs(draw):
     """Random laws in run_study's domain: every age has at-risk mass.
 
-    That needs the entry window to start at the first age (the analytic
-    truth sums survival over entry ages, which must lie in the support), to
+    That needs the entry window to start at or below the first age, to
     reach within the censoring offset of the last age, and positive mass at
     the last age.
     """
     k = draw(st.integers(1, 40))
     min_age = draw(st.integers(1, 6))
     max_age = min_age + k - 1
+    lo = draw(st.integers(1, min_age))
     hi = min_age + draw(st.integers(0, 45))
     offset = draw(st.integers(max(1, max_age - hi), max(1, max_age - hi) + 12))
     weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
@@ -258,7 +270,7 @@ def study_configs(draw):
                            min_size=k, max_size=k))
     dist = CompetingRisksDistribution(min_age, max_age, tuple((weights / weights.sum()).tolist()),
                                       tuple(shares))
-    return SimConfig(dist=dist, trunc=TruncationLaw(min_age, hi, offset),
+    return SimConfig(dist=dist, trunc=TruncationLaw(lo, hi, offset),
                      n=draw(st.integers(1, 300)), replicates=draw(st.integers(1, 5)),
                      seed=draw(st.integers(0, 2**32)),
                      # below about 1e-16, 1 - theta/2 rounds to 1 and has no quantile

@@ -48,6 +48,8 @@ def test_recovery_points_rejects_data_errors():
         recovery_points([(4, 1.6)])
     with pytest.raises(ValueError):
         recovery_points([(4, -0.01)])
+    with pytest.raises(ValueError, match="outside"):
+        recovery_points([(4, 0.3), (5, float("nan"))])
     with pytest.raises(ValueError):
         recovery_points([])
 
