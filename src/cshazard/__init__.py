@@ -35,7 +35,6 @@ from .estimator import (
 from .ingest import (
     FilterPolicy,
     LoanOutcome,
-    LoanRecord,
     LoanTape,
     ObservationTable,
     ObservedLoan,
@@ -89,7 +88,6 @@ __all__ = [
     "conditional_event_probs",
     "survival",
     "RiskBand",
-    "LoanRecord",
     "LoanTape",
     "PaymentHistory",
     "LoanOutcome",

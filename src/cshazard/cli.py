@@ -164,9 +164,17 @@ def _sniff_kind(path: str | Path) -> str:
     raise SchemaError(f"{path}: header matches neither a curve nor an observation table")
 
 
+# The converge flags only observations mode reads, with their defaults.
+_OBSERVATIONS_MODE_FLAGS = {"theta": estimator.DEFAULT_THETA, "window": "full", "bands": ""}
+
+
 def _curves_from_inputs(args) -> tuple[dict, list[str]]:
     kinds = [_sniff_kind(p) for p in args.inputs]
     if all(k == "curve" for k in kinds) and len(args.inputs) >= 2:
+        for name, default in _OBSERVATIONS_MODE_FLAGS.items():
+            if getattr(args, name) != default:
+                raise ValueError(f"--{name} applies only to converge on an observations CSV; "
+                                 f"curve CSVs carry their own intervals")
         curves = {}
         order = []
         for path in args.inputs:
@@ -399,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
                     shared=("theta", "format"), paths=("inputs",))
     p.add_argument("inputs", nargs="+",
                    help="two or more curve CSVs, or one observations CSV")
-    p.add_argument("--bands", default="",
+    p.add_argument("--bands", default=_OBSERVATIONS_MODE_FLAGS["bands"],
                    help="comma-separated band labels (observations mode)")
     p.add_argument("--min-age", type=int, default=10,
                    help="first age eligible for the overlap run (default 10)")
     p.add_argument("--run", type=int, default=2,
                    help="consecutive overlap ages required (default 2)")
-    p.add_argument("--window", default="full",
+    p.add_argument("--window", default=_OBSERVATIONS_MODE_FLAGS["window"],
                    help="estimation window in observations mode")
 
     p = _subcommand(sub, "returns", cmd_returns, "per-age risk-adjusted lifetime returns",

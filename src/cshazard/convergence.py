@@ -70,6 +70,11 @@ class ConvergenceResult:
     rule_fired: Rule
 
 
+def _check_run_length(run_length: int) -> None:
+    if run_length < 1:
+        raise ValueError(f"run_length must be >= 1, got {run_length}")
+
+
 def _age_decisions(curve_a: HazardCurve, curve_b: HazardCurve) -> list[Decision]:
     out = []
     for i in range(curve_a.ages.size):
@@ -91,6 +96,7 @@ def convergence_point(curve_a: HazardCurve, curve_b: HazardCurve,
     all-zero hazards are handled by the second rule instead.  Identical
     curves converge at min_test_age.
     """
+    _check_run_length(run_length)
     ages = check_shared_grid(curve_a, curve_b)
     decisions = _age_decisions(curve_a, curve_b)
 
@@ -174,6 +180,7 @@ def transition_matrix(curves: dict, min_test_age: int = DEFAULT_MIN_TEST_AGE,
     curves maps band label to HazardCurve.  The diagonal is min_test_age by
     definition.  Returns the matrix plus the per-pair results for tracing.
     """
+    _check_run_length(run_length)
     if band_order is None:
         band_order = list(curves.keys())
     if len(band_order) < 2:

@@ -7,12 +7,14 @@ pipeline classifies each loan into an APR risk band, applies the eligibility
 filter, determines the outcome from the payment vectors, and emits one
 observation per retained loan in loan-age coordinates.
 
-Ingest is columnar.  Both files load into a `LoanTape` of column arrays
-whose payment rows are sorted by (loan, trust month), so each loan's history
-is one contiguous segment.  The eligibility, integrity and outcome rules run
-once over all segments as array operations, and the result is an
-`ObservationTable` of parallel arrays.  `LoanRecord` and `ObservedLoan` are
-the row views; lists of them are accepted wherever a tape or a table is.
+Ingest is columnar.  Both files load into a `LoanTape`, the one form in
+which loans are held: column arrays whose payment rows are sorted by (loan,
+trust month), so each loan's history is one contiguous segment.  The
+eligibility, integrity and outcome rules run once over all segments as
+array operations, and the result is an `ObservationTable` of parallel
+arrays.  `ObservedLoan` is its row view, and lists of observations are
+accepted wherever a table is.  `PaymentHistory` and `determine_outcome`
+classify a single loan with the same rules.
 
 Monetary fields are exact: a plain decimal cell with at most two fraction
 digits is read straight into integer cents, any other cell is parsed with
@@ -39,7 +41,6 @@ from .riskmodel import Cause
 
 __all__ = [
     "RiskBand",
-    "LoanRecord",
     "LoanTape",
     "PaymentHistory",
     "OutcomeKind",
@@ -50,13 +51,10 @@ __all__ = [
     "classify_risk_band",
     "filter_loans",
     "determine_outcome",
-    "to_observation",
     "build_observations",
     "load_loan_data",
     "read_observations_csv",
     "write_observations_csv",
-    "write_loans_csv",
-    "write_payments_csv",
 ]
 
 DEFAULT_PAD = Decimal("10")
@@ -132,32 +130,6 @@ class PaymentHistory:
         return len(self.balance)
 
 
-@dataclass
-class LoanRecord:
-    loan_id: str
-    apr_pct: float
-    original_amount: Decimal
-    original_term: int
-    loan_age_at_entry: int
-    has_coborrower: bool
-    income_verification: str
-    subvention: bool
-    vehicle_condition: str
-    initial_status: str
-    recovered_amount: Decimal
-    history: PaymentHistory | None = None
-
-    def __post_init__(self) -> None:
-        if self.apr_pct < 0:
-            raise ValueError("apr_pct must be >= 0")
-        if self.original_amount <= 0:
-            raise ValueError("original_amount must be positive")
-
-    @property
-    def band(self) -> RiskBand:
-        return classify_risk_band(self.apr_pct)
-
-
 class OutcomeKind(Enum):
     DEFAULTED = "defaulted"
     REPAID = "repaid"
@@ -176,8 +148,6 @@ class LoanOutcome:
 
 # Outcomes are coded by the Cause value of their exit; 0 is censored.
 _CENSORED = 0
-_CAUSE_OF_KIND = {OutcomeKind.DEFAULTED: Cause.DEFAULT, OutcomeKind.REPAID: Cause.PREPAY,
-                  OutcomeKind.CENSORED: None}
 _KIND_OF_CODE = {Cause.DEFAULT.value: OutcomeKind.DEFAULTED,
                  Cause.PREPAY.value: OutcomeKind.REPAID, _CENSORED: OutcomeKind.CENSORED}
 
@@ -367,33 +337,21 @@ class _Payments:
     principal: np.ndarray
 
     @classmethod
-    def from_histories(cls, histories) -> "_Payments":
-        months = np.array([h.months for h in histories], dtype=np.int64)
-        balance = [b for h in histories for b in h.balance]
-        missing = np.array([b is None for b in balance], dtype=np.bool_)
-        return cls._unified(
-            months, [Decimal(0) if b is None else b for b in balance], missing,
-            [p for h in histories for p in h.payment],
-            [p for h in histories for p in h.principal])
+    def of_history(cls, history: PaymentHistory) -> "_Payments":
+        """One loan's payment vectors as a single segment."""
+        missing = np.array([b is None for b in history.balance], dtype=np.bool_)
+        balance = [Decimal(0) if b is None else b for b in history.balance]
+        return cls._unified(np.array([history.months], dtype=np.int64), _money_array(balance),
+                            missing, _money_array(history.payment),
+                            _money_array(history.principal))
 
     @classmethod
     def _unified(cls, months, balance, missing, payment, principal) -> "_Payments":
-        money = [_money_array(col) if isinstance(col, list) else col
-                 for col in (balance, payment, principal)]
+        money = [balance, payment, principal]
         if any(col.dtype == object for col in money):
             money = [_as_decimals(col) for col in money]
         start = np.cumsum(months) - months
         return cls(start, months, money[0], missing, money[1], money[2])
-
-    def history(self, k: int) -> PaymentHistory:
-        rows = slice(int(self.start[k]), int(self.start[k] + self.months[k]))
-        balance = _as_decimals(self.balance[rows]).tolist()
-        missing = self.balance_missing[rows].tolist()
-        return PaymentHistory(
-            balance=tuple(None if m else b for b, m in zip(balance, missing)),
-            payment=tuple(_as_decimals(self.payment[rows]).tolist()),
-            principal=tuple(_as_decimals(self.principal[rows]).tolist()),
-        )
 
     def _paid(self, principal) -> np.ndarray:
         """Total principal paid per segment."""
@@ -478,8 +436,7 @@ class LoanTape:
 
     `segment[i]` is the payment segment of loan i, or -1 when the payment
     file has no rows for it.  `original_amount` and `recovered_amount` are
-    money columns (int64 cents or Decimal objects).  Integer indexing and
-    iteration yield LoanRecord rows.
+    money columns (int64 cents or Decimal objects).
     """
 
     loan_id: np.ndarray
@@ -496,44 +453,8 @@ class LoanTape:
     segment: np.ndarray
     payments: _Payments
 
-    @classmethod
-    def from_records(cls, records) -> "LoanTape":
-        records = list(records)
-        histories = [r.history for r in records if r.history is not None]
-        has_history = np.array([r.history is not None for r in records], dtype=np.bool_)
-        segment = np.cumsum(has_history) - 1
-        segment[~has_history] = -1
-
-        def column(name, dtype):
-            values = [getattr(r, name) for r in records]
-            return _money_array(values) if dtype is Decimal else np.array(values, dtype=dtype)
-
-        dtypes = (object, np.float64, Decimal, np.int64, np.int64, np.bool_, object,
-                  np.bool_, object, object, Decimal)
-        return cls(**{name: column(name, dtype) for name, dtype in zip(_LOAN_FIELDS, dtypes)},
-                   segment=segment, payments=_Payments.from_histories(histories))
-
     def __len__(self) -> int:
         return self.loan_id.size
-
-    def __getitem__(self, i: int) -> LoanRecord:
-        k = int(self.segment[i])
-        return LoanRecord(
-            loan_id=self.loan_id[i], apr_pct=float(self.apr_pct[i]),
-            original_amount=_as_decimals(self.original_amount[i:i + 1])[0],
-            original_term=int(self.original_term[i]),
-            loan_age_at_entry=int(self.loan_age_at_entry[i]),
-            has_coborrower=bool(self.has_coborrower[i]),
-            income_verification=self.income_verification[i],
-            subvention=bool(self.subvention[i]),
-            vehicle_condition=self.vehicle_condition[i],
-            initial_status=self.initial_status[i],
-            recovered_amount=_as_decimals(self.recovered_amount[i:i + 1])[0],
-            history=self.payments.history(k) if k >= 0 else None,
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def take(self, index) -> "LoanTape":
         """The loans selected by a boolean mask or an index array."""
@@ -554,20 +475,15 @@ def _eligible(tape: LoanTape, policy: FilterPolicy) -> np.ndarray:
     return keep
 
 
-def filter_loans(records, policy: FilterPolicy = FilterPolicy()):
-    """Retain loans passing every eligibility and integrity criterion.
+def filter_loans(tape: LoanTape, policy: FilterPolicy = FilterPolicy()) -> LoanTape:
+    """The loans passing every eligibility and integrity criterion.
 
     The integrity check drops loans whose outcome cannot be determined: total
     principal paid falls short of the first-month balance while the final
     month's balance is missing (and loans whose first balance is itself
-    missing).  An empty result is allowed.  A LoanTape gives a LoanTape; an
-    iterable of LoanRecord gives the retained records as a list.
+    missing).  An empty result is allowed.
     """
-    if isinstance(records, LoanTape):
-        return records.take(_eligible(records, policy))
-    records = list(records)
-    keep = _eligible(LoanTape.from_records(records), policy)
-    return [rec for rec, ok in zip(records, keep.tolist()) if ok]
+    return tape.take(_eligible(tape, policy))
 
 
 def determine_outcome(history: PaymentHistory, pad: Decimal = DEFAULT_PAD) -> LoanOutcome:
@@ -578,34 +494,17 @@ def determine_outcome(history: PaymentHistory, pad: Decimal = DEFAULT_PAD) -> Lo
     """
     if history.balance[0] is None:
         raise ValueError("first-month balance missing; outcome undeterminable")
-    code, month = _Payments.from_histories([history]).outcomes(pad)
+    code, month = _Payments.of_history(history).outcomes(pad)
     return LoanOutcome(_KIND_OF_CODE[int(code[0])], int(month[0]))
 
 
-def to_observation(record: LoanRecord, outcome: LoanOutcome) -> ObservedLoan:
-    """Translate a trust-month outcome into loan-age coordinates."""
-    if record.history is not None and outcome.event_month > record.history.months:
-        raise ValueError("event_month exceeds payment-history length")
-    cause = _CAUSE_OF_KIND[outcome.kind]
-    entry_age, exit_age = _observation_ages(record.loan_age_at_entry, outcome.event_month)
-    return ObservedLoan(
-        entry_age=entry_age,
-        exit_age=exit_age,
-        observed_event=cause is not None,
-        cause=cause,
-        loan_id=record.loan_id,
-        band=record.band,
-    )
-
-
-def build_observations(records, policy: FilterPolicy = FilterPolicy(),
+def build_observations(tape: LoanTape, policy: FilterPolicy = FilterPolicy(),
                        pad: Decimal = DEFAULT_PAD) -> ObservationTable:
-    """Filter, classify, and convert loans into observations.
+    """Filter, classify, and convert a tape's loans into observations.
 
-    Takes a LoanTape or an iterable of LoanRecord.  Output is ordered by
-    loan_id so parallel upstream processing cannot change the result.
+    Output is ordered by loan_id so parallel upstream processing cannot
+    change the result.
     """
-    tape = records if isinstance(records, LoanTape) else LoanTape.from_records(records)
     kept = filter_loans(tape, policy)
     orphan = kept.segment < 0
     if orphan.any():
@@ -622,7 +521,6 @@ def build_observations(records, policy: FilterPolicy = FilterPolicy(),
 # ---------------------------------------------------------------------------
 # CSV input/output
 
-_LOAN_COLUMNS = list(_LOAN_FIELDS)
 _PAYMENT_COLUMNS = ["loan_id", "trust_month", "balance", "payment", "principal"]
 _OBS_COLUMNS = ["loan_id", "band", "entry_age", "exit_age", "event", "cause"]
 
@@ -908,7 +806,7 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
 
 def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:
     """Read the static and long CSVs into a LoanTape."""
-    cols = _Columns.read(loans_path, _LOAN_COLUMNS)
+    cols = _Columns.read(loans_path, _LOAN_FIELDS)
     loan_id = cols.stripped("loan_id")
     original_amount, _ = cols.money("original_amount")
     not_positive = original_amount <= 0
@@ -931,34 +829,6 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
     payments, segment_of = _read_payments(payments_path)
     segment = np.fromiter(map(segment_of.get, loan_id, repeat(-1)), np.int64, loan_id.size)
     return LoanTape(**columns, segment=segment, payments=payments)
-
-
-def write_loans_csv(path: str | Path, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LOAN_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.loan_id, repr(rec.apr_pct), str(rec.original_amount),
-                rec.original_term, rec.loan_age_at_entry,
-                str(rec.has_coborrower).lower(), rec.income_verification,
-                str(rec.subvention).lower(), rec.vehicle_condition,
-                rec.initial_status, str(rec.recovered_amount),
-            ])
-
-
-def write_payments_csv(path: str | Path, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_PAYMENT_COLUMNS)
-        for rec in records:
-            if rec.history is None:
-                continue
-            hist = rec.history
-            for m in range(hist.months):
-                bal = "" if hist.balance[m] is None else str(hist.balance[m])
-                writer.writerow([rec.loan_id, m + 1, bal,
-                                 str(hist.payment[m]), str(hist.principal[m])])
 
 
 # Labels by code; index -1 (no band) and 0 (censored) give "".

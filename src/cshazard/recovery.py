@@ -180,6 +180,10 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
         raise ValueError("ages must be positive")
     if not np.any(y > 0):
         raise ValueError("cannot fit a curve with no positive values")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
 
     def objective(log_params: np.ndarray) -> float:
         c, k, theta = np.exp(np.clip(log_params, -50.0, 50.0))
@@ -199,7 +203,7 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
     for _ in range(restarts - 1):
         starts.append(seed_point + rng.normal(scale=0.5, size=3))
 
-    per_start = max(budget // max(restarts, 1), 100)
+    per_start = max(budget // restarts, 100)
     best = None
     best_key = None
     any_converged = False

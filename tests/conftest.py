@@ -1,6 +1,8 @@
 """Shared fixtures and curve constructions for the test suite."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,41 @@ def make_obs(loan_id, entry, exit_age, cause, band=RiskBand.NEAR_PRIME):
         loan_id=str(loan_id), band=band, entry_age=entry, exit_age=exit_age,
         observed_event=cause is not None, cause=cause,
     )
+
+
+LOAN_COLUMNS = ("loan_id", "apr_pct", "original_amount", "original_term",
+                "loan_age_at_entry", "has_coborrower", "income_verification",
+                "subvention", "vehicle_condition", "initial_status", "recovered_amount")
+# A near-prime loan that every default FilterPolicy criterion keeps.
+CONFORMING_LOAN = {"apr_pct": 12.5, "original_amount": 20000, "original_term": 72,
+                   "loan_age_at_entry": 5, "has_coborrower": "false",
+                   "income_verification": "stated_not_verified", "subvention": "false",
+                   "vehicle_condition": "used", "initial_status": "current",
+                   "recovered_amount": 0}
+
+
+def write_tape(directory, loans, histories):
+    """Write a loan tape as the two CSVs that `load_loan_data` reads.
+
+    `loans` maps each loan_id to the fields in which it differs from
+    CONFORMING_LOAN; `histories` maps a loan_id to its (balance, payment,
+    principal) cells by trust month, None standing for an empty cell.
+    Returns the two paths.
+    """
+    loans_path, payments_path = directory / "loans.csv", directory / "payments.csv"
+    with open(loans_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LOAN_COLUMNS)
+        for loan_id, changes in loans.items():
+            fields = {**CONFORMING_LOAN, "loan_id": loan_id, **changes}
+            writer.writerow([fields[name] for name in LOAN_COLUMNS])
+    with open(payments_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["loan_id", "trust_month", "balance", "payment", "principal"])
+        for loan_id, columns in histories.items():
+            for month, cells in enumerate(zip(*columns), start=1):
+                writer.writerow([loan_id, month, *cells])
+    return loans_path, payments_path
 
 
 @pytest.fixture

@@ -7,13 +7,12 @@ import shutil
 import subprocess
 import sys
 import warnings
-from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import cshazard
-from conftest import curve_with_cis, hump_observations, make_obs, staged_curve
+from conftest import curve_with_cis, hump_observations, make_obs, staged_curve, write_tape
 from cshazard import cli, ingest
 from cshazard.actuarial import (
     AmortizationSchedule,
@@ -23,14 +22,7 @@ from cshazard.actuarial import (
     nominal_monthly_rate,
 )
 from cshazard.estimator import read_curve_csv, write_curve_csv
-from cshazard.ingest import (
-    LoanRecord,
-    PaymentHistory,
-    RiskBand,
-    write_loans_csv,
-    write_observations_csv,
-    write_payments_csv,
-)
+from cshazard.ingest import RiskBand, write_observations_csv
 from cshazard.montecarlo import (
     SimConfig,
     benchmark_distribution,
@@ -41,46 +33,22 @@ from cshazard.recovery import GammaKernelFit, fit_to_json
 from cshazard.riskmodel import Cause
 
 
-def money(v):
-    return None if v is None else Decimal(str(v))
+def write_portfolio(tmp, **changes):
+    """Six usable loans in two bands plus one knocked out by the filter.
 
-
-def make_loan(loan_id, apr, balances, payments, principals, entry=5, **flags):
-    fields = dict(
-        loan_id=loan_id, apr_pct=apr, original_amount=Decimal("20000"),
-        original_term=72, loan_age_at_entry=entry, has_coborrower=False,
-        income_verification="stated_not_verified", subvention=False,
-        vehicle_condition="used", initial_status="current",
-        recovered_amount=Decimal("0"),
-        history=PaymentHistory(
-            balance=tuple(money(v) for v in balances),
-            payment=tuple(money(v) for v in payments),
-            principal=tuple(money(v) for v in principals),
-        ),
-    )
-    fields.update(flags)
-    return LoanRecord(**fields)
-
-
-def demo_portfolio():
-    """Six usable loans in two bands plus one knocked out by the filter."""
-    repaid = ([300, 200, 100, 0], [110, 110, 110, 0], [100, 100, 100, 0])
-    defaulted = ([500] * 5, [110, 0, 0, 0, 0], [10, 0, 0, 0, 0])
-    censored = ([500, 480, 460], [110, 110, 110], [20, 20, 20])
-    loans = []
+    `changes` sets loan fields on every loan.
+    """
+    histories = {"repaid": ([300, 200, 100, 0], [110, 110, 110, 0], [100, 100, 100, 0]),
+                 "default": ([500] * 5, [110, 0, 0, 0, 0], [10, 0, 0, 0, 0]),
+                 "censored": ([500, 480, 460], [110, 110, 110], [20, 20, 20])}
+    loans, payments = {}, {}
     for i, (apr, band) in enumerate([(22.5, "ds"), (5.0, "pr")]):
-        loans.append(make_loan(f"{band}-repaid-{i}", apr, *repaid))
-        loans.append(make_loan(f"{band}-default-{i}", apr, *defaulted))
-        loans.append(make_loan(f"{band}-censored-{i}", apr, *censored))
-    loans.append(make_loan("excluded", 9.0, *censored, has_coborrower=True))
-    return loans
-
-
-def write_portfolio(tmp):
-    loans = demo_portfolio()
-    write_loans_csv(tmp / "loans.csv", loans)
-    write_payments_csv(tmp / "payments.csv", loans)
-    return tmp / "loans.csv", tmp / "payments.csv"
+        for kind, history in histories.items():
+            loans[f"{band}-{kind}-{i}"] = {"apr_pct": apr, **changes}
+            payments[f"{band}-{kind}-{i}"] = history
+    loans["excluded"] = {"apr_pct": 9.0, "has_coborrower": "true", **changes}
+    payments["excluded"] = histories["censored"]
+    return write_tape(tmp, loans, payments)
 
 
 def four_loan_observations(tmp):
@@ -119,12 +87,8 @@ def test_ingest_produces_observations_and_manifest(tmp_path):
 
 
 def test_ingest_all_filtered_is_empty_result(tmp_path):
-    loans = [dataclasses.replace(rec, has_coborrower=True)
-             for rec in demo_portfolio()]
-    write_loans_csv(tmp_path / "loans.csv", loans)
-    write_payments_csv(tmp_path / "payments.csv", loans)
-    rc = cli.main(["ingest", str(tmp_path / "loans.csv"),
-                   str(tmp_path / "payments.csv"),
+    loans, payments = write_portfolio(tmp_path, has_coborrower="true")
+    rc = cli.main(["ingest", str(loans), str(payments),
                    "--output-dir", str(tmp_path / "out")])
     assert rc == 3
 
@@ -318,6 +282,21 @@ def test_converge_outputs_are_byte_stable(tmp_path):
         blobs.append((tmp_path / d / "matrix.json").read_bytes()
                      + (tmp_path / d / "trace.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--theta=0.3", "--theta applies only to converge on an observations CSV"),
+    ("--window=200:300", "--window applies only to converge on an observations CSV"),
+    ("--bands=x,y", "--bands applies only to converge on an observations CSV"),
+    ("--run=0", "run_length must be >= 1, got 0"),
+    ("--run=-3", "run_length must be >= 1, got -3"),
+])
+def test_converge_curve_mode_usage_errors(tmp_path, capsys, flag, message):
+    a, b = write_staged_pair(tmp_path)
+    rc = cli.main(["converge", str(a), str(b), flag, "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out" / "matrix.csv").exists()
 
 
 def test_converge_observations_mode(tmp_path):
@@ -582,6 +561,12 @@ def test_recovery_input_errors(tmp_path, capsys):
         assert cli.main(["recovery", str(bad),
                          "--output-dir", str(tmp_path / "out")]) == 2
         assert "bad.csv:22: bad age/recovery value" in capsys.readouterr().err
+    write_recoveries_csv(bad)
+    for name, value in (("restarts", "0"), ("restarts", "-1"), ("budget", "0")):
+        assert cli.main(["recovery", str(bad), f"--{name}={value}",
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got {value}\n"
+    assert not (tmp_path / "out" / "recovery_fit.json").exists()
     empty = tmp_path / "empty.csv"
     empty.write_text("age,recovery\n")
     assert cli.main(["recovery", str(empty),

@@ -233,6 +233,17 @@ def test_custom_run_length_and_min_age():
     assert convergence_point(a, b, min_test_age=28).convergence_month is None
 
 
+def test_run_length_below_one_is_rejected():
+    curves, _ = staged_band_set()
+    for run_length in (0, -3):
+        with pytest.raises(ValueError, match="run_length must be >= 1"):
+            convergence_point(curves["b0"], curves["b1"], run_length=run_length)
+        with pytest.raises(ValueError, match="run_length must be >= 1"):
+            transition_matrix(curves, run_length=run_length)
+    # a run of one: the first age from min_test_age whose intervals overlap
+    assert convergence_point(curves["b0"], curves["b1"], run_length=1).convergence_month == 13
+
+
 BOUNDS = [float("nan"), 0.0, 0.1, 0.2, 0.3]  # coarse, so endpoints often touch
 
 

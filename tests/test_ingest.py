@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_tape
 from oracles import decimal_outcome
 
 from cshazard.errors import SchemaError
 from cshazard.ingest import (
     FilterPolicy,
     LoanOutcome,
-    LoanRecord,
     ObservedLoan,
     OutcomeKind,
     PaymentHistory,
@@ -33,10 +33,7 @@ from cshazard.ingest import (
     filter_loans,
     load_loan_data,
     read_observations_csv,
-    to_observation,
-    write_loans_csv,
     write_observations_csv,
-    write_payments_csv,
 )
 from cshazard.riskmodel import Cause
 
@@ -53,14 +50,22 @@ def hist(balance, payment, principal):
     )
 
 
-def conforming_record(loan_id="L1", apr=12.5, entry=5, term=72, history=None):
-    return LoanRecord(
-        loan_id=loan_id, apr_pct=apr, original_amount=Decimal("20000"),
-        original_term=term, loan_age_at_entry=entry, has_coborrower=False,
-        income_verification="stated_not_verified", subvention=False,
-        vehicle_condition="used", initial_status="current",
-        recovered_amount=Decimal("0"), history=history,
-    )
+def payment_rows(tape):
+    """The tape's payment rows as (balance or None, payment, principal) in currency units."""
+    p = tape.payments
+    balance, payment, principal = (
+        [c if isinstance(c, Decimal) else Decimal(c).scaleb(-2) for c in column.tolist()]
+        for column in (p.balance, p.payment, p.principal))
+    balance = [None if gone else b for b, gone in zip(balance, p.balance_missing.tolist())]
+    return list(zip(balance, payment, principal))
+
+
+def rows(balance, payment, principal):
+    """The payment rows `payment_rows` reads back for one loan's history."""
+    return [tuple(map(money, cells)) for cells in zip(balance, payment, principal)]
+
+
+REPAID = ([300, 200, 100, 0], [110, 110, 110, 0], [100, 100, 100, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +156,6 @@ def test_amounts_given_as_numbers_match_decimals(number):
     # 0.1 + 0.2 falls short of 0.3 in binary, not as amounts
     sums = PaymentHistory(balance=(10.3,), payment=(0.3,), principal=(0.1,))
     assert determine_outcome(sums, pad=10.2).kind is OutcomeKind.REPAID
-    rec = conforming_record(history=PaymentHistory(balance=(500, 400), payment=(50, 50),
-                                                   principal=(5, 5)))
-    rec.original_amount, rec.recovered_amount = 20000, 0
-    assert filter_loans([rec]) == [rec]
-    assert [(o.exit_age, o.cause) for o in build_observations([rec])] == [(7, None)]
     with pytest.raises(ValueError, match="non-finite amount"):
         determine_outcome(PaymentHistory(balance=(500,), payment=(50,),
                                          principal=(float("nan"),)))
@@ -209,72 +209,87 @@ def test_band_labels_round_trip():
 # filtering
 
 
-def test_filter_excludes_each_dimension():
-    base = conforming_record(history=hist([100], [50], [50]))
-    assert filter_loans([base]) == [base]
-
-    import dataclasses
-
-    def variant(**kw):
-        return dataclasses.replace(base, **kw)
-
-    rejected = [
-        variant(has_coborrower=True),
-        variant(income_verification="verified"),
-        variant(subvention=True),
-        variant(vehicle_condition="new"),
-        variant(initial_status="repossessed"),
-        variant(loan_age_at_entry=18),   # boundary is exclusive
-        variant(original_term=60),
-    ]
-    for rec in rejected:
-        assert filter_loans([rec]) == []
-    assert filter_loans([variant(loan_age_at_entry=17)]) == [variant(loan_age_at_entry=17)]
-    assert filter_loans([variant(original_term=73)]) == [variant(original_term=73)]
+# loan_id: (fields changed from a conforming loan, kept by the default policy)
+FILTER_CASES = {
+    "base": ({}, True),
+    "coborrower": ({"has_coborrower": "true"}, False),
+    "verified": ({"income_verification": "verified"}, False),
+    "subvented": ({"subvention": "true"}, False),
+    "new": ({"vehicle_condition": "new"}, False),
+    "repossessed": ({"initial_status": "repossessed"}, False),
+    "age17": ({"loan_age_at_entry": 17}, True),
+    "age18": ({"loan_age_at_entry": 18}, False),  # the entry-age bound is exclusive
+    "term71": ({"original_term": 71}, False),
+    "term73": ({"original_term": 73}, True),
+    "term74": ({"original_term": 74}, False),
+}
 
 
-def test_filter_integrity_rules():
-    # outcome indeterminable: principal short of first balance AND last balance missing
-    murky = conforming_record(history=hist([500, None], [50, 50], [5, 5]))
-    assert filter_loans([murky]) == []
-    # same shortfall but the final balance is reported: kept
-    clear = conforming_record(history=hist([500, 400], [50, 50], [5, 5]))
-    assert filter_loans([clear]) == [clear]
-    # missing first balance: dropped
-    blind = conforming_record(history=hist([None, 400], [50, 50], [5, 5]))
-    assert filter_loans([blind]) == []
+def test_filter_excludes_each_dimension(tmp_path):
+    loans = {loan_id: changes for loan_id, (changes, _) in FILTER_CASES.items()}
+    tape = load_loan_data(*write_tape(tmp_path, loans,
+                                      dict.fromkeys(loans, ([100], [50], [50]))))
+    kept = filter_loans(tape)
+    assert kept.loan_id.tolist() == [k for k, (_, ok) in FILTER_CASES.items() if ok]
+    assert kept.loan_age_at_entry.tolist() == [5, 17, 5]
+    assert [o.loan_id for o in build_observations(tape)] == ["age17", "base", "term73"]
 
 
-def test_filter_policy_overrides():
-    rec = conforming_record(history=hist([100], [50], [50]))
-    new_policy = FilterPolicy(vehicle_condition="new")
-    assert filter_loans([rec], new_policy) == []
+def test_filter_integrity_rules(tmp_path):
+    histories = {
+        # outcome indeterminable: principal short of first balance AND last balance missing
+        "murky": ([500, None], [50, 50], [5, 5]),
+        # same shortfall but the final balance is reported: kept
+        "clear": ([500, 400], [50, 50], [5, 5]),
+        # missing first balance: dropped
+        "blind": ([None, 400], [50, 50], [5, 5]),
+        # final balance missing, but the principal paid covers the first: kept
+        "paid": ([100, None], [50, 50], [50, 50]),
+    }
+    loans = dict.fromkeys([*histories, "orphan"], {})
+    kept = filter_loans(load_loan_data(*write_tape(tmp_path, loans, histories)))
+    # a loan without payment rows passes the filter; build_observations rejects it
+    assert kept.loan_id.tolist() == ["clear", "paid", "orphan"]
+    assert kept.segment.tolist() == [1, 3, -1]
+
+
+def test_filter_policy_overrides(tmp_path):
+    loans = {"used": {}, "new": {"vehicle_condition": "new"},
+             "verified": {"income_verification": "verified"},
+             "repossessed": {"initial_status": "repossessed"},
+             "late": {"loan_age_at_entry": 20}, "short": {"original_term": 60}}
+    tape = load_loan_data(*write_tape(tmp_path, loans, dict.fromkeys(loans, ([100], [50], [50]))))
+    for policy, kept in [
+        (FilterPolicy(), ["used"]),
+        (FilterPolicy(vehicle_condition="new"), ["new"]),
+        (FilterPolicy(income_verification="verified"), ["verified"]),
+        (FilterPolicy(excluded_initial_status=()), ["used", "repossessed"]),
+        (FilterPolicy(max_entry_age=21), ["used", "late"]),
+        (FilterPolicy(allowed_terms=(60,)), ["short"]),
+    ]:
+        assert filter_loans(tape, policy).loan_id.tolist() == kept
 
 
 # ---------------------------------------------------------------------------
 # coordinate mapping
 
 
-def test_to_observation_index_arithmetic():
-    rec = conforming_record(entry=6, history=hist([500] * 10, [50] * 10, [5] * 10))
-    obs = to_observation(rec, LoanOutcome(OutcomeKind.DEFAULTED, 10))
-    assert (obs.entry_age, obs.exit_age) == (7, 16)
-    assert obs.observed_event and obs.cause is Cause.DEFAULT
-
-    rec0 = conforming_record(entry=0, history=hist([500] * 52, [50] * 52, [5] * 52))
-    obs0 = to_observation(rec0, LoanOutcome(OutcomeKind.CENSORED, 52))
-    assert (obs0.entry_age, obs0.exit_age) == (1, 52)
-    assert not obs0.observed_event and obs0.cause is None
-
-    first = to_observation(rec0, LoanOutcome(OutcomeKind.REPAID, 1))
-    assert first.entry_age == first.exit_age == 1
-    assert first.cause is Cause.PREPAY
-
-
-def test_to_observation_rejects_overlong_month():
-    rec = conforming_record(history=hist([500] * 3, [50] * 3, [5] * 3))
-    with pytest.raises(ValueError):
-        to_observation(rec, LoanOutcome(OutcomeKind.CENSORED, 4))
+def test_observation_index_arithmetic(tmp_path):
+    loans = {"late": {"loan_age_at_entry": 6}, "new": {"loan_age_at_entry": 0},
+             "quick": {"loan_age_at_entry": 0}}
+    histories = {
+        "late": ([500] * 12, [50] * 9 + [0] * 3, [5] * 9 + [0] * 3),  # default in month 10
+        "new": ([500] * 52, [50] * 52, [5] * 52),  # censored after 52 months
+        "quick": ([500], [500], [500]),  # repaid in month 1
+    }
+    obs = {o.loan_id: o for o in build_observations(
+        load_loan_data(*write_tape(tmp_path, loans, histories)))}
+    assert (obs["late"].entry_age, obs["late"].exit_age) == (7, 16)
+    assert obs["late"].observed_event and obs["late"].cause is Cause.DEFAULT
+    assert (obs["new"].entry_age, obs["new"].exit_age) == (1, 52)
+    assert not obs["new"].observed_event and obs["new"].cause is None
+    assert obs["quick"].entry_age == obs["quick"].exit_age == 1
+    assert obs["quick"].cause is Cause.PREPAY
 
 
 def test_observation_invariants():
@@ -286,16 +301,14 @@ def test_observation_invariants():
         ObservedLoan(entry_age=1, exit_age=4, observed_event=False, cause=Cause.DEFAULT)
 
 
-def test_build_observations_sorted_and_strict():
-    recs = [
-        conforming_record("B", history=hist([300, 200, 100, 0], [110] * 3 + [0],
-                                            [100] * 3 + [0])),
-        conforming_record("A", history=hist([400], [50], [5])),
-    ]
-    obs = build_observations(recs)
+def test_build_observations_sorted_and_strict(tmp_path):
+    histories = {"B": REPAID, "A": ([400], [50], [5])}
+    obs = build_observations(load_loan_data(*write_tape(tmp_path, dict.fromkeys(histories, {}),
+                                                        histories)))
     assert [o.loan_id for o in obs] == ["A", "B"]
-    with pytest.raises(SchemaError):
-        build_observations([conforming_record("C", history=None)])
+    tape = load_loan_data(*write_tape(tmp_path, {"B": {}, "C": {}}, {"B": REPAID}))
+    with pytest.raises(SchemaError, match="loan C has no payment history"):
+        build_observations(tape)
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +316,18 @@ def test_build_observations_sorted_and_strict():
 
 
 def test_loan_csv_round_trip(tmp_path):
-    records = [
-        conforming_record("L1", apr=22.65,
-                          history=hist([300, 200, 100, 0], [110, 110, 110, 0],
-                                       [100, 100, 100, 0])),
-        conforming_record("L2", apr=3.59,
-                          history=hist([500, None, 500], [110, 0, 110], [10, 0, 10])),
-    ]
-    loans = tmp_path / "loans.csv"
-    payments = tmp_path / "payments.csv"
-    write_loans_csv(loans, records)
-    write_payments_csv(payments, records)
-    back = load_loan_data(loans, payments)
-    assert build_observations(back) == build_observations(records)
-    assert back[0].original_amount == records[0].original_amount  # exact decimal
-    assert back[1].history.balance[1] is None
+    histories = {"L1": REPAID, "L2": ([500, None, 500], [110, 0, 110], [10, 0, 10])}
+    back = load_loan_data(*write_tape(
+        tmp_path, {"L1": {"apr_pct": 22.65, "original_amount": "20000.05"},
+                   "L2": {"apr_pct": 3.59, "recovered_amount": "1234.5"}}, histories))
+    assert list(build_observations(back)) == [
+        ObservedLoan(entry_age=6, exit_age=9, observed_event=True, cause=Cause.PREPAY,
+                     loan_id="L1", band=RiskBand.DEEP_SUBPRIME),
+        ObservedLoan(entry_age=6, exit_age=8, observed_event=False, cause=None,
+                     loan_id="L2", band=RiskBand.SUPER_PRIME)]
+    assert back.original_amount.tolist() == [2000005, 2000000]  # exact cents
+    assert back.recovered_amount.tolist() == [0, 123450]
+    assert payment_rows(back) == rows(*histories["L1"]) + rows(*histories["L2"])
 
 
 def test_observation_csv_round_trip(tmp_path):
@@ -382,25 +392,6 @@ def loan_histories(draw):
     return loans
 
 
-def write_tape(directory, loans):
-    with open(directory / "loans.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_loan_header()) + "\n")
-        for loan_id, age, _, _ in loans:
-            fh.write(f"{loan_id},12.5,20000,72,{age},false,stated_not_verified,"
-                     f"false,used,current,0\n")
-    with open(directory / "payments.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("loan_id,trust_month,balance,payment,principal\n")
-        for loan_id, _, _, (bal, pmt, prc) in loans:
-            for m in range(len(bal)):
-                fh.write(f"{loan_id},{m + 1},{bal[m]},{pmt[m]},{prc[m]}\n")
-
-
-def _loan_header():
-    return ["loan_id", "apr_pct", "original_amount", "original_term",
-            "loan_age_at_entry", "has_coborrower", "income_verification",
-            "subvention", "vehicle_condition", "initial_status", "recovered_amount"]
-
-
 @settings(max_examples=80, deadline=None)
 @given(loan_histories(), st.sampled_from([Decimal("10"), Decimal("0"), Decimal("10.005")]))
 def test_segment_classifier_matches_decimal_oracle(loans, pad):
@@ -416,68 +407,60 @@ def test_segment_classifier_matches_decimal_oracle(loans, pad):
                                          loan_id=loan_id, band=RiskBand.NEAR_PRIME))
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        write_tape(directory, loans)
-        tape = load_loan_data(directory / "loans.csv", directory / "payments.csv")
+        tape = load_loan_data(*write_tape(
+            directory, {loan_id: {"loan_age_at_entry": age} for loan_id, age, _, _ in loans},
+            {loan_id: cells for loan_id, _, _, cells in loans}))
         assert list(build_observations(tape, pad=pad)) == expected
 
 
 def test_money_cells_keep_exact_values(tmp_path):
-    loans = [("L1", 3, None, [["100.00", "1.5E+1", ""], ["5", "0.005", "0"],
-                              ["90.00", "+.50", "0.001"]])]
-    write_tape(tmp_path, loans)
-    back = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")[0].history
-    assert back.balance == (Decimal("100"), Decimal("15"), None)
-    assert back.payment == (Decimal("5"), Decimal("0.005"), Decimal("0"))
-    assert back.principal == (Decimal("90"), Decimal("0.5"), Decimal("0.001"))
+    cells = (["100.00", "1.5E+1", ""], ["5", "0.005", "0"], ["90.00", "+.50", "0.001"])
+    back = load_loan_data(*write_tape(tmp_path, {"L1": {}}, {"L1": cells}))
+    assert back.payments.payment.dtype == object  # a mil is not whole cents
+    assert payment_rows(back) == [(Decimal("100"), Decimal("5"), Decimal("90")),
+                                  (Decimal("15"), Decimal("0.005"), Decimal("0.5")),
+                                  (None, Decimal("0"), Decimal("0.001"))]
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "sNaN"])
 def test_non_finite_money_is_located_schema_error(tmp_path, cell):
-    write_tape(tmp_path, [("L1", 3, None, [["100", "50"], ["10", "10"], ["10", cell]])])
+    paths = write_tape(tmp_path, {"L1": {}}, {"L1": (["100", "50"], ["10", "10"], ["10", cell])})
     with pytest.raises(SchemaError, match=r"payments\.csv:3: column 'principal' has "
                                           r"non-finite value"):
-        load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
+        load_loan_data(*paths)
 
 
 def test_reader_handles_quotes_crlf_and_blank_lines(tmp_path):
-    rec = conforming_record("L,1", history=hist([300, 200, 100, 0], [110, 110, 110, 0],
-                                                 [100, 100, 100, 0]))
-    write_loans_csv(tmp_path / "loans.csv", [rec])  # the id needs quoting
-    write_payments_csv(tmp_path / "payments.csv", [rec])
-    quoted = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
-    assert list(build_observations(quoted)) == list(build_observations([rec]))
+    paths = write_tape(tmp_path, {"L,1": {}}, {"L,1": REPAID})  # the id needs quoting
+    assert '"L,1"' in paths[0].read_text()
+    assert list(build_observations(load_loan_data(*paths))) == [
+        ObservedLoan(entry_age=6, exit_age=9, observed_event=True, cause=Cause.PREPAY,
+                     loan_id="L,1", band=RiskBand.NEAR_PRIME)]
 
-    plain = conforming_record("L1", history=rec.history)
-    write_loans_csv(tmp_path / "loans.csv", [plain])
-    write_payments_csv(tmp_path / "payments.csv", [plain])
-    text = (tmp_path / "payments.csv").read_text().replace("\r\n", "\n")
-    (tmp_path / "payments.csv").write_text(text.replace("\n", "\r\n\r\n", 2),
-                                           newline="")
-    back = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
-    assert back[0].history == plain.history
-    (tmp_path / "payments.csv").write_text(text.replace("\n", "\r"), newline="")
-    back = load_loan_data(tmp_path / "loans.csv", tmp_path / "payments.csv")
-    assert back[0].history == plain.history
+    loans, payments = write_tape(tmp_path, {"L1": {}}, {"L1": REPAID})
+    text = payments.read_text()
+    payments.write_text(text.replace("\n", "\r\n\r\n", 2), newline="")
+    assert payment_rows(load_loan_data(loans, payments)) == rows(*REPAID)
+    payments.write_text(text.replace("\n", "\r"), newline="")
+    assert payment_rows(load_loan_data(loans, payments)) == rows(*REPAID)
 
 
 def test_reader_ignores_extra_fields_and_rejects_short_rows(tmp_path):
-    rec = conforming_record("L1", history=hist([300, 200], [110, 110], [100, 100]))
-    write_loans_csv(tmp_path / "loans.csv", [rec])
-    payments = tmp_path / "payments.csv"
+    loans, payments = write_tape(tmp_path, {"L1": {}}, {})
+    expected = rows([300, 200], [110, 110], [100, 100])
     payments.write_text("loan_id,trust_month,balance,payment,principal\n"
                         "L1,1,300,110,100,extra,\nL1,2,200,110,100\n", encoding="utf-8")
-    back = load_loan_data(tmp_path / "loans.csv", payments)  # extra fields are ignored
-    assert back[0].history == rec.history
+    assert payment_rows(load_loan_data(loans, payments)) == expected  # extra fields are ignored
     reordered = tmp_path / "reordered.csv"
     reordered.write_text("principal,note,trust_month,payment,balance,loan_id\n"
                          "100,x,2,110,200,L1\n100,y,1,110,300,L1\n", encoding="utf-8")
-    assert load_loan_data(tmp_path / "loans.csv", reordered)[0].history == rec.history
+    assert payment_rows(load_loan_data(loans, reordered)) == expected
     payments.write_text(payments.read_text().replace("L1,2,200,110,100", "L1,2,200,110"))
     with pytest.raises(SchemaError, match=r"payments\.csv:3: expected 5 fields, found 4"):
-        load_loan_data(tmp_path / "loans.csv", payments)
+        load_loan_data(loans, payments)
     payments.write_text(payments.read_text().replace("extra", '"quoted"'))
     with pytest.raises(SchemaError, match=r"payments\.csv:3: expected 5 fields, found 4"):
-        load_loan_data(tmp_path / "loans.csv", payments)
+        load_loan_data(loans, payments)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -500,8 +483,7 @@ def test_observation_row_errors_carry_location(tmp_path, row, message):
     ("12.5", "0", "column 'original_amount' must be positive"),
 ])
 def test_loan_attribute_errors_carry_location(tmp_path, apr, amount, message):
-    write_tape(tmp_path, [("L1", 3, None, [["100"], ["10"], ["10"]])])
-    loans = tmp_path / "loans.csv"
-    loans.write_text(loans.read_text().replace(",12.5,20000,", f",{apr},{amount},"))
+    paths = write_tape(tmp_path, {"L1": {"apr_pct": apr, "original_amount": amount}},
+                       {"L1": (["100"], ["10"], ["10"])})
     with pytest.raises(SchemaError, match=rf"loans\.csv:2: {re.escape(message)}"):
-        load_loan_data(loans, tmp_path / "payments.csv")
+        load_loan_data(*paths)

@@ -155,6 +155,10 @@ def test_fit_input_validation():
         fit_gamma_kernel(np.arange(0.0, 10.0), np.ones(10))
     with pytest.raises(ValueError, match="no positive values"):
         fit_gamma_kernel(x, np.zeros(30))
+    y = exact_kernel(x, 0.1, 3.0, 6.0)
+    for kwargs in ({"restarts": 0}, {"restarts": -2}, {"budget": 0}, {"budget": -100}):
+        with pytest.raises(ValueError, match=rf"{next(iter(kwargs))} must be >= 1"):
+            fit_gamma_kernel(x, y, **kwargs)
 
 
 def test_fit_budget_exhaustion_reports_best_so_far():
