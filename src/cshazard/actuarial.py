@@ -270,16 +270,21 @@ def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
 
 def remaining_payments(balance: float, payment: float, rate: float) -> int:
     """Number of payments needed to clear `balance`, final fraction rounded up."""
-    if balance <= 0:
-        raise ValueError("balance must be positive")
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
+    if not (math.isfinite(balance) and balance > 0):
+        raise ValueError(f"balance must be finite and positive, got {balance}")
+    if not (math.isfinite(payment) and payment > 0):
+        raise ValueError(f"payment must be finite and positive, got {payment}")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and >= 0, got {rate}")
     if rate == 0:
         raw = balance / payment
     else:
         if payment <= balance * rate:
             raise ValueError("payment does not cover interest; loan never amortizes")
         raw = -math.log(1.0 - balance * rate / payment) / math.log1p(rate)
+    if not math.isfinite(raw):
+        raise ValueError(f"payment {payment} is too small to count the payments "
+                         f"that clear balance {balance}")
     return math.ceil(raw - _CEIL_GUARD)
 
 
@@ -344,6 +349,9 @@ def savings_from_apr(balance: float, old_payment: float, old_apr_pct: float,
     the nominal monthly new rate (APR/12), the rate a contract actually
     accrues at.  Mixing the two is what reproduces observed quote sheets.
     """
+    for name, apr in (("old_apr_pct", old_apr_pct), ("new_apr_pct", new_apr_pct)):
+        if not (math.isfinite(apr) and apr >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {apr}")
     if new_apr_pct >= old_apr_pct:
         raise ValueError("refinance APR must be below the current APR")
     n = remaining_payments(balance, old_payment, effective_monthly_rate(old_apr_pct))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NumericalError
 
@@ -167,7 +166,8 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
 
     Parameters are optimized in log space (so they stay positive) from a
     log-linear warm start plus seeded random perturbations; the evaluation
-    budget is split across restarts.  The best (residual, restart index)
+    budget is split evenly across restarts (budget // restarts each, so no
+    more than budget evaluations run).  The best (residual, restart index)
     wins, keeping the reduction deterministic.  Values may dip slightly
     below zero (smoothers overshoot near the baseline); least squares
     handles that, only a curve with no positive mass is rejected.
@@ -184,6 +184,12 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if budget < restarts:
+        raise ValueError(f"budget must be >= restarts, got budget {budget} "
+                         f"and restarts {restarts}")
+    # Deferred: scipy.optimize is most of the package's import time, and
+    # only this fit uses it.
+    from scipy.optimize import minimize
 
     def objective(log_params: np.ndarray) -> float:
         c, k, theta = np.exp(np.clip(log_params, -50.0, 50.0))
@@ -203,7 +209,7 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
     for _ in range(restarts - 1):
         starts.append(seed_point + rng.normal(scale=0.5, size=3))
 
-    per_start = max(budget // restarts, 100)
+    per_start = budget // restarts
     best = None
     best_key = None
     any_converged = False

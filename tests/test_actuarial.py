@@ -267,6 +267,16 @@ def test_remaining_payments_examples():
         remaining_payments(1000, 5, 0.01)  # payment below interest
     with pytest.raises(ValueError):
         remaining_payments(0, 100, 0.01)
+    for args, named in (((1000, -5, 0.0), "payment"), ((1000, 0, 0.0), "payment"),
+                        ((1000, math.nan, 0.01), "payment"),
+                        ((1000, math.inf, 0.01), "payment"),
+                        ((math.inf, 100, 0.01), "balance"),
+                        ((math.nan, 100, 0.01), "balance"),
+                        ((1000, 100, math.nan), "rate"), ((1000, 100, -0.01), "rate")):
+        with pytest.raises(ValueError, match=rf"^{named} must be finite"):
+            remaining_payments(*args)
+    with pytest.raises(ValueError, match="payment 1e-320 is too small"):
+        remaining_payments(1000, 1e-320, 0.0)  # 1000 / 1e-320 overflows
 
 
 def test_refinance_savings_formula_contract():

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -508,6 +509,26 @@ def test_savings_rejects_bad_discount_rate(tmp_path, capsys, rate):
     assert not (tmp_path / "out" / "savings.csv").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--payment", "0", "--old-apr", "0", "--new-apr", "-1"], "new_apr_pct must be finite"),
+    (["--payment", "0", "--old-apr", "5", "--new-apr", "3"], "payment must be finite"),
+    (["--payment", "-5", "--old-apr", "5", "--new-apr", "3"], "payment must be finite"),
+    (["--payment", "nan", "--old-apr", "22.37", "--new-apr", "3.59"], "got nan"),
+    (["--payment", "inf", "--old-apr", "22.37", "--new-apr", "3.59"], "got inf"),
+    (["--payment", "360", "--old-apr", "nan", "--new-apr", "3.59"], "old_apr_pct"),
+    (["--payment", "360", "--old-apr", "inf", "--new-apr", "3.59"], "old_apr_pct"),
+    (["--payment", "360", "--old-apr", "22.37", "--new-apr=-inf"], "new_apr_pct"),
+    (["--payment", "360", "--old-apr", "-150", "--new-apr", "-200"], "old_apr_pct"),
+])
+def test_savings_rejects_bad_inputs(tmp_path, capsys, flags, named):
+    rc = cli.main(["savings", "--balance", "1000", *flags,
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out" / "savings.csv").exists()
+
+
 # ---------------------------------------------------------------- recovery
 
 def write_recoveries_csv(path):
@@ -571,6 +592,16 @@ def test_recovery_input_errors(tmp_path, capsys):
     empty.write_text("age,recovery\n")
     assert cli.main(["recovery", str(empty),
                      "--output-dir", str(tmp_path / "out")]) == 3
+
+
+def test_recovery_budget_below_restarts(tmp_path, capsys):
+    src = tmp_path / "recoveries.csv"
+    write_recoveries_csv(src)
+    assert cli.main(["recovery", str(src), "--budget", "3", "--restarts", "5",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: budget must be >= restarts, got budget 3 and restarts 5\n")
+    assert not (tmp_path / "out" / "recovery_fit.json").exists()
 
 
 # ---------------------------------------------------------------- simulate
@@ -735,6 +766,31 @@ def test_console_script_reports_version():
     out = subprocess.run([*cmd, "--version"],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == f"cshazard {cshazard.__version__}"
+
+
+COLD_START = """
+import sys
+import cshazard
+from cshazard import cli
+cli.build_parser()
+out = sys.argv[1]
+assert cli.main(["savings", "--balance", "7485", "--payment", "360",
+                 "--old-apr", "22.37", "--new-apr", "3.59", "--output-dir", out]) == 0
+assert cli.main(["simulate", "--n", "200", "--r", "2", "--output-dir", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # scipy.optimize is most of the import time of the package, and only
+    # the recovery fit needs it; every other subcommand must run without it.
+    src = Path(__file__).parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "savings.csv").exists() and (tmp_path / "study.csv").exists()
 
 
 def test_module_entry_point_runs(tmp_path):

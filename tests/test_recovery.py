@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hump_observations
+from cshazard import recovery
 from cshazard.recovery import (
     GammaKernelFit,
     RecoveryFitError,
@@ -170,6 +171,23 @@ def test_fit_budget_exhaustion_reports_best_so_far():
     assert isinstance(best, GammaKernelFit)
     assert best.c > 0 and best.k > 0 and best.theta > 0
     assert np.isfinite(best.residual)
+
+
+def test_fit_runs_no_more_than_its_budget(monkeypatch):
+    pairs, _ = hump_observations()
+    pts = recovery_points(pairs)
+    calls = []
+
+    def counted(x, c, k, theta):
+        calls.append(1)
+        return exact_kernel(x, c, k, theta)
+
+    monkeypatch.setattr(recovery, "_kernel", counted)
+    for budget, restarts in ((50, 2), (150, 2), (7, 7)):
+        calls.clear()
+        with pytest.raises(RecoveryFitError, match=rf"\({budget} evaluations\)"):
+            fit_gamma_kernel(pts.ages, pts.mean, restarts=restarts, budget=budget)
+        assert 0 < len(calls) <= budget
 
 
 def test_fit_is_deterministic():
