@@ -37,7 +37,6 @@ from .ingest import (
     LoanOutcome,
     LoanTape,
     ObservationTable,
-    ObservedLoan,
     OutcomeKind,
     PaymentHistory,
     RiskBand,
@@ -92,7 +91,6 @@ __all__ = [
     "PaymentHistory",
     "LoanOutcome",
     "OutcomeKind",
-    "ObservedLoan",
     "ObservationTable",
     "FilterPolicy",
     "classify_risk_band",

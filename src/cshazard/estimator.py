@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import IncompatibleInputsError, SchemaError
-from .ingest import ObservationTable, RiskBand
+from .ingest import ObservationTable
 from .riskmodel import Cause
 
 __all__ = [
@@ -157,13 +157,10 @@ def normal_quantile(p: float) -> float:
 # Counting and curve construction
 
 
-def observations_to_arrays(observations):
-    """(entry, exit_age, event, is_default): the arrays the kernels consume.
-
-    Takes an ObservationTable or an iterable of ObservedLoan.
-    """
-    table = ObservationTable.of(observations)
-    return table.entry_age, table.exit_age, table.event, table.cause == Cause.DEFAULT.value
+def observations_to_arrays(observations: ObservationTable):
+    """(entry, exit_age, event, is_default): the arrays the kernels consume."""
+    return (observations.entry_age, observations.exit_age, observations.event,
+            observations.cause == Cause.DEFAULT.value)
 
 
 def _variance(events: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
@@ -212,7 +209,7 @@ def curve_from_counts(band: str, cause: Cause | None, n: int, ages, events,
     )
 
 
-def estimate_csh(observations, cause: Cause | None,
+def estimate_csh(observations: ObservationTable, cause: Cause | None,
                  age_range: tuple[int, int] | None = None,
                  band: str = "", theta: float = DEFAULT_THETA) -> HazardCurve:
     """Estimate the cause-specific hazard curve from observations.
@@ -326,8 +323,9 @@ _CURVE_NUMBERS = {"age": 0.0, "events": 0.0, "at_risk": 0.0, "hazard": np.nan, "
 def read_curve_csv(path: str | Path) -> HazardCurve:
     """Read one curve: every row is complete and carries the first row's band
     and cause, ages strictly increase, and numeric cells are numbers or empty
-    (whole numbers in the count, age and flag columns).  The first row
-    breaking a rule is a SchemaError located by file and line."""
+    (whole numbers in the count, age and flag columns).  Each row has
+    0 <= events <= at_risk, at_risk >= 1 and a hazard in [0, 1].  The first
+    row breaking a rule is a SchemaError located by file and line."""
     where = str(path)
     first = prev = None
     values = []
@@ -352,6 +350,15 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
                     raise SchemaError(
                         f"{line}: column {name}: {raw!r} is not a valid {kind}") from None
                 numbers.append(value)
+            events, at_risk, hazard = numbers[1:4]
+            for bad, problem in ((events < 0, f"events {row['events']} is negative"),
+                                 (at_risk < 1, f"at_risk {row['at_risk']} is below 1"),
+                                 (events > at_risk, f"events {row['events']} exceed "
+                                                    f"at_risk {row['at_risk']}"),
+                                 (not 0.0 <= hazard <= 1.0,
+                                  f"hazard {row['hazard']!r} is not a number in [0, 1]")):
+                if bad:
+                    raise SchemaError(f"{line}: {problem}")
             if first is None:
                 first = row
             elif (row["band"], row["cause"]) != (first["band"], first["cause"]):
@@ -374,13 +381,6 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
         at_risk=at_risk.astype(np.int64), hazard=hazard, variance=variance,
         ci_lo=ci_lo, ci_hi=ci_hi, interpolated=interpolated.astype(np.bool_),
     )
-
-
-def split_by_band(observations) -> dict[RiskBand, ObservationTable]:
-    """Group observations by their risk band (observations lacking one are skipped)."""
-    table = ObservationTable.of(observations)
-    return {RiskBand(code): table.take(table.band == code)
-            for code in np.unique(table.band).tolist() if code >= 0}
 
 
 def check_shared_grid(curve_a: HazardCurve, curve_b: HazardCurve) -> np.ndarray:

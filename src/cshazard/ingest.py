@@ -12,9 +12,9 @@ which loans are held: column arrays whose payment rows are sorted by (loan,
 trust month), so each loan's history is one contiguous segment.  The
 eligibility, integrity and outcome rules run once over all segments as
 array operations, and the result is an `ObservationTable` of parallel
-arrays.  `ObservedLoan` is its row view, and lists of observations are
-accepted wherever a table is.  `PaymentHistory` and `determine_outcome`
-classify a single loan with the same rules.
+arrays, the one form in which observations pass between layers.
+`PaymentHistory` and `determine_outcome` classify a single loan with the
+same rules.
 
 Monetary fields are exact: a plain decimal cell with at most two fraction
 digits is read straight into integer cents, any other cell is parsed with
@@ -45,7 +45,6 @@ __all__ = [
     "PaymentHistory",
     "OutcomeKind",
     "LoanOutcome",
-    "ObservedLoan",
     "ObservationTable",
     "FilterPolicy",
     "classify_risk_band",
@@ -151,36 +150,12 @@ _CENSORED = 0
 _KIND_OF_CODE = {Cause.DEFAULT.value: OutcomeKind.DEFAULTED,
                  Cause.PREPAY.value: OutcomeKind.REPAID, _CENSORED: OutcomeKind.CENSORED}
 
-_ENTRY_AFTER_EXIT = "entry_age must be <= exit_age"
-_EVENT_WITHOUT_CAUSE = "observed events must carry a cause"
-_CENSORED_WITH_CAUSE = "censored observations must not carry a cause"
-
-
-@dataclass(frozen=True)
-class ObservedLoan:
-    """One truncated/censored observation in loan-age coordinates."""
-
-    entry_age: int
-    exit_age: int
-    observed_event: bool
-    cause: Cause | None = None
-    loan_id: str = ""
-    band: RiskBand | None = None
-
-    def __post_init__(self) -> None:
-        if self.entry_age > self.exit_age:
-            raise ValueError(_ENTRY_AFTER_EXIT)
-        if self.observed_event and self.cause is None:
-            raise ValueError(_EVENT_WITHOUT_CAUSE)
-        if not self.observed_event and self.cause is not None:
-            raise ValueError(_CENSORED_WITH_CAUSE)
-
 
 def _row_problem(entry_age, exit_age, event, cause) -> tuple[int, str] | None:
-    """(first offending row, message) for the ObservedLoan invariants, or None."""
-    checks = ((entry_age > exit_age, _ENTRY_AFTER_EXIT),
-              (event & (cause == _CENSORED), _EVENT_WITHOUT_CAUSE),
-              (~event & (cause != _CENSORED), _CENSORED_WITH_CAUSE))
+    """(first offending row, message) for the observation row invariants, or None."""
+    checks = ((entry_age > exit_age, "entry_age must be <= exit_age"),
+              (event & (cause == _CENSORED), "observed events must carry a cause"),
+              (~event & (cause != _CENSORED), "censored observations must not carry a cause"))
     found = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
     return min(found, default=None)
 
@@ -194,7 +169,8 @@ class ObservationTable:
     """Observations as parallel arrays: what ingest, estimator and CLI pass on.
 
     `band` holds RiskBand values (-1: none) and `cause` holds Cause values
-    (0: censored).  Integer indexing and iteration yield ObservedLoan rows.
+    (0: censored).  The columns share one length and every row meets the
+    invariants of `_row_problem`.
     """
 
     loan_id: np.ndarray
@@ -213,35 +189,8 @@ class ObservationTable:
         if problem is not None:
             raise ValueError(problem[1])
 
-    @classmethod
-    def of(cls, observations) -> "ObservationTable":
-        """The observations as a table; a table is returned unchanged."""
-        if isinstance(observations, cls):
-            return observations
-        rows = list(observations)
-        return cls(
-            loan_id=[o.loan_id for o in rows],
-            band=[-1 if o.band is None else o.band.value for o in rows],
-            entry_age=[o.entry_age for o in rows],
-            exit_age=[o.exit_age for o in rows],
-            event=[o.observed_event for o in rows],
-            cause=[_CENSORED if o.cause is None else o.cause.value for o in rows],
-        )
-
     def __len__(self) -> int:
         return self.entry_age.size
-
-    def __getitem__(self, i: int) -> ObservedLoan:
-        band, cause = int(self.band[i]), int(self.cause[i])
-        return ObservedLoan(
-            entry_age=int(self.entry_age[i]), exit_age=int(self.exit_age[i]),
-            observed_event=bool(self.event[i]),
-            cause=Cause(cause) if cause != _CENSORED else None,
-            loan_id=self.loan_id[i], band=RiskBand(band) if band >= 0 else None,
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationTable):
@@ -836,8 +785,7 @@ _BAND_LABEL_OF = np.array([b.label for b in RiskBand] + [""], dtype=object)
 _CAUSE_LABEL_OF = np.array(["", Cause.DEFAULT.label, Cause.PREPAY.label], dtype=object)
 
 
-def write_observations_csv(path: str | Path, observations) -> None:
-    table = ObservationTable.of(observations)
+def write_observations_csv(path: str | Path, table: ObservationTable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_OBS_COLUMNS)

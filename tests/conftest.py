@@ -8,7 +8,7 @@ import pytest
 
 from cshazard import montecarlo as mc
 from cshazard.estimator import HazardCurve
-from cshazard.ingest import ObservedLoan, RiskBand
+from cshazard.ingest import ObservationTable, RiskBand
 from cshazard.riskmodel import Cause
 
 
@@ -30,11 +30,18 @@ def small_study(bench_dist, bench_trunc):
     return mc.run_study(config)
 
 
-def make_obs(loan_id, entry, exit_age, cause, band=RiskBand.NEAR_PRIME):
-    """Observation record shorthand; cause None means censored."""
-    return ObservedLoan(
-        loan_id=str(loan_id), band=band, entry_age=entry, exit_age=exit_age,
-        observed_event=cause is not None, cause=cause,
+def observation_table(rows):
+    """An ObservationTable from (loan_id, entry_age, exit_age, cause[, band]) rows.
+
+    cause None means censored; band defaults to near-prime, and None means none.
+    """
+    rows = [(*row, RiskBand.NEAR_PRIME)[:5] for row in rows]
+    return ObservationTable(
+        loan_id=[str(r[0]) for r in rows],
+        band=[-1 if r[4] is None else r[4].value for r in rows],
+        entry_age=[r[1] for r in rows], exit_age=[r[2] for r in rows],
+        event=[r[3] is not None for r in rows],
+        cause=[0 if r[3] is None else r[3].value for r in rows],
     )
 
 
@@ -76,12 +83,12 @@ def write_tape(directory, loans, histories):
 @pytest.fixture
 def four_loan_cohort():
     """Everyone enters at age 1; one default and one prepay at 2, censors at 3."""
-    return [
-        make_obs("a", 1, 2, Cause.DEFAULT),
-        make_obs("b", 1, 2, Cause.PREPAY),
-        make_obs("c", 1, 3, None),
-        make_obs("d", 1, 3, None),
-    ]
+    return observation_table([
+        ("a", 1, 2, Cause.DEFAULT),
+        ("b", 1, 2, Cause.PREPAY),
+        ("c", 1, 3, None),
+        ("d", 1, 3, None),
+    ])
 
 
 def curve_with_cis(band, ages, ci_lo, ci_hi, hazard=None, events=None,

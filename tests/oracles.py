@@ -26,21 +26,28 @@ def z_quantile(theta: float) -> float:
 # life table by explicit counting
 
 
+def _rows(observations):
+    """(entry_age, exit_age, event, cause code) per observation, as Python scalars."""
+    return zip(observations.entry_age.tolist(), observations.exit_age.tolist(),
+               observations.event.tolist(), observations.cause.tolist())
+
+
 def life_table(observations, cause, lo: int, hi: int):
     """Occurrence/exposure ratios by looping over every (loan, age) pair.
 
     Returns {age: (at_risk, events, hazard_or_None)} with hazard None when
     nobody is at risk.  cause None pools both causes.
     """
+    rows = list(_rows(observations))
     table = {}
     for x in range(lo, hi + 1):
         at_risk = 0
         events = 0
-        for obs in observations:
-            if obs.entry_age <= x <= obs.exit_age:
+        for entry_age, exit_age, event, code in rows:
+            if entry_age <= x <= exit_age:
                 at_risk += 1
-            if obs.observed_event and obs.exit_age == x:
-                if cause is None or obs.cause is cause:
+            if event and exit_age == x:
+                if cause is None or code == cause.value:
                     events += 1
         hazard = events / at_risk if at_risk > 0 else None
         table[x] = (at_risk, events, hazard)
@@ -161,12 +168,12 @@ def loop_study_counts(config):
     at_risk = np.zeros((r, width), dtype=np.int64)
     events = np.zeros((r, width, 2), dtype=np.int64)
     for rep in range(r):
-        for obs in simulate_cohort(config, rep):
+        for entry_age, exit_age, event, code in _rows(simulate_cohort(config, rep)):
             kept[rep] += 1
-            for x in range(max(obs.entry_age, lo), min(obs.exit_age, hi) + 1):
+            for x in range(max(entry_age, lo), min(exit_age, hi) + 1):
                 at_risk[rep, x - lo] += 1
-            if obs.observed_event and lo <= obs.exit_age <= hi:
-                events[rep, obs.exit_age - lo, 0 if obs.cause is Cause.DEFAULT else 1] += 1
+            if event and lo <= exit_age <= hi:
+                events[rep, exit_age - lo, 0 if code == Cause.DEFAULT.value else 1] += 1
     return kept, at_risk, events
 
 

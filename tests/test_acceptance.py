@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import hump_observations, make_obs, staged_band_set, STAGED_ONSETS
+from conftest import hump_observations, observation_table, staged_band_set, STAGED_ONSETS
 from oracles import enumerate_truncated, life_table, path_enumeration_rho
 from test_ingest import GOLDEN, hist
 from cshazard.actuarial import AmortizationSchedule, lifetime_return, savings_from_apr
@@ -145,16 +145,16 @@ def test_criterion_05_refinance_savings_rows():
 
 def dyadic_fixtures():
     """Cohorts whose per-age counts make the float hazard sum exact."""
-    four = [
-        make_obs("a", 1, 2, Cause.DEFAULT),
-        make_obs("b", 1, 2, Cause.PREPAY),
-        make_obs("c", 1, 3, None),
-        make_obs("d", 1, 3, None),
-    ]
-    eight = (
-        [make_obs(f"d{i}", 1, 1, Cause.DEFAULT) for i in range(2)]
-        + [make_obs(f"p{i}", 1, 1, Cause.PREPAY) for i in range(2)]
-        + [make_obs(f"c{i}", 1, 2, None) for i in range(4)]
+    four = observation_table([
+        ("a", 1, 2, Cause.DEFAULT),
+        ("b", 1, 2, Cause.PREPAY),
+        ("c", 1, 3, None),
+        ("d", 1, 3, None),
+    ])
+    eight = observation_table(
+        [(f"d{i}", 1, 1, Cause.DEFAULT) for i in range(2)]
+        + [(f"p{i}", 1, 1, Cause.PREPAY) for i in range(2)]
+        + [(f"c{i}", 1, 2, None) for i in range(4)]
     )
     return [four, eight]
 
@@ -166,8 +166,8 @@ def random_cohort(rng, n):
         exit_age = entry + int(rng.integers(0, 8))
         kind = rng.choice(["d", "p", "c"])
         cause = {"d": Cause.DEFAULT, "p": Cause.PREPAY, "c": None}[kind]
-        obs.append(make_obs(i, entry, exit_age, cause))
-    return obs
+        obs.append((i, entry, exit_age, cause))
+    return observation_table(obs)
 
 
 def test_criterion_06_estimator_identities():

@@ -1,6 +1,5 @@
 """End-to-end command-line pipeline: files in, files + manifests out."""
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import cshazard
-from conftest import curve_with_cis, hump_observations, make_obs, staged_curve, write_tape
+from conftest import (curve_with_cis, hump_observations, observation_table, staged_curve,
+                      write_tape)
 from cshazard import cli, ingest
 from cshazard.actuarial import (
     AmortizationSchedule,
@@ -23,7 +23,7 @@ from cshazard.actuarial import (
     nominal_monthly_rate,
 )
 from cshazard.estimator import read_curve_csv, write_curve_csv
-from cshazard.ingest import RiskBand, write_observations_csv
+from cshazard.ingest import ObservationTable, RiskBand, write_observations_csv
 from cshazard.montecarlo import (
     SimConfig,
     benchmark_distribution,
@@ -53,12 +53,12 @@ def write_portfolio(tmp, **changes):
 
 
 def four_loan_observations(tmp):
-    obs = [
-        make_obs("a", 1, 2, Cause.DEFAULT),
-        make_obs("b", 1, 2, Cause.PREPAY),
-        make_obs("c", 1, 3, None),
-        make_obs("d", 1, 3, None),
-    ]
+    obs = observation_table([
+        ("a", 1, 2, Cause.DEFAULT),
+        ("b", 1, 2, Cause.PREPAY),
+        ("c", 1, 3, None),
+        ("d", 1, 3, None),
+    ])
     path = tmp / "observations.csv"
     write_observations_csv(path, obs)
     return path
@@ -170,14 +170,14 @@ def test_estimate_theta_widens_interval(tmp_path):
 
 
 def test_estimate_interpolate_flag(tmp_path):
-    obs = [
-        make_obs("a", 1, 1, Cause.DEFAULT),
-        make_obs("b", 1, 2, Cause.PREPAY),
-        make_obs("c", 1, 3, Cause.DEFAULT),
-        make_obs("d", 1, 4, None),
-        make_obs("e", 1, 4, None),
-        make_obs("f", 1, 4, None),
-    ]
+    obs = observation_table([
+        ("a", 1, 1, Cause.DEFAULT),
+        ("b", 1, 2, Cause.PREPAY),
+        ("c", 1, 3, Cause.DEFAULT),
+        ("d", 1, 4, None),
+        ("e", 1, 4, None),
+        ("f", 1, 4, None),
+    ])
     path = tmp_path / "observations.csv"
     write_observations_csv(path, obs)
     for flags, name in (([], "plain.csv"), (["--interpolate"], "filled.csv")):
@@ -291,6 +291,8 @@ def test_converge_outputs_are_byte_stable(tmp_path):
     ("--bands=x,y", "--bands applies only to converge on an observations CSV"),
     ("--run=0", "run_length must be >= 1, got 0"),
     ("--run=-3", "run_length must be >= 1, got -3"),
+    ("--min-age=0", "min_test_age must be >= 1, got 0"),
+    ("--min-age=-5", "min_test_age must be >= 1, got -5"),
 ])
 def test_converge_curve_mode_usage_errors(tmp_path, capsys, flag, message):
     a, b = write_staged_pair(tmp_path)
@@ -301,13 +303,16 @@ def test_converge_curve_mode_usage_errors(tmp_path, capsys, flag, message):
 
 
 def test_converge_observations_mode(tmp_path):
+    import numpy as np
     cfg = SimConfig(dist=benchmark_distribution(), trunc=benchmark_truncation(),
                     n=1500, replicates=2, seed=3)
-    obs = []
-    for rep, band in ((0, RiskBand.DEEP_SUBPRIME), (1, RiskBand.PRIME)):
-        for i, o in enumerate(simulate_cohort(cfg, rep)):
-            obs.append(dataclasses.replace(o, loan_id=f"{band.name}-{i}",
-                                           band=band))
+    cohorts = [(band, simulate_cohort(cfg, rep))
+               for rep, band in ((0, RiskBand.DEEP_SUBPRIME), (1, RiskBand.PRIME))]
+    obs = ObservationTable(
+        loan_id=[f"{band.name}-{i}" for band, cohort in cohorts for i in range(len(cohort))],
+        band=np.concatenate([np.full(len(cohort), band.value) for band, cohort in cohorts]),
+        **{name: np.concatenate([getattr(cohort, name) for _, cohort in cohorts])
+           for name in ("entry_age", "exit_age", "event", "cause")})
     path = tmp_path / "observations.csv"
     write_observations_csv(path, obs)
     rc = cli.main(["converge", str(path), "--bands", "Deep Subprime,Prime",

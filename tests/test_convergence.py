@@ -235,11 +235,14 @@ def test_custom_run_length_and_min_age():
 
 def test_run_length_below_one_is_rejected():
     curves, _ = staged_band_set()
-    for run_length in (0, -3):
-        with pytest.raises(ValueError, match="run_length must be >= 1"):
-            convergence_point(curves["b0"], curves["b1"], run_length=run_length)
-        with pytest.raises(ValueError, match="run_length must be >= 1"):
-            transition_matrix(curves, run_length=run_length)
+    for bad, message in [({"run_length": 0}, "run_length must be >= 1"),
+                         ({"run_length": -3}, "run_length must be >= 1"),
+                         ({"min_test_age": 0}, "min_test_age must be >= 1"),
+                         ({"min_test_age": -5}, "min_test_age must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            convergence_point(curves["b0"], curves["b1"], **bad)
+        with pytest.raises(ValueError, match=message):
+            transition_matrix(curves, **bad)
     # a run of one: the first age from min_test_age whose intervals overlap
     assert convergence_point(curves["b0"], curves["b1"], run_length=1).convergence_month == 13
 
@@ -265,7 +268,7 @@ def curve_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(curve_sets(), st.integers(0, 18), st.integers(1, 3), st.randoms())
+@given(curve_sets(), st.integers(1, 18), st.integers(1, 3), st.randoms())
 def test_transition_matrix_matches_brute_force(curves, min_test_age, run_length, rnd):
     order = list(curves)
     rnd.shuffle(order)

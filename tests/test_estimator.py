@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_obs
+from conftest import observation_table
 from oracles import life_table, z_quantile
 
 from cshazard.errors import IncompatibleInputsError, SchemaError
@@ -23,10 +23,8 @@ from cshazard.estimator import (
     interpolate_zero_defaults,
     normal_quantile,
     read_curve_csv,
-    split_by_band,
     write_curve_csv,
 )
-from cshazard.ingest import RiskBand
 from cshazard.riskmodel import Cause
 
 # frozen from the closed-form CI derivation: e=10, a=50, theta=0.05,
@@ -47,7 +45,7 @@ def test_hand_counted_four_loan_cohort(four_loan_cohort):
 
 
 def test_no_events_means_zero_hazard(four_loan_cohort):
-    censored_only = [make_obs(i, 1, 3, None) for i in range(5)]
+    censored_only = observation_table([(i, 1, 3, None) for i in range(5)])
     curve = estimate_csh(censored_only, Cause.DEFAULT)
     assert np.all(curve.hazard == 0.0)
     assert np.all(np.isnan(curve.ci_lo))
@@ -125,7 +123,7 @@ def test_zero_at_risk_ages_are_absent(four_loan_cohort):
 
 def test_estimate_rejects_bad_inputs(four_loan_cohort):
     with pytest.raises(ValueError):
-        estimate_csh([], Cause.DEFAULT)
+        estimate_csh(observation_table([]), Cause.DEFAULT)
     with pytest.raises(ValueError):
         estimate_csh(four_loan_cohort, Cause.DEFAULT, age_range=(0, 5))
     with pytest.raises(ValueError):
@@ -171,8 +169,8 @@ def random_cohort(rng, n):
         exit_age = entry + int(rng.integers(0, 8))
         kind = rng.choice(["d", "p", "c"])
         cause = {"d": Cause.DEFAULT, "p": Cause.PREPAY, "c": None}[kind]
-        obs.append(make_obs(i, entry, exit_age, cause))
-    return obs
+        obs.append((i, entry, exit_age, cause))
+    return observation_table(obs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -204,10 +202,10 @@ def cohorts_and_windows(draw):
         entry = draw(st.integers(1, 15))
         exit_age = entry + draw(st.integers(0, 10))
         cause = draw(st.sampled_from([Cause.DEFAULT, Cause.PREPAY, None]))
-        obs.append(make_obs(i, entry, exit_age, cause))
+        obs.append((i, entry, exit_age, cause))
     lo = draw(st.integers(1, 28))
     hi = lo + draw(st.integers(0, 12))
-    return obs, lo, hi
+    return observation_table(obs), lo, hi
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,17 +248,6 @@ def test_cause_additivity_exact(seed):
     assert np.all(float_gap <= np.spacing(pooled.hazard))  # within 1 ulp
 
 
-def test_split_by_band():
-    cohort = [
-        make_obs("a", 1, 3, None, band=RiskBand.PRIME),
-        make_obs("b", 1, 4, Cause.DEFAULT, band=RiskBand.SUBPRIME),
-        make_obs("c", 2, 5, None, band=RiskBand.PRIME),
-    ]
-    groups = split_by_band(cohort)
-    assert {b.label for b in groups} == {"prime", "subprime"}
-    assert len(groups[RiskBand.PRIME]) == 2
-
-
 def test_curve_csv_round_trip(tmp_path, four_loan_cohort):
     curve = estimate_csh(four_loan_cohort, Cause.DEFAULT, band="subprime")
     path = tmp_path / "curve.csv"
@@ -287,10 +274,19 @@ CURVE_HEADER = "band,cause,age,events,at_risk,hazard,var,ci_lo,ci_hi,interpolate
      "age 2 does not follow age 2"),
     (["prime,default,2", "prime,default,1"], 3, "age 1 does not follow age 2"),
     (["prime,default,1", "prime,default"], 3, "row has fewer than 10 fields"),
+    (["prime,default,1", "prime,default,2,-3,-1,0.1,,,,0"], 3, "events -3 is negative"),
+    (["prime,default,1,0,0,0.0,,,,0"], 2, "at_risk 0 is below 1"),
+    (["prime,default,1", "prime,default,2,10,9,0.1,,,,0"], 3, "events 10 exceed at_risk 9"),
+    (["prime,default,1", "prime,default,2,1,9,,,,,0"], 3,
+     "hazard '' is not a number in [0, 1]"),
+    (["prime,default,1,1,9,nan,,,,0"], 2, "hazard 'nan' is not a number in [0, 1]"),
+    (["prime,default,1,1,9,1.5,,,,0"], 2, "hazard '1.5' is not a number in [0, 1]"),
 ])
 def test_curve_csv_rows_must_share_a_label_and_increase_in_age(tmp_path, rows, line, message):
+    # a row given as band, cause and age gets valid counts and hazard appended
     path = tmp_path / "curve.csv"
-    path.write_text("\n".join([CURVE_HEADER, *(r + ",1,9,0.1,,,,0" for r in rows)]) + "\n")
+    path.write_text("\n".join([CURVE_HEADER, *(r if r.count(",") == 9 else r + ",1,9,0.1,,,,0"
+                                                for r in rows)]) + "\n")
     with pytest.raises(SchemaError) as info:
         read_curve_csv(path)
     assert str(info.value).startswith(f"{path}:{line}: {message}")

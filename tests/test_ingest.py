@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_tape
+from conftest import observation_table, write_tape
 from oracles import decimal_outcome
 
 from cshazard.errors import SchemaError
 from cshazard.ingest import (
     FilterPolicy,
     LoanOutcome,
-    ObservedLoan,
+    ObservationTable,
     OutcomeKind,
     PaymentHistory,
     RiskBand,
@@ -232,7 +232,7 @@ def test_filter_excludes_each_dimension(tmp_path):
     kept = filter_loans(tape)
     assert kept.loan_id.tolist() == [k for k, (_, ok) in FILTER_CASES.items() if ok]
     assert kept.loan_age_at_entry.tolist() == [5, 17, 5]
-    assert [o.loan_id for o in build_observations(tape)] == ["age17", "base", "term73"]
+    assert build_observations(tape).loan_id.tolist() == ["age17", "base", "term73"]
 
 
 def test_filter_integrity_rules(tmp_path):
@@ -282,30 +282,30 @@ def test_observation_index_arithmetic(tmp_path):
         "new": ([500] * 52, [50] * 52, [5] * 52),  # censored after 52 months
         "quick": ([500], [500], [500]),  # repaid in month 1
     }
-    obs = {o.loan_id: o for o in build_observations(
-        load_loan_data(*write_tape(tmp_path, loans, histories)))}
-    assert (obs["late"].entry_age, obs["late"].exit_age) == (7, 16)
-    assert obs["late"].observed_event and obs["late"].cause is Cause.DEFAULT
-    assert (obs["new"].entry_age, obs["new"].exit_age) == (1, 52)
-    assert not obs["new"].observed_event and obs["new"].cause is None
-    assert obs["quick"].entry_age == obs["quick"].exit_age == 1
-    assert obs["quick"].cause is Cause.PREPAY
+    obs = build_observations(load_loan_data(*write_tape(tmp_path, loans, histories)))
+    assert obs == observation_table([("late", 7, 16, Cause.DEFAULT), ("new", 1, 52, None),
+                                     ("quick", 1, 1, Cause.PREPAY)])
 
 
 def test_observation_invariants():
-    with pytest.raises(ValueError):
-        ObservedLoan(entry_age=5, exit_age=4, observed_event=False)
-    with pytest.raises(ValueError):
-        ObservedLoan(entry_age=1, exit_age=4, observed_event=True, cause=None)
-    with pytest.raises(ValueError):
-        ObservedLoan(entry_age=1, exit_age=4, observed_event=False, cause=Cause.DEFAULT)
+    valid = dict(loan_id=["a", "b"], band=[1, -1], entry_age=[1, 3], exit_age=[4, 3],
+                 event=[True, False], cause=[Cause.DEFAULT.value, 0])
+    assert len(ObservationTable(**valid)) == 2
+    for column, values, message in [
+        ("entry_age", [1, 4], "entry_age must be <= exit_age"),
+        ("cause", [0, 0], "observed events must carry a cause"),
+        ("cause", [1, Cause.PREPAY.value], "censored observations must not carry a cause"),
+        ("band", [1], "observation columns must share one length"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ObservationTable(**{**valid, column: values})
 
 
 def test_build_observations_sorted_and_strict(tmp_path):
     histories = {"B": REPAID, "A": ([400], [50], [5])}
     obs = build_observations(load_loan_data(*write_tape(tmp_path, dict.fromkeys(histories, {}),
                                                         histories)))
-    assert [o.loan_id for o in obs] == ["A", "B"]
+    assert obs.loan_id.tolist() == ["A", "B"]
     tape = load_loan_data(*write_tape(tmp_path, {"B": {}, "C": {}}, {"B": REPAID}))
     with pytest.raises(SchemaError, match="loan C has no payment history"):
         build_observations(tape)
@@ -320,26 +320,20 @@ def test_loan_csv_round_trip(tmp_path):
     back = load_loan_data(*write_tape(
         tmp_path, {"L1": {"apr_pct": 22.65, "original_amount": "20000.05"},
                    "L2": {"apr_pct": 3.59, "recovered_amount": "1234.5"}}, histories))
-    assert list(build_observations(back)) == [
-        ObservedLoan(entry_age=6, exit_age=9, observed_event=True, cause=Cause.PREPAY,
-                     loan_id="L1", band=RiskBand.DEEP_SUBPRIME),
-        ObservedLoan(entry_age=6, exit_age=8, observed_event=False, cause=None,
-                     loan_id="L2", band=RiskBand.SUPER_PRIME)]
+    assert build_observations(back) == observation_table([
+        ("L1", 6, 9, Cause.PREPAY, RiskBand.DEEP_SUBPRIME),
+        ("L2", 6, 8, None, RiskBand.SUPER_PRIME)])
     assert back.original_amount.tolist() == [2000005, 2000000]  # exact cents
     assert back.recovered_amount.tolist() == [0, 123450]
     assert payment_rows(back) == rows(*histories["L1"]) + rows(*histories["L2"])
 
 
 def test_observation_csv_round_trip(tmp_path):
-    obs = [
-        ObservedLoan(entry_age=7, exit_age=16, observed_event=True,
-                     cause=Cause.DEFAULT, loan_id="a", band=RiskBand.SUBPRIME),
-        ObservedLoan(entry_age=1, exit_age=52, observed_event=False,
-                     cause=None, loan_id="b", band=None),
-    ]
+    obs = observation_table([("a", 7, 16, Cause.DEFAULT, RiskBand.SUBPRIME),
+                             ("b", 1, 52, None, None)])
     path = tmp_path / "obs.csv"
     write_observations_csv(path, obs)
-    assert list(read_observations_csv(path)) == obs
+    assert read_observations_csv(path) == obs
 
 
 def test_observation_csv_schema_errors(tmp_path):
@@ -402,15 +396,13 @@ def test_segment_classifier_matches_decimal_oracle(loans, pad):
             assert determine_outcome(PaymentHistory(tuple(bal), tuple(pmt), tuple(prc)),
                                      pad=pad) == LoanOutcome(OutcomeKind(kind), month)
             cause = {"defaulted": Cause.DEFAULT, "repaid": Cause.PREPAY}.get(kind)
-            expected.append(ObservedLoan(entry_age=age + 1, exit_age=age + month,
-                                         observed_event=cause is not None, cause=cause,
-                                         loan_id=loan_id, band=RiskBand.NEAR_PRIME))
+            expected.append((loan_id, age + 1, age + month, cause, RiskBand.NEAR_PRIME))
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         tape = load_loan_data(*write_tape(
             directory, {loan_id: {"loan_age_at_entry": age} for loan_id, age, _, _ in loans},
             {loan_id: cells for loan_id, _, _, cells in loans}))
-        assert list(build_observations(tape, pad=pad)) == expected
+        assert build_observations(tape, pad=pad) == observation_table(expected)
 
 
 def test_money_cells_keep_exact_values(tmp_path):
@@ -433,9 +425,8 @@ def test_non_finite_money_is_located_schema_error(tmp_path, cell):
 def test_reader_handles_quotes_crlf_and_blank_lines(tmp_path):
     paths = write_tape(tmp_path, {"L,1": {}}, {"L,1": REPAID})  # the id needs quoting
     assert '"L,1"' in paths[0].read_text()
-    assert list(build_observations(load_loan_data(*paths))) == [
-        ObservedLoan(entry_age=6, exit_age=9, observed_event=True, cause=Cause.PREPAY,
-                     loan_id="L,1", band=RiskBand.NEAR_PRIME)]
+    assert build_observations(load_loan_data(*paths)) == observation_table(
+        [("L,1", 6, 9, Cause.PREPAY)])
 
     loans, payments = write_tape(tmp_path, {"L1": {}}, {"L1": REPAID})
     text = payments.read_text()

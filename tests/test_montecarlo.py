@@ -108,18 +108,14 @@ def test_simulated_records_are_consistent(bench_dist, bench_trunc):
     cfg = SimConfig(dist=bench_dist, trunc=bench_trunc, n=2000, replicates=1, seed=5)
     cohort = simulate_cohort(cfg, 0)
     assert 0 < len(cohort) < 2000  # some draws fail truncation
-    kinds = {True: 0, False: 0}
-    for obs in cohort:
-        assert 1 <= obs.entry_age <= 5
-        assert obs.exit_age >= obs.entry_age
-        if obs.observed_event:
-            assert obs.cause in CAUSES
-            assert obs.exit_age <= min(10, obs.entry_age + 5)
-        else:
-            assert obs.cause is None
-            assert obs.exit_age == obs.entry_age + 5
-        kinds[obs.observed_event] += 1
-    assert kinds[True] > 0 and kinds[False] > 0
+    entry, exit_age, event, cause = cohort.entry_age, cohort.exit_age, cohort.event, cohort.cause
+    assert np.all((1 <= entry) & (entry <= 5))
+    assert np.all(exit_age >= entry)
+    assert np.all(np.isin(cause[event], [c.value for c in CAUSES]))
+    assert np.all(exit_age[event] <= np.minimum(10, entry[event] + 5))
+    assert np.all(cause[~event] == 0)
+    assert np.all(exit_age[~event] == entry[~event] + 5)
+    assert event.any() and not event.all()
 
 
 def test_config_validation(bench_dist, bench_trunc):
