@@ -34,15 +34,11 @@ from .estimator import (
 )
 from .ingest import (
     FilterPolicy,
-    LoanOutcome,
     LoanTape,
     ObservationTable,
-    OutcomeKind,
-    PaymentHistory,
     RiskBand,
     build_observations,
     classify_risk_band,
-    determine_outcome,
     filter_loans,
 )
 from .montecarlo import SimConfig, StudyReport, run_study, simulate_cohort
@@ -88,13 +84,9 @@ __all__ = [
     "survival",
     "RiskBand",
     "LoanTape",
-    "PaymentHistory",
-    "LoanOutcome",
-    "OutcomeKind",
     "ObservationTable",
     "FilterPolicy",
     "classify_risk_band",
-    "determine_outcome",
     "filter_loans",
     "build_observations",
     "HazardCurve",

@@ -324,8 +324,8 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
     """Read one curve: every row is complete and carries the first row's band
     and cause, ages strictly increase, and numeric cells are numbers or empty
     (whole numbers in the count, age and flag columns).  Each row has
-    0 <= events <= at_risk, at_risk >= 1 and a hazard in [0, 1].  The first
-    row breaking a rule is a SchemaError located by file and line."""
+    age >= 1, 0 <= events <= at_risk, at_risk >= 1 and a hazard in [0, 1].
+    The first row breaking a rule is a SchemaError located by file and line."""
     where = str(path)
     first = prev = None
     values = []
@@ -351,7 +351,8 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
                         f"{line}: column {name}: {raw!r} is not a valid {kind}") from None
                 numbers.append(value)
             events, at_risk, hazard = numbers[1:4]
-            for bad, problem in ((events < 0, f"events {row['events']} is negative"),
+            for bad, problem in ((numbers[0] < 1, f"age {row['age']} is below 1"),
+                                 (events < 0, f"events {row['events']} is negative"),
                                  (at_risk < 1, f"at_risk {row['at_risk']} is below 1"),
                                  (events > at_risk, f"events {row['events']} exceed "
                                                     f"at_risk {row['at_risk']}"),

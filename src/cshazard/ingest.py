@@ -13,8 +13,6 @@ trust month), so each loan's history is one contiguous segment.  The
 eligibility, integrity and outcome rules run once over all segments as
 array operations, and the result is an `ObservationTable` of parallel
 arrays, the one form in which observations pass between layers.
-`PaymentHistory` and `determine_outcome` classify a single loan with the
-same rules.
 
 Monetary fields are exact: a plain decimal cell with at most two fraction
 digits is read straight into integer cents, any other cell is parsed with
@@ -42,14 +40,10 @@ from .riskmodel import Cause
 __all__ = [
     "RiskBand",
     "LoanTape",
-    "PaymentHistory",
-    "OutcomeKind",
-    "LoanOutcome",
     "ObservationTable",
     "FilterPolicy",
     "classify_risk_band",
     "filter_loans",
-    "determine_outcome",
     "build_observations",
     "load_loan_data",
     "read_observations_csv",
@@ -106,54 +100,14 @@ def classify_risk_band(apr_pct: float) -> RiskBand:
     return RiskBand(int(_band_codes(apr_pct)))
 
 
-@dataclass(frozen=True)
-class PaymentHistory:
-    """Per-month balance/payment/principal vectors for one loan.
-
-    Balances may be missing for individual months (None); payments and
-    principal are always present.  All three vectors share one length.
-    """
-
-    balance: tuple
-    payment: tuple
-    principal: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.balance) == 0:
-            raise ValueError("empty payment history")
-        if not len(self.balance) == len(self.payment) == len(self.principal):
-            raise ValueError("balance/payment/principal lengths differ")
-
-    @property
-    def months(self) -> int:
-        return len(self.balance)
-
-
-class OutcomeKind(Enum):
-    DEFAULTED = "defaulted"
-    REPAID = "repaid"
-    CENSORED = "censored"
-
-
-@dataclass(frozen=True)
-class LoanOutcome:
-    kind: OutcomeKind
-    event_month: int  # 1-based trust-month index
-
-    def __post_init__(self) -> None:
-        if self.event_month < 1:
-            raise ValueError("event_month must be >= 1")
-
-
 # Outcomes are coded by the Cause value of their exit; 0 is censored.
 _CENSORED = 0
-_KIND_OF_CODE = {Cause.DEFAULT.value: OutcomeKind.DEFAULTED,
-                 Cause.PREPAY.value: OutcomeKind.REPAID, _CENSORED: OutcomeKind.CENSORED}
 
 
 def _row_problem(entry_age, exit_age, event, cause) -> tuple[int, str] | None:
     """(first offending row, message) for the observation row invariants, or None."""
-    checks = ((entry_age > exit_age, "entry_age must be <= exit_age"),
+    checks = ((entry_age < 1, "entry_age must be >= 1"),
+              (entry_age > exit_age, "entry_age must be <= exit_age"),
               (event & (cause == _CENSORED), "observed events must carry a cause"),
               (~event & (cause != _CENSORED), "censored observations must not carry a cause"))
     found = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
@@ -228,7 +182,7 @@ _CENTS_LIMIT = 10**12
 
 
 def _decimal(value) -> Decimal:
-    """An amount given as a Decimal, an integer or a float (read by its repr), as a finite Decimal."""
+    """The pad given as a Decimal, an integer or a float (read by its repr), as a finite Decimal."""
     if isinstance(value, Integral):
         value = Decimal(int(value))
     elif not isinstance(value, Decimal):
@@ -255,15 +209,6 @@ def _as_decimals(column: np.ndarray) -> np.ndarray:
     return out
 
 
-def _money_array(values) -> np.ndarray:
-    """Amounts as an int64 cents column, or as Decimal objects when one is not whole cents."""
-    amounts = [_decimal(v) for v in values]
-    cents = [_cents_of(a) for a in amounts]
-    if None not in cents:
-        return np.array(cents, dtype=np.int64)
-    return np.array(amounts, dtype=object)
-
-
 # ---------------------------------------------------------------------------
 # Payment segments and the outcome rules
 
@@ -284,23 +229,6 @@ class _Payments:
     balance_missing: np.ndarray
     payment: np.ndarray
     principal: np.ndarray
-
-    @classmethod
-    def of_history(cls, history: PaymentHistory) -> "_Payments":
-        """One loan's payment vectors as a single segment."""
-        missing = np.array([b is None for b in history.balance], dtype=np.bool_)
-        balance = [Decimal(0) if b is None else b for b in history.balance]
-        return cls._unified(np.array([history.months], dtype=np.int64), _money_array(balance),
-                            missing, _money_array(history.payment),
-                            _money_array(history.principal))
-
-    @classmethod
-    def _unified(cls, months, balance, missing, payment, principal) -> "_Payments":
-        money = [balance, payment, principal]
-        if any(col.dtype == object for col in money):
-            money = [_as_decimals(col) for col in money]
-        start = np.cumsum(months) - months
-        return cls(start, months, money[0], missing, money[1], money[2])
 
     def _paid(self, principal) -> np.ndarray:
         """Total principal paid per segment."""
@@ -435,24 +363,13 @@ def filter_loans(tape: LoanTape, policy: FilterPolicy = FilterPolicy()) -> LoanT
     return tape.take(_eligible(tape, policy))
 
 
-def determine_outcome(history: PaymentHistory, pad: Decimal = DEFAULT_PAD) -> LoanOutcome:
-    """Classify one loan's payment vectors as repaid, defaulted, or censored.
-
-    The rules are those of the tape-wide classifier (`_Payments.outcomes`),
-    run on a one-loan tape.
-    """
-    if history.balance[0] is None:
-        raise ValueError("first-month balance missing; outcome undeterminable")
-    code, month = _Payments.of_history(history).outcomes(pad)
-    return LoanOutcome(_KIND_OF_CODE[int(code[0])], int(month[0]))
-
-
 def build_observations(tape: LoanTape, policy: FilterPolicy = FilterPolicy(),
                        pad: Decimal = DEFAULT_PAD) -> ObservationTable:
     """Filter, classify, and convert a tape's loans into observations.
 
-    Output is ordered by loan_id so parallel upstream processing cannot
-    change the result.
+    `pad` (a Decimal, an integer or a float read by its repr) is added to the
+    principal paid in the repayment test.  Output is ordered by loan_id so
+    parallel upstream processing cannot change the result.
     """
     kept = filter_loans(tape, policy)
     orphan = kept.segment < 0
@@ -742,7 +659,9 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
         code, month, balance, missing, payment, principal = (
             a[order] for a in (code, month, balance, missing, payment, principal))
     months = np.bincount(code, minlength=len(segment_of))
-    payments = _Payments._unified(months, balance, missing, payment, principal)
+    if any(col.dtype == object for col in (balance, payment, principal)):
+        balance, payment, principal = map(_as_decimals, (balance, payment, principal))
+    payments = _Payments(np.cumsum(months) - months, months, balance, missing, payment, principal)
     expected = np.arange(code.size) - payments.start[code] + 1
     wrong = month != expected
     if wrong.any():
@@ -758,16 +677,17 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
     cols = _Columns.read(loans_path, _LOAN_FIELDS)
     loan_id = cols.stripped("loan_id")
     original_amount, _ = cols.money("original_amount")
-    not_positive = original_amount <= 0
-    if not_positive.any():
-        raise SchemaError(f"{cols.loc(int(np.argmax(not_positive)))}: column "
-                          f"'original_amount' must be positive")
+    loan_age_at_entry = cols.ints("loan_age_at_entry")
+    for name, bad, rule in (("original_amount", original_amount <= 0, "must be positive"),
+                            ("loan_age_at_entry", loan_age_at_entry < 0, "must be >= 0")):
+        if bad.any():
+            raise SchemaError(f"{cols.loc(int(np.argmax(bad)))}: column {name!r} {rule}")
     columns = dict(
         loan_id=loan_id,
         apr_pct=cols.labels("apr_pct", _parse_apr, np.float64),
         original_amount=original_amount,
         original_term=cols.ints("original_term"),
-        loan_age_at_entry=cols.ints("loan_age_at_entry"),
+        loan_age_at_entry=loan_age_at_entry,
         has_coborrower=cols.labels("has_coborrower", _parse_bool, np.bool_),
         income_verification=cols.stripped("income_verification"),
         subvention=cols.labels("subvention", _parse_bool, np.bool_),

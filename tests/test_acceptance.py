@@ -13,11 +13,10 @@ import pytest
 
 from conftest import hump_observations, observation_table, staged_band_set, STAGED_ONSETS
 from oracles import enumerate_truncated, life_table, path_enumeration_rho
-from test_ingest import GOLDEN, hist
+from test_ingest import GOLDEN, GOLDEN_EXPECTED, golden_outcomes
 from cshazard.actuarial import AmortizationSchedule, lifetime_return, savings_from_apr
 from cshazard.convergence import Decision, convergence_point, overlap_test, transition_matrix
 from cshazard.estimator import estimate_csh
-from cshazard.ingest import determine_outcome
 from cshazard.montecarlo import (
     SimConfig,
     benchmark_distribution,
@@ -227,12 +226,14 @@ def test_criterion_07_convergence_rules():
                "touching intervals fail to reject")
 
 
-def test_criterion_08_outcome_goldens():
+def test_criterion_08_outcome_goldens(tmp_path):
+    # one loan tape holds every golden: CSV -> LoanTape -> ObservationTable
     assert len(GOLDEN) >= 12
-    for name, balance, payment, principal, kind, month in GOLDEN:
-        outcome = determine_outcome(hist(balance, payment, principal))
-        assert (outcome.kind, outcome.event_month) == (kind, month), name
-    verdict(8, f"{len(GOLDEN)} hand-traced payment fixtures classified exactly")
+    observed = golden_outcomes(tmp_path)
+    for name, expected in GOLDEN_EXPECTED.items():
+        assert observed[name] == expected, name
+    verdict(8, f"{len(GOLDEN)} hand-traced payment fixtures classified exactly "
+               f"through the loan tape")
 
 
 def test_criterion_09_recovery_fit():

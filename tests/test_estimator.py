@@ -281,6 +281,8 @@ CURVE_HEADER = "band,cause,age,events,at_risk,hazard,var,ci_lo,ci_hi,interpolate
      "hazard '' is not a number in [0, 1]"),
     (["prime,default,1,1,9,nan,,,,0"], 2, "hazard 'nan' is not a number in [0, 1]"),
     (["prime,default,1,1,9,1.5,,,,0"], 2, "hazard '1.5' is not a number in [0, 1]"),
+    (["prime,default,-3", "prime,default,0", "prime,default,1"], 2, "age -3 is below 1"),
+    (["prime,default,0", "prime,default,1"], 2, "age 0 is below 1"),
 ])
 def test_curve_csv_rows_must_share_a_label_and_increase_in_age(tmp_path, rows, line, message):
     # a row given as band, cause and age gets valid counts and hazard appended

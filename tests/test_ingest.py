@@ -1,9 +1,10 @@
 """Loan ingestion: outcome classification, filters, banding, CSV round trips.
 
 The golden fixtures below are hand-traced: for each payment-vector triple the
-expected outcome kind and trust month were worked out on paper from the
+expected outcome and trust month were worked out on paper from the
 classification rules (principal test first, then the three-consecutive-zeros
-scan, else censored at the last month).
+scan, else censored at the last month).  They run through the CSV path every
+tape takes: `load_loan_data`, then `build_observations`.
 """
 from __future__ import annotations
 
@@ -21,15 +22,12 @@ from oracles import decimal_outcome
 
 from cshazard.errors import SchemaError
 from cshazard.ingest import (
+    DEFAULT_PAD,
     FilterPolicy,
-    LoanOutcome,
     ObservationTable,
-    OutcomeKind,
-    PaymentHistory,
     RiskBand,
     build_observations,
     classify_risk_band,
-    determine_outcome,
     filter_loans,
     load_loan_data,
     read_observations_csv,
@@ -40,14 +38,6 @@ from cshazard.riskmodel import Cause
 
 def money(v):
     return None if v is None else Decimal(str(v))
-
-
-def hist(balance, payment, principal):
-    return PaymentHistory(
-        balance=tuple(money(v) for v in balance),
-        payment=tuple(money(v) for v in payment),
-        principal=tuple(money(v) for v in principal),
-    )
 
 
 def payment_rows(tape):
@@ -65,6 +55,22 @@ def rows(balance, payment, principal):
     return [tuple(map(money, cells)) for cells in zip(balance, payment, principal)]
 
 
+def outcomes(directory, loans, histories, pad=DEFAULT_PAD):
+    """(cause or None, entry_age, exit_age) of each loan's observation, by loan_id.
+
+    `loans` maps a loan_id to its loan_age_at_entry; the tape is written
+    with `write_tape`, loaded and turned into observations.
+    """
+    tape = load_loan_data(*write_tape(
+        directory, {loan_id: {"loan_age_at_entry": age} for loan_id, age in loans.items()},
+        histories))
+    obs = build_observations(tape, pad=pad)
+    return {loan_id: (Cause(cause) if cause else None, entry, exit_age)
+            for loan_id, cause, entry, exit_age in zip(
+                obs.loan_id.tolist(), obs.cause.tolist(), obs.entry_age.tolist(),
+                obs.exit_age.tolist())}
+
+
 REPAID = ([300, 200, 100, 0], [110, 110, 110, 0], [100, 100, 100, 0])
 
 
@@ -72,105 +78,97 @@ REPAID = ([300, 200, 100, 0], [110, 110, 110, 0], [100, 100, 100, 0])
 # outcome classification golden fixtures (hand-traced)
 
 GOLDEN = [
-    # (id, balance, payment, principal, kind, month)
-    ("repaid-first-zero-balance",
+    # (id, loan_age_at_entry, balance, payment, principal, cause (None: censored), month)
+    ("repaid-first-zero-balance", 0,
      [300, 200, 100, 0], [110, 110, 110, 0], [100, 100, 100, 0],
-     OutcomeKind.REPAID, 4),
-    ("default-run-after-first-payment",
+     Cause.PREPAY, 4),
+    ("default-run-after-first-payment", 1,
      [500, 500, 500, 500, 500], [110, 0, 0, 0, 110], [10, 0, 0, 0, 10],
-     OutcomeKind.DEFAULTED, 2),
-    ("censored-alternating-zeros",
+     Cause.DEFAULT, 2),
+    ("censored-alternating-zeros", 2,
      [500, 500, 500, 500, 500], [110, 0, 110, 0, 110], [10, 0, 10, 0, 10],
-     OutcomeKind.CENSORED, 5),
-    ("pad-tie-counts-as-repaid",  # 90 paid + 10 pad == 100 first balance
+     None, 5),
+    ("pad-tie-counts-as-repaid", 3,  # 90 paid + 10 pad == 100 first balance
      [100, 50, 10], [40, 40, 10], [40, 40, 10],
-     OutcomeKind.REPAID, 3),
-    ("one-cent-short-of-pad-tie",  # 89.99 + 10 = 99.99 < 100
+     Cause.PREPAY, 3),
+    ("one-cent-short-of-pad-tie", 4,  # 89.99 + 10 = 99.99 < 100
      [100, 60, 20], [30, 30, "29.99"], [30, 30, "29.99"],
-     OutcomeKind.CENSORED, 3),
-    ("principal-test-beats-zero-run",  # repaid in full, then three zero months
+     None, 3),
+    ("principal-test-beats-zero-run", 5,  # repaid in full, then three zero months
      [100, 0, 0, 0], [100, 0, 0, 0], [100, 0, 0, 0],
-     OutcomeKind.REPAID, 2),
-    ("default-from-month-one",
+     Cause.PREPAY, 2),
+    ("default-from-month-one", 6,
      [500, 500, 500, 500], [0, 0, 0, 120], [0, 0, 0, 20],
-     OutcomeKind.DEFAULTED, 1),
-    ("broken-pair-then-full-run",  # zeros at 1,2 reset by month 3; run is 4..6
+     Cause.DEFAULT, 1),
+    ("broken-pair-then-full-run", 7,  # zeros at 1,2 reset by month 3; run is 4..6
      [400, 400, 400, 400, 400, 400], [0, 0, 50, 0, 0, 0], [0, 0, 5, 0, 0, 0],
-     OutcomeKind.DEFAULTED, 4),
-    ("two-zeros-never-three",
+     Cause.DEFAULT, 4),
+    ("two-zeros-never-three", 8,
      [400, 400, 400], [0, 0, 50], [0, 0, 5],
-     OutcomeKind.CENSORED, 3),
-    ("run-at-the-tail",
+     None, 3),
+    ("run-at-the-tail", 9,
      [400, 400, 400, 400], [50, 0, 0, 0], [5, 0, 0, 0],
-     OutcomeKind.DEFAULTED, 2),
-    ("missing-mid-balance-skipped",  # month 2 balance unreported
+     Cause.DEFAULT, 2),
+    ("missing-mid-balance-skipped", 10,  # month 2 balance unreported
      [200, None, 0], [150, 60, 0], [150, 50, 0],
-     OutcomeKind.REPAID, 3),
-    ("repaid-without-zero-balance",  # falls back to the last month
+     Cause.PREPAY, 3),
+    ("repaid-without-zero-balance", 11,  # falls back to the last month
      [200, 100, 5], [100, 100, 10], [100, 95, 5],
-     OutcomeKind.REPAID, 3),
-    ("long-run-marks-its-first-month",
+     Cause.PREPAY, 3),
+    ("long-run-marks-its-first-month", 12,
      [500, 500, 500, 500, 500], [100, 0, 0, 0, 0], [10, 0, 0, 0, 0],
-     OutcomeKind.DEFAULTED, 2),
-    ("single-month-censored",
+     Cause.DEFAULT, 2),
+    ("single-month-censored", 13,
      [400], [50], [5],
-     OutcomeKind.CENSORED, 1),
+     None, 1),
 ]
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
-def test_outcome_golden_fixtures(case):
-    _, balance, payment, principal, kind, month = case
-    outcome = determine_outcome(hist(balance, payment, principal))
-    assert outcome.kind is kind
-    assert outcome.event_month == month
+def golden_outcomes(directory, pad=DEFAULT_PAD):
+    """`outcomes` of one tape holding every golden as a loan."""
+    return outcomes(directory, {name: age for name, age, *_ in GOLDEN},
+                    {name: (b, p, q) for name, _, b, p, q, _, _ in GOLDEN}, pad)
 
 
-def test_pad_is_configurable():
+# (cause, entry_age, exit_age) of each golden: entry at a + 1, exit at a + month.
+GOLDEN_EXPECTED = {name: (cause, age + 1, age + month)
+                   for name, age, _, _, _, cause, month in GOLDEN}
+
+
+@pytest.fixture(scope="module")
+def classified_goldens(tmp_path_factory):
+    return golden_outcomes(tmp_path_factory.mktemp("goldens"))
+
+
+@pytest.mark.parametrize("name", [g[0] for g in GOLDEN])
+def test_outcome_golden_fixtures(classified_goldens, name):
+    assert classified_goldens[name] == GOLDEN_EXPECTED[name]
+
+
+def test_pad_is_configurable(tmp_path):
     # the pad-tie fixture flips to censored when the pad is removed
-    h = hist([100, 50, 10], [40, 40, 10], [40, 40, 10])
-    zero_pad = determine_outcome(h, pad=Decimal("0"))
-    assert zero_pad.kind is OutcomeKind.CENSORED
+    zero_pad = golden_outcomes(tmp_path, pad=Decimal("0"))
+    assert zero_pad["pad-tie-counts-as-repaid"] == (None, 4, 6)
     # and the one-cent-short fixture flips to repaid with a penny more pad
-    h2 = hist([100, 60, 20], [30, 30, "29.99"], [30, 30, "29.99"])
-    bigger_pad = determine_outcome(h2, pad=Decimal("10.01"))
-    assert bigger_pad.kind is OutcomeKind.REPAID
+    bigger_pad = golden_outcomes(tmp_path, pad=Decimal("10.01"))
+    assert bigger_pad["one-cent-short-of-pad-tie"] == (Cause.PREPAY, 5, 7)
 
 
-def test_outcome_is_total_over_goldens():
-    kinds = {determine_outcome(hist(b, p, q)).kind for _, b, p, q, _, _ in GOLDEN}
-    assert kinds == {OutcomeKind.REPAID, OutcomeKind.DEFAULTED, OutcomeKind.CENSORED}
+def test_outcome_is_total_over_goldens(classified_goldens):
+    assert len(classified_goldens) == len(GOLDEN)
+    causes = {cause for cause, _, _ in classified_goldens.values()}
+    assert causes == {Cause.PREPAY, Cause.DEFAULT, None}
 
 
-@pytest.mark.parametrize("number", [int, float], ids=["int", "float"])
-def test_amounts_given_as_numbers_match_decimals(number):
-    for _, balance, payment, principal, kind, month in GOLDEN:
-        as_numbers = PaymentHistory(
-            balance=tuple(None if v is None else number(Decimal(str(v))) for v in balance),
-            payment=tuple(number(Decimal(str(v))) for v in payment),
-            principal=tuple(number(Decimal(str(v))) for v in principal))
-        if number is int and as_numbers != hist(balance, payment, principal):
-            continue  # a fraction that int() cuts off
-        assert determine_outcome(as_numbers) == LoanOutcome(kind, month)
-        assert determine_outcome(as_numbers, pad=number(10)) == LoanOutcome(kind, month)
-    # 0.1 + 0.2 falls short of 0.3 in binary, not as amounts
-    sums = PaymentHistory(balance=(10.3,), payment=(0.3,), principal=(0.1,))
-    assert determine_outcome(sums, pad=10.2).kind is OutcomeKind.REPAID
+def test_pad_given_as_a_number(tmp_path, classified_goldens):
+    # an int or a float pad is the Decimal of its value (a float read by its repr)
+    assert golden_outcomes(tmp_path, pad=10) == classified_goldens
+    assert golden_outcomes(tmp_path, pad=10.0) == classified_goldens
+    # 0.1 + 10.2 falls short of 10.3 in binary, not as amounts
+    loans, histories = {"sums": 0}, {"sums": (["10.3"], ["0.3"], ["0.1"])}
+    assert outcomes(tmp_path, loans, histories, pad=10.2) == {"sums": (Cause.PREPAY, 1, 1)}
     with pytest.raises(ValueError, match="non-finite amount"):
-        determine_outcome(PaymentHistory(balance=(500,), payment=(50,),
-                                         principal=(float("nan"),)))
-
-
-def test_outcome_requires_first_balance():
-    with pytest.raises(ValueError):
-        determine_outcome(hist([None, 100], [50, 50], [5, 5]))
-
-
-def test_history_validation():
-    with pytest.raises(ValueError):
-        PaymentHistory(balance=(), payment=(), principal=())
-    with pytest.raises(ValueError):
-        hist([100, 100], [50], [5, 5])
+        outcomes(tmp_path, loans, histories, pad=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +291,7 @@ def test_observation_invariants():
     assert len(ObservationTable(**valid)) == 2
     for column, values, message in [
         ("entry_age", [1, 4], "entry_age must be <= exit_age"),
+        ("entry_age", [0, 3], "entry_age must be >= 1"),
         ("cause", [0, 0], "observed events must carry a cause"),
         ("cause", [1, Cause.PREPAY.value], "censored observations must not carry a cause"),
         ("band", [1], "observation columns must share one length"),
@@ -393,8 +392,6 @@ def test_segment_classifier_matches_decimal_oracle(loans, pad):
     for loan_id, age, (bal, pmt, prc), _ in loans:
         ok, kind, month = decimal_outcome(bal, pmt, prc, pad)
         if ok:
-            assert determine_outcome(PaymentHistory(tuple(bal), tuple(pmt), tuple(prc)),
-                                     pad=pad) == LoanOutcome(OutcomeKind(kind), month)
             cause = {"defaulted": Cause.DEFAULT, "repaid": Cause.PREPAY}.get(kind)
             expected.append((loan_id, age + 1, age + month, cause, RiskBand.NEAR_PRIME))
     with tempfile.TemporaryDirectory() as tmp:
@@ -456,6 +453,8 @@ def test_reader_ignores_extra_fields_and_rejects_short_rows(tmp_path):
 
 @pytest.mark.parametrize("row, message", [
     ("x,prime,5,4,0,", "entry_age must be <= exit_age"),
+    ("x,prime,0,4,0,", "entry_age must be >= 1"),
+    ("x,prime,-4,0,1,default", "entry_age must be >= 1"),
     ("x,prime,1,4,1,lapsed", "unknown cause label"),
     ("x,platinum,1,4,0,", "unknown risk band"),
     ("x,prime,1,4,1,", "observed events must carry a cause"),
@@ -468,13 +467,20 @@ def test_observation_row_errors_carry_location(tmp_path, row, message):
         read_observations_csv(path)
 
 
-@pytest.mark.parametrize("apr, amount, message", [
-    ("nan", "20000", "column 'apr_pct': value 'nan' is not a finite APR >= 0"),
-    ("-1.5", "20000", "column 'apr_pct': value '-1.5' is not a finite APR >= 0"),
-    ("12.5", "0", "column 'original_amount' must be positive"),
-])
-def test_loan_attribute_errors_carry_location(tmp_path, apr, amount, message):
-    paths = write_tape(tmp_path, {"L1": {"apr_pct": apr, "original_amount": amount}},
-                       {"L1": (["100"], ["10"], ["10"])})
+def loan_case_id(value):
+    """A case's id: the APR and amount cells of its loan, then the message."""
+    if isinstance(value, dict):
+        return f"{value.get('apr_pct', '12.5')}-{value.get('original_amount', '20000')}"
+    return None
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"apr_pct": "nan"}, "column 'apr_pct': value 'nan' is not a finite APR >= 0"),
+    ({"apr_pct": "-1.5"}, "column 'apr_pct': value '-1.5' is not a finite APR >= 0"),
+    ({"original_amount": "0"}, "column 'original_amount' must be positive"),
+    ({"loan_age_at_entry": "-3"}, "column 'loan_age_at_entry' must be >= 0"),
+], ids=loan_case_id)
+def test_loan_attribute_errors_carry_location(tmp_path, changes, message):
+    paths = write_tape(tmp_path, {"L1": changes}, {"L1": (["100"], ["10"], ["10"])})
     with pytest.raises(SchemaError, match=rf"loans\.csv:2: {re.escape(message)}"):
         load_loan_data(*paths)
