@@ -160,12 +160,17 @@ def test_outcome_is_total_over_goldens(classified_goldens):
     assert causes == {Cause.PREPAY, Cause.DEFAULT, None}
 
 
-def test_pad_given_as_a_number(tmp_path, classified_goldens):
+@pytest.mark.parametrize("number", [int, float], ids=["int", "float"])
+def test_amounts_given_as_numbers_match_decimals(tmp_path, classified_goldens, number):
     # an int or a float pad is the Decimal of its value (a float read by its repr)
-    assert golden_outcomes(tmp_path, pad=10) == classified_goldens
-    assert golden_outcomes(tmp_path, pad=10.0) == classified_goldens
-    # 0.1 + 10.2 falls short of 10.3 in binary, not as amounts
+    assert golden_outcomes(tmp_path, pad=number(10)) == classified_goldens
     loans, histories = {"sums": 0}, {"sums": (["10.3"], ["0.3"], ["0.1"])}
+    if number is int:
+        # 0.1 + 10 is short of 10.3, 0.1 + 11 is not
+        assert outcomes(tmp_path, loans, histories, pad=10) == {"sums": (None, 1, 1)}
+        assert outcomes(tmp_path, loans, histories, pad=11) == {"sums": (Cause.PREPAY, 1, 1)}
+        return
+    # 0.1 + 10.2 falls short of 10.3 in binary, not as amounts
     assert outcomes(tmp_path, loans, histories, pad=10.2) == {"sums": (Cause.PREPAY, 1, 1)}
     with pytest.raises(ValueError, match="non-finite amount"):
         outcomes(tmp_path, loans, histories, pad=float("nan"))
