@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -175,16 +174,17 @@ def _curves_from_inputs(args) -> tuple[dict, list[str]]:
             if getattr(args, name) != default:
                 raise ValueError(f"--{name} applies only to converge on an observations CSV; "
                                  f"curve CSVs carry their own intervals")
-        curves = {}
-        order = []
+        curves, source = {}, {}
         for path in args.inputs:
             curve = estimator.read_curve_csv(path)
             label = curve.band or Path(path).stem
             if label in curves:
                 label = f"{label}:{Path(path).stem}"
-            curves[label] = curve
-            order.append(label)
-        return curves, order
+            if label in curves:
+                raise SchemaError(f"{source[label]} and {path} both take the curve "
+                                  f"label {label!r}")
+            curves[label], source[label] = curve, path
+        return curves, list(curves)
     if kinds == ["observations"]:
         observations = ingest.read_observations_csv(args.inputs[0])
         if args.bands:
@@ -288,23 +288,18 @@ def cmd_savings(args) -> None:
     _finish(args, [out])
 
 
-def _read_recovery_observations(path: str | Path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"age", "recovery"} <= set(reader.fieldnames):
-            raise SchemaError(f"{path}: need columns age, recovery")
-        rows = []
-        for row in reader:
-            try:
-                age, pct = int(row["age"]), float(row["recovery"])
-                if not math.isfinite(pct):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise SchemaError(f"{path}:{reader.line_num}: bad age/recovery value") from None
-            rows.append((age, pct))
-    if not rows:
+def _read_recovery_observations(path: str | Path) -> list[tuple[int, float]]:
+    """(age, recovery) pairs: each age a whole number >= 1, each recovery in [0, 1.5]."""
+    cols = ingest._Columns.read(path, ("age", "recovery"))
+    if cols.rows == 0:
         raise EmptyResultError(f"{path}: no recovery observations")
-    return rows
+    ages = cols.ints("age")
+    fractions = cols.labels("recovery", ingest._parse_float, float)
+    cols.check_rows((
+        (ages < 1, lambda i: f"age {cols.cell('age', i)} is below 1"),
+        (~((fractions >= 0.0) & (fractions <= 1.5)),
+         lambda i: f"recovery {cols.cell('recovery', i)!r} is not a number in [0, 1.5]")))
+    return list(zip(ages.tolist(), fractions.tolist()))
 
 
 def cmd_recovery(args) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -180,7 +180,8 @@ def transition_matrix(curves: dict, min_test_age: int = DEFAULT_MIN_TEST_AGE,
     """Pairwise convergence months for a set of per-band default-hazard curves.
 
     curves maps band label to HazardCurve.  The diagonal is min_test_age by
-    definition.  Returns the matrix plus the per-pair results for tracing.
+    definition.  Returns the matrix plus the per-pair results for tracing,
+    which name each pair by its labels in `curves`.
     """
     _check_test_rules(min_test_age, run_length)
     if band_order is None:
@@ -197,7 +198,8 @@ def transition_matrix(curves: dict, min_test_age: int = DEFAULT_MIN_TEST_AGE,
         row_m = [min_test_age]
         row_r = [Rule.OVERLAP_RUN]
         for b in band_order[i + 1:]:
-            res = convergence_point(curves[a], curves[b], min_test_age, run_length)
+            res = replace(convergence_point(curves[a], curves[b], min_test_age, run_length),
+                          band_a=a, band_b=b)
             results.append(res)
             row_m.append(res.convergence_month)
             row_r.append(res.rule_fired)

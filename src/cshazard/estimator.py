@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import IncompatibleInputsError, SchemaError
-from .ingest import ObservationTable
+from .ingest import ObservationTable, _Columns, _parse_float
 from .riskmodel import Cause
 
 __all__ = [
@@ -314,73 +314,49 @@ def write_curve_csv(path: str | Path, curve: HazardCurve) -> None:
             ])
 
 
-# Numeric curve columns and the value an empty cell reads as; the columns
-# that default to 0 (counts, ages and the flag) must hold whole numbers.
-_CURVE_NUMBERS = {"age": 0.0, "events": 0.0, "at_risk": 0.0, "hazard": np.nan, "var": np.nan,
-                  "ci_lo": np.nan, "ci_hi": np.nan, "interpolated": 0.0}
+def _whole_cell(raw: str) -> int:
+    """An age, count or flag cell: empty reads 0, else an integral number below 1e18."""
+    value = _parse_float(raw) if raw.strip() else 0.0
+    if not (value.is_integer() and abs(value) < 1e18):
+        raise ValueError(f"{raw!r} is not a whole number below 1e18")
+    return int(value)
 
 
 def read_curve_csv(path: str | Path) -> HazardCurve:
     """Read one curve: every row is complete and carries the first row's band
     and cause, ages strictly increase, and numeric cells are numbers or empty
-    (whole numbers in the count, age and flag columns).  Each row has
+    (whole numbers below 1e18 in the count, age and flag columns).  Each row has
     age >= 1, 0 <= events <= at_risk, at_risk >= 1 and a hazard in [0, 1].
     The first row breaking a rule is a SchemaError located by file and line."""
-    where = str(path)
-    first = prev = None
-    values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _CURVE_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise SchemaError(f"{where}: missing required column(s) {', '.join(missing)}")
-        for row in reader:
-            line = f"{where}:{reader.line_num}"
-            if None in row.values():
-                raise SchemaError(f"{line}: row has fewer than {len(reader.fieldnames)} fields")
-            numbers = []
-            for name, default in _CURVE_NUMBERS.items():
-                raw = row[name].strip()
-                try:
-                    value = default if raw == "" else float(raw)
-                    if default == 0 and not value.is_integer():
-                        raise ValueError
-                except ValueError:
-                    kind = "whole number" if default == 0 else "number"
-                    raise SchemaError(
-                        f"{line}: column {name}: {raw!r} is not a valid {kind}") from None
-                numbers.append(value)
-            events, at_risk, hazard = numbers[1:4]
-            for bad, problem in ((numbers[0] < 1, f"age {row['age']} is below 1"),
-                                 (events < 0, f"events {row['events']} is negative"),
-                                 (at_risk < 1, f"at_risk {row['at_risk']} is below 1"),
-                                 (events > at_risk, f"events {row['events']} exceed "
-                                                    f"at_risk {row['at_risk']}"),
-                                 (not 0.0 <= hazard <= 1.0,
-                                  f"hazard {row['hazard']!r} is not a number in [0, 1]")):
-                if bad:
-                    raise SchemaError(f"{line}: {problem}")
-            if first is None:
-                first = row
-            elif (row["band"], row["cause"]) != (first["band"], first["cause"]):
-                raise SchemaError(
-                    f"{line}: band/cause {row['band']}/{row['cause']} "
-                    f"differs from the first row's {first['band']}/{first['cause']}")
-            elif numbers[0] <= values[-1][0]:
-                raise SchemaError(f"{line}: age {row['age']} does not "
-                                  f"follow age {prev['age']}; ages must increase")
-            prev = row
-            values.append(numbers)
-    if first is None:
-        raise SchemaError(f"{where}: curve file has no rows")
-
-    ages, events, at_risk, hazard, variance, ci_lo, ci_hi, interpolated = np.array(values).T.copy()
-    cause_label = first["cause"]
+    cols = _Columns.read(path, _CURVE_COLUMNS)
+    if cols.rows == 0:
+        raise SchemaError(f"{cols.where}: curve file has no rows")
+    ages, events, at_risk = (cols.labels(name, _whole_cell, np.int64)
+                             for name in ("age", "events", "at_risk"))
+    hazard, variance, ci_lo, ci_hi = (cols.labels(name, _parse_float, np.float64)
+                                      for name in ("hazard", "var", "ci_lo", "ci_hi"))
+    interpolated = cols.labels("interpolated", _whole_cell, np.bool_)
+    band, cause = (np.array(cols.texts(name), dtype=object) for name in ("band", "cause"))
+    cell = cols.cell
+    cols.check_rows((
+        (ages < 1, lambda i: f"age {cell('age', i)} is below 1"),
+        (events < 0, lambda i: f"events {cell('events', i)} is negative"),
+        (at_risk < 1, lambda i: f"at_risk {cell('at_risk', i)} is below 1"),
+        (events > at_risk, lambda i: f"events {cell('events', i)} exceed "
+                                     f"at_risk {cell('at_risk', i)}"),
+        (~((hazard >= 0.0) & (hazard <= 1.0)),
+         lambda i: f"hazard {cell('hazard', i)!r} is not a number in [0, 1]"),
+        ((band != band[0]) | (cause != cause[0]),
+         lambda i: f"band/cause {band[i]}/{cause[i]} differs from the first row's "
+                   f"{band[0]}/{cause[0]}"),
+        (np.append(False, ages[1:] <= ages[:-1]),
+         lambda i: f"age {cell('age', i)} does not follow age {cell('age', i - 1)}; "
+                   f"ages must increase"),
+    ))
     return HazardCurve(
-        band=first["band"], cause=None if cause_label == "all" else Cause.from_label(cause_label),
-        n=0, ages=ages.astype(np.int64), events=events.astype(np.int64),
-        at_risk=at_risk.astype(np.int64), hazard=hazard, variance=variance,
-        ci_lo=ci_lo, ci_hi=ci_hi, interpolated=interpolated.astype(np.bool_),
+        band=band[0], cause=None if cause[0] == "all" else Cause.from_label(cause[0]),
+        n=0, ages=ages, events=events, at_risk=at_risk, hazard=hazard, variance=variance,
+        ci_lo=ci_lo, ci_hi=ci_hi, interpolated=interpolated,
     )
 
 

@@ -104,14 +104,26 @@ def classify_risk_band(apr_pct: float) -> RiskBand:
 _CENSORED = 0
 
 
-def _row_problem(entry_age, exit_age, event, cause) -> tuple[int, str] | None:
-    """(first offending row, message) for the observation row invariants, or None."""
-    checks = ((entry_age < 1, "entry_age must be >= 1"),
-              (entry_age > exit_age, "entry_age must be <= exit_age"),
-              (event & (cause == _CENSORED), "observed events must carry a cause"),
-              (~event & (cause != _CENSORED), "censored observations must not carry a cause"))
-    found = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
-    return min(found, default=None)
+def _first_problem(checks) -> tuple[int, str] | None:
+    """(first offending row, message) over (mask, message) rules, or None.
+
+    The earliest row breaking any rule wins, and of the rules it breaks the
+    first listed.  A message may be a function of the row.
+    """
+    found = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if not found:
+        return None
+    row, k = min(found)
+    message = checks[k][1]
+    return row, message(row) if callable(message) else message
+
+
+def _row_checks(entry_age, exit_age, event, cause) -> tuple:
+    """The observation row invariants as (mask, message) rules."""
+    return ((entry_age < 1, "entry_age must be >= 1"),
+            (entry_age > exit_age, "entry_age must be <= exit_age"),
+            (event & (cause == _CENSORED), "observed events must carry a cause"),
+            (~event & (cause != _CENSORED), "censored observations must not carry a cause"))
 
 
 _OBS_DTYPES = {"loan_id": object, "band": np.int8, "entry_age": np.int64,
@@ -124,7 +136,7 @@ class ObservationTable:
 
     `band` holds RiskBand values (-1: none) and `cause` holds Cause values
     (0: censored).  The columns share one length and every row meets the
-    invariants of `_row_problem`.
+    invariants of `_row_checks`.
     """
 
     loan_id: np.ndarray
@@ -139,7 +151,8 @@ class ObservationTable:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if len({getattr(self, name).shape for name in _OBS_DTYPES}) != 1:
             raise ValueError("observation columns must share one length")
-        problem = _row_problem(self.entry_age, self.exit_age, self.event, self.cause)
+        problem = _first_problem(_row_checks(self.entry_age, self.exit_age, self.event,
+                                             self.cause))
         if problem is not None:
             raise ValueError(problem[1])
 
@@ -408,6 +421,14 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"non-boolean value {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    """A number cell; an empty cell reads NaN."""
+    try:
+        return float(raw) if raw.strip() else np.nan
+    except ValueError:
+        raise ValueError(f"{raw!r} is not a valid number") from None
+
+
 def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
                  point: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read plain numeric cells straight from the bytes, all cells at once.
@@ -538,6 +559,12 @@ class _Columns:
 
     def loc(self, i: int) -> str:
         return f"{self.where}:{self.line[i]}"
+
+    def check_rows(self, checks) -> None:
+        """A SchemaError at the first row breaking a rule (see `_first_problem`)."""
+        problem = _first_problem(checks)
+        if problem is not None:
+            raise SchemaError(f"{self.loc(problem[0])}: {problem[1]}")
 
     def cell(self, name: str, i: int) -> str:
         start, end = self._field(name)
@@ -678,10 +705,8 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
     loan_id = cols.stripped("loan_id")
     original_amount, _ = cols.money("original_amount")
     loan_age_at_entry = cols.ints("loan_age_at_entry")
-    for name, bad, rule in (("original_amount", original_amount <= 0, "must be positive"),
-                            ("loan_age_at_entry", loan_age_at_entry < 0, "must be >= 0")):
-        if bad.any():
-            raise SchemaError(f"{cols.loc(int(np.argmax(bad)))}: column {name!r} {rule}")
+    cols.check_rows(((original_amount <= 0, "column 'original_amount' must be positive"),
+                     (loan_age_at_entry < 0, "column 'loan_age_at_entry' must be >= 0")))
     columns = dict(
         loan_id=loan_id,
         apr_pct=cols.labels("apr_pct", _parse_apr, np.float64),
@@ -734,8 +759,6 @@ def read_observations_csv(path: str | Path) -> ObservationTable:
         exit_age=cols.ints("exit_age"),
         loan_id=cols.stripped("loan_id"),
     )
-    problem = _row_problem(columns["entry_age"], columns["exit_age"],
-                           columns["event"], columns["cause"])
-    if problem is not None:
-        raise SchemaError(f"{cols.loc(problem[0])}: {problem[1]}")
+    cols.check_rows(_row_checks(columns["entry_age"], columns["exit_age"],
+                                columns["event"], columns["cause"]))
     return ObservationTable(**columns)

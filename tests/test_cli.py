@@ -330,6 +330,34 @@ def test_converge_observations_mode(tmp_path):
     assert not (tmp_path / "beyond" / "matrix.csv").exists()
 
 
+def test_converge_rejects_curves_that_share_a_label(tmp_path, capsys):
+    # labels are the band, then band:stem; a third prime.csv of band prime has none left
+    paths = []
+    for d, centre in (("a", 0.05), ("b", 0.30), ("c", 0.50)):
+        (tmp_path / d).mkdir()
+        paths.append(tmp_path / d / "prime.csv")
+        write_curve_csv(paths[-1], staged_curve("prime", 10, centre))
+    rc = cli.main(["converge", *map(str, paths), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {paths[1]} and {paths[2]} both take the "
+                                       f"curve label 'prime:prime'\n")
+    assert not (tmp_path / "out" / "matrix.csv").exists()
+
+
+def test_converge_trace_names_bands_as_the_matrix_does(tmp_path):
+    for name, onset, centre in (("x", 10, 0.05), ("y", 17, 0.35)):
+        write_curve_csv(tmp_path / f"{name}.csv", staged_curve("", onset, centre))
+    rc = cli.main(["converge", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    with open(tmp_path / "out" / "matrix.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["band", "x", "y"]
+    with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    assert len(trace) == 40
+    assert {(row["band_a"], row["band_b"]) for row in trace} == {("x", "y")}
+
+
 def test_converge_mismatched_grids(tmp_path):
     import numpy as np
     write_curve_csv(tmp_path / "a.csv", staged_curve("a", 10, 0.05))
@@ -407,7 +435,8 @@ def test_returns_rejects_bad_schedule_inputs(tmp_path, capsys, flag):
 @pytest.mark.parametrize("column,cell", [("hazard", "x"), ("age", "two"), ("var", "?"),
                                          ("at_risk", "nan"), ("events", "inf"),
                                          ("age", "1.9"), ("events", "2.7"),
-                                         ("at_risk", "10.5"), ("interpolated", "0.4")])
+                                         ("at_risk", "10.5"), ("interpolated", "0.4"),
+                                         ("age", "1e19"), ("at_risk", "-1e300")])
 def test_returns_locates_a_non_numeric_curve_cell(tmp_path, capsys, column, cell):
     row = {"band": "pool", "cause": "default", "age": "2", "events": "1", "at_risk": "10",
            "hazard": "0.1", "var": "", "ci_lo": "", "ci_hi": "", "interpolated": "0"}
@@ -421,7 +450,7 @@ def test_returns_locates_a_non_numeric_curve_cell(tmp_path, capsys, column, cell
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'bad.csv'}:3: ")
-    assert f"column {column}" in err and repr(cell) in err
+    assert f"column {column!r}" in err and repr(cell) in err
     assert not (tmp_path / "out" / "returns.csv").exists()
 
 
@@ -579,14 +608,21 @@ def test_recovery_input_errors(tmp_path, capsys):
     bad.write_text("age,recovery\n3,0.5\n\nx,0.4\n")
     assert cli.main(["recovery", str(bad),
                      "--output-dir", str(tmp_path / "out")]) == 2
-    assert "bad.csv:4: bad age/recovery value" in capsys.readouterr().err
-    for cell in ("nan", "inf"):
+    assert "bad.csv:4: column 'age' has non-integer value 'x'" in capsys.readouterr().err
+    for row, message in (("5,x", "column 'recovery': 'x' is not a valid number"),
+                         ("5,nan", "recovery 'nan' is not a number in [0, 1.5]"),
+                         ("5,inf", "recovery 'inf' is not a number in [0, 1.5]"),
+                         ("5,", "recovery '' is not a number in [0, 1.5]"),
+                         ("5,2.0", "recovery '2.0' is not a number in [0, 1.5]"),
+                         ("5,-0.1", "recovery '-0.1' is not a number in [0, 1.5]"),
+                         ("0,0.4", "age 0 is below 1"),
+                         ("-2,0.4", "age -2 is below 1")):
         write_recoveries_csv(bad)
         with open(bad, "a", encoding="utf-8") as fh:
-            fh.write(f"5,{cell}\n")
+            fh.write(f"{row}\n")
         assert cli.main(["recovery", str(bad),
                          "--output-dir", str(tmp_path / "out")]) == 2
-        assert "bad.csv:22: bad age/recovery value" in capsys.readouterr().err
+        assert f"bad.csv:22: {message}" in capsys.readouterr().err
     write_recoveries_csv(bad)
     for name, value in (("restarts", "0"), ("restarts", "-1"), ("budget", "0")):
         assert cli.main(["recovery", str(bad), f"--{name}={value}",

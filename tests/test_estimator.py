@@ -273,7 +273,7 @@ CURVE_HEADER = "band,cause,age,events,at_risk,hazard,var,ci_lo,ci_hi,interpolate
     (["prime,default,1", "prime,default,2", "prime,default,2"], 4,
      "age 2 does not follow age 2"),
     (["prime,default,2", "prime,default,1"], 3, "age 1 does not follow age 2"),
-    (["prime,default,1", "prime,default"], 3, "row has fewer than 10 fields"),
+    (["prime,default,1", "prime,default"], 3, "expected 10 fields, found 9"),
     (["prime,default,1", "prime,default,2,-3,-1,0.1,,,,0"], 3, "events -3 is negative"),
     (["prime,default,1,0,0,0.0,,,,0"], 2, "at_risk 0 is below 1"),
     (["prime,default,1", "prime,default,2,10,9,0.1,,,,0"], 3, "events 10 exceed at_risk 9"),

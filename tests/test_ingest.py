@@ -8,6 +8,7 @@ tape takes: `load_loan_data`, then `build_observations`.
 """
 from __future__ import annotations
 
+import ast
 import re
 import tempfile
 from decimal import Decimal
@@ -17,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import observation_table, write_tape
+from conftest import observation_table, staged_curve, write_tape
 from oracles import decimal_outcome
 
+from cshazard.cli import _read_recovery_observations
 from cshazard.errors import SchemaError
+from cshazard.estimator import read_curve_csv, write_curve_csv
 from cshazard.ingest import (
     DEFAULT_PAD,
     FilterPolicy,
@@ -436,6 +439,46 @@ def test_reader_handles_quotes_crlf_and_blank_lines(tmp_path):
     assert payment_rows(load_loan_data(loans, payments)) == rows(*REPAID)
     payments.write_text(text.replace("\n", "\r"), newline="")
     assert payment_rows(load_loan_data(loans, payments)) == rows(*REPAID)
+
+    # Curve and recoveries files take the same reader and read the same.
+    curve = tmp_path / "curve.csv"
+    write_curve_csv(curve, staged_curve("prime", 10, 0.05, ages=range(1, 6)))
+    recoveries = tmp_path / "recoveries.csv"
+    recoveries.write_text("age,recovery\n3,0.5\n5,0.25\n3,0.125\n")
+    for quote in ("", '"'):
+        write_curve_csv(tmp_path / "back.csv", read_curve_csv(messy_copy(curve, quote)))
+        assert (tmp_path / "back.csv").read_bytes() == curve.read_bytes()
+        assert (_read_recovery_observations(messy_copy(recoveries, quote))
+                == [(3, 0.5), (5, 0.25), (3, 0.125)])
+
+
+def messy_copy(path, quote):
+    """The CSV with CRLF line ends, a blank line, an extra trailing column, and
+    its first data cell wrapped in `quote`."""
+    head, first, *rest = path.read_text().splitlines()
+    first = quote + first.replace(",", quote + ",", 1)
+    lines = [head + ",note", first + ",x", "", *(row + ",y" for row in rest)]
+    messy = path.with_suffix(".messy")
+    messy.write_text("\r\n".join(lines) + "\r\n", newline="")
+    return messy
+
+
+def test_csv_module_reads_only_inside_the_columnar_reader():
+    """Every CSV input goes through `_Columns`; csv reads only its quoted files."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            reads = (isinstance(child, ast.Attribute) and child.attr in ("reader", "DictReader")
+                     and isinstance(child.value, ast.Name) and child.value.id == "csv")
+            if reads or (isinstance(child, ast.ImportFrom) and child.module == "csv"):
+                found.append(f"{module}:{'.'.join(scope)}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, module, scope + [child.name] if named else scope)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cshazard").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, [])
+    assert found == ["ingest.py:_Columns._read_quoted"]
 
 
 def test_reader_ignores_extra_fields_and_rejects_short_rows(tmp_path):
