@@ -133,7 +133,7 @@ def _select_band(observations, band_label: str):
 
 
 def cmd_estimate(args) -> None:
-    observations = ingest.read_observations_csv(args.observations)
+    observations = ingest.read_observations_csv(args.observations, loan_ids=False)
     band_label = ""
     if args.band:
         band, observations = _select_band(observations, args.band)
@@ -153,8 +153,8 @@ def cmd_estimate(args) -> None:
 
 def _sniff_kind(path: str | Path) -> str:
     """Classify an input CSV as a hazard curve or an observation table."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().lower()
+    with open(path, "rb") as fh:  # only the header is decoded
+        header = fh.readline().decode("utf-8").strip().lower()
     cols = {c.strip() for c in header.split(",")}
     if {"age", "hazard", "at_risk"} <= cols:
         return "curve"
@@ -186,7 +186,7 @@ def _curves_from_inputs(args) -> tuple[dict, list[str]]:
             curves[label], source[label] = curve, path
         return curves, list(curves)
     if kinds == ["observations"]:
-        observations = ingest.read_observations_csv(args.inputs[0])
+        observations = ingest.read_observations_csv(args.inputs[0], loan_ids=False)
         if args.bands:
             labels = [b.strip() for b in args.bands.split(",") if b.strip()]
         else:

@@ -322,6 +322,13 @@ def _whole_cell(raw: str) -> int:
     return int(value)
 
 
+def _cause_cell(raw: str) -> str:
+    """A curve's cause cell as written, once it reads `all` or a cause label."""
+    if raw != "all":
+        Cause.from_label(raw)
+    return raw
+
+
 def read_curve_csv(path: str | Path) -> HazardCurve:
     """Read one curve: every row is complete and carries the first row's band
     and cause, ages strictly increase, and numeric cells are numbers or empty
@@ -336,7 +343,8 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
     hazard, variance, ci_lo, ci_hi = (cols.labels(name, _parse_float, np.float64)
                                       for name in ("hazard", "var", "ci_lo", "ci_hi"))
     interpolated = cols.labels("interpolated", _whole_cell, np.bool_)
-    band, cause = (np.array(cols.texts(name), dtype=object) for name in ("band", "cause"))
+    band = cols.labels("band", str, object)
+    cause = cols.labels("cause", _cause_cell, object)
     cell = cols.cell
     cols.check_rows((
         (ages < 1, lambda i: f"age {cell('age', i)} is below 1"),

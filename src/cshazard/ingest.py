@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -469,6 +470,33 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     return value, plain
 
 
+# A read file is followed by this many spare bytes: room for a closing
+# newline, and for an 8-byte word read at any offset inside the file.
+_SPARE = 9
+# _BYTE_MASK[b] keeps the low b bytes of a little-endian word.
+_BYTE_MASK = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
+
+
+def _read_padded(path: str | Path) -> tuple[bytearray, int]:
+    """(the file's bytes followed by _SPARE NUL bytes, the file's size), read once."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size + _SPARE)
+        size = fh.readinto(data)
+        if size == len(data):  # not a regular file, or it grew: read the rest
+            data += fh.read()
+            size = len(data)
+            data += bytes(_SPARE)
+    return data, size
+
+
+def _changes(keys: np.ndarray) -> np.ndarray:
+    """Per column of `keys`: whether it differs from the column before (the first: True)."""
+    change = np.empty(keys.shape[1], np.bool_)
+    change[0] = True
+    (keys[:, 1:] != keys[:, :-1]).any(axis=0, out=change[1:])
+    return change
+
+
 def _wanted_columns(where: str, header: list, required) -> list[int]:
     """The header position of each required column (a repeated name: the last)."""
     missing = [c for c in required if c not in header]
@@ -489,12 +517,14 @@ def _check_widths(where: str, width: int, found, lines) -> None:
 class _Columns:
     """The cells of a CSV file's required columns, as byte offsets into one buffer.
 
-    Parsing works on whole columns, so no Python object is made per row
-    except where a column is read as text.  Cell k of row i is
-    buf[cells[0, k, i] : cells[1, k, i]]; the byte after it is a separator.
-    Only files holding a quote go through `csv.reader`: on a 470k-row
-    payment file its per-cell strings took over twice the time and memory
-    of the byte scan (see BENCH_columnar_ingest.json).
+    Cell k of row i is buf[cells[0, k, i] : cells[1, k, i]]; the byte after
+    it is a separator, and the buffer ends in `_SPARE` bytes past the file.
+    Numbers parse straight from the bytes, a whole column at once.  Text
+    columns go through `codes`, which groups rows by their cell's bytes
+    without a Python object per row, so each distinct cell is decoded and
+    parsed once.  Only files holding a quote go through `csv.reader`: on a
+    470k-row payment file its per-cell strings took over twice the time and
+    memory of the byte scan (see BENCH_columnar_ingest.json).
     """
 
     def __init__(self, where: str, required, buf: np.ndarray, cells: np.ndarray,
@@ -507,23 +537,25 @@ class _Columns:
     @classmethod
     def read(cls, path: str | Path, required) -> "_Columns":
         where = str(path)
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data, size = _read_padded(path)
         if b'"' in data:
-            return cls._read_quoted(where, data, required)
+            return cls._read_quoted(where, data[:size].decode("utf-8"), required)
         if data.count(b"\r") != data.count(b"\r\n"):  # a bare CR ends a line too
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not data.endswith(b"\n"):
-            data += b"\n"
+            data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            size = len(data)
+            data += bytes(_SPARE)
+        if size == 0 or data[size - 1] != _NEWLINE:
+            data[size] = _NEWLINE
+            size += 1
         header = data[:data.index(b"\n")].decode("utf-8").rstrip("\r").split(",")
         wanted = _wanted_columns(where, header, required)
-        buf = np.frombuffer(data, np.uint8)
+        buf = np.frombuffer(data, np.uint8)  # the spare bytes are NUL: no separator
         ends = np.flatnonzero(buf == _NEWLINE)
         begins = ends[:-1] + 1
         ends = ends[1:] - (buf[ends[1:] - 1] == _CR)  # a CRLF line ends at its CR
         lines = np.flatnonzero(ends > begins)  # blank lines are skipped, as csv readers do
         begins, ends = begins[lines], ends[lines]
-        commas = np.append(np.flatnonzero(buf == _COMMA), buf.size)
+        commas = np.append(np.flatnonzero(buf == _COMMA), size)
         first = np.searchsorted(commas, begins)  # the row's first comma
         found = np.searchsorted(commas, ends) - first + 1
         _check_widths(where, len(header), found, lines + 2)
@@ -534,9 +566,9 @@ class _Columns:
         return cls(where, required, buf, cells, lines + 2)
 
     @classmethod
-    def _read_quoted(cls, where: str, data: bytes, required) -> "_Columns":
+    def _read_quoted(cls, where: str, text: str, required) -> "_Columns":
         """Files with quoted fields go through the csv module."""
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, [])
         wanted = _wanted_columns(where, header, required)
         parts, lines = [], []
@@ -550,7 +582,7 @@ class _Columns:
         size = np.fromiter(map(len, parts), np.int64, len(parts))
         ends = (np.cumsum(size + 1) - 1).reshape(len(lines), len(wanted)).T
         cells = np.stack([ends - size.reshape(len(lines), len(wanted)).T, ends])
-        buf = np.frombuffer(b"\n".join(parts) + b"\n", np.uint8)
+        buf = np.frombuffer(b"\n".join(parts) + b"\n" + bytes(_SPARE), np.uint8)
         return cls(where, required, buf, cells, np.array(lines, dtype=np.int64))
 
     def _field(self, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -570,35 +602,79 @@ class _Columns:
         start, end = self._field(name)
         return self.buf[start[i]:end[i]].tobytes().decode("utf-8")
 
-    def texts(self, name: str) -> list[str]:
-        """The column's cells as strings."""
+    def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(code per row, first row of each code) of a column.
+
+        Rows share a code exactly when their cells hold the same bytes; codes
+        count up in order of first row.  A cell's key is its length and its
+        bytes, read eight at a time through an unaligned little-endian word
+        view with the bytes past the cell masked off.  Keys are exact, so no
+        hash and no collision check are needed.  Runs of equal adjacent rows
+        collapse to their first row before the rest are sorted.
+        """
         start, end = self._field(name)
-        inside = np.zeros(self.buf.size + 1, np.int8)  # each cell and its separator
-        inside[start] += 1
-        inside[end + 1] -= 1
-        np.cumsum(inside, dtype=np.int8, out=inside)
-        gathered = self.buf[inside[:-1].view(np.bool_)]
-        gathered[np.cumsum(end - start + 1) - 1] = _NEWLINE
+        if self.rows == 0:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        length = end - start
+        offset = np.arange(0, int(length.max()), 8)[:, None]  # of each word in its cell
+        words = np.ndarray((self.buf.size - 7,), "<u8", self.buf, strides=(1,))
+        keys = np.empty((offset.size + 1, self.rows), np.uint64)
+        keys[0] = length
+        keys[1:] = words[np.minimum(start + offset, words.size - 1)]  # past the cell: masked
+        keys[1:] &= _BYTE_MASK.take(length - offset, mode="clip")
+        head = _changes(keys)
+        runs = np.flatnonzero(head)
+        keys = keys[:, runs]
+        order = np.lexsort(keys)  # stable: a group's earliest run sorts first
+        new = _changes(keys[:, order])
+        lead = order[new]  # the earliest run of each group
+        is_lead = np.zeros(runs.size, np.bool_)
+        is_lead[lead] = True
+        code_of_group = (np.cumsum(is_lead) - 1)[lead]  # numbered by first row
+        run_code = np.empty(runs.size, np.int64)
+        run_code[order] = code_of_group[np.cumsum(new) - 1]
+        return np.repeat(run_code, np.diff(np.append(runs, self.rows))), runs[is_lead]
+
+    def texts(self, name: str, rows: np.ndarray) -> list[str]:
+        """The cells of the given rows as strings, decoded in one batch."""
+        if rows.size == 0:
+            return []
+        start, end = (column[rows] for column in self._field(name))
+        size = end - start + 1  # each cell and the separator after it
+        stop = np.cumsum(size)
+        gathered = self.buf[np.arange(stop[-1]) + np.repeat(start - (stop - size), size)]
+        gathered[stop - 1] = _NEWLINE
         texts = gathered.tobytes().decode("utf-8").split("\n")
-        if len(texts) != self.rows + 1:  # a quoted cell holds a line break
-            return [self.cell(name, i) for i in range(self.rows)]
+        if len(texts) != rows.size + 1:  # a quoted cell holds a line break
+            return [self.cell(name, i) for i in rows.tolist()]
         texts.pop()
         return texts
 
-    def stripped(self, name: str) -> np.ndarray:
-        return np.array(list(map(str.strip, self.texts(name))), dtype=object)
-
     def labels(self, name: str, parse, dtype) -> np.ndarray:
-        """Parse each distinct cell once; a ValueError becomes a located SchemaError."""
-        texts = self.texts(name)
-        table = {}
-        for raw in dict.fromkeys(texts):
+        """Parse each distinct cell once, in order of its first row.
+
+        A ValueError becomes a SchemaError located at the cell's first row,
+        which is the earliest row holding a cell `parse` rejects.
+        """
+        code, first = self.codes(name)
+        values = []
+        for i, raw in zip(first.tolist(), self.texts(name, first)):
             try:
-                table[raw] = parse(raw)
+                values.append(parse(raw))
             except ValueError as exc:
-                raise SchemaError(f"{self.loc(texts.index(raw))}: column {name!r}: "
-                                  f"{exc}") from None
-        return np.fromiter(map(table.__getitem__, texts), dtype, len(texts))
+                raise SchemaError(f"{self.loc(i)}: column {name!r}: {exc}") from None
+        return np.fromiter(values, dtype, len(values))[code]
+
+    def ids(self, name: str) -> tuple[np.ndarray, dict[str, int]]:
+        """(key per row, {stripped cell: key}): keys count up by first row.
+
+        Cells that differ only in surrounding space share a key.
+        """
+        code, first = self.codes(name)
+        key_of: dict[str, int] = {}
+        merged = np.fromiter((key_of.setdefault(raw.strip(), len(key_of))
+                              for raw in self.texts(name, first)), np.int64, first.size)
+        return merged[code], key_of
 
     def ints(self, name: str) -> np.ndarray:
         values, plain = _parse_plain(self.buf, *self._field(name), point=False)
@@ -670,12 +746,7 @@ def _parse_apr(raw: str) -> float:
 def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
     """The long file as payment segments, plus the segment of each loan_id."""
     cols = _Columns.read(path, _PAYMENT_COLUMNS)
-    raw_ids = cols.texts("loan_id")
-    segment_of: dict[str, int] = {}
-    code_of_raw = {raw: segment_of.setdefault(raw.strip(), len(segment_of))
-                   for raw in dict.fromkeys(raw_ids)}
-    code = np.fromiter(map(code_of_raw.__getitem__, raw_ids), np.int64, len(raw_ids))
-    del raw_ids
+    code, segment_of = cols.ids("loan_id")
     month = cols.ints("trust_month")
     balance, missing = cols.money("balance", allow_missing=True)
     payment, _ = cols.money("payment")
@@ -702,10 +773,14 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
 def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:
     """Read the static and long CSVs into a LoanTape."""
     cols = _Columns.read(loans_path, _LOAN_FIELDS)
-    loan_id = cols.stripped("loan_id")
+    key, key_of = cols.ids("loan_id")
+    loan_id = np.array(list(key_of), dtype=object)[key]
+    owner = np.unique(key, return_index=True)[1][key]  # the first row with the row's id
     original_amount, _ = cols.money("original_amount")
     loan_age_at_entry = cols.ints("loan_age_at_entry")
-    cols.check_rows(((original_amount <= 0, "column 'original_amount' must be positive"),
+    cols.check_rows(((owner < np.arange(cols.rows),
+                      lambda i: f"loan_id {loan_id[i]!r} repeats line {cols.line[owner[i]]}"),
+                     (original_amount <= 0, "column 'original_amount' must be positive"),
                      (loan_age_at_entry < 0, "column 'loan_age_at_entry' must be >= 0")))
     columns = dict(
         loan_id=loan_id,
@@ -714,10 +789,10 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
         original_term=cols.ints("original_term"),
         loan_age_at_entry=loan_age_at_entry,
         has_coborrower=cols.labels("has_coborrower", _parse_bool, np.bool_),
-        income_verification=cols.stripped("income_verification"),
+        income_verification=cols.labels("income_verification", str.strip, object),
         subvention=cols.labels("subvention", _parse_bool, np.bool_),
-        vehicle_condition=cols.stripped("vehicle_condition"),
-        initial_status=cols.stripped("initial_status"),
+        vehicle_condition=cols.labels("vehicle_condition", str.strip, object),
+        initial_status=cols.labels("initial_status", str.strip, object),
         recovered_amount=cols.money("recovered_amount")[0],
     )
     payments, segment_of = _read_payments(payments_path)
@@ -749,7 +824,9 @@ def _cause_code(raw: str) -> int:
     return Cause.from_label(raw).value if raw.strip() else _CENSORED
 
 
-def read_observations_csv(path: str | Path) -> ObservationTable:
+def read_observations_csv(path: str | Path, loan_ids: bool = True) -> ObservationTable:
+    """Read an observation table.  With `loan_ids` false the loan_id column
+    must still be present, but its cells are not read: every id is empty."""
     cols = _Columns.read(path, _OBS_COLUMNS)
     columns = dict(
         event=cols.labels("event", _parse_bool, np.bool_),
@@ -757,7 +834,8 @@ def read_observations_csv(path: str | Path) -> ObservationTable:
         band=cols.labels("band", _band_code, np.int8),
         entry_age=cols.ints("entry_age"),
         exit_age=cols.ints("exit_age"),
-        loan_id=cols.stripped("loan_id"),
+        loan_id=(cols.labels("loan_id", str.strip, object) if loan_ids
+                 else np.full(cols.rows, "", dtype=object)),
     )
     cols.check_rows(_row_checks(columns["entry_age"], columns["exit_age"],
                                 columns["event"], columns["cause"]))

@@ -119,6 +119,19 @@ def test_ingest_non_finite_principal_is_located_schema_error(tmp_path, capsys, c
         in capsys.readouterr().err
 
 
+def test_ingest_rejects_a_repeated_loan_id(tmp_path, capsys):
+    loans, payments = write_portfolio(tmp_path)
+    lines = loans.read_text().splitlines()
+    first_id = lines[1].split(",")[0]
+    lines.insert(4, " " + lines[1])  # the same loan again, padded, at line 5
+    loans.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["ingest", str(loans), str(payments),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"loans.csv:5: loan_id {first_id!r} repeats line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "observations.csv").exists()
+
+
 def test_ingest_filters_each_loan_once(tmp_path, monkeypatch):
     calls = []
     original = ingest.filter_loans
@@ -210,6 +223,24 @@ def test_estimate_row_errors_carry_location(tmp_path, capsys, row, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"observations.csv:6: " in err and message in err
+
+
+def test_estimate_and_converge_leave_loan_id_cells_unread(tmp_path):
+    rows = [(f"{band.label}-{i}", 1, 2 + i % 3, (Cause.DEFAULT, Cause.PREPAY, None)[i % 3], band)
+            for band in (RiskBand.PRIME, RiskBand.SUBPRIME) for i in range(9)]
+    write_observations_csv(tmp_path / "ids.csv", observation_table(rows))
+    raw = (tmp_path / "ids.csv").read_bytes()
+    (tmp_path / "bytes.csv").write_bytes(raw.replace(b"\nprime-", b"\n\xff-"))  # not UTF-8
+    outputs = {}
+    for name in ("ids", "bytes"):
+        out = tmp_path / name
+        for command in (["estimate", "--band", "prime"], ["converge"]):
+            assert cli.main([command[0], str(tmp_path / f"{name}.csv"), *command[1:],
+                             "--output-dir", str(out)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()
+                         if not p.name.endswith(".manifest.json")}
+    assert set(outputs["ids"]) == {"curve.csv", "matrix.csv", "trace.csv"}
+    assert outputs["bytes"] == outputs["ids"]
 
 
 def test_estimate_rejects_theta_outside_unit_interval(tmp_path):
@@ -452,6 +483,17 @@ def test_returns_locates_a_non_numeric_curve_cell(tmp_path, capsys, column, cell
     assert err.startswith(f"error: {tmp_path / 'bad.csv'}:3: ")
     assert f"column {column!r}" in err and repr(cell) in err
     assert not (tmp_path / "out" / "returns.csv").exists()
+
+
+def test_returns_locates_an_unknown_curve_cause(tmp_path, capsys):
+    (tmp_path / "c.csv").write_text("band,cause,age,events,at_risk,hazard,var,ci_lo,ci_hi,"
+                                    "interpolated\npool,lapsed,1,1,10,0.1,,,,0\n")
+    rc = cli.main(["returns", "--balance", "100", "--apr", "12", "--term", "12",
+                   "--default-curve", str(tmp_path / "c.csv"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'c.csv'}:2: column 'cause': "
+                                       f"unknown cause label: 'lapsed'\n")
 
 
 def test_returns_long_zero_hazard_term_is_quiet_and_exact(tmp_path, capsys):

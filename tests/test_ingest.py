@@ -9,6 +9,8 @@ tape takes: `load_loan_data`, then `build_observations`.
 from __future__ import annotations
 
 import ast
+import csv
+import os
 import re
 import tempfile
 from decimal import Decimal
@@ -34,6 +36,7 @@ from cshazard.ingest import (
     filter_loans,
     load_loan_data,
     read_observations_csv,
+    _Columns,
     write_observations_csv,
 )
 from cshazard.riskmodel import Cause
@@ -343,6 +346,23 @@ def test_observation_csv_round_trip(tmp_path):
     assert read_observations_csv(path) == obs
 
 
+def test_observation_csv_without_loan_ids(tmp_path):
+    obs = observation_table([("a", 7, 16, Cause.DEFAULT, RiskBand.SUBPRIME),
+                             ("b", 1, 52, None, None)])
+    path = tmp_path / "obs.csv"
+    write_observations_csv(path, obs)
+    path.write_bytes(path.read_bytes().replace(b"\na,", b"\n\xff,"))  # not UTF-8
+    with pytest.raises(UnicodeDecodeError):
+        read_observations_csv(path)
+    back = read_observations_csv(path, loan_ids=False)
+    assert back.loan_id.tolist() == ["", ""]
+    assert back == ObservationTable(**{**{name: getattr(obs, name) for name in (
+        "band", "entry_age", "exit_age", "event", "cause")}, "loan_id": ["", ""]})
+    path.write_text("band,entry_age,exit_age,event,cause\nprime,1,2,0,\n")
+    with pytest.raises(SchemaError, match="missing required column"):
+        read_observations_csv(path, loan_ids=False)
+
+
 def test_observation_csv_schema_errors(tmp_path):
     bad = tmp_path / "obs.csv"
     bad.write_text("loan_id,band,entry_age\nx,prime,1\n", encoding="utf-8")
@@ -532,3 +552,124 @@ def test_loan_attribute_errors_carry_location(tmp_path, changes, message):
     paths = write_tape(tmp_path, {"L1": changes}, {"L1": (["100"], ["10"], ["10"])})
     with pytest.raises(SchemaError, match=rf"loans\.csv:2: {re.escape(message)}"):
         load_loan_data(*paths)
+
+
+# ---------------------------------------------------------------------------
+# text columns: one decode per distinct cell
+
+
+def oracle_codes(texts):
+    """(code per row, first row of each code) from a dict of the cells as str."""
+    code_of = {}
+    codes = [code_of.setdefault(text, len(code_of)) for text in texts]
+    return codes, [texts.index(text) for text in code_of]
+
+
+def rejects_bang(raw):
+    """A label parser that rejects every cell holding a '!'."""
+    if "!" in raw:
+        raise ValueError(f"bad cell {raw!r}")
+    return raw.strip().upper()
+
+
+_CHARS = st.sampled_from(list("abAB0 !\0") + ["é", "€", "𝄞"])
+
+
+@st.composite
+def text_column(draw):
+    """The cells of a text column: a few distinct cells, repeated and in runs.
+
+    Cells have 0-20 characters (more bytes where they are multi-byte), so
+    they cross the 8- and 16-byte word edges, and may end in NUL bytes, which
+    only a cell's length tells apart from the masked bytes past it.  Most are
+    a base cell with one character changed, which share every byte but one
+    with it, or with padding added.
+    """
+    size = draw(st.integers(0, 20))
+    base = draw(st.text(_CHARS, min_size=size, max_size=size))
+    where = st.sampled_from([7, 8, 15, 16]) | st.integers(0, size)
+    changed = [base[:i] + char + base[i + 1:]
+               for i, char in draw(st.lists(st.tuples(where, _CHARS), max_size=4))]
+    padded = [" " * left + base + " " * right
+              for left, right in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                               max_size=2))]
+    other = draw(st.lists(st.text(_CHARS, max_size=20), max_size=2))
+    pool = list(dict.fromkeys([base, *changed, *padded, *other]))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text_column(), st.booleans(), st.booleans())
+def test_codes_and_labels_match_a_per_row_oracle(texts, quoted, final_newline):
+    if quoted:  # quoting lets a cell hold a separator and a line break
+        texts = [text.replace("0", ",\n") for text in texts]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            quoting = csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL
+            csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(
+                [("n", "cell"), *enumerate(texts)])
+        if not final_newline:  # the last cell ends the file
+            path.write_bytes(path.read_bytes()[:-1])
+        cols = _Columns.read(path, ["n", "cell"])
+        codes, first = cols.codes("cell")
+        assert (codes.tolist(), first.tolist()) == oracle_codes(texts)
+        bad = [row for row, text in enumerate(texts) if "!" in text]
+        if bad:
+            with pytest.raises(SchemaError) as caught:
+                cols.labels("cell", rejects_bang, object)
+            line = 1 + sum(1 + text.count("\n") for text in texts[:bad[0] + 1])  # its last
+            assert str(caught.value).startswith(f"{path}:{line}: column 'cell': "
+                                                f"bad cell {texts[bad[0]]!r}")
+        else:
+            assert cols.labels("cell", rejects_bang, object).tolist() == [
+                rejects_bang(text) for text in texts]
+
+
+def test_reader_reads_a_pipe(tmp_path):
+    obs = observation_table([("a", 7, 16, Cause.DEFAULT, RiskBand.SUBPRIME),
+                             ("b", 1, 52, None, None)])
+    write_observations_csv(tmp_path / "obs.csv", obs)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        with open(write_end, "wb") as writer:
+            writer.write((tmp_path / "obs.csv").read_bytes())
+        assert read_observations_csv(f"/dev/fd/{read_end}") == obs
+
+
+def test_payment_ids_merge_however_the_rows_are_laid_out(tmp_path):
+    histories = {"L1": REPAID, "L2": ([500, 480, 460], [110, 110, 110], [20, 20, 20])}
+    tidy = load_loan_data(*write_tape(tmp_path, {"L1": {}, "L2": {}}, histories))
+    rows_of = {loan_id: [",".join(map(str, (loan_id, month, *cells)))
+                         for month, cells in enumerate(zip(*history), start=1)]
+               for loan_id, history in histories.items()}
+    l1, l2 = rows_of["L1"], rows_of["L2"]
+    messy = tmp_path / "messy.csv"
+    messy.write_text("\n".join(["loan_id,trust_month,balance,payment,principal",
+                                l1[2], l2[1], l1[0], l2[2], " L1 " + l1[3][2:], l2[0],
+                                l1[1]]) + "\n", encoding="utf-8")
+    back = load_loan_data(tmp_path / "loans.csv", messy)
+    assert back.payments.start.tolist() == tidy.payments.start.tolist() == [0, 4]
+    assert back.segment.tolist() == tidy.segment.tolist() == [0, 1]
+    assert payment_rows(back) == payment_rows(tidy)
+    assert build_observations(back) == build_observations(tidy)
+
+
+def test_text_columns_decode_one_string_per_distinct_cell(tmp_path, monkeypatch):
+    asked = []
+    original = _Columns.texts
+
+    def recording(self, name, *rows):
+        distinct = len({self.cell(name, i) for i in range(self.rows)})
+        asked.append((name, len(rows[0]) if rows else self.rows, distinct))
+        return original(self, name, *rows)
+
+    monkeypatch.setattr(_Columns, "texts", recording)
+    history = ([10000 - 10 * m for m in range(200)], [60] * 200, [10] * 200)
+    load_loan_data(*write_tape(tmp_path, {"L1": {}}, {"L1": history}))
+    obs = observation_table([(f"o{i}", 1, 2 + i % 7, (Cause.DEFAULT, None)[i % 2],
+                              RiskBand.PRIME) for i in range(200)])
+    write_observations_csv(tmp_path / "obs.csv", obs)
+    assert read_observations_csv(tmp_path / "obs.csv") == obs
+    assert {name for name, _, _ in asked} >= {"loan_id", "band", "cause", "event"}
+    assert all(rows <= distinct for _, rows, distinct in asked), asked
