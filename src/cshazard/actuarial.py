@@ -174,8 +174,12 @@ def lifetime_return(schedule: AmortizationSchedule, default_hazard, prepay_hazar
     default age j); the prepay path pays through j-1 and then the surviving
     balance plus the final scheduled payment.  A hazard is a HazardCurve,
     an age -> hazard callable, or None (zero); recovery is a callable
-    age -> fraction of original principal (None means zero).  Root-solving
-    is bisection on the monotone EPV.
+    age -> fraction of original principal (None means zero).
+
+    The rate is the one a bisection on (-0.99, 2.0) finds when it evaluates
+    the EPV at every midpoint, down to an interval below 1e-14.  A Newton
+    estimate of the root settles the midpoints far from it; only those near
+    it evaluate the EPV, by the same arithmetic, so the rate keeps its bits.
     """
     if not 1 <= month <= schedule.term:
         raise ValueError(f"month {month} outside [1, {schedule.term}]")
@@ -193,6 +197,10 @@ _BLOCK = 48  # valuation months solved together; about 2 MB of work arrays at T=
 # so leading zeros in a multiple of 32 leave a dot's bits unchanged (the
 # tests compare every table row with the month solved alone).
 _DOT_ALIGN = 32
+# A bisection midpoint farther than this from its row's estimated root takes
+# its side from the estimate; _estimate_roots argues the margin.
+_MARGIN = 1e-12
+_NEWTON_STEPS = 8
 
 
 def _solve(schedule, default_hazard, prepay_hazard, recovery, first: int, last: int):
@@ -205,7 +213,7 @@ def _solve(schedule, default_hazard, prepay_hazard, recovery, first: int, last: 
     # the final cash flow of the default path (recovery) and of the prepay path
     cash = np.stack([_by_age(recovery, ages) * schedule.principal,
                      schedule.balances[first:] + schedule.payment])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return np.concatenate([
             _bisect(lam1[b:], lam2[b:], cash[:, b:], schedule.payment, price[b:b + _BLOCK])
             for b in range(0, price.size, _BLOCK)])
@@ -217,6 +225,13 @@ def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
     Columns run from the first row's month to the term, so row r starts r
     columns in.  Each row repeats the one-month solve bit for bit: its dots
     start at column r mod 32 and it stops once its own hi - lo < 1e-14.
+
+    The midpoints are those of a bisection that calls gap() at every step,
+    but most steps need not call it.  A few Newton steps first estimate each
+    row's root (_estimate_roots).  A midpoint farther than _MARGIN from its
+    row's estimate takes its side from the estimate, which is the side gap()
+    would give there; a step where some active row's midpoint is nearer, or
+    where an active row's estimate is not trusted, calls gap() for the block.
     """
     rows, width = price.size, lam1.size
     dead = np.arange(width) < np.arange(rows)[:, None]
@@ -254,9 +269,11 @@ def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
         r = int(np.argmax((g_lo < 0) | (g_hi > 0)))
         raise NumericalError(
             f"EPV root not bracketed on [{a}, {b}]: g({a})={g_lo[r]:.3g}, g({b})={g_hi[r]:.3g}")
+    root = _estimate_roots(probs, cash, payment, price, exponent, ~dead)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        above = gap(mid) > 0
+        far = np.abs(mid - root) > _MARGIN  # never where the root is NaN
+        above = gap(mid) > 0 if (active & ~far).any() else mid < root
         lo = np.where(active & above, mid, lo)
         hi = np.where(active & ~above, mid, hi)
         active &= hi - lo >= 1e-14
@@ -266,6 +283,71 @@ def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
     if not np.all(np.abs(gap(rho)) <= 1e-8 * price):
         raise NumericalError("EPV reconstruction failed at the solved rate")
     return rho
+
+
+def _estimate_roots(probs, cash, payment, price, exponent, live):
+    """Newton estimate of each row's root; NaN where the replay may not trust it.
+
+    EPV(rho) = sum_j weight[r, j] * (1 + rho) ** exponent[r, j], where a
+    column's weight is its default and prepay cash flows plus the payment
+    that every event after it receives.  Newton runs on y = log(1 + rho).
+    When no weight is negative, log EPV is convex and decreasing in y, so
+    the first step (from y = 0) and every later one stay at or below the
+    root, and after a step of size s the error is O(s^2).
+
+    Why the replay gets every side right for a trusted row.  Its cash flows
+    and probabilities are nonnegative, so EPV is a sum of w_k (1 + rho)^-k
+    with w_k >= 0 and k >= 1: f = EPV - price is convex and decreasing, with
+    slope -D * price / (1 + rho*) at its root rho*, D >= 1 the duration
+    there.  gap() sums nonnegative terms in at most 2n + 16 roundings (the
+    power, the cumsum and dot over the row's n live columns, and the
+    products and adds between them).  So it returns EPV * (1 + t) - price
+    with |t| <= g = (2n + 16) u, u = 2**-53 (8e-14 at n = 360), evaluated
+    at fl(1 + rho), within u * (1 + rho) of 1 + rho.  Left of rho*, f lies
+    above its tangent at rho*; right of it, |f| grows while EPV falls.  So
+    gap() has the sign of rho* - rho once |rho - rho*| exceeds
+    band = (g / D + u) * (1 + rho*), to first order in g and the distance.
+    This estimate sums the same terms in another order under the same
+    bound, so it lies within band + |s| * (1 + rho) of rho*, s its last
+    step.  A midpoint farther than _MARGIN from the estimate is therefore
+    outside the band when 2 * band + |s| * (1 + rho) <= _MARGIN / 2, the
+    test below, which keeps half of _MARGIN as a cushion.  The band is at
+    most 2.4e-13 at n = 360 (D = 1, rho* = 2); on the price-long
+    benchmark's rows (D from 1 to 53 months) it is at most 3e-15, over 300
+    times below _MARGIN.  Underflow adds at most 2**-1074 a term, far below
+    _MARGIN * price / 3 for any price above 1e-280.
+
+    A trusted row also cannot hide a NaN that evaluating every midpoint
+    would raise: with no negative term there is no inf - inf, and zero terms
+    are set to exactly 0, so its gap is NaN only from a NaN input, at every
+    rate, which the bracket evaluation raises.  An untrusted row (a negative
+    cash flow or probability, an EPV that overflows or underflows, no
+    convergence) calls gap() at every step while it is active, and its last
+    midpoint is the rate of the final check.
+    """
+    total = probs.sum(axis=0)
+    later = np.zeros_like(total)  # probability of an event after the column
+    later[:, :-1] = np.cumsum(total[:, :0:-1], axis=1)[:, ::-1]
+    weight = np.where(live, probs[0] * cash[0] + probs[1] * cash[1] + payment * later, 0.0)
+    timed = weight * -exponent
+    epv = weight.sum(axis=1)
+    y = np.log(epv / price) / (timed.sum(axis=1) / epv)  # the step from y = 0
+    y = np.maximum(y, math.log1p(_BRACKET[0]))
+    for _ in range(_NEWTON_STEPS):
+        scale = np.power(np.exp(y)[:, None], exponent)
+        epv = np.einsum("ij,ij->i", weight, scale)
+        duration = np.einsum("ij,ij->i", timed, scale) / epv
+        step = np.log(epv / price) / duration
+        y += step
+        if not np.any(np.abs(step) > _MARGIN / 64):
+            break
+    rho = np.expm1(y)
+    n = live.sum(axis=1)
+    band = ((2 * n + 16) / duration + 1.0) * 2.0 ** -53 * (1.0 + rho)
+    nonnegative = ~((probs < 0).any(axis=0) | ((cash < 0).any(axis=0) & live)).any(axis=1)
+    trusted = (nonnegative & (price > 1e-280) & (_BRACKET[0] < rho) & (rho < _BRACKET[1])
+               & (2 * band + np.abs(step) * (1.0 + rho) <= _MARGIN / 2))
+    return np.where(trusted, rho, np.nan)
 
 
 def remaining_payments(balance: float, payment: float, rate: float) -> int:

@@ -154,7 +154,7 @@ def cmd_estimate(args) -> None:
 def _sniff_kind(path: str | Path) -> str:
     """Classify an input CSV as a hazard curve or an observation table."""
     with open(path, "rb") as fh:  # only the header is decoded
-        header = fh.readline().decode("utf-8").strip().lower()
+        header = fh.readline().decode("utf-8", "surrogateescape").strip().lower()
     cols = {c.strip() for c in header.split(",")}
     if {"age", "hazard", "at_risk"} <= cols:
         return "curve"

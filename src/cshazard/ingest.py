@@ -514,6 +514,23 @@ def _check_widths(where: str, width: int, found, lines) -> None:
         raise SchemaError(f"{where}:{lines[k]}: expected {width} fields, found {found[k]}")
 
 
+def _not_utf8(loc: str, column, exc: UnicodeDecodeError) -> SchemaError:
+    """The error for a cell that is not UTF-8; `column` is a name or a field number."""
+    return SchemaError(f"{loc}: column {column!r}: byte 0x{exc.object[exc.start]:02x} "
+                       f"at position {exc.start} is not UTF-8")
+
+
+def _header_names(loc: str, fields: list[bytes]) -> list[str]:
+    """The header's fields decoded; one that is not UTF-8 is a SchemaError at `loc`."""
+    names = []
+    for j, raw in enumerate(fields):
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(loc, j + 1, exc) from None
+    return names
+
+
 class _Columns:
     """The cells of a CSV file's required columns, as byte offsets into one buffer.
 
@@ -538,8 +555,9 @@ class _Columns:
     def read(cls, path: str | Path, required) -> "_Columns":
         where = str(path)
         data, size = _read_padded(path)
-        if b'"' in data:
-            return cls._read_quoted(where, data[:size].decode("utf-8"), required)
+        if b'"' in data:  # bytes that are not UTF-8 reach the buffer (see _read_quoted)
+            return cls._read_quoted(where, data[:size].decode("utf-8", "surrogateescape"),
+                                    required)
         if data.count(b"\r") != data.count(b"\r\n"):  # a bare CR ends a line too
             data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             size = len(data)
@@ -547,7 +565,7 @@ class _Columns:
         if size == 0 or data[size - 1] != _NEWLINE:
             data[size] = _NEWLINE
             size += 1
-        header = data[:data.index(b"\n")].decode("utf-8").rstrip("\r").split(",")
+        header = _header_names(f"{where}:1", data[:data.index(b"\n")].rstrip(b"\r").split(b","))
         wanted = _wanted_columns(where, header, required)
         buf = np.frombuffer(data, np.uint8)  # the spare bytes are NUL: no separator
         ends = np.flatnonzero(buf == _NEWLINE)
@@ -567,16 +585,22 @@ class _Columns:
 
     @classmethod
     def _read_quoted(cls, where: str, text: str, required) -> "_Columns":
-        """Files with quoted fields go through the csv module."""
+        """Files with quoted fields go through the csv module.
+
+        `text` escapes each byte that is not UTF-8 as a surrogate, and each
+        cell goes back to its own bytes, so such a cell is reported where
+        it is decoded, as in an unquoted file.
+        """
         reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, [])
+        header = [name.encode("utf-8", "surrogateescape") for name in next(reader, [])]
+        header = _header_names(f"{where}:{reader.line_num}", header)
         wanted = _wanted_columns(where, header, required)
         parts, lines = [], []
         for row in reader:
             if not row:
                 continue
             _check_widths(where, len(header), [len(row)], [reader.line_num])
-            parts.extend(row[j].encode("utf-8") for j in wanted)
+            parts.extend(row[j].encode("utf-8", "surrogateescape") for j in wanted)
             lines.append(reader.line_num)
         # Laid out like an unquoted file: every cell is followed by one separator.
         size = np.fromiter(map(len, parts), np.int64, len(parts))
@@ -600,7 +624,10 @@ class _Columns:
 
     def cell(self, name: str, i: int) -> str:
         start, end = self._field(name)
-        return self.buf[start[i]:end[i]].tobytes().decode("utf-8")
+        try:
+            return self.buf[start[i]:end[i]].tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(self.loc(i), name, exc) from None
 
     def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(code per row, first row of each code) of a column.
@@ -636,7 +663,11 @@ class _Columns:
         return np.repeat(run_code, np.diff(np.append(runs, self.rows))), runs[is_lead]
 
     def texts(self, name: str, rows: np.ndarray) -> list[str]:
-        """The cells of the given rows as strings, decoded in one batch."""
+        """The cells of the given rows as strings, decoded in one batch.
+
+        A cell that is not UTF-8 is a SchemaError at the first such row in
+        `rows`.
+        """
         if rows.size == 0:
             return []
         start, end = (column[rows] for column in self._field(name))
@@ -644,8 +675,11 @@ class _Columns:
         stop = np.cumsum(size)
         gathered = self.buf[np.arange(stop[-1]) + np.repeat(start - (stop - size), size)]
         gathered[stop - 1] = _NEWLINE
-        texts = gathered.tobytes().decode("utf-8").split("\n")
-        if len(texts) != rows.size + 1:  # a quoted cell holds a line break
+        try:
+            texts = gathered.tobytes().decode("utf-8").split("\n")
+        except UnicodeDecodeError:  # decoded cell by cell below, to name the row
+            texts = []
+        if len(texts) != rows.size + 1:  # or a quoted cell holds a line break
             return [self.cell(name, i) for i in rows.tolist()]
         texts.pop()
         return texts

@@ -13,6 +13,8 @@ from decimal import Decimal
 import numpy as np
 from scipy import optimize, stats
 
+from cshazard import actuarial
+from cshazard.errors import NumericalError
 from cshazard.montecarlo import simulate_cohort
 from cshazard.riskmodel import Cause
 
@@ -319,3 +321,64 @@ def path_enumeration_rho(schedule, lam1_map, lam2_map, recovery_map, month: int,
     paths = enumerate_paths(schedule, lam1_map, lam2_map, recovery_map, month)
     return optimize.brentq(lambda rho: path_epv(paths, rho) - price,
                            bracket[0], bracket[1], xtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# lifetime returns by a bisection that evaluates every midpoint
+
+
+def plain_bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
+    """Bisection that calls gap() at every midpoint: actuarial._bisect before its replay.
+
+    Columns run from the first row's month to the term, so row r starts r
+    columns in.  Each row repeats the one-month solve bit for bit: its dots
+    start at column r mod 32 and it stops once its own hi - lo < 1e-14.
+    """
+    rows, width = price.size, lam1.size
+    dead = np.arange(width) < np.arange(rows)[:, None]
+    exponent = np.arange(rows)[:, None] - np.arange(width) - 1.0  # minus the discount step
+    probs = actuarial._event_rows(lam1, lam2, ~dead)
+    # 0 * inf where the discount factors overflow must count as 0, so zero
+    # cash flows and zero-probability terms are set to exactly 0
+    no_cash, idle = (cash == 0.0)[:, None, :], probs == 0.0
+    disc, annuity = np.zeros((2, rows, width))
+    paths = np.empty((2, rows, width))
+    dots = np.empty((2, rows, 1, 1))
+
+    def gap(rho):
+        """EPV minus price per row; +inf where the discount factors overflow."""
+        # no where= here: numpy's masked power can fall back to libm pow and change bits
+        np.power((1.0 + rho)[:, None], exponent, out=disc)
+        np.copyto(disc, 0.0, where=dead)
+        np.cumsum(disc[:, :-1], axis=1, out=annuity[:, 1:])
+        np.multiply(cash[:, None, :], disc, out=paths)
+        np.copyto(paths, 0.0, where=no_cash)
+        np.add(paths, payment * annuity, out=paths)
+        np.copyto(paths, 0.0, where=idle)
+        for c in range(min(rows, actuarial._DOT_ALIGN)):
+            r = slice(c, None, actuarial._DOT_ALIGN)
+            np.matmul(probs[:, r, None, c:], paths[:, r, c:, None], out=dots[:, r])
+        g = dots[0, :, 0, 0] + dots[1, :, 0, 0] - price
+        if np.isnan(g).any():
+            raise NumericalError("EPV is not a number; check the schedule and recovery")
+        return g
+
+    (a, b), active = actuarial._BRACKET, np.ones(rows, dtype=bool)
+    lo, hi = np.full(rows, a), np.full(rows, b)
+    g_lo, g_hi = gap(lo), gap(hi)
+    if np.any((g_lo < 0) | (g_hi > 0)):
+        r = int(np.argmax((g_lo < 0) | (g_hi > 0)))
+        raise NumericalError(
+            f"EPV root not bracketed on [{a}, {b}]: g({a})={g_lo[r]:.3g}, g({b})={g_hi[r]:.3g}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = gap(mid) > 0
+        lo = np.where(active & above, mid, lo)
+        hi = np.where(active & ~above, mid, hi)
+        active &= hi - lo >= 1e-14
+        if not active.any():
+            break
+    rho = 0.5 * (lo + hi)
+    if not np.all(np.abs(gap(rho)) <= 1e-8 * price):
+        raise NumericalError("EPV reconstruction failed at the solved rate")
+    return rho

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import amortize, enumerate_paths, path_enumeration_rho, path_epv
+from oracles import amortize, enumerate_paths, path_enumeration_rho, path_epv, plain_bisect
 
+from cshazard import actuarial
 from cshazard.actuarial import (
     AmortizationSchedule,
     annualize,
@@ -255,6 +256,120 @@ def test_long_term_without_recovery_stays_finite():
     table = returns_table(schedule, lambda j: 0.002, lambda j: 0.01, None)
     assert np.isfinite(table).all()
     assert table[0] == lifetime_return(schedule, lambda j: 0.002, lambda j: 0.01, None, 1)
+
+
+def plain_table(schedule, default_hazard, prepay_hazard, recovery):
+    """returns_table with oracles.plain_bisect, which evaluates every midpoint."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(actuarial, "_bisect", plain_bisect)
+        return returns_table(schedule, default_hazard, prepay_hazard, recovery)
+
+
+def replay_loan(rng, term, scenario):
+    """A schedule with default and prepay hazard maps and a recovery map.
+
+    random: hazards, some zero, and recovery up to the balance at default;
+    zero: no hazards and a zero or random contract rate; full: recovery of
+    the whole balance at default; low and high: default nearly certain every
+    month, recovering 1-3% or 250-299% of the balance, so roots lie near
+    the bracket ends -0.99 and 2.0; negative: a small negative recovery,
+    whose rows the replay does not trust and evaluates at every midpoint.
+    Above 154 months the EPV overflows to +inf at -0.99.
+    """
+    rate = 0.0 if scenario == "zero" and rng.random() < 0.5 else float(rng.uniform(0, 0.4 / 12))
+    schedule = AmortizationSchedule.build(float(rng.uniform(50, 50000)), rate, term)
+    ages = range(1, term + 1)
+    share = {j: schedule.balance(j - 1) / schedule.principal for j in ages}
+
+    def hazards(top):
+        return {j: 0.0 if rng.random() < 0.2 else float(rng.uniform(0, top)) for j in ages}
+
+    if scenario in ("low", "high"):
+        lam1 = {j: 1.0 if rng.random() < 0.3 else float(rng.uniform(0.95, 1.0)) for j in ages}
+        lo, hi = (0.0101, 0.03) if scenario == "low" else (2.5, 2.99)
+        return schedule, lam1, {}, {j: float(rng.uniform(lo, hi)) * share[j] for j in ages}
+    if scenario == "zero":
+        return schedule, {}, {}, {}
+    lam1, lam2 = hazards(0.1), hazards(0.1)
+    if scenario == "full":
+        return schedule, lam1, lam2, share
+    if scenario == "negative":
+        return schedule, lam1, lam2, {j: -0.02 * share[j] for j in ages}
+    return schedule, lam1, lam2, {j: float(rng.uniform(0, 1)) * share[j] for j in ages}
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 360),
+       st.sampled_from(["random", "zero", "full", "low", "high", "negative"]))
+@example(11, 360, "random")
+@example(12, 360, "zero")
+@example(13, 360, "full")
+@example(14, 200, "low")
+@example(15, 360, "high")
+@example(16, 120, "negative")
+def test_returns_table_replays_plain_bisection_bit_for_bit(seed, term, scenario):
+    if scenario == "negative":
+        term = min(term, 120)  # longer, the negative recovery overflows to NaN at -0.99
+    schedule, lam1, lam2, rec = replay_loan(np.random.default_rng(seed), term, scenario)
+    hazards = (lambda j: lam1.get(j, 0.0), lambda j: lam2.get(j, 0.0),
+               lambda age: rec.get(age, 0.0))
+    assert same_bits(returns_table(schedule, *hazards), plain_table(schedule, *hazards))
+
+
+@pytest.mark.parametrize("case,message", [
+    ("late NaN recovery", "not a number"),
+    ("negative recovery overflowing", "not a number"),
+    ("default certain at month 1", "not bracketed"),
+])
+def test_returns_table_errors_match_plain_bisection(case, message):
+    schedule = AmortizationSchedule.build(20000.0, 0.01, 360)
+    if case == "late NaN recovery":
+        loan = (lambda j: 0.004, lambda j: 0.01, lambda age: math.nan if age == 340 else 0.3)
+    elif case == "negative recovery overflowing":
+        loan = (lambda j: 0.004, lambda j: 0.01, lambda age: -0.5)
+    else:
+        loan = (lambda j: 1.0 if j == 1 else 0.0, None, None)
+    with pytest.raises(NumericalError, match=message) as plain:
+        plain_table(schedule, *loan)
+    with pytest.raises(NumericalError) as replayed:
+        returns_table(schedule, *loan)
+    assert str(replayed.value) == str(plain.value)
+
+
+def test_returns_table_evaluates_the_epv_near_roots_only(monkeypatch):
+    # hazards shaped like the price-long benchmark's bands; every exact EPV
+    # evaluation in actuarial (gap) checks its result with np.isnan once
+    ages = np.arange(1, 73)
+    hump = 0.3 + 0.7 * (ages / 12.0) * np.exp(1.0 - ages / 12.0)
+    ramp = 0.5 + 0.5 * np.minimum(ages, 36) / 36.0
+    at_risk = np.full(72, 4000)
+    default = curve_from_counts("x", None, 4000, ages, np.rint(24 * hump), at_risk)
+    prepay = curve_from_counts("x", None, 4000, ages, np.rint(76 * ramp), at_risk)
+    schedule = AmortizationSchedule.build(20000.0, 0.126 / 12, 360)
+
+    def recovery(age):
+        return 0.06 * age ** 1.4 * math.exp(-age / 10.0)
+
+    want = plain_table(schedule, default, prepay, recovery)
+    evaluations = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def isnan(self, x):
+            evaluations.append(1)
+            return np.isnan(x)
+
+    monkeypatch.setattr(actuarial, "np", CountingNumpy())
+    got = returns_table(schedule, default, prepay, recovery)
+    assert same_bits(got, want)
+    blocks = -(-360 // 48)
+    assert len(evaluations) <= 30 * blocks  # the plain bisection makes 52 per block
 
 
 def test_remaining_payments_examples():

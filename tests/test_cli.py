@@ -132,6 +132,43 @@ def test_ingest_rejects_a_repeated_loan_id(tmp_path, capsys):
     assert not (tmp_path / "out" / "observations.csv").exists()
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+def test_ingest_locates_a_cell_that_is_not_utf8(tmp_path, capsys, quoted):
+    # a quote anywhere sends the file through the csv module, which decodes it whole
+    loans, payments = write_portfolio(tmp_path)
+    lines = loans.read_bytes().split(b"\n")
+    cell = b'"\xffL9"' if quoted else b"\xffL9"
+    lines[3] = cell + lines[3][lines[3].index(b","):]
+    loans.write_bytes(b"\n".join(lines))
+    rc = cli.main(["ingest", str(loans), str(payments), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("loans.csv:4: column 'loan_id': byte 0xff at position 0 is not UTF-8"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_ingest_locates_a_header_that_is_not_utf8(tmp_path, capsys, quoted):
+    loans, payments = write_portfolio(tmp_path)
+    data = payments.read_bytes().replace(b"trust_month", b"trust\xe9month", 1)
+    payments.write_bytes(data.replace(b"loan_id", b'"loan_id"', 1) if quoted else data)
+    rc = cli.main(["ingest", str(loans), str(payments), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("payments.csv:1: column 2: byte 0xe9 at position 5 is not UTF-8"
+            in capsys.readouterr().err)
+
+
+def test_ingest_locates_a_money_cell_that_is_not_utf8(tmp_path, capsys):
+    loans, payments = write_portfolio(tmp_path)
+    lines = payments.read_bytes().split(b"\n")
+    fields = lines[2].split(b",")
+    lines[2] = b",".join(fields[:2] + [b"1\xe90"] + fields[3:])
+    payments.write_bytes(b"\n".join(lines))
+    rc = cli.main(["ingest", str(loans), str(payments), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("payments.csv:3: column 'balance': byte 0xe9 at position 1 is not UTF-8"
+            in capsys.readouterr().err)
+
+
 def test_ingest_filters_each_loan_once(tmp_path, monkeypatch):
     calls = []
     original = ingest.filter_loans
@@ -399,6 +436,14 @@ def test_converge_mismatched_grids(tmp_path):
     assert rc == 5
 
 
+def test_converge_locates_a_curve_header_that_is_not_utf8(tmp_path, capsys):
+    first, second = write_staged_pair(tmp_path)
+    first.write_bytes(first.read_bytes().replace(b"var", b"v\xe9r", 1))
+    rc = cli.main(["converge", str(first), str(second), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "b0.csv:1: column 7: byte 0xe9 at position 1 is not UTF-8" in capsys.readouterr().err
+
+
 def test_converge_rejects_unrecognized_header(tmp_path):
     (tmp_path / "junk.csv").write_text("shape,color\ncircle,red\n")
     rc = cli.main(["converge", str(tmp_path / "junk.csv"),
@@ -507,6 +552,23 @@ def test_returns_long_zero_hazard_term_is_quiet_and_exact(tmp_path, capsys):
         rates = [float(row["monthly_return"]) for row in csv.DictReader(fh)]
     assert len(rates) == 360
     assert max(abs(r - 6.5 / 1200) for r in rates) <= 1e-10
+
+
+def test_returns_nan_recovery_is_a_numerical_failure(tmp_path, capsys):
+    import numpy as np
+    ages = np.arange(1, 13)
+    write_curve_csv(tmp_path / "d.csv", curve_with_cis("pool", ages, np.full(12, 0.001),
+                                                       np.full(12, 0.003),
+                                                       hazard=np.full(12, 0.002)))
+    fit = GammaKernelFit(c=float("nan"), k=3.0, theta=3.0, residual=0.0)
+    (tmp_path / "fit.json").write_text(fit_to_json(fit))
+    rc = cli.main(["returns", "--balance", "20000", "--apr", "12", "--term", "360",
+                   "--default-curve", str(tmp_path / "d.csv"),
+                   "--recovery-fit", str(tmp_path / "fit.json"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 6
+    assert "EPV is not a number" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "returns.csv").exists()
 
 
 def exit_recipe(code, tmp):

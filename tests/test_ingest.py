@@ -352,7 +352,7 @@ def test_observation_csv_without_loan_ids(tmp_path):
     path = tmp_path / "obs.csv"
     write_observations_csv(path, obs)
     path.write_bytes(path.read_bytes().replace(b"\na,", b"\n\xff,"))  # not UTF-8
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(SchemaError, match="obs.csv:2: column 'loan_id': byte 0xff at position 0"):
         read_observations_csv(path)
     back = read_observations_csv(path, loan_ids=False)
     assert back.loan_id.tolist() == ["", ""]
