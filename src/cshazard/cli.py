@@ -232,7 +232,8 @@ def cmd_converge(args) -> None:
 
 def _recovery_fn(args):
     if args.recovery_fit:
-        fit = recovery.fit_from_json(Path(args.recovery_fit).read_text(encoding="utf-8"))
+        fit = recovery.fit_from_json(Path(args.recovery_fit).read_text(encoding="utf-8"),
+                                     args.recovery_fit)
         return lambda age: recovery.recovery_at(fit, age)
     if args.recovery_rate is not None:
         rate = float(args.recovery_rate)

@@ -407,9 +407,8 @@ _OBS_COLUMNS = ["loan_id", "band", "entry_age", "exit_age", "event", "cause"]
 _TRUE = {"true", "1", "yes", "y", "t"}
 _FALSE = {"false", "0", "no", "n", "f"}
 
-_COMMA, _NEWLINE, _CR, _MINUS, _PLUS, _POINT, _ZERO, _NINE, _N, _A = b",\n\r-+.09NA"
-# A plain cell has at most this many characters: sign, 12 digits, point.
-_PLAIN_WIDTH = 14
+_COMMA, _NEWLINE, _CR, _MINUS, _PLUS, _POINT, _ZERO, _N, _A = b",\n\r-+.0NA"
+# A plain cell holds at most this many digits.
 _PLAIN_DIGITS = 12
 
 
@@ -422,12 +421,102 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"non-boolean value {raw!r}")
 
 
+def _foreign(text: str) -> bool:
+    """Whether a numeric cell holds a '_' or a non-ASCII character.
+
+    int, float and Decimal read '_' as a digit separator and accept
+    non-ASCII digits; the CSV number grammar has neither.
+    """
+    return "_" in text or not text.isascii()
+
+
 def _parse_float(raw: str) -> float:
     """A number cell; an empty cell reads NaN."""
     try:
+        if _foreign(raw):
+            raise ValueError
         return float(raw) if raw.strip() else np.nan
     except ValueError:
         raise ValueError(f"{raw!r} is not a valid number") from None
+
+
+# A read file is followed by this many spare bytes: room for a closing
+# newline, and for an 8-byte word read at any offset inside the file.
+_SPARE = 9
+# _BYTE_MASK[b] keeps the low b bytes of a little-endian word.
+_BYTE_MASK = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
+
+
+def _each_byte(byte: int) -> np.uint64:
+    """The word holding `byte` in each of its eight bytes."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+_ZEROS, _POINTS = _each_byte(_ZERO), _each_byte(_POINT)
+_HIGH_NIBBLES, _LOW_NIBBLES = _each_byte(0xF0), _each_byte(0x0F)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The unaligned little-endian word starting at each byte of `buf` but the last 7."""
+    return np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+
+
+def _digits_before(words: np.ndarray, stop: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row, the eight bytes before offset `stop` as one little-endian word,
+    with all but the last `keep` of them set to '0'.
+
+    The byte just before `stop` is the word's high byte, so a number whose
+    last digit sits there is right-aligned, and the '0' fill stands for
+    leading zeros.  A word that would start before the buffer is read from
+    its start and shifted into place; the bytes shifted in are filled.
+    """
+    at = stop - 8
+    if at.size and at.min() < 0:
+        word = words[np.maximum(at, 0)] << (8 * np.clip(-at, 0, 7)).astype(np.uint64)
+    else:
+        word = words[at]
+    del at
+    return _keep_last(word, keep)
+
+
+def _keep_last(word: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """`word` with all but its last (highest) `keep` bytes set to '0', in place."""
+    change = word ^ _ZEROS
+    change &= _BYTE_MASK.take(8 - keep, mode="clip")
+    word ^= change
+    return word
+
+
+def _all_digits(word: np.ndarray) -> np.ndarray:
+    """Whether all eight bytes of each word are ASCII digits.
+
+    Lemire's `is_made_of_eight_digits_fast`: a byte is a digit exactly when
+    its high nibble, and that of the byte plus 6, are both 3.  A carry out
+    of a byte needs a high nibble of F there, which already fails the test.
+    """
+    high = (word + _each_byte(0x06)) & _HIGH_NIBBLES
+    high >>= np.uint64(4)
+    high |= word & _HIGH_NIBBLES
+    return high == _each_byte(0x33)
+
+
+def _digits_value(word: np.ndarray) -> np.ndarray:
+    """The number written by eight ASCII digits, the first in the low byte,
+    computed in place.
+
+    Lemire's three multiply-mask-shift steps join adjacent digits into
+    pairs, the pairs into fours and the fours into the eight-digit value.
+    """
+    word &= _LOW_NIBBLES
+    word *= np.uint64(10 << 8 | 1)
+    word >>= np.uint64(8)
+    word &= np.uint64(0x00FF00FF00FF00FF)
+    word *= np.uint64(100 << 16 | 1)
+    word >>= np.uint64(16)
+    word &= np.uint64(0x0000FFFF0000FFFF)
+    word *= np.uint64(10000 << 32 | 1)
+    word >>= np.uint64(32)
+    return word.view(np.int64)
 
 
 def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
@@ -438,43 +527,56 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     one '.' may sit among them with at most two digits after it, and the
     value is returned in hundredths (cents).  Returns (values, plain); cells
     that are not plain read 0 and are left to the caller.
+
+    Each cell takes one word per eight integer digits rather than one pass
+    per character.  The cell's last eight bytes give the point, which a
+    plain cell holds among its last three bytes, and the fraction digits.
+    The integer digits (up to the point or the cell's end) load as one word
+    right-aligned there, the bytes before them filled with '0'; a check of
+    all eight bytes and three multiply-mask-shift steps give their value
+    (Lemire, "Number Parsing at a Gigabyte per Second", 2021).  Only cells
+    with more than eight integer digits read a second word.  Every byte of
+    the cell is checked (sign, digits, point), so a cell is plain exactly
+    when it matches the grammar.
     """
-    n = start.size
-    value = np.zeros(n, np.int64)
-    plain = np.ones(n, np.bool_)
-    if n == 0:
-        return value, plain
-    length = end - start
-    digits = np.zeros(n, np.int64)
-    after_point = np.full(n, -1, np.int64)  # digits after the point; -1: no point yet
-    negative = np.zeros(n, np.bool_)
-    last = buf.size - 1
-    for k in range(int(min(length.max(), _PLAIN_WIDTH))):
-        inside = k < length
-        c = buf[np.minimum(start + k, last)]
-        digit = inside & (c >= _ZERO) & (c <= _NINE)
-        value = np.where(digit, value * 10 + (c.astype(np.int64) - _ZERO), value)
-        digits += digit
-        after_point += digit & (after_point >= 0)
-        dot = inside & (c == _POINT)
-        plain &= ~(dot & ((after_point >= 0) | (not point)))
-        after_point[dot] = 0
-        sign = inside & ((c == _MINUS) | (c == _PLUS)) if k == 0 else False
-        negative |= sign & (c == _MINUS)
-        plain &= ~inside | digit | dot | sign
-    plain &= (length <= _PLAIN_WIDTH) & (digits >= 1) & (digits <= _PLAIN_DIGITS)
+    words = _words(buf)
+    first = buf[start]
+    sign = ((first == _MINUS) | (first == _PLUS)).view(np.int8)
+    whole_end, decimals = end, 0  # the integer digits end at the point or the cell's end
+    plain = np.ones(start.size, np.bool_)
     if point:
-        plain &= after_point <= 2
-        value *= 10 ** np.clip(2 - after_point, 0, 2)
-    value = np.where(plain, np.where(negative, -value, value), 0)
+        tail = _digits_before(words, end, end - start)  # bytes before the cell read '0'
+        top = (tail ^ _POINTS) >> np.uint64(40)  # the last three bytes; 0 where a '.'
+        back = ((top & 0xFF) == 0).view(np.int8) * 3  # the point's distance from the end
+        back = np.where((top & 0xFF00) == 0, 2, back)
+        back = np.where(top < 1 << 16, 1, back)  # 0: no point
+        del top
+        fraction = _keep_last(tail, back - 1)
+        plain &= _all_digits(fraction)
+        cents = _digits_value(fraction).astype(np.int16)
+        del tail, fraction
+        cents[back == 2] *= 10
+        whole_end = end - back
+        decimals = np.maximum(back - 1, 0)
+    whole_digits = whole_end - start - sign
+    digits = whole_digits + decimals
+    plain &= (digits >= 1) & (digits <= _PLAIN_DIGITS)
+    del digits
+    whole = _digits_before(words, whole_end, whole_digits)
+    plain &= _all_digits(whole)
+    value = _digits_value(whole)
+    long = np.flatnonzero(whole_digits > 8)
+    if long.size:  # their leading digits take a second word
+        lead = _digits_before(words, whole_end[long] - 8, whole_digits[long] - 8)
+        plain[long] &= _all_digits(lead)
+        value[long] += _digits_value(lead) * 10**8
+    del whole_end, whole_digits
+    if point:
+        value *= 100
+        value += cents
+    value[first == _MINUS] *= -1
+    value[~plain] = 0
     return value, plain
-
-
-# A read file is followed by this many spare bytes: room for a closing
-# newline, and for an 8-byte word read at any offset inside the file.
-_SPARE = 9
-# _BYTE_MASK[b] keeps the low b bytes of a little-endian word.
-_BYTE_MASK = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
 
 
 def _read_padded(path: str | Path) -> tuple[bytearray, int]:
@@ -531,17 +633,51 @@ def _header_names(loc: str, fields: list[bytes]) -> list[str]:
     return names
 
 
+def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(buffer, line ends, grid) of file bytes ending in a newline and the spare bytes.
+
+    Commas and newlines are found in one pass.  When every line holds as
+    many fields as the first, two or more, grid[i, j] is the separator after
+    field j of line i, and its last column gives the line ends.  Any other
+    file (a blank line, a short or long row, one column) has no grid.
+    """
+    buf = np.frombuffer(data, np.uint8)  # the spare bytes are NUL: no separator
+    width = data.count(b",", 0, data.index(b"\n")) + 1
+    separator = buf == _NEWLINE
+    lines = np.count_nonzero(separator)
+    separator |= buf == _COMMA
+    found = np.flatnonzero(separator)
+    del separator
+    if width > 1 and found.size == lines * width:
+        grid = found.reshape(lines, width)
+        # The last column holds every newline exactly when each line has `width` fields.
+        if (buf[grid[:, -1]] == _NEWLINE).all():
+            return buf, grid[:, -1], grid
+    return buf, np.flatnonzero(buf == _NEWLINE), None
+
+
 class _Columns:
     """The cells of a CSV file's required columns, as byte offsets into one buffer.
 
     Cell k of row i is buf[cells[0, k, i] : cells[1, k, i]]; the byte after
     it is a separator, and the buffer ends in `_SPARE` bytes past the file.
-    Numbers parse straight from the bytes, a whole column at once.  Text
-    columns go through `codes`, which groups rows by their cell's bytes
-    without a Python object per row, so each distinct cell is decoded and
-    parsed once.  Only files holding a quote go through `csv.reader`: on a
-    470k-row payment file its per-cell strings took over twice the time and
-    memory of the byte scan (see BENCH_columnar_ingest.json).
+
+    `read` finds every comma and newline in one pass (`_separators`).  When
+    each line holds the header's fields, the separator offsets reshape to a
+    (line, field) grid whose columns are the cell bounds.  Any other file (a
+    blank line, a short or long row) takes the general path, which searches
+    each line's commas and skips blank lines; both give the same cells and
+    lines.  A bare CR ends a line too: a file holding one is rewritten with
+    newlines first, found by comparing its CRs with those before newlines.
+
+    Numbers parse straight from the bytes, a whole column at once, one word
+    per eight digits (see `_parse_plain`); only cells outside the plain
+    grammar go one by one through int or Decimal.  Text columns go through
+    `codes`, which groups rows by their cell's bytes without a Python object
+    per row, so each distinct cell is decoded and parsed once.  Only files
+    holding a quote go through `csv.reader`: on a 470k-row payment file its
+    per-cell strings took over twice the time and memory of the byte scan
+    (see BENCH_columnar_ingest.json).
     """
 
     def __init__(self, where: str, required, buf: np.ndarray, cells: np.ndarray,
@@ -558,29 +694,41 @@ class _Columns:
         if b'"' in data:  # bytes that are not UTF-8 reach the buffer (see _read_quoted)
             return cls._read_quoted(where, data[:size].decode("utf-8", "surrogateescape"),
                                     required)
-        if data.count(b"\r") != data.count(b"\r\n"):  # a bare CR ends a line too
-            data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            size = len(data)
-            data += bytes(_SPARE)
         if size == 0 or data[size - 1] != _NEWLINE:
             data[size] = _NEWLINE
             size += 1
+        buf, newlines, grid = _separators(data)
+        after_cr = buf[newlines - 1] == _CR
+        if b"\r" in data and data.count(b"\r") != np.count_nonzero(after_cr):
+            # a bare CR ends a line too
+            data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            size = len(data)
+            data += bytes(_SPARE)
+            buf, newlines, grid = _separators(data)
+            after_cr = np.zeros(newlines.size, np.bool_)
         header = _header_names(f"{where}:1", data[:data.index(b"\n")].rstrip(b"\r").split(b","))
         wanted = _wanted_columns(where, header, required)
-        buf = np.frombuffer(data, np.uint8)  # the spare bytes are NUL: no separator
-        ends = np.flatnonzero(buf == _NEWLINE)
-        begins = ends[:-1] + 1
-        ends = ends[1:] - (buf[ends[1:] - 1] == _CR)  # a CRLF line ends at its CR
-        lines = np.flatnonzero(ends > begins)  # blank lines are skipped, as csv readers do
-        begins, ends = begins[lines], ends[lines]
-        commas = np.append(np.flatnonzero(buf == _COMMA), size)
-        first = np.searchsorted(commas, begins)  # the row's first comma
-        found = np.searchsorted(commas, ends) - first + 1
-        _check_widths(where, len(header), found, lines + 2)
+        begins = newlines[:-1] + 1
+        ends = newlines[1:] - after_cr[1:]  # a CRLF line ends at its CR
+        if grid is None:
+            lines = np.flatnonzero(ends > begins)  # blank lines are skipped, as csv readers do
+            begins, ends = begins[lines], ends[lines]
+            commas = np.append(np.flatnonzero(buf == _COMMA), size)
+            first = np.searchsorted(commas, begins)  # the row's first comma
+            found = np.searchsorted(commas, ends) - first + 1
+            _check_widths(where, len(header), found, lines + 2)
+
+            def field_end(j):  # per row, the offset just past field j
+                return np.where(j + 1 < found, commas[first + j], ends)
+        else:  # every line holds the header's fields
+            lines = np.arange(begins.size)
+
+            def field_end(j):
+                return grid[1:, j] if j + 1 < len(header) else ends
         cells = np.empty((2, len(wanted), lines.size), np.int64)
         for k, j in enumerate(wanted):
-            cells[0, k] = begins if j == 0 else commas[first + j - 1] + 1
-            cells[1, k] = np.where(j + 1 < found, commas[first + j], ends)
+            cells[0, k] = begins if j == 0 else field_end(j - 1) + 1
+            cells[1, k] = field_end(j)
         return cls(where, required, buf, cells, lines + 2)
 
     @classmethod
@@ -644,7 +792,7 @@ class _Columns:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
         length = end - start
         offset = np.arange(0, int(length.max()), 8)[:, None]  # of each word in its cell
-        words = np.ndarray((self.buf.size - 7,), "<u8", self.buf, strides=(1,))
+        words = _words(self.buf)
         keys = np.empty((offset.size + 1, self.rows), np.uint64)
         keys[0] = length
         keys[1:] = words[np.minimum(start + offset, words.size - 1)]  # past the cell: masked
@@ -715,6 +863,8 @@ class _Columns:
         for i in np.flatnonzero(~plain).tolist():
             raw = self.cell(name, i)
             try:
+                if _foreign(raw):
+                    raise ValueError
                 values[i] = int(raw.strip())
             except ValueError:
                 raise SchemaError(f"{self.loc(i)}: column {name!r} has non-integer "
@@ -748,6 +898,8 @@ class _Columns:
                 missing[i] = True
                 continue
             try:
+                if _foreign(text):
+                    raise InvalidOperation
                 amount = Decimal(text)
             except InvalidOperation:
                 raise SchemaError(f"{self.loc(i)}: column {name!r} has non-numeric "
@@ -769,6 +921,8 @@ class _Columns:
 
 def _parse_apr(raw: str) -> float:
     try:
+        if _foreign(raw):
+            raise ValueError
         apr = float(raw)
     except ValueError:
         raise ValueError(f"non-numeric value {raw!r}") from None

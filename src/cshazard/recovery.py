@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, SchemaError
 
 __all__ = [
     "RecoveryPoints",
@@ -261,8 +261,36 @@ def fit_to_json(fit: GammaKernelFit) -> str:
     }, indent=2)
 
 
-def fit_from_json(text: str) -> GammaKernelFit:
-    doc = json.loads(text)
-    return GammaKernelFit(c=float(doc["c"]), k=float(doc["k"]),
-                          theta=float(doc["theta"]),
-                          residual=float(doc.get("residual", 0.0)))
+def _json_number(where: str, doc: dict, key: str) -> float:
+    """doc[key] as a float; anything but a JSON number is a SchemaError."""
+    value = doc[key]
+    if type(value) not in (int, float):  # a bool is not a number here
+        raise SchemaError(f"{where}: {key!r} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        return math.inf if value > 0 else -math.inf
+
+
+def fit_from_json(text: str, where: str = "fit JSON") -> GammaKernelFit:
+    """A fit written by `fit_to_json`; `where` names the source in errors.
+
+    The document must be an object whose `c`, `k` and `theta` are finite
+    positive numbers; `residual`, when present, is a number.  Anything else
+    is a SchemaError.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object, found {type(doc).__name__}")
+    missing = [key for key in ("c", "k", "theta") if key not in doc]
+    if missing:
+        raise SchemaError(f"{where}: missing key(s) {', '.join(missing)}")
+    params = {key: _json_number(where, doc, key) for key in ("c", "k", "theta")}
+    for key, value in params.items():
+        if not (math.isfinite(value) and value > 0):
+            raise SchemaError(f"{where}: {key!r} must be a finite positive number, not {value!r}")
+    residual = _json_number(where, doc, "residual") if "residual" in doc else 0.0
+    return GammaKernelFit(**params, residual=residual)

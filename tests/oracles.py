@@ -382,3 +382,48 @@ def plain_bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
     if not np.all(np.abs(gap(rho)) <= 1e-8 * price):
         raise NumericalError("EPV reconstruction failed at the solved rate")
     return rho
+
+
+# ---------------------------------------------------------------------------
+# plain numeric cells by a per-character pass
+
+
+def plain_cells(buf, start, end, point):
+    """(values, plain) of numeric cells, reading one character position per pass.
+
+    A plain cell is an optional sign and 1..12 digits; with `point`, at most
+    one '.' may sit among them with at most two digits after it, and the
+    value is in hundredths.  Cells that are not plain read 0.  This is the
+    column-at-once loop the word-at-a-time `ingest._parse_plain` replaced.
+    """
+    minus, plus, dot_byte, zero, nine = b"-+.09"
+    width, max_digits = 14, 12  # sign, 12 digits and a point
+    n = start.size
+    value = np.zeros(n, np.int64)
+    plain = np.ones(n, np.bool_)
+    if n == 0:
+        return value, plain
+    length = end - start
+    digits = np.zeros(n, np.int64)
+    after_point = np.full(n, -1, np.int64)  # digits after the point; -1: no point yet
+    negative = np.zeros(n, np.bool_)
+    last = buf.size - 1
+    for k in range(int(min(length.max(), width))):
+        inside = k < length
+        c = buf[np.minimum(start + k, last)]
+        digit = inside & (c >= zero) & (c <= nine)
+        value = np.where(digit, value * 10 + (c.astype(np.int64) - zero), value)
+        digits += digit
+        after_point += digit & (after_point >= 0)
+        dot = inside & (c == dot_byte)
+        plain &= ~(dot & ((after_point >= 0) | (not point)))
+        after_point[dot] = 0
+        sign = inside & ((c == minus) | (c == plus)) if k == 0 else False
+        negative |= sign & (c == minus)
+        plain &= ~inside | digit | dot | sign
+    plain &= (length <= width) & (digits >= 1) & (digits <= max_digits)
+    if point:
+        plain &= after_point <= 2
+        value *= 10 ** np.clip(2 - after_point, 0, 2)
+    value = np.where(plain, np.where(negative, -value, value), 0)
+    return value, plain

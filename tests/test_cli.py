@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -30,7 +31,7 @@ from cshazard.montecarlo import (
     benchmark_truncation,
     simulate_cohort,
 )
-from cshazard.recovery import GammaKernelFit, fit_to_json
+from cshazard.recovery import GammaKernelFit, fit_to_json, recovery_at
 from cshazard.riskmodel import Cause
 
 
@@ -487,13 +488,34 @@ def test_returns_with_hazards_matches_library(tmp_path):
     row4 = (tmp_path / "out" / "returns.csv").read_text().strip().splitlines()[4]
     got = float(row4.split(",")[2])
     schedule = AmortizationSchedule.build(100.0, nominal_monthly_rate(12.0), 12)
-    from cshazard.recovery import recovery_at
     want = lifetime_return(schedule,
                            hazard_lookup(read_curve_csv(tmp_path / "d.csv")),
                            hazard_lookup(read_curve_csv(tmp_path / "p.csv")),
                            lambda age: recovery_at(fit, age), 4)
     assert got == want  # CSV stores repr, so the round trip is exact
     assert want < 0.01  # risk with partial recovery costs return
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"c": NaN, "k": 3, "theta": 3}', "'c' must be a finite positive number, not nan"),
+    ('{"k": 3, "theta": 3}', "missing key(s) c"),
+    ("[0.05, 3, 3]", "expected a JSON object, found list"),
+    ('{"c": 0.05, "k": 0, "theta": 3}', "'k' must be a finite positive number, not 0.0"),
+    ('{"c": 0.05, "k": 3, "theta": -Infinity}',
+     "'theta' must be a finite positive number, not -inf"),
+    ('{"c": "0.05", "k": 3, "theta": 3}', "'c' must be a number, not '0.05'"),
+    ('{"c": 1%s, "k": 3, "theta": 3}' % ("0" * 400), "'c' must be a finite positive number, "
+                                                     "not inf"),
+    ('{"c": 0.05, "k": 3,', "not valid JSON"),
+])
+def test_returns_rejects_a_bad_recovery_fit(tmp_path, capsys, doc, message):
+    fit = tmp_path / "fit.json"
+    fit.write_text(doc)
+    rc = cli.main(["returns", "--balance", "20000", "--apr", "12", "--term", "36",
+                   "--recovery-fit", str(fit), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {fit}: {message}")
+    assert not (tmp_path / "out" / "returns.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--apr=nan", "--apr=inf", "--balance=inf",
@@ -560,7 +582,11 @@ def test_returns_nan_recovery_is_a_numerical_failure(tmp_path, capsys):
     write_curve_csv(tmp_path / "d.csv", curve_with_cis("pool", ages, np.full(12, 0.001),
                                                        np.full(12, 0.003),
                                                        hazard=np.full(12, 0.002)))
-    fit = GammaKernelFit(c=float("nan"), k=3.0, theta=3.0, residual=0.0)
+    # A fit.json with a NaN parameter is a schema error now; a valid fit whose
+    # kernel reads inf * 0 = NaN (c * age overflows, exp(-age / theta)
+    # underflows) still reaches the EPV.
+    fit = GammaKernelFit(c=1e308, k=2.0, theta=1e-3, residual=0.0)
+    assert math.isnan(recovery_at(fit, 2))
     (tmp_path / "fit.json").write_text(fit_to_json(fit))
     rc = cli.main(["returns", "--balance", "20000", "--apr", "12", "--term", "360",
                    "--default-curve", str(tmp_path / "d.csv"),

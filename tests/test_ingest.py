@@ -16,14 +16,16 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import observation_table, staged_curve, write_tape
-from oracles import decimal_outcome
+from oracles import decimal_outcome, plain_cells
 
 from cshazard.cli import _read_recovery_observations
+from cshazard import ingest
 from cshazard.errors import SchemaError
 from cshazard.estimator import read_curve_csv, write_curve_csv
 from cshazard.ingest import (
@@ -37,6 +39,9 @@ from cshazard.ingest import (
     load_loan_data,
     read_observations_csv,
     _Columns,
+    _parse_plain,
+    _separators,
+    _SPARE,
     write_observations_csv,
 )
 from cshazard.riskmodel import Cause
@@ -673,3 +678,194 @@ def test_text_columns_decode_one_string_per_distinct_cell(tmp_path, monkeypatch)
     assert read_observations_csv(tmp_path / "obs.csv") == obs
     assert {name for name, _, _ in asked} >= {"loan_id", "band", "cause", "event"}
     assert all(rows <= distinct for _, rows, distinct in asked), asked
+
+
+# ---------------------------------------------------------------------------
+# numeric cells: one word per eight digits, checked against the per-character pass
+
+
+# Digits weigh most; the rest are the bytes the grammar turns on ('.', signs),
+# the neighbours of '0'..'9', and bytes that int() or Decimal() would read.
+_NUMBER_BYTES = st.sampled_from(list(b"0123456789" * 3 + b".-+/:_ NA") + [0x00, 0xC3, 0xA9, 0xFF])
+
+
+@st.composite
+def numeric_cell(draw):
+    """A cell of 0-16 bytes: free bytes, or a sign, digits and 0-2 points anywhere."""
+    if draw(st.booleans()):
+        return bytes(draw(st.lists(_NUMBER_BYTES, max_size=16)))
+    cell = draw(st.sampled_from([b"", b"-", b"+"])) + draw(
+        st.text("0123456789", max_size=14)).encode()  # 9-12 digits take a second word
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(cell)))
+        cell = cell[:at] + b"." + cell[at:]
+    return cell
+
+
+def assert_parses_like_the_oracle(buf, start, end):
+    for point in (True, False):
+        values, plain = _parse_plain(buf, start, end, point)
+        want_values, want_plain = plain_cells(buf, start, end, point)
+        assert plain.tolist() == want_plain.tolist()
+        assert values.tolist() == want_values.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(numeric_cell(), min_size=1, max_size=30))
+def test_word_parse_matches_the_per_character_oracle(cells):
+    """The first cell starts the buffer and the last ends just before the spare bytes."""
+    buf = np.frombuffer(b",".join(cells) + bytes(_SPARE), np.uint8)
+    size = np.array([len(cell) for cell in cells], dtype=np.int64)
+    end = np.cumsum(size + 1) - 1
+    assert_parses_like_the_oracle(buf, end - size, end)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(numeric_cell(), min_size=1, max_size=12), st.booleans(), st.booleans(),
+       st.booleans())
+def test_word_parse_of_read_files_matches_the_oracle(cells, quoted, crlf, final_newline):
+    """Cells as `_Columns.read` lays them out; a quoted file's buffer starts with a cell."""
+    newline = b"\r\n" if crlf else b"\n"
+    quote = b'"' if quoted else b""
+    text = newline.join([b"n,v"] + [b"%d,%s%s%s" % (i, quote, cell, quote)
+                                    for i, cell in enumerate(cells)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        path.write_bytes(text + newline if final_newline else text)
+        cols = _Columns.read(path, ["v", "n"])
+    start, end = cols._field("v")
+    assert [cols.buf[s:e].tobytes() for s, e in zip(start, end)] == cells
+    assert_parses_like_the_oracle(cols.buf, start, end)
+
+
+def test_parse_reads_signs_long_integers_and_short_fractions():
+    cells = [b"-1.5", b"+.5", b"5.", b"123456789012", b"-99999999.99", b"1234567890.12",
+             b"12345678901.2", b"0", b"1.2.3", b"1234567890123", b"+", b".", b"", b"NA",
+             b"1_0", b"1 ", b"/", b":"]
+    buf = np.frombuffer(b",".join(cells) + bytes(_SPARE), np.uint8)
+    size = np.array([len(cell) for cell in cells], dtype=np.int64)
+    end = np.cumsum(size + 1) - 1
+    values, plain = _parse_plain(buf, end - size, end, point=True)
+    assert values[plain].tolist() == [-150, 50, 500, 12345678901200, -9999999999, 123456789012,
+                                      1234567890120, 0]
+    assert plain.tolist() == [True] * 8 + [False] * 10
+
+
+ROWS = [[b"L1", b"1", b"300.00", b"110"], [b"L1", b"2", b"", b"110.5"],
+        [b"L2", b"1", b"NA", b"-7"], [b"L2", b"2", b"0", b"12"]]
+
+
+def oracle_fields(data: bytes):
+    """(file line, fields) of each data row: lines end at LF, CRLF or a lone CR,
+    and blank lines are skipped."""
+    lines = re.split(rb"\r\n|\r|\n", data)
+    return [(number, line.split(b",")) for number, line in enumerate(lines, start=1)
+            if line][1:]
+
+
+def layout(ends, blank=False, extra=False, short=False):
+    """ROWS under the header `a,b,c,d`, each line ended by the next of `ends`."""
+    rows = [list(row) for row in ROWS]
+    if extra:
+        rows[1] += [b"x", b""]
+    if short:
+        rows[2] = rows[2][:3]
+    lines = [b"a,b,c,d"] + [b",".join(row) for row in rows]
+    if blank:
+        lines[2:2] = [b""]
+        lines.append(b"")
+    return b"".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("ends", [[b"\n"], [b"\r\n"], [b"\r"], [b"\n", b"\r\n", b"\r"]],
+                         ids=["lf", "crlf", "cr", "mixed"])
+@pytest.mark.parametrize("blank", [False, True], ids=["", "blank"])
+@pytest.mark.parametrize("extra", [False, True], ids=["", "extra"])
+def test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, monkeypatch, ends,
+                                                             blank, extra):
+    data = layout(ends, blank, extra)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(data)
+    grids = []
+
+    def spy(data):
+        found = _separators(data)
+        grids.append(found[2] is not None)
+        return found
+
+    monkeypatch.setattr(ingest, "_separators", spy)
+    cols = _Columns.read(path, ["d", "b", "c", "a"])
+    assert grids[-1] == (not (blank or extra))  # the one-pass grid, else the general path
+    want = oracle_fields(data)
+    assert cols.line.tolist() == [number for number, _ in want]
+    for j, name in enumerate("abcd"):
+        start, end = cols._field(name)
+        assert [cols.buf[s:e].tobytes() for s, e in zip(start, end)] == [
+            fields[j] for _, fields in want]
+    assert cols.money("c", allow_missing=True)[1].tolist() == [False, True, True, False]
+    assert cols.money("d")[0].tolist() == [11000, 11050, -700, 1200]
+
+
+@pytest.mark.parametrize("ends", [[b"\n"], [b"\r\n"], [b"\r"], [b"\n", b"\r\n", b"\r"]],
+                         ids=["lf", "crlf", "cr", "mixed"])
+@pytest.mark.parametrize("blank", [False, True], ids=["", "blank"])
+def test_reader_locates_a_short_row_whichever_path_it_takes(tmp_path, ends, blank):
+    data = layout(ends, blank, short=True)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(data)
+    line = oracle_fields(data)[2][0]
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}:{line}: "
+                                          r"expected 4 fields, found 3$"):
+        _Columns.read(path, ["a", "b"])
+
+
+def test_reader_takes_no_grid_from_rows_whose_separators_only_add_up(tmp_path):
+    """A long row and a short row hold as many separators as two full rows, and
+    in a one-column file a blank line holds as many as a row."""
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"a,b\n1,2,3\n4\n")
+    with pytest.raises(SchemaError, match=r"rows\.csv:3: expected 2 fields, found 1$"):
+        _Columns.read(path, ["a", "b"])
+    path.write_bytes(b"a\n1\n\n2\n")
+    cols = _Columns.read(path, ["a"])
+    assert cols.line.tolist() == [2, 4]
+    assert cols.ints("a").tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("trust_month", "\u0662", "column 'trust_month' has non-integer value '\u0662'"),
+    ("trust_month", "1_0", "column 'trust_month' has non-integer value '1_0'"),
+    ("balance", "1_000", "column 'balance' has non-numeric value '1_000'"),
+    ("payment", "\uff15", "column 'payment' has non-numeric value '\uff15'"),
+    ("principal", "1_0.5", "column 'principal' has non-numeric value '1_0.5'"),
+])
+def test_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, column, cell,
+                                                                 message):
+    row = {"loan_id": "L1", "trust_month": "1", "balance": "100", "payment": "10",
+           "principal": "10"}
+    loans, payments = write_tape(tmp_path, {"L1": {}}, {})
+    payments.write_text(",".join(row) + "\n" + ",".join({**row, column: cell}.values())
+                        + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"payments\.csv:2: {re.escape(message)}$"):
+        load_loan_data(loans, payments)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"apr_pct": "1_2.5"}, "column 'apr_pct': non-numeric value '1_2.5'"),
+    ({"apr_pct": "\u0661\u0662"}, "column 'apr_pct': non-numeric value '\u0661\u0662'"),
+    ({"loan_age_at_entry": "1_0"}, "column 'loan_age_at_entry' has non-integer value '1_0'"),
+    ({"original_amount": "2_000"}, "column 'original_amount' has non-numeric value '2_000'"),
+])
+def test_loan_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, changes,
+                                                                     message):
+    paths = write_tape(tmp_path, {"L1": changes}, {"L1": (["100"], ["10"], ["10"])})
+    with pytest.raises(SchemaError, match=rf"loans\.csv:2: {re.escape(message)}$"):
+        load_loan_data(*paths)
+
+
+def test_recovery_cells_reject_digit_groups(tmp_path):
+    path = tmp_path / "recoveries.csv"
+    path.write_text("age,recovery\n3,0.5\n4,0.2_5\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"recoveries\.csv:3: column 'recovery': "
+                                          r"'0\.2_5' is not a valid number"):
+        _read_recovery_observations(path)
