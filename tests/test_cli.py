@@ -740,6 +740,8 @@ def test_recovery_input_errors(tmp_path, capsys):
                      "--output-dir", str(tmp_path / "out")]) == 2
     assert "bad.csv:4: column 'age' has non-integer value 'x'" in capsys.readouterr().err
     for row, message in (("5,x", "column 'recovery': 'x' is not a valid number"),
+                         ("5,0.2_5", "column 'recovery': '0.2_5' is not a valid number"),
+                         ("2_0,0.4", "column 'age' has non-integer value '2_0'"),
                          ("5,nan", "recovery 'nan' is not a number in [0, 1.5]"),
                          ("5,inf", "recovery 'inf' is not a number in [0, 1.5]"),
                          ("5,", "recovery '' is not a number in [0, 1.5]"),

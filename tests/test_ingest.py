@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from conftest import observation_table, staged_curve, write_tape
 from oracles import decimal_outcome, plain_cells
 
-from cshazard.cli import _read_recovery_observations
 from cshazard import ingest
+from cshazard.cli import _read_recovery_observations
 from cshazard.errors import SchemaError
 from cshazard.estimator import read_curve_csv, write_curve_csv
 from cshazard.ingest import (
@@ -552,6 +552,10 @@ def loan_case_id(value):
     ({"apr_pct": "-1.5"}, "column 'apr_pct': value '-1.5' is not a finite APR >= 0"),
     ({"original_amount": "0"}, "column 'original_amount' must be positive"),
     ({"loan_age_at_entry": "-3"}, "column 'loan_age_at_entry' must be >= 0"),
+    ({"apr_pct": "1_2.5"}, "column 'apr_pct': non-numeric value '1_2.5'"),
+    ({"apr_pct": "\u0661\u0662"}, "column 'apr_pct': non-numeric value '\u0661\u0662'"),
+    ({"original_amount": "2_000"}, "column 'original_amount' has non-numeric value '2_000'"),
+    ({"loan_age_at_entry": "1_0"}, "column 'loan_age_at_entry' has non-integer value '1_0'"),
 ], ids=loan_case_id)
 def test_loan_attribute_errors_carry_location(tmp_path, changes, message):
     paths = write_tape(tmp_path, {"L1": changes}, {"L1": (["100"], ["10"], ["10"])})
@@ -848,24 +852,3 @@ def test_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, column
                         + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=rf"payments\.csv:2: {re.escape(message)}$"):
         load_loan_data(loans, payments)
-
-
-@pytest.mark.parametrize("changes, message", [
-    ({"apr_pct": "1_2.5"}, "column 'apr_pct': non-numeric value '1_2.5'"),
-    ({"apr_pct": "\u0661\u0662"}, "column 'apr_pct': non-numeric value '\u0661\u0662'"),
-    ({"loan_age_at_entry": "1_0"}, "column 'loan_age_at_entry' has non-integer value '1_0'"),
-    ({"original_amount": "2_000"}, "column 'original_amount' has non-numeric value '2_000'"),
-])
-def test_loan_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, changes,
-                                                                     message):
-    paths = write_tape(tmp_path, {"L1": changes}, {"L1": (["100"], ["10"], ["10"])})
-    with pytest.raises(SchemaError, match=rf"loans\.csv:2: {re.escape(message)}$"):
-        load_loan_data(*paths)
-
-
-def test_recovery_cells_reject_digit_groups(tmp_path):
-    path = tmp_path / "recoveries.csv"
-    path.write_text("age,recovery\n3,0.5\n4,0.2_5\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=r"recoveries\.csv:3: column 'recovery': "
-                                          r"'0\.2_5' is not a valid number"):
-        _read_recovery_observations(path)
