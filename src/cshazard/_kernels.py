@@ -7,17 +7,38 @@ import numpy as np
 USING_NUMBA = False
 
 
-def draw_cells(u_entry, u_life, u_cause, cdf, cause1_share, span):
+def guide_table(cdf):
+    """Chen & Asau's guide table for inverse-CDF draws from a finite, nondecreasing `cdf`.
+
+    With m the smallest power of two >= 4 * cdf.size, g[j] is the first index
+    whose cumulative mass strictly exceeds j/m, capped at the last index
+    (Chen & Asau, "On generating random variates from an empirical
+    distribution", AIIE Transactions 6(2), 1974).  m is a power of two so
+    that j/m and u * m are exact: a draw u in bin j = int(u * m) is >= j/m,
+    and its index is never below g[j].
+    """
+    m = 1 << (4 * cdf.size - 1).bit_length()
+    first_bin = np.minimum(np.ceil(cdf * m), m).astype(np.int64)  # first j with j/m >= cdf[i]
+    return np.minimum(np.cumsum(np.bincount(first_bin, minlength=m + 1)[:m]), cdf.size - 1)
+
+
+def draw_cells(u_entry, u_life, u_cause, cdf, guide, cause1_share, span):
     """Map uniform draws to (entry offset, lifetime index, is_default).
 
     Entry offsets are uniform on {0..span-1}; lifetime indices are sampled by
     inverse CDF with the strict-inequality tie rule (smallest index whose
     cumulative mass strictly exceeds the draw, the last index catching
-    anything beyond); the cause draw is a Bernoulli against the per-age
-    default share.
+    anything beyond): each draw starts at its bin of `guide`, the
+    `guide_table(cdf)`, and steps up while the mass at its index is <= the
+    draw.  The cause draw is a Bernoulli against the per-age default share.
     """
     offset = np.minimum((u_entry * span).astype(np.int64), span - 1)
-    idx = np.minimum(np.searchsorted(cdf, u_life, side="right"), cdf.size - 1)
+    idx = guide[(u_life * guide.size).astype(np.int64)]
+    last = cdf.size - 1
+    rows = ((cdf[idx] <= u_life) & (idx < last)).nonzero()[0]
+    while rows.size:  # as many rounds as one bin holds cdf values, at most
+        idx[rows] += 1
+        rows = rows[(cdf[idx[rows]] <= u_life[rows]) & (idx[rows] < last)]
     return offset, idx, u_cause < cause1_share[idx]
 
 
@@ -40,8 +61,8 @@ def assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
 
     Returns (entry, exit, event, is_default) for the retained draws.
     """
-    offset, idx, is_default = draw_cells(u_entry, u_life, u_cause, cdf, cause1_share,
-                                         entry_hi - entry_lo + 1)
+    offset, idx, is_default = draw_cells(u_entry, u_life, u_cause, cdf, guide_table(cdf),
+                                         cause1_share, entry_hi - entry_lo + 1)
     entry = entry_lo + offset
     keep, exit_age, event = truncate_censor(entry, min_age + idx, censor_offset)
     return (

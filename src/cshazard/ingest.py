@@ -882,14 +882,17 @@ class _Columns:
         """
         start, end = self._field(name)
         values, plain = _parse_plain(self.buf, start, end, point=True)
+        rows = np.flatnonzero(~plain)  # a missing cell is never plain
         missing = np.zeros(self.rows, np.bool_)
         if allow_missing:
             last = max(self.buf.size - 1, 0)
-            missing = (end == start) | ((end - start == 2)
-                                        & (self.buf[np.minimum(start, last)] == _N)
-                                        & (self.buf[np.minimum(start + 1, last)] == _A))
+            start, end = start[rows], end[rows]
+            missing[rows] = (end == start) | ((end - start == 2)
+                                              & (self.buf[np.minimum(start, last)] == _N)
+                                              & (self.buf[np.minimum(start + 1, last)] == _A))
+            rows = rows[~missing[rows]]
         odd = {}
-        for i in np.flatnonzero(~plain & ~missing).tolist():
+        for i in rows.tolist():
             raw = self.cell(name, i)
             text = raw.strip()
             if text == "" or text.upper() == "NA":

@@ -321,6 +321,7 @@ def run_study(config: SimConfig) -> StudyReport:
     is_default = np.tile([False, True], entry.size // 2)
     n_codes = entry.size
     cdf, share = _law_arrays(dist)
+    guide = _kernels.guide_table(cdf)
     z = normal_quantile(1.0 - config.theta / 2.0)
 
     estimates = np.empty((r, n_ages, 2))
@@ -333,8 +334,8 @@ def run_study(config: SimConfig) -> StudyReport:
     for first in range(0, r, block):
         stop = min(first + block, r)
         for b, rep in enumerate(range(first, stop)):
-            offset, idx, cause_bit = _kernels.draw_cells(*_uniforms(config, rep), cdf, share,
-                                                         span)
+            offset, idx, cause_bit = _kernels.draw_cells(*_uniforms(config, rep), cdf, guide,
+                                                         share, span)
             if offsets < span:
                 offset = np.minimum(offset, offsets - 1)
             hist = np.bincount(kind[offset * n_ages + idx] * 2 + cause_bit,

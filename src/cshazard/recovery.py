@@ -238,8 +238,23 @@ def recovery_at(fit: GammaKernelFit, age: float) -> float:
     if age == 0:
         value = 0.0 if fit.k >= 1.0 else math.inf
     else:
-        value = fit.c * age ** (fit.k - 1.0) * math.exp(-age / fit.theta)
+        try:
+            value = fit.c * age ** (fit.k - 1.0) * math.exp(-age / fit.theta)
+        except OverflowError:  # the power left float range
+            value = math.nan
+        if not math.isfinite(value):  # inf from a product, or NaN from inf * 0
+            value = math.exp(min(_log_kernel(fit, age), 0.0))  # above 0 the clamp gives 1
     return min(max(value, 0.0), 1.0)
+
+
+def _log_kernel(fit: GammaKernelFit, age: float) -> float:
+    """log c + (k - 1) log age - age / theta, for age > 0."""
+    rise, fall = (fit.k - 1.0) * math.log(age), age / fit.theta
+    if rise == fall == math.inf:  # both past float range: their logs decide
+        rise_wins = (math.log(fit.k - 1.0) + math.log(math.log(age))
+                     > math.log(age) - math.log(fit.theta))
+        return math.inf if rise_wins else -math.inf
+    return math.log(fit.c) + rise - fall
 
 
 def write_recovery_csv(path: str | Path, points: RecoveryPoints,

@@ -10,6 +10,7 @@ quantities computed on demand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -69,8 +70,9 @@ class CompetingRisksDistribution:
             raise ValueError("max_age must be >= min_age")
         if len(self.pmf) != n or len(self.cause1_share) != n:
             raise ValueError("pmf and cause1_share must cover [min_age, max_age]")
-        if any(p < 0 for p in self.pmf):
-            raise ValueError("pmf entries must be nonnegative")
+        # NaN passes both `p < 0` and the sum test, so finiteness needs its own check
+        if any(not (math.isfinite(p) and p >= 0) for p in self.pmf):
+            raise ValueError("pmf entries must be finite and nonnegative")
         if abs(sum(self.pmf) - 1.0) > _SUM_TOL:
             raise ValueError("pmf must sum to 1")
         if any(not 0.0 <= s <= 1.0 for s in self.cause1_share):

@@ -150,6 +150,18 @@ def loop_assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
             np.array(event, dtype=np.bool_), np.array(is_default, dtype=np.bool_))
 
 
+def searchsorted_cells(u_entry, u_life, u_cause, cdf, cause1_share, span):
+    """(entry offset, lifetime index, is_default) with a binary search per draw.
+
+    The lifetime index is `np.searchsorted(cdf, u, side="right")` capped at the
+    last index: the first cumulative mass strictly above the draw.  This is the
+    lookup the guide table in `_kernels.draw_cells` replaced.
+    """
+    offset = np.minimum((u_entry * span).astype(np.int64), span - 1)
+    idx = np.minimum(np.searchsorted(cdf, u_life, side="right"), cdf.size - 1)
+    return offset, idx, u_cause < cause1_share[idx]
+
+
 # ---------------------------------------------------------------------------
 # simulation-study counts from each replicate's observations
 

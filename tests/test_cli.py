@@ -22,6 +22,7 @@ from cshazard.actuarial import (
     hazard_lookup,
     lifetime_return,
     nominal_monthly_rate,
+    returns_table,
 )
 from cshazard.estimator import read_curve_csv, write_curve_csv
 from cshazard.ingest import ObservationTable, RiskBand, write_observations_csv
@@ -518,6 +519,32 @@ def test_returns_rejects_a_bad_recovery_fit(tmp_path, capsys, doc, message):
     assert not (tmp_path / "out" / "returns.csv").exists()
 
 
+@pytest.mark.parametrize("doc, recovery", [
+    # the kernel is above 1 from age 2 on, and its power overflows from age 6 on
+    ('{"c": 0.05, "k": 400, "theta": 3}',
+     lambda age: 0.05 * math.exp(-1 / 3) if age == 1 else 1.0),
+    # c * age overflows where exp(-age / theta) is 0, and inf * 0 is NaN: the kernel is ~0
+    ('{"c": 1e308, "k": 2, "theta": 1e-3}', lambda age: 0.0),
+], ids=["power-overflows", "inf-times-zero"])
+def test_returns_with_a_recovery_fit_past_float_range(tmp_path, doc, recovery):
+    import numpy as np
+    ages = np.arange(1, 37)
+    write_curve_csv(tmp_path / "d.csv", curve_with_cis("pool", ages, np.full(36, 0.001),
+                                                       np.full(36, 0.003),
+                                                       hazard=np.full(36, 0.02)))
+    (tmp_path / "fit.json").write_text(doc)
+    rc = cli.main(["returns", "--balance", "20000", "--apr", "12", "--term", "36",
+                   "--default-curve", str(tmp_path / "d.csv"),
+                   "--recovery-fit", str(tmp_path / "fit.json"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    rows = (tmp_path / "out" / "returns.csv").read_text().strip().splitlines()[1:]
+    schedule = AmortizationSchedule.build(20000.0, nominal_monthly_rate(12.0), 36)
+    want = returns_table(schedule, read_curve_csv(tmp_path / "d.csv"), None, recovery)
+    assert [float(row.split(",")[2]) for row in rows] == want.tolist()
+    assert np.isfinite(want).all()
+
+
 @pytest.mark.parametrize("flag", ["--apr=nan", "--apr=inf", "--balance=inf",
                                   "--balance=0", "--term=0"])
 def test_returns_rejects_bad_schedule_inputs(tmp_path, capsys, flag):
@@ -574,27 +601,6 @@ def test_returns_long_zero_hazard_term_is_quiet_and_exact(tmp_path, capsys):
         rates = [float(row["monthly_return"]) for row in csv.DictReader(fh)]
     assert len(rates) == 360
     assert max(abs(r - 6.5 / 1200) for r in rates) <= 1e-10
-
-
-def test_returns_nan_recovery_is_a_numerical_failure(tmp_path, capsys):
-    import numpy as np
-    ages = np.arange(1, 13)
-    write_curve_csv(tmp_path / "d.csv", curve_with_cis("pool", ages, np.full(12, 0.001),
-                                                       np.full(12, 0.003),
-                                                       hazard=np.full(12, 0.002)))
-    # A fit.json with a NaN parameter is a schema error now; a valid fit whose
-    # kernel reads inf * 0 = NaN (c * age overflows, exp(-age / theta)
-    # underflows) still reaches the EPV.
-    fit = GammaKernelFit(c=1e308, k=2.0, theta=1e-3, residual=0.0)
-    assert math.isnan(recovery_at(fit, 2))
-    (tmp_path / "fit.json").write_text(fit_to_json(fit))
-    rc = cli.main(["returns", "--balance", "20000", "--apr", "12", "--term", "360",
-                   "--default-curve", str(tmp_path / "d.csv"),
-                   "--recovery-fit", str(tmp_path / "fit.json"),
-                   "--output-dir", str(tmp_path / "out")])
-    assert rc == 6
-    assert "EPV is not a number" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "returns.csv").exists()
 
 
 def exit_recipe(code, tmp):
@@ -783,7 +789,11 @@ def test_simulate_benchmark_json(tmp_path):
     rc = cli.main(["simulate", "--n", "400", "--r", "3", "--seed", "5",
                    "--format", "json", "--output-dir", str(tmp_path / "out")])
     assert rc == 0
-    doc = json.loads((tmp_path / "out" / "study.json").read_text())
+
+    def strict(name):
+        raise AssertionError(f"study.json holds {name}, which is not JSON")
+
+    doc = json.loads((tmp_path / "out" / "study.json").read_text(), parse_constant=strict)
     assert doc["alpha_true"] == pytest.approx(0.864, abs=1e-12)
     assert doc["lam_true"][7][0] == pytest.approx(0.3794594594594595, abs=1e-12)
     assert doc["n"] == 400 and doc["replicates"] == 3 and doc["seed"] == 5
@@ -815,6 +825,18 @@ def test_simulate_custom_distribution(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "out" / "study.json").read_text())
     assert doc["ages"] == [1, 2, 3]
+
+
+def test_simulate_rejects_a_non_finite_pmf(tmp_path, capsys):
+    (tmp_path / "dist.json").write_text('{"min_age": 1, "max_age": 3, "pmf": [NaN, 0.5, 0.5], '
+                                        '"cause1_share": [0.5, 0.5, 0.5]}')
+    rc = cli.main(["simulate", "--dist", str(tmp_path / "dist.json"),
+                   "--entry-lo", "1", "--entry-hi", "2", "--tau", "2",
+                   "--n", "100", "--r", "3", "--format", "json",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: pmf entries must be finite and nonnegative")
+    assert not (tmp_path / "out" / "study.json").exists()
 
 
 def test_simulate_entry_flags_apply_to_the_preset(tmp_path):

@@ -1,7 +1,9 @@
 """The numpy kernels against pure-Python loops: outputs must be identical."""
 import numpy as np
 import pytest
-from oracles import loop_assemble_cohort
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import loop_assemble_cohort, searchsorted_cells
 
 from cshazard import _kernels
 from cshazard.montecarlo import benchmark_distribution
@@ -73,6 +75,51 @@ def test_assemble_cohort_agrees_on_cdf_ties():
     assert exits[0] == 2  # u = cdf[0] -> second age
     assert exits[-2] == 1  # u = 0 -> first age
     assert exits[-1] == 6  # u near 1 -> censored at entry + offset
+
+
+@st.composite
+def lifetime_cdfs(draw):
+    """Cumulative masses as `np.cumsum` of a pmf gives them.
+
+    Masses span twelve orders of magnitude, so one guide bin can hold many
+    cumulative values; zero-mass ages repeat a value, and the last value may
+    sit 1e-9 above or below 1, as rounding can leave it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 400))
+    pmf = rng.random(k) * 10.0 ** -rng.integers(0, 12, k)
+    pmf[rng.random(k) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    pmf[rng.integers(k)] += 0.5  # some mass somewhere
+    end = draw(st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9]))
+    return np.cumsum(pmf / pmf.sum() * end)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifetime_cdfs(), st.integers(0, 2**32 - 1))
+@example(bench_arrays()[0], 0)
+@example(np.cumsum([0.0, 0.0, 1.0, 0.0]), 1)  # zero mass before and after the only age
+@example(np.array([1.0 - 1e-9]), 2)  # one age that cannot catch a draw near 1
+def test_guide_table_lookup_matches_searchsorted(cdf, seed):
+    k = cdf.size
+    guide = _kernels.guide_table(cdf)
+    m = guide.size
+    assert m >= 4 * k and m < 8 * k and m & (m - 1) == 0  # the smallest power of two >= 4k
+    bins = np.arange(m) / m
+    np.testing.assert_array_equal(
+        guide, np.minimum(np.searchsorted(cdf, bins, side="right"), k - 1))
+
+    rng = np.random.default_rng(seed)
+    u_life = np.concatenate([
+        rng.random(2000), [0.0, np.nextafter(1.0, 0.0)], bins, cdf,
+        np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), np.nextafter(bins[1:], 0.0)])
+    u_life = u_life[u_life < 1.0]  # uniform draws lie in [0, 1)
+    u_entry, u_cause = rng.random(u_life.size), rng.random(u_life.size)
+    share = rng.random(k)
+    got = _kernels.draw_cells(u_entry, u_life, u_cause, cdf, guide, share, 7)
+    want = searchsorted_cells(u_entry, u_life, u_cause, cdf, share, 7)
+    for left, right in zip(got, want):
+        np.testing.assert_array_equal(left, right)
+        assert left.dtype == right.dtype
 
 
 @pytest.mark.parametrize("seed,n,lo,hi", [

@@ -1,4 +1,5 @@
 """Simulation study: analytic truncated quantities and the replicate engine."""
+import dataclasses
 import json
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_dist, bench_trunc, small_study  # noqa: F401  (fixtures)
-from oracles import enumerate_truncated, loop_study_counts
+from oracles import enumerate_truncated, loop_study_counts, searchsorted_cells
 from cshazard import _kernels, montecarlo
 from cshazard.estimator import _log_ci, normal_quantile
 from cshazard.montecarlo import (
@@ -337,3 +338,37 @@ def test_run_study_matches_loop_counts(config, block_rows):
         else:
             assert np.all(np.isnan(report.emp_var))
     assert report.alpha_hat == float(np.mean(kept / config.n))
+
+
+def _long_law_config():
+    """360 ages, entry on 1..60, offset 301: 36,354 kind codes against n = 1,000."""
+    rng = np.random.default_rng(7)
+    pmf = rng.random(360)
+    dist = CompetingRisksDistribution(1, 360, tuple((pmf / pmf.sum()).tolist()),
+                                      tuple(rng.random(360).tolist()))
+    return SimConfig(dist=dist, trunc=TruncationLaw(1, 60, 301), n=1000, replicates=100, seed=3)
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(dist=benchmark_distribution(), trunc=benchmark_truncation(), n=10_000,
+              replicates=1000, seed=7),
+    _long_law_config(),
+], ids=["benchmark", "long-law"])
+def test_run_study_is_bit_equal_under_the_searchsorted_oracle(config):
+    calls = []
+
+    def oracle(u_entry, u_life, u_cause, cdf, guide, cause1_share, span):
+        calls.append(span)
+        return searchsorted_cells(u_entry, u_life, u_cause, cdf, cause1_share, span)
+
+    got = run_study(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "draw_cells", oracle)
+        want = run_study(config)
+    assert len(calls) == config.replicates
+    for field in dataclasses.fields(StudyReport):
+        left, right = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(left, np.ndarray):
+            assert left.dtype == right.dtype and left.tobytes() == right.tobytes(), field.name
+        else:
+            assert left == right, field.name

@@ -1,5 +1,7 @@
 """Recovery curve pipeline: per-age means, local smoothing, gamma-kernel fit."""
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +213,25 @@ def test_recovery_at_clamps_to_unit_interval():
     assert recovery_at(fit, 1.0) == pytest.approx(0.1 * np.exp(-1.0 / 6.0))
     with pytest.raises(ValueError):
         recovery_at(fit, -1.0)
+
+
+@pytest.mark.parametrize("c, k, theta, age, want", [
+    (0.05, 400.0, 3.0, 36.0, 1.0),  # 36 ** 399 overflows; the kernel is about e^1415
+    (1e308, 2.0, 1e-3, 2.0, 0.0),  # c * age is inf and exp(-2000) is 0: inf * 0
+    # c * age is inf, exp(-age / theta) is subnormal, and the kernel is about 0.06
+    (1e308, 2.0, 0.014, 10.0, math.exp(math.log(1e308) + math.log(10.0) - 10.0 / 0.014)),
+    # (k - 1) log age and age / theta both leave float range; the second is larger
+    (1e308, 1e308, 1e-308, 360.0, 0.0),
+    (1e308, 1e308, 1e-300, 360.0, 1.0),  # here the first is
+])
+def test_recovery_at_past_float_range(c, k, theta, age, want):
+    fit = GammaKernelFit(c=c, k=k, theta=theta, residual=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = recovery_at(fit, age)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # where the formula stays finite it keeps its bits
+    assert recovery_at(fit, 1.0) == min(c * 1.0 ** (k - 1.0) * math.exp(-1.0 / theta), 1.0)
 
 
 def test_recovery_at_decreasing_kernel_at_origin():

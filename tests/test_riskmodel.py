@@ -86,6 +86,14 @@ def test_distribution_validation():
         CompetingRisksDistribution(3, 2, (1.0,), (1.0,))
     with pytest.raises(ValueError):
         CompetingRisksDistribution(1, 3, (0.5, 0.5), (0.5, 0.5))  # wrong length
+    # NaN passes both the sign and the sum tests, so it needs its own
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        CompetingRisksDistribution(1, 3, (float("nan"), 0.5, 0.5), (0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        CompetingRisksDistribution.from_json('{"min_age": 1, "max_age": 3, "pmf": [NaN, 0.5, 0.5],'
+                                             ' "cause1_share": [0.5, 0.5, 0.5]}')
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        CompetingRisksDistribution(1, 2, (float("inf"), 0.5), (0.5, 0.5))
 
 
 def test_age_index_bounds(bench_dist):
