@@ -327,7 +327,8 @@ class LoanTape:
 
     `segment[i]` is the payment segment of loan i, or -1 when the payment
     file has no rows for it.  `original_amount` and `recovered_amount` are
-    money columns (int64 cents or Decimal objects).
+    money columns (int64 cents or Decimal objects).  `line[i]` is loan i's
+    line in the loans file `where`, for locating an error about the loan.
     """
 
     loan_id: np.ndarray
@@ -343,13 +344,15 @@ class LoanTape:
     recovered_amount: np.ndarray
     segment: np.ndarray
     payments: _Payments
+    where: str
+    line: np.ndarray
 
     def __len__(self) -> int:
         return self.loan_id.size
 
     def take(self, index) -> "LoanTape":
         """The loans selected by a boolean mask or an index array."""
-        return replace(self, segment=self.segment[index],
+        return replace(self, segment=self.segment[index], line=self.line[index],
                        **{name: getattr(self, name)[index] for name in _LOAN_FIELDS})
 
 
@@ -388,7 +391,9 @@ def build_observations(tape: LoanTape, policy: FilterPolicy = FilterPolicy(),
     kept = filter_loans(tape, policy)
     orphan = kept.segment < 0
     if orphan.any():
-        raise SchemaError(f"loan {kept.loan_id[np.argmax(orphan)]} has no payment history")
+        i = np.argmax(orphan)
+        raise SchemaError(f"{kept.where}:{kept.line[i]}: loan {kept.loan_id[i]} "
+                          f"has no payment history")
     code, month = kept.payments.outcomes(pad)
     code, month = code[kept.segment], month[kept.segment]
     entry_age, exit_age = _observation_ages(kept.loan_age_at_entry, month)
@@ -443,6 +448,11 @@ def _parse_float(raw: str) -> float:
 # A read file is followed by this many spare bytes: room for a closing
 # newline, and for an 8-byte word read at any offset inside the file.
 _SPARE = 9
+# Block sizes of the separator scan (file bytes) and of the numeric parse
+# (cells): each block's temporaries fit in a core's L2 cache, so no pass
+# makes a temporary as long as the file or the column.
+_SCAN_BYTES = 1 << 18
+_PARSE_ROWS = 1 << 15
 # _BYTE_MASK[b] keeps the low b bytes of a little-endian word.
 _BYTE_MASK = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
 
@@ -475,7 +485,6 @@ def _digits_before(words: np.ndarray, stop: np.ndarray, keep: np.ndarray) -> np.
         word = words[np.maximum(at, 0)] << (8 * np.clip(-at, 0, 7)).astype(np.uint64)
     else:
         word = words[at]
-    del at
     return _keep_last(word, keep)
 
 
@@ -521,7 +530,7 @@ def _digits_value(word: np.ndarray) -> np.ndarray:
 
 def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
                  point: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read plain numeric cells straight from the bytes, all cells at once.
+    """Read plain numeric cells straight from the bytes.
 
     A plain cell is an optional sign and 1..12 digits; with `point`, at most
     one '.' may sit among them with at most two digits after it, and the
@@ -537,7 +546,8 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     (Lemire, "Number Parsing at a Gigabyte per Second", 2021).  Only cells
     with more than eight integer digits read a second word.  Every byte of
     the cell is checked (sign, digits, point), so a cell is plain exactly
-    when it matches the grammar.
+    when it matches the grammar.  Every step makes temporaries as long as
+    `start`, so `_Columns` passes one block of `_PARSE_ROWS` cells at a time.
     """
     words = _words(buf)
     first = buf[start]
@@ -554,14 +564,12 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
         fraction = _keep_last(tail, back - 1)
         plain &= _all_digits(fraction)
         cents = _digits_value(fraction).astype(np.int16)
-        del tail, fraction
         cents[back == 2] *= 10
         whole_end = end - back
         decimals = np.maximum(back - 1, 0)
     whole_digits = whole_end - start - sign
     digits = whole_digits + decimals
     plain &= (digits >= 1) & (digits <= _PLAIN_DIGITS)
-    del digits
     whole = _digits_before(words, whole_end, whole_digits)
     plain &= _all_digits(whole)
     value = _digits_value(whole)
@@ -570,7 +578,6 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
         lead = _digits_before(words, whole_end[long] - 8, whole_digits[long] - 8)
         plain[long] &= _all_digits(lead)
         value[long] += _digits_value(lead) * 10**8
-    del whole_end, whole_digits
     if point:
         value *= 100
         value += cents
@@ -636,56 +643,73 @@ def _header_names(loc: str, fields: list[bytes]) -> list[str]:
 def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(buffer, line ends, grid) of file bytes ending in a newline and the spare bytes.
 
-    Commas and newlines are found in one pass.  When every line holds as
-    many fields as the first, two or more, grid[i, j] is the separator after
-    field j of line i, and its last column gives the line ends.  Any other
-    file (a blank line, a short or long row, one column) has no grid.
+    Commas and newlines are found in one pass, `_SCAN_BYTES` of the file at
+    a time through two reused masks; each block's offsets are kept as int32
+    until all are counted.  When every line holds as many fields as the
+    first, two or more, grid[i, j] is the separator after field j of line i,
+    and its last column gives the line ends.  Any other file (a blank line,
+    a short or long row, one column) has no grid.
     """
     buf = np.frombuffer(data, np.uint8)  # the spare bytes are NUL: no separator
     width = data.count(b",", 0, data.index(b"\n")) + 1
-    separator = buf == _NEWLINE
-    lines = np.count_nonzero(separator)
-    separator |= buf == _COMMA
-    found = np.flatnonzero(separator)
-    del separator
+    newline = np.empty(min(_SCAN_BYTES, buf.size), np.bool_)
+    comma = np.empty_like(newline)
+    lines, pieces = 0, []  # per block: (its first byte, its separators' offsets in it)
+    for at in range(0, buf.size, _SCAN_BYTES):
+        block = buf[at:at + _SCAN_BYTES]
+        separator = np.equal(block, _NEWLINE, out=newline[:block.size])
+        lines += np.count_nonzero(separator)
+        separator |= np.equal(block, _COMMA, out=comma[:block.size])
+        pieces.append((at, np.flatnonzero(separator).astype(np.int32)))
+    found = np.empty(sum(piece.size for _, piece in pieces), np.int64)
+    k = 0
+    for at, piece in pieces:
+        np.add(piece, at, out=found[k:k + piece.size], dtype=np.int64)
+        k += piece.size
     if width > 1 and found.size == lines * width:
         grid = found.reshape(lines, width)
         # The last column holds every newline exactly when each line has `width` fields.
         if (buf[grid[:, -1]] == _NEWLINE).all():
             return buf, grid[:, -1], grid
-    return buf, np.flatnonzero(buf == _NEWLINE), None
+    return buf, found[buf[found] == _NEWLINE], None
 
 
 class _Columns:
     """The cells of a CSV file's required columns, as byte offsets into one buffer.
 
-    Cell k of row i is buf[cells[0, k, i] : cells[1, k, i]]; the byte after
-    it is a separator, and the buffer ends in `_SPARE` bytes past the file.
+    The byte after every cell is a separator, and the buffer ends in
+    `_SPARE` bytes past the file.  `read` finds every comma and newline in
+    one pass over blocks of `_SCAN_BYTES` (`_separators`).  When each line
+    holds the header's fields, the separator offsets reshape to a (line,
+    field) grid, and the buffer and the grid are all that is kept: a
+    column's (start, end), a row's file line (row i is line i + 2) and a
+    CRLF line's end at its CR are derived when asked, for the rows asked
+    for.  Any other file (a blank line, a short or long row) takes the
+    general path, which searches each line's commas, skips blank lines and
+    keeps a table of every required cell, cell k of row i being
+    buf[cells[0, k, i] : cells[1, k, i]], with each row's line; both paths
+    give the same cells and lines.  A bare CR ends a line too: a file
+    holding one is rewritten with newlines first, found by comparing its CRs
+    with those before newlines.
 
-    `read` finds every comma and newline in one pass (`_separators`).  When
-    each line holds the header's fields, the separator offsets reshape to a
-    (line, field) grid whose columns are the cell bounds.  Any other file (a
-    blank line, a short or long row) takes the general path, which searches
-    each line's commas and skips blank lines; both give the same cells and
-    lines.  A bare CR ends a line too: a file holding one is rewritten with
-    newlines first, found by comparing its CRs with those before newlines.
-
-    Numbers parse straight from the bytes, a whole column at once, one word
-    per eight digits (see `_parse_plain`); only cells outside the plain
-    grammar go one by one through int or Decimal.  Text columns go through
-    `codes`, which groups rows by their cell's bytes without a Python object
-    per row, so each distinct cell is decoded and parsed once.  Only files
-    holding a quote go through `csv.reader`: on a 470k-row payment file its
-    per-cell strings took over twice the time and memory of the byte scan
-    (see BENCH_columnar_ingest.json).
+    Numbers parse straight from the bytes, `_PARSE_ROWS` cells at a time,
+    one word per eight digits (see `_parse_plain`); only cells outside the
+    plain grammar go one by one through int or Decimal.  Text columns go
+    through `codes`, which groups rows by their cell's bytes without a
+    Python object per row, so each distinct cell is decoded and parsed once.
+    Only files holding a quote go through `csv.reader`: on a 470k-row
+    payment file its per-cell strings took over twice the time and memory
+    of the byte scan (see BENCH_columnar_ingest.json).
     """
 
-    def __init__(self, where: str, required, buf: np.ndarray, cells: np.ndarray,
-                 line: np.ndarray) -> None:
+    def __init__(self, where: str, required, buf: np.ndarray, *, grid=None, fields=None,
+                 cells=None, line=None) -> None:
+        """Either `grid` and the header position of each required column in
+        `fields`, or the `cells` table and the `line` of each row."""
         self.where = where
         self.index = {name: k for k, name in enumerate(required)}
-        self.buf, self.cells, self.line = buf, cells, line
-        self.rows = line.size
+        self.buf, self.grid, self.fields, self.cells, self._line = buf, grid, fields, cells, line
+        self.rows = line.size if grid is None else grid.shape[0] - 1
 
     @classmethod
     def read(cls, path: str | Path, required) -> "_Columns":
@@ -698,38 +722,30 @@ class _Columns:
             data[size] = _NEWLINE
             size += 1
         buf, newlines, grid = _separators(data)
-        after_cr = buf[newlines - 1] == _CR
-        if b"\r" in data and data.count(b"\r") != np.count_nonzero(after_cr):
+        if b"\r" in data and data.count(b"\r") != np.count_nonzero(buf[newlines - 1] == _CR):
             # a bare CR ends a line too
             data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             size = len(data)
             data += bytes(_SPARE)
             buf, newlines, grid = _separators(data)
-            after_cr = np.zeros(newlines.size, np.bool_)
         header = _header_names(f"{where}:1", data[:data.index(b"\n")].rstrip(b"\r").split(b","))
         wanted = _wanted_columns(where, header, required)
+        if grid is not None:  # every line holds the header's fields
+            return cls(where, required, buf, grid=grid, fields=wanted)
         begins = newlines[:-1] + 1
-        ends = newlines[1:] - after_cr[1:]  # a CRLF line ends at its CR
-        if grid is None:
-            lines = np.flatnonzero(ends > begins)  # blank lines are skipped, as csv readers do
-            begins, ends = begins[lines], ends[lines]
-            commas = np.append(np.flatnonzero(buf == _COMMA), size)
-            first = np.searchsorted(commas, begins)  # the row's first comma
-            found = np.searchsorted(commas, ends) - first + 1
-            _check_widths(where, len(header), found, lines + 2)
-
-            def field_end(j):  # per row, the offset just past field j
-                return np.where(j + 1 < found, commas[first + j], ends)
-        else:  # every line holds the header's fields
-            lines = np.arange(begins.size)
-
-            def field_end(j):
-                return grid[1:, j] if j + 1 < len(header) else ends
+        ends = newlines[1:] - (buf[newlines[1:] - 1] == _CR)  # a CRLF line ends at its CR
+        lines = np.flatnonzero(ends > begins)  # blank lines are skipped, as csv readers do
+        begins, ends = begins[lines], ends[lines]
+        commas = np.append(np.flatnonzero(buf == _COMMA), size)
+        first = np.searchsorted(commas, begins)  # the row's first comma
+        found = np.searchsorted(commas, ends) - first + 1
+        _check_widths(where, len(header), found, lines + 2)
         cells = np.empty((2, len(wanted), lines.size), np.int64)
         for k, j in enumerate(wanted):
-            cells[0, k] = begins if j == 0 else field_end(j - 1) + 1
-            cells[1, k] = field_end(j)
-        return cls(where, required, buf, cells, lines + 2)
+            # per row, the offset just past field j - 1 and field j
+            cells[0, k] = begins if j == 0 else commas[first + j - 1] + 1
+            cells[1, k] = np.where(j + 1 < found, commas[first + j], ends)
+        return cls(where, required, buf, cells=cells, line=lines + 2)
 
     @classmethod
     def _read_quoted(cls, where: str, text: str, required) -> "_Columns":
@@ -755,14 +771,30 @@ class _Columns:
         ends = (np.cumsum(size + 1) - 1).reshape(len(lines), len(wanted)).T
         cells = np.stack([ends - size.reshape(len(lines), len(wanted)).T, ends])
         buf = np.frombuffer(b"\n".join(parts) + b"\n" + bytes(_SPARE), np.uint8)
-        return cls(where, required, buf, cells, np.array(lines, dtype=np.int64))
+        return cls(where, required, buf, cells=cells, line=np.array(lines, dtype=np.int64))
 
-    def _field(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def _field(self, name: str, rows=slice(None)):
+        """(start, end) of a column's cells in `rows`: a slice, an index array or one row."""
         k = self.index[name]
-        return self.cells[0, k], self.cells[1, k]
+        if self.grid is None:
+            return self.cells[0, k, rows], self.cells[1, k, rows]
+        j, grid = self.fields[k], self.grid
+        start = (grid[:-1, -1] if j == 0 else grid[1:, j - 1])[rows] + 1
+        end = grid[1:, j][rows]
+        if j + 1 == grid.shape[1]:  # the newline: a CRLF line ends at its CR
+            end = end - (self.buf[end - 1] == _CR)
+        return start, end
+
+    @property
+    def line(self) -> np.ndarray:
+        """The file line of each row."""
+        return np.arange(2, self.rows + 2) if self.grid is not None else self._line
+
+    def line_of(self, i: int) -> int:
+        return int(i) + 2 if self.grid is not None else int(self._line[i])
 
     def loc(self, i: int) -> str:
-        return f"{self.where}:{self.line[i]}"
+        return f"{self.where}:{self.line_of(i)}"
 
     def check_rows(self, checks) -> None:
         """A SchemaError at the first row breaking a rule (see `_first_problem`)."""
@@ -771,9 +803,9 @@ class _Columns:
             raise SchemaError(f"{self.loc(problem[0])}: {problem[1]}")
 
     def cell(self, name: str, i: int) -> str:
-        start, end = self._field(name)
+        start, end = self._field(name, i)
         try:
-            return self.buf[start[i]:end[i]].tobytes().decode("utf-8")
+            return self.buf[start:end].tobytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _not_utf8(self.loc(i), name, exc) from None
 
@@ -785,18 +817,25 @@ class _Columns:
         bytes, read eight at a time through an unaligned little-endian word
         view with the bytes past the cell masked off.  Keys are exact, so no
         hash and no collision check are needed.  Runs of equal adjacent rows
-        collapse to their first row before the rest are sorted.
+        collapse to their first row before the rest are sorted.  The keys
+        are built `_PARSE_ROWS` rows at a time, so they are the only
+        temporary as long as the column.
         """
-        start, end = self._field(name)
         if self.rows == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        length = end - start
-        offset = np.arange(0, int(length.max()), 8)[:, None]  # of each word in its cell
+        blocks = [slice(at, at + _PARSE_ROWS) for at in range(0, self.rows, _PARSE_ROWS)]
+        longest = max(int(np.max(end - start))
+                      for start, end in (self._field(name, block) for block in blocks))
+        offset = np.arange(0, longest, 8)[:, None]  # of each word in its cell
         words = _words(self.buf)
         keys = np.empty((offset.size + 1, self.rows), np.uint64)
-        keys[0] = length
-        keys[1:] = words[np.minimum(start + offset, words.size - 1)]  # past the cell: masked
-        keys[1:] &= _BYTE_MASK.take(length - offset, mode="clip")
+        for block in blocks:
+            start, end = self._field(name, block)
+            length = end - start
+            keys[0, block] = length
+            # bytes past the cell are masked off below
+            keys[1:, block] = words[np.minimum(start + offset, words.size - 1)]
+            keys[1:, block] &= _BYTE_MASK.take(length - offset, mode="clip")
         head = _changes(keys)
         runs = np.flatnonzero(head)
         keys = keys[:, runs]
@@ -818,7 +857,7 @@ class _Columns:
         """
         if rows.size == 0:
             return []
-        start, end = (column[rows] for column in self._field(name))
+        start, end = self._field(name, rows)
         size = end - start + 1  # each cell and the separator after it
         stop = np.cumsum(size)
         gathered = self.buf[np.arange(stop[-1]) + np.repeat(start - (stop - size), size)]
@@ -858,8 +897,18 @@ class _Columns:
                               for raw in self.texts(name, first)), np.int64, first.size)
         return merged[code], key_of
 
+    def _parse(self, name: str, point: bool) -> tuple[np.ndarray, np.ndarray]:
+        """`_parse_plain` of a column, one block of `_PARSE_ROWS` rows at a time:
+        each block's bounds are derived and parsed while they are in cache."""
+        values = np.empty(self.rows, np.int64)
+        plain = np.empty(self.rows, np.bool_)
+        for at in range(0, self.rows, _PARSE_ROWS):
+            block = slice(at, at + _PARSE_ROWS)
+            values[block], plain[block] = _parse_plain(self.buf, *self._field(name, block), point)
+        return values, plain
+
     def ints(self, name: str) -> np.ndarray:
-        values, plain = _parse_plain(self.buf, *self._field(name), point=False)
+        values, plain = self._parse(name, point=False)
         for i in np.flatnonzero(~plain).tolist():
             raw = self.cell(name, i)
             try:
@@ -880,13 +929,12 @@ class _Columns:
         Empty and NA cells are missing (read as 0) where `allow_missing`,
         and a SchemaError otherwise; so are non-numeric and non-finite cells.
         """
-        start, end = self._field(name)
-        values, plain = _parse_plain(self.buf, start, end, point=True)
+        values, plain = self._parse(name, point=True)
         rows = np.flatnonzero(~plain)  # a missing cell is never plain
         missing = np.zeros(self.rows, np.bool_)
         if allow_missing:
             last = max(self.buf.size - 1, 0)
-            start, end = start[rows], end[rows]
+            start, end = self._field(name, rows)
             missing[rows] = (end == start) | ((end - start == 2)
                                               & (self.buf[np.minimum(start, last)] == _N)
                                               & (self.buf[np.minimum(start + 1, last)] == _A))
@@ -939,25 +987,32 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
     cols = _Columns.read(path, _PAYMENT_COLUMNS)
     code, segment_of = cols.ids("loan_id")
     month = cols.ints("trust_month")
+    in_order = (code[1:] > code[:-1]) | ((code[1:] == code[:-1]) & (month[1:] > month[:-1]))
+    order = None  # the file row of each sorted row, when the file is not sorted
+    if not in_order.all():
+        order = np.lexsort((month, code))
+        code, month = code[order], month[order]
+    months = np.bincount(code, minlength=len(segment_of))
+    start = np.cumsum(months) - months
+    expected = np.arange(1, code.size + 1)
+    expected -= start[code]
+    wrong = month != expected
+    if wrong.any():
+        at = int(np.argmax(wrong))
+        k = int(code[at])
+        loan_id = next(key for key, seg in segment_of.items() if seg == k)
+        raise SchemaError(f"{cols.loc(at if order is None else order[at])}: loan {loan_id} "
+                          f"trust_month values are not a contiguous 1..{months[k]} sequence")
+    del code, month, expected, wrong  # the money columns parse without them
     balance, missing = cols.money("balance", allow_missing=True)
     payment, _ = cols.money("payment")
     principal, _ = cols.money("principal")
-    in_order = (code[1:] > code[:-1]) | ((code[1:] == code[:-1]) & (month[1:] > month[:-1]))
-    if not in_order.all():
-        order = np.lexsort((month, code))
-        code, month, balance, missing, payment, principal = (
-            a[order] for a in (code, month, balance, missing, payment, principal))
-    months = np.bincount(code, minlength=len(segment_of))
+    if order is not None:
+        balance, missing, payment, principal = (
+            a[order] for a in (balance, missing, payment, principal))
     if any(col.dtype == object for col in (balance, payment, principal)):
         balance, payment, principal = map(_as_decimals, (balance, payment, principal))
-    payments = _Payments(np.cumsum(months) - months, months, balance, missing, payment, principal)
-    expected = np.arange(code.size) - payments.start[code] + 1
-    wrong = month != expected
-    if wrong.any():
-        k = int(code[np.argmax(wrong)])
-        loan_id = next(key for key, seg in segment_of.items() if seg == k)
-        raise SchemaError(f"{cols.where}: loan {loan_id} trust_month values are not "
-                          f"a contiguous 1..{months[k]} sequence")
+    payments = _Payments(start, months, balance, missing, payment, principal)
     return payments, segment_of
 
 
@@ -970,7 +1025,7 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
     original_amount, _ = cols.money("original_amount")
     loan_age_at_entry = cols.ints("loan_age_at_entry")
     cols.check_rows(((owner < np.arange(cols.rows),
-                      lambda i: f"loan_id {loan_id[i]!r} repeats line {cols.line[owner[i]]}"),
+                      lambda i: f"loan_id {loan_id[i]!r} repeats line {cols.line_of(owner[i])}"),
                      (original_amount <= 0, "column 'original_amount' must be positive"),
                      (loan_age_at_entry < 0, "column 'loan_age_at_entry' must be >= 0")))
     columns = dict(
@@ -985,7 +1040,10 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
         vehicle_condition=cols.labels("vehicle_condition", str.strip, object),
         initial_status=cols.labels("initial_status", str.strip, object),
         recovered_amount=cols.money("recovered_amount")[0],
+        where=cols.where,
+        line=cols.line,
     )
+    del cols  # the loans file's buffer is not held while the payments file is read
     payments, segment_of = _read_payments(payments_path)
     segment = np.fromiter(map(segment_of.get, loan_id, repeat(-1)), np.int64, loan_id.size)
     return LoanTape(**columns, segment=segment, payments=payments)

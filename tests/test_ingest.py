@@ -13,8 +13,10 @@ import csv
 import os
 import re
 import tempfile
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -326,6 +328,16 @@ def test_build_observations_sorted_and_strict(tmp_path):
         build_observations(tape)
 
 
+def test_missing_history_is_located_at_the_loan_line(tmp_path):
+    """Only an eligible loan needs a history: the error names its loans.csv line."""
+    loans = {"new": {"vehicle_condition": "new"}, "B": {}, "C": {}, "D": {}}
+    tape = load_loan_data(*write_tape(tmp_path, loans, {"B": REPAID}))
+    assert filter_loans(tape).loan_id.tolist() == ["B", "C", "D"]  # "new" has none either
+    with pytest.raises(SchemaError, match=r"^\S*loans\.csv:4: loan C has no payment history$"):
+        build_observations(tape)
+    assert build_observations(tape.take([0, 1])).loan_id.tolist() == ["B"]
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 
@@ -444,7 +456,10 @@ def test_money_cells_keep_exact_values(tmp_path):
                                   (None, Decimal("0"), Decimal("0.001"))]
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "sNaN"])
+NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "sNaN"]
+
+
+@pytest.mark.parametrize("cell", NON_FINITE_CELLS)
 def test_non_finite_money_is_located_schema_error(tmp_path, cell):
     paths = write_tape(tmp_path, {"L1": {}}, {"L1": (["100", "50"], ["10", "10"], ["10", cell])})
     with pytest.raises(SchemaError, match=r"payments\.csv:3: column 'principal' has "
@@ -547,7 +562,7 @@ def loan_case_id(value):
     return None
 
 
-@pytest.mark.parametrize("changes, message", [
+LOAN_ERRORS = [
     ({"apr_pct": "nan"}, "column 'apr_pct': value 'nan' is not a finite APR >= 0"),
     ({"apr_pct": "-1.5"}, "column 'apr_pct': value '-1.5' is not a finite APR >= 0"),
     ({"original_amount": "0"}, "column 'original_amount' must be positive"),
@@ -556,7 +571,10 @@ def loan_case_id(value):
     ({"apr_pct": "\u0661\u0662"}, "column 'apr_pct': non-numeric value '\u0661\u0662'"),
     ({"original_amount": "2_000"}, "column 'original_amount' has non-numeric value '2_000'"),
     ({"loan_age_at_entry": "1_0"}, "column 'loan_age_at_entry' has non-integer value '1_0'"),
-], ids=loan_case_id)
+]
+
+
+@pytest.mark.parametrize("changes, message", LOAN_ERRORS, ids=loan_case_id)
 def test_loan_attribute_errors_carry_location(tmp_path, changes, message):
     paths = write_tape(tmp_path, {"L1": changes}, {"L1": (["100"], ["10"], ["10"])})
     with pytest.raises(SchemaError, match=rf"loans\.csv:2: {re.escape(message)}"):
@@ -607,9 +625,16 @@ def text_column(draw):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
 
 
+TEXT_FILES = given(text_column(), st.booleans(), st.booleans())
+
+
 @settings(max_examples=150, deadline=None)
-@given(text_column(), st.booleans(), st.booleans())
+@TEXT_FILES
 def test_codes_and_labels_match_a_per_row_oracle(texts, quoted, final_newline):
+    check_codes_and_labels(texts, quoted, final_newline)
+
+
+def check_codes_and_labels(texts, quoted, final_newline):
     if quoted:  # quoting lets a cell hold a separator and a line break
         texts = [text.replace("0", ",\n") for text in texts]
     with tempfile.TemporaryDirectory() as tmp:
@@ -662,6 +687,32 @@ def test_payment_ids_merge_however_the_rows_are_laid_out(tmp_path):
     assert back.segment.tolist() == tidy.segment.tolist() == [0, 1]
     assert payment_rows(back) == payment_rows(tidy)
     assert build_observations(back) == build_observations(tidy)
+
+
+def payments_file(path, rows):
+    """A payments CSV of (loan_id, trust_month) rows, every amount 10."""
+    path.write_text("loan_id,trust_month,balance,payment,principal\n" + "".join(
+        f"{loan_id},{month},10,10,10\n" for loan_id, month in rows), encoding="utf-8")
+
+
+def test_trust_month_gap_is_located_at_its_first_row(tmp_path):
+    loans, payments = write_tape(tmp_path, {"L1": {}, "L2": {}}, {})
+    payments_file(payments, [("L1", 1), ("L1", 2), ("L1", 4), ("L2", 1)])
+    with pytest.raises(SchemaError, match=r"payments\.csv:4: loan L1 trust_month values are "
+                                          r"not a contiguous 1\.\.3 sequence$"):
+        load_loan_data(loans, payments)
+
+
+def test_trust_month_gap_in_an_unsorted_file_is_located_at_its_own_line(tmp_path):
+    loans, payments = write_tape(tmp_path, {"L1": {}, "L2": {}}, {})
+    payments_file(payments, [("L2", 1), ("L1", 4), ("L2", 2), ("L1", 1), ("L1", 2)])
+    with pytest.raises(SchemaError, match=r"payments\.csv:3: loan L1 trust_month values are "
+                                          r"not a contiguous 1\.\.3 sequence$"):
+        load_loan_data(loans, payments)
+    payments_file(payments, [("L2", 1), ("L1", 1), ("L2", 1)])  # a repeated month
+    with pytest.raises(SchemaError, match=r"payments\.csv:4: loan L2 trust_month values are "
+                                          r"not a contiguous 1\.\.2 sequence$"):
+        load_loan_data(loans, payments)
 
 
 def test_text_columns_decode_one_string_per_distinct_cell(tmp_path, monkeypatch):
@@ -724,11 +775,16 @@ def test_word_parse_matches_the_per_character_oracle(cells):
     assert_parses_like_the_oracle(buf, end - size, end)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(numeric_cell(), min_size=1, max_size=12), st.booleans(), st.booleans(),
-       st.booleans())
-def test_word_parse_of_read_files_matches_the_oracle(cells, quoted, crlf, final_newline):
-    """Cells as `_Columns.read` lays them out; a quoted file's buffer starts with a cell."""
+READ_CELLS = given(st.lists(numeric_cell(), min_size=1, max_size=12), st.booleans(),
+                   st.booleans(), st.booleans())
+
+
+def check_read_cells(cells, quoted, crlf, final_newline):
+    """Cells as `_Columns.read` lays them out; a quoted file's buffer starts with a cell.
+
+    Each cell is found whole and row by row, and parses like the oracle both
+    in one call and as `_Columns` parses a column, block by block.
+    """
     newline = b"\r\n" if crlf else b"\n"
     quote = b'"' if quoted else b""
     text = newline.join([b"n,v"] + [b"%d,%s%s%s" % (i, quote, cell, quote)
@@ -739,7 +795,18 @@ def test_word_parse_of_read_files_matches_the_oracle(cells, quoted, crlf, final_
         cols = _Columns.read(path, ["v", "n"])
     start, end = cols._field("v")
     assert [cols.buf[s:e].tobytes() for s, e in zip(start, end)] == cells
+    assert [cols.buf[slice(*cols._field("v", i))].tobytes() for i in range(cols.rows)] == cells
     assert_parses_like_the_oracle(cols.buf, start, end)
+    for point in (True, False):
+        values, plain = cols._parse("v", point)
+        want_values, want_plain = plain_cells(cols.buf, start, end, point)
+        assert (values.tolist(), plain.tolist()) == (want_values.tolist(), want_plain.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@READ_CELLS
+def test_word_parse_of_read_files_matches_the_oracle(cells, quoted, crlf, final_newline):
+    check_read_cells(cells, quoted, crlf, final_newline)
 
 
 def test_parse_reads_signs_long_integers_and_short_fractions():
@@ -781,10 +848,16 @@ def layout(ends, blank=False, extra=False, short=False):
     return b"".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
 
 
-@pytest.mark.parametrize("ends", [[b"\n"], [b"\r\n"], [b"\r"], [b"\n", b"\r\n", b"\r"]],
-                         ids=["lf", "crlf", "cr", "mixed"])
-@pytest.mark.parametrize("blank", [False, True], ids=["", "blank"])
-@pytest.mark.parametrize("extra", [False, True], ids=["", "extra"])
+LINE_ENDS = pytest.mark.parametrize(
+    "ends", [[b"\n"], [b"\r\n"], [b"\r"], [b"\n", b"\r\n", b"\r"]],
+    ids=["lf", "crlf", "cr", "mixed"])
+BLANK = pytest.mark.parametrize("blank", [False, True], ids=["", "blank"])
+EXTRA = pytest.mark.parametrize("extra", [False, True], ids=["", "extra"])
+
+
+@LINE_ENDS
+@BLANK
+@EXTRA
 def test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, monkeypatch, ends,
                                                              blank, extra):
     data = layout(ends, blank, extra)
@@ -810,9 +883,8 @@ def test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, monkeypat
     assert cols.money("d")[0].tolist() == [11000, 11050, -700, 1200]
 
 
-@pytest.mark.parametrize("ends", [[b"\n"], [b"\r\n"], [b"\r"], [b"\n", b"\r\n", b"\r"]],
-                         ids=["lf", "crlf", "cr", "mixed"])
-@pytest.mark.parametrize("blank", [False, True], ids=["", "blank"])
+@LINE_ENDS
+@BLANK
 def test_reader_locates_a_short_row_whichever_path_it_takes(tmp_path, ends, blank):
     data = layout(ends, blank, short=True)
     path = tmp_path / "rows.csv"
@@ -836,13 +908,16 @@ def test_reader_takes_no_grid_from_rows_whose_separators_only_add_up(tmp_path):
     assert cols.ints("a").tolist() == [1, 2]
 
 
-@pytest.mark.parametrize("column, cell, message", [
+DIGIT_GROUP_ERRORS = [
     ("trust_month", "\u0662", "column 'trust_month' has non-integer value '\u0662'"),
     ("trust_month", "1_0", "column 'trust_month' has non-integer value '1_0'"),
     ("balance", "1_000", "column 'balance' has non-numeric value '1_000'"),
     ("payment", "\uff15", "column 'payment' has non-numeric value '\uff15'"),
     ("principal", "1_0.5", "column 'principal' has non-numeric value '1_0.5'"),
-])
+]
+
+
+@pytest.mark.parametrize("column, cell, message", DIGIT_GROUP_ERRORS)
 def test_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, column, cell,
                                                                  message):
     row = {"loan_id": "L1", "trust_month": "1", "balance": "100", "payment": "10",
@@ -852,3 +927,164 @@ def test_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, column
                         + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=rf"payments\.csv:2: {re.escape(message)}$"):
         load_loan_data(loans, payments)
+
+
+# ---------------------------------------------------------------------------
+# cache-sized blocks: the separator scan and the numeric parse cross block edges
+
+
+def tiny_blocks():
+    """Scan blocks of 16 bytes and parse blocks of 3 rows, so small files cross
+    many block edges."""
+    return mock.patch.multiple(ingest, _SCAN_BYTES=16, _PARSE_ROWS=3)
+
+
+@settings(max_examples=100, deadline=None)
+@READ_CELLS
+def test_word_parse_of_read_files_matches_the_oracle_in_tiny_blocks(cells, quoted, crlf,
+                                                                     final_newline):
+    with tiny_blocks():
+        check_read_cells(cells, quoted, crlf, final_newline)
+
+
+@settings(max_examples=150, deadline=None)
+@TEXT_FILES
+def test_codes_and_labels_match_a_per_row_oracle_in_tiny_blocks(texts, quoted, final_newline):
+    with tiny_blocks():
+        check_codes_and_labels(texts, quoted, final_newline)
+
+
+@LINE_ENDS
+@BLANK
+@EXTRA
+def test_reader_finds_the_same_cells_in_tiny_blocks(tmp_path, monkeypatch, ends, blank, extra):
+    with tiny_blocks():
+        test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, monkeypatch, ends,
+                                                                 blank, extra)
+
+
+@LINE_ENDS
+@BLANK
+def test_reader_locates_a_short_row_in_tiny_blocks(tmp_path, ends, blank):
+    with tiny_blocks():
+        test_reader_locates_a_short_row_whichever_path_it_takes(tmp_path, ends, blank)
+
+
+def test_cell_errors_are_located_alike_in_tiny_blocks(tmp_path):
+    with tiny_blocks():
+        for k, (changes, message) in enumerate(LOAN_ERRORS):
+            (tmp_path / f"loan{k}").mkdir()
+            test_loan_attribute_errors_carry_location(tmp_path / f"loan{k}", changes, message)
+        for k, cell in enumerate(NON_FINITE_CELLS):
+            (tmp_path / f"money{k}").mkdir()
+            test_non_finite_money_is_located_schema_error(tmp_path / f"money{k}", cell)
+        for k, (column, cell, message) in enumerate(DIGIT_GROUP_ERRORS):
+            (tmp_path / f"digits{k}").mkdir()
+            test_numeric_cells_reject_digit_groups_and_non_ascii_digits(
+                tmp_path / f"digits{k}", column, cell, message)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["", "no-final-newline"])
+def test_every_separator_and_crlf_pair_may_straddle_a_scan_block(tmp_path, newline,
+                                                                  final_newline):
+    """The header's first name grows a byte at a time, so across 16 shifts every
+    comma, newline and CR-LF pair of the rows below it falls on each side of a
+    16-byte block edge; `d` is the last field, which ends at a line's CR."""
+    path = tmp_path / "rows.csv"
+    for shift in range(16):
+        lines = [b"e" * (shift + 1) + b",a,b,c,d"] + [b"," + b",".join(row) for row in ROWS]
+        data = newline.join(lines) + (newline if final_newline else b"")
+        path.write_bytes(data)
+        with tiny_blocks():
+            cols = _Columns.read(path, ["a", "b", "c", "d"])
+            assert cols.grid is not None
+            assert cols.line.tolist() == [2, 3, 4, 5]
+            for j, name in enumerate("abcd"):
+                start, end = cols._field(name)
+                assert [cols.buf[s:e].tobytes() for s, e in zip(start, end)] == [
+                    row[j] for row in ROWS]
+                assert [cols.cell(name, i) for i in range(4)] == [row[j].decode() for row in ROWS]
+            assert cols.money("c", allow_missing=True)[1].tolist() == [False, True, True, False]
+            assert cols.money("d")[0].tolist() == [11000, 11050, -700, 1200]
+
+
+@pytest.mark.parametrize("row", [0, 2, 3, 5, 6], ids=lambda row: f"row{row}")
+def test_cells_at_parse_block_edges_parse_and_are_located(tmp_path, row):
+    """With 3-row parse blocks, rows 0, 3 and 6 start a block and rows 2 and 5
+    end one; row 6 is also the last row of the file."""
+    path = tmp_path / "cells.csv"
+
+    def write(cells):
+        path.write_text("n,v\n" + "".join(f"{n},{v}\n" for n, v in cells), encoding="utf-8")
+
+    cells = [(str(i), f"{i}.25") for i in range(7)]
+    cells[row] = ("-123456789012", "1.005")  # plain, but two words; not plain: Decimal
+    write(cells)
+    with tiny_blocks():
+        cols = _Columns.read(path, ["n", "v"])
+        assert cols.ints("n").tolist() == [-123456789012 if i == row else i for i in range(7)]
+        assert cols.money("v")[0].tolist() == [
+            Decimal("1.005") if i == row else Decimal(f"{i}.25") for i in range(7)]
+        for column, bad, message in [(0, "4x", "column 'n' has non-integer value '4x'"),
+                                     (1, "4x", "column 'v' has non-numeric value '4x'")]:
+            broken = list(cells)
+            broken[row] = (bad, cells[row][1]) if column == 0 else (cells[row][0], bad)
+            write(broken)
+            cols = _Columns.read(path, ["n", "v"])
+            with pytest.raises(SchemaError, match=rf"cells\.csv:{row + 2}: {message}$"):
+                cols.ints("n") if column == 0 else cols.money("v")
+
+
+def test_cells_that_are_not_plain_derive_only_their_own_bounds(tmp_path, monkeypatch):
+    """Money, ints, cell, loc and texts derive the bounds of the rows they ask
+    for: a column of cells none of which is plain costs a bounded number of
+    derived bounds per row, not a whole column per cell."""
+    rows = 500
+    path = tmp_path / "odd.csv"
+    path.write_text("id,v,n\n" + "".join(f"L{i % 7},1.005,+{i}x\n" for i in range(rows)),
+                    encoding="utf-8")
+    cols = _Columns.read(path, ["id", "v", "n"])
+    derived = []
+    field = _Columns._field
+
+    def counting(self, name, rows=slice(None)):
+        start, end = field(self, name, rows)
+        derived.append(np.size(start))
+        return start, end
+
+    monkeypatch.setattr(_Columns, "_field", counting)
+    assert cols.money("v", allow_missing=True)[0].tolist() == [Decimal("1.005")] * rows
+    assert sum(derived) <= 3 * rows
+    derived.clear()
+    assert cols.texts("id", np.arange(0, rows, 50)).count("L0") == 2
+    assert cols.loc(rows - 1).endswith(f"odd.csv:{rows + 1}")
+    assert sum(derived) == rows // 50
+    with pytest.raises(SchemaError, match=r"odd\.csv:2: column 'n' has non-integer value '\+0x'"):
+        cols.ints("n")
+
+
+def peak_of_load(loans, payments) -> int:
+    """The tracemalloc peak of one `load_loan_data`, in bytes."""
+    tracemalloc.start()
+    try:
+        load_loan_data(loans, payments)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_peak_memory_stays_a_small_multiple_of_the_payments_file(tmp_path):
+    """On a tape of 2,000 loans and 50,000 payment rows, the traced peak of
+    `load_loan_data` stays below 6.3 times the payments file's size.  Reading
+    blocks and keeping only the buffer and the separator grid (2.2 times on
+    their own) peaks at 5.42 times; a cell table beside the grid and parsing
+    whole columns at once peaked at 7.15 times (see CHANGES.md)."""
+    months = 25
+    history = ([f"{20000 - 500 * m}.{m:02d}" for m in range(months)], ["512.34"] * months,
+               [f"{480 + m}.5" for m in range(months)])
+    loans = {f"L{i:06d}": {} for i in range(2000)}
+    paths = write_tape(tmp_path, loans, dict.fromkeys(loans, history))
+    size = paths[1].stat().st_size
+    assert 50000 * 30 < size < 50000 * 50  # about 50k rows of about 40 bytes
+    assert peak_of_load(*paths) < 6.3 * size
