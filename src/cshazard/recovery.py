@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,8 +139,24 @@ class GammaKernelFit:
         return (self.k - 1.0) * self.theta if self.k > 1.0 else 0.0
 
 
-def _kernel(x: np.ndarray, c: float, k: float, theta: float) -> np.ndarray:
+def _kernel(x: np.ndarray, c: np.ndarray, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The kernel on the age grid x, one row per parameter set; c, k and theta are columns."""
     return c * x ** (k - 1.0) * np.exp(-x / theta)
+
+
+def _squared_residuals(x: np.ndarray, y: np.ndarray, log_params: np.ndarray) -> np.ndarray:
+    """Sum of squared residuals for each row of (m, 3) log parameters.
+
+    A row whose residual leaves float range scores 1e300.  Each row keeps its
+    own 1-D dot, which gives the bits of a one-point evaluation.
+    """
+    params = np.exp(np.clip(log_params, -50.0, 50.0))
+    out = np.full(len(params), 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = y - _kernel(x, params[:, 0:1], params[:, 1:2], params[:, 2:3])
+        for i in np.flatnonzero(np.isfinite(resid).all(axis=1)):
+            out[i] = resid[i] @ resid[i]
+    return out
 
 
 def _log_linear_seed(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
@@ -160,6 +177,147 @@ def _log_linear_seed(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     return np.array([log_c, math.log(k_minus_1 + 1.0), -math.log(inv_theta)])
 
 
+def _seed_point(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The unperturbed first start: the log-linear solve, else a guess from the peak."""
+    seed_point = _log_linear_seed(x, y)
+    if seed_point is None:
+        peak = float(x[int(np.argmax(y))])
+        seed_point = np.array([math.log(max(y.max(), 1e-6)), math.log(2.0),
+                               math.log(max(peak, 1.0))])
+    return seed_point
+
+
+# Adaptive Nelder-Mead coefficients for 3 parameters (Gao & Han 2012), written
+# as scipy writes them so they carry the same bits.
+_DIM = 3.0
+_RHO = 1
+_CHI = 1 + 2 / _DIM
+_PSI = 0.75 - 1 / (2 * _DIM)
+_SIGMA = 1 - 1 / _DIM
+_XATOL = 1e-12
+_FATOL = 1e-16
+# Restarts advanced together; bounds the fit's memory whatever `restarts` is.
+_RESTART_BLOCK = 64
+
+
+class _Restarts(NamedTuple):
+    """Per-restart outcome of a lockstep Nelder-Mead run, one row per start."""
+
+    x: np.ndarray        # (r, 3) best vertex
+    fun: np.ndarray      # (r,) its value
+    nfev: np.ndarray     # (r,) objective evaluations used
+    nit: np.ndarray      # (r,) iterations, counted as scipy counts them
+    success: np.ndarray  # (r,) stopped on xatol and fatol, not on the budget
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.arange(len(fsim))[:, None]
+    order = np.argsort(fsim, axis=1)
+    return sim[rows, order], fsim[rows, order]
+
+
+def _nelder_mead_lockstep(objective, starts: np.ndarray, maxfev: int) -> _Restarts:
+    """Adaptive Nelder-Mead from every row of `starts` at once.
+
+    `objective` maps (m, 3) points to (m,) values.  Each row takes the steps
+    scipy 1.17.1's `_minimize_neldermead` would take from that start with
+    `maxfev`, `xatol=1e-12`, `fatol=1e-16` and `adaptive=True`: the same
+    initial simplex, branch rules, stop tests and sorts, and the same partial
+    step when the budget runs out mid-iteration.  One iteration makes at most
+    three objective calls, each on the rows that need it: the reflections,
+    then the expansions or contractions, then the shrunk vertices.
+    """
+    rows, dim = starts.shape
+    sim = np.repeat(starts[:, None, :], dim + 1, axis=1)
+    for j in range(dim):
+        col = sim[:, j + 1, j]
+        sim[:, j + 1, j] = np.where(col != 0, (1 + 0.05) * col, 0.00025)
+    # Vertices past the budget stay unevaluated, at inf.
+    fsim = np.full((rows, dim + 1), np.inf)
+    first = min(dim + 1, maxfev)
+    fsim[:, :first] = objective(sim[:, :first].reshape(-1, dim)).reshape(rows, first)
+    nfev = np.full(rows, first)
+    nit = np.ones(rows, dtype=np.int64)
+    success = np.zeros(rows, dtype=bool)
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # scipy sorts twice here
+
+    live = np.flatnonzero(nfev < maxfev)
+    while live.size:
+        s, f = sim[live], fsim[live]
+        with np.errstate(invalid="ignore"):  # inf - inf: not converged
+            done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                    & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _FATOL))
+        success[live[done]] = True
+        live, s, f = live[~done], s[~done], f[~done]
+        if not live.size:
+            break
+
+        worst = s[:, -1]
+        xbar = np.add.reduce(s[:, :-1], axis=1) / dim
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = objective(xr)
+        nfev[live] += 1
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        # The second point: expansion, outside or inside contraction.
+        x2 = np.where(expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+                      np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                               (1 - _PSI) * xbar + _PSI * worst))
+        second = ~accept & (nfev[live] < maxfev)  # without budget the simplex stays
+        f2 = np.full(live.size, np.nan)
+        if second.any():
+            f2[second] = objective(x2[second])
+            nfev[live[second]] += 1
+
+        take_r = accept | (second & expand & ~(f2 < fxr))
+        take_2 = second & ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
+                           | (~expand & ~outside & (f2 < f[:, -1])))
+        shrink = second & ~expand & ~take_2
+        s[take_r, -1], f[take_r, -1] = xr[take_r], fxr[take_r]
+        s[take_2, -1], f[take_2, -1] = x2[take_2], f2[take_2]
+        complete = take_r | take_2
+        if shrink.any():
+            # Vertex j gets its shrunk coordinates if the j vertices before it
+            # were evaluated, and a new value if it is evaluated itself.
+            room = (maxfev - nfev[live[shrink]])[:, None]
+            j = np.arange(dim)
+            best, rest = s[shrink, :1], s[shrink, 1:]
+            moved = np.where((j <= room)[:, :, None], best + _SIGMA * (rest - best), rest)
+            values = f[shrink, 1:]
+            values[j < room] = objective(moved[j < room])
+            s[shrink, 1:], f[shrink, 1:] = moved, values
+            nfev[live[shrink]] += np.minimum(room[:, 0], dim)
+            complete[shrink] = room[:, 0] >= dim
+        nit[live[complete]] += 1
+        sim[live], fsim[live] = _sort_simplices(s, f)
+        live = live[nfev[live] < maxfev]
+
+    return _Restarts(x=sim[:, 0], fun=fsim.min(axis=1), nfev=nfev, nit=nit,
+                     success=success)
+
+
+def _restart_blocks(x: np.ndarray, y: np.ndarray, restarts: int, budget: int, seed: int):
+    """Yield the _Restarts of each block of restarts, in restart order.
+
+    The first start is the seed point; each other adds a seeded normal
+    perturbation (scale 0.5 in log space), drawn block by block in one
+    stream, so the blocking does not change the starts.
+    """
+    seed_point = _seed_point(x, y)
+    rng = np.random.default_rng(seed)
+    per_start = budget // restarts
+
+    def objective(log_params: np.ndarray) -> np.ndarray:
+        return _squared_residuals(x, y, log_params)
+
+    for lo in range(0, restarts, _RESTART_BLOCK):
+        starts = np.tile(seed_point, (min(_RESTART_BLOCK, restarts - lo), 1))
+        perturbed = starts[1:] if lo == 0 else starts
+        perturbed += rng.normal(scale=0.5, size=perturbed.shape)
+        yield _nelder_mead_lockstep(objective, starts, per_start)
+
+
 def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
                      budget: int = DEFAULT_BUDGET, seed: int = 0) -> GammaKernelFit:
     """Fit the gamma kernel to a recovery curve by Nelder-Mead least squares.
@@ -167,10 +325,19 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
     Parameters are optimized in log space (so they stay positive) from a
     log-linear warm start plus seeded random perturbations; the evaluation
     budget is split evenly across restarts (budget // restarts each, so no
-    more than budget evaluations run).  The best (residual, restart index)
-    wins, keeping the reduction deterministic.  Values may dip slightly
-    below zero (smoothers overshoot near the baseline); least squares
-    handles that, only a curve with no positive mass is rejected.
+    more than budget evaluations run).  The minimizer is the adaptive
+    Nelder-Mead simplex (Nelder & Mead, Computer Journal 7, 1965, with the
+    dimension-dependent coefficients of Gao & Han, Computational
+    Optimization and Applications 51, 2012), mirroring scipy 1.17.1's
+    `minimize(method="Nelder-Mead", adaptive=True)` step by step with
+    xatol 1e-12 and fatol 1e-16, so each restart ends where scipy's would.
+    The restarts run in lockstep, `_RESTART_BLOCK` (64) at a time: each
+    iteration evaluates the points every live restart needs in one batched
+    objective call, and the blocks keep memory bounded for any `restarts`.
+    The best (residual, restart index) wins, keeping the reduction
+    deterministic.  Values may dip slightly below zero (smoothers overshoot
+    near the baseline); least squares handles that, only a curve with no
+    positive mass is rejected.
     """
     x = np.asarray(ages, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
@@ -187,44 +354,16 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
     if budget < restarts:
         raise ValueError(f"budget must be >= restarts, got budget {budget} "
                          f"and restarts {restarts}")
-    # Deferred: scipy.optimize is most of the package's import time, and
-    # only this fit uses it.
-    from scipy.optimize import minimize
-
-    def objective(log_params: np.ndarray) -> float:
-        c, k, theta = np.exp(np.clip(log_params, -50.0, 50.0))
-        with np.errstate(over="ignore"):
-            resid = y - _kernel(x, c, k, theta)
-        if not np.all(np.isfinite(resid)):
-            return 1e300
-        return float(resid @ resid)
-
-    seed_point = _log_linear_seed(x, y)
-    if seed_point is None:
-        peak = float(x[int(np.argmax(y))])
-        seed_point = np.array([math.log(max(y.max(), 1e-6)), math.log(2.0),
-                               math.log(max(peak, 1.0))])
-    rng = np.random.default_rng(seed)
-    starts = [seed_point]
-    for _ in range(restarts - 1):
-        starts.append(seed_point + rng.normal(scale=0.5, size=3))
-
-    per_start = budget // restarts
-    best = None
-    best_key = None
+    best = best_fun = None
     any_converged = False
-    for idx, start in enumerate(starts):
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxfev": per_start, "xatol": 1e-12,
-                                "fatol": 1e-16, "adaptive": True})
-        any_converged = any_converged or bool(res.success)
-        key = (res.fun, idx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = res.x
+    for res in _restart_blocks(x, y, restarts, budget, seed):
+        i = int(np.argmin(res.fun))  # the first of equal residuals: the lowest index
+        if best_fun is None or res.fun[i] < best_fun:
+            best, best_fun = res.x[i], res.fun[i]
+        any_converged = any_converged or bool(res.success.any())
     c, k, theta = np.exp(best)
     fit = GammaKernelFit(c=float(c), k=float(k), theta=float(theta),
-                         residual=float(best_key[0]))
+                         residual=float(best_fun))
     if not any_converged:
         raise RecoveryFitError(
             f"gamma-kernel fit exhausted its budget ({budget} evaluations)", best=fit)

@@ -439,3 +439,53 @@ def plain_cells(buf, start, end, point):
         value *= 10 ** np.clip(2 - after_point, 0, 2)
     value = np.where(plain, np.where(negative, -value, value), 0)
     return value, plain
+
+
+# ---------------------------------------------------------------------------
+# gamma-kernel fit by scipy's Nelder-Mead, one restart at a time
+
+
+def scipy_restarts(ages, values, restarts: int, budget: int, seed: int = 0):
+    """(per-restart OptimizeResults, best fit, any converged) by scipy's minimize.
+
+    This is the loop `recovery.fit_gamma_kernel` ran before its restarts
+    moved in lockstep: the seed point, then one 3-vector perturbation per
+    further restart from the seeded stream, and one `minimize(...,
+    method="Nelder-Mead", adaptive=True)` per start on a one-point objective.
+    Floating-point warnings are silenced for the whole run, scipy's own
+    arithmetic included, since only the values are compared.  The fit is
+    the ValueError `GammaKernelFit` raises when a best parameter leaves
+    float range, as `fit_gamma_kernel` raises it.
+    """
+    from cshazard.recovery import GammaKernelFit, _seed_point
+
+    x = np.asarray(ages, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+
+    def objective(log_params):
+        c, k, theta = np.exp(np.clip(log_params, -50.0, 50.0))
+        resid = y - c * x ** (k - 1.0) * np.exp(-x / theta)
+        if not np.all(np.isfinite(resid)):
+            return 1e300
+        return float(resid @ resid)
+
+    seed_point = _seed_point(x, y)
+    rng = np.random.default_rng(seed)
+    starts = [seed_point]
+    for _ in range(restarts - 1):
+        starts.append(seed_point + rng.normal(scale=0.5, size=3))
+    results = []
+    with np.errstate(all="ignore"):
+        for start in starts:
+            results.append(optimize.minimize(
+                objective, start, method="Nelder-Mead",
+                options={"maxfev": budget // restarts, "xatol": 1e-12,
+                         "fatol": 1e-16, "adaptive": True}))
+    best_fun, idx = min((res.fun, i) for i, res in enumerate(results))
+    c, k, theta = np.exp(results[idx].x)
+    try:
+        fit = GammaKernelFit(c=float(c), k=float(k), theta=float(theta),
+                             residual=float(best_fun))
+    except ValueError as exc:
+        fit = exc
+    return results, fit, any(bool(res.success) for res in results)

@@ -988,6 +988,26 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert (tmp_path / "savings.csv").exists() and (tmp_path / "study.csv").exists()
 
 
+RECOVERY_COLD = """
+import sys
+from cshazard import cli
+assert cli.main(["recovery", sys.argv[1], "--output-dir", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_recovery_fit_loads_no_scipy(tmp_path):
+    # the gamma-kernel fit runs its own Nelder-Mead: scipy serves only the tests
+    src = tmp_path / "recoveries.csv"
+    write_recoveries_csv(src)
+    out = subprocess.run([sys.executable, "-c", RECOVERY_COLD, str(src), str(tmp_path / "out")],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "recovery_fit.json").exists()
+
+
 def test_module_entry_point_runs(tmp_path):
     out = subprocess.run([sys.executable, "-m", "cshazard.cli", "savings",
                           "--balance", "7485", "--payment", "360",

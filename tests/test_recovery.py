@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import hump_observations
+from oracles import scipy_restarts
 from cshazard import recovery
 from cshazard.recovery import (
     GammaKernelFit,
@@ -178,18 +179,18 @@ def test_fit_budget_exhaustion_reports_best_so_far():
 def test_fit_runs_no_more_than_its_budget(monkeypatch):
     pairs, _ = hump_observations()
     pts = recovery_points(pairs)
-    calls = []
+    points = []
 
     def counted(x, c, k, theta):
-        calls.append(1)
+        points.append(len(c))  # one evaluation per parameter row
         return exact_kernel(x, c, k, theta)
 
     monkeypatch.setattr(recovery, "_kernel", counted)
     for budget, restarts in ((50, 2), (150, 2), (7, 7)):
-        calls.clear()
+        points.clear()
         with pytest.raises(RecoveryFitError, match=rf"\({budget} evaluations\)"):
             fit_gamma_kernel(pts.ages, pts.mean, restarts=restarts, budget=budget)
-        assert 0 < len(calls) <= budget
+        assert 0 < sum(points) <= budget
 
 
 def test_fit_is_deterministic():
@@ -199,6 +200,149 @@ def test_fit_is_deterministic():
     a = fit_gamma_kernel(pts.ages, sm, seed=3)
     b = fit_gamma_kernel(pts.ages, sm, seed=3)
     assert (a.c, a.k, a.theta, a.residual) == (b.c, b.k, b.theta, b.residual)
+
+
+# ------------------------------------------- lockstep restarts against scipy
+
+def lockstep_restarts(ages, values, restarts, budget, seed):
+    """Per-restart results of `fit_gamma_kernel`'s blocks, concatenated."""
+    x = np.asarray(ages, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    blocks = recovery._restart_blocks(x, y, restarts, budget, seed)
+    return recovery._Restarts(*(np.concatenate(field) for field in zip(*blocks)))
+
+
+def fit_and_converged(ages, values, restarts, budget, seed):
+    """The fit and True, or the best of a RecoveryFitError and False.
+
+    A best parameter whose exp leaves float range makes `GammaKernelFit`
+    raise ValueError; its message stands for the fit, with converged None.
+    """
+    try:
+        return fit_gamma_kernel(ages, values, restarts=restarts, budget=budget, seed=seed), True
+    except RecoveryFitError as exc:
+        return exc.best, False
+    except ValueError as exc:
+        return str(exc), None
+
+
+def check_against_scipy(ages, values, restarts, budget, seed=0):
+    """Every restart and the fit are bit-identical to scipy's; returns scipy's results."""
+    results, fit, converged = scipy_restarts(ages, values, restarts, budget, seed)
+    got = lockstep_restarts(ages, values, restarts, budget, seed)
+    assert got.x.shape == (restarts, 3)
+    for i, res in enumerate(results):
+        assert got.x[i].tobytes() == res.x.tobytes(), i
+        assert got.fun[i].tobytes() == np.float64(res.fun).tobytes(), i
+        assert (got.nfev[i], got.nit[i], bool(got.success[i])) == \
+            (res.nfev, res.nit, bool(res.success)), i
+    got_fit, got_converged = fit_and_converged(ages, values, restarts, budget, seed)
+    if isinstance(fit, ValueError):
+        assert (got_fit, got_converged) == (str(fit), None)
+    else:
+        assert got_converged == converged
+        assert [v.hex() for v in (got_fit.c, got_fit.k, got_fit.theta, got_fit.residual)] == \
+            [v.hex() for v in (fit.c, fit.k, fit.theta, fit.residual)]
+    return results
+
+
+def hump_means():
+    pts = recovery_points(hump_observations()[0])
+    return pts.ages.astype(np.float64), pts.mean
+
+
+def steep_curve():
+    # (x / 300)^100 e^(-x/1000): the starts' residuals leave float range
+    x = np.arange(1.0, 301.0)
+    return x, (x / 300.0) ** 100 * np.exp(-x / 1000.0)
+
+
+def stale_vertex(ages, values, res):
+    """A vertex whose value is not its objective value: a shrink cut short."""
+    sim, fsim = res.final_simplex
+    evaluated = recovery._squared_residuals(np.asarray(ages, np.float64),
+                                            np.asarray(values, np.float64), sim)
+    return bool(np.isfinite(fsim).all() and np.any(evaluated != fsim))
+
+
+def test_lockstep_matches_scipy_on_an_exact_kernel_with_one_restart():
+    x = np.arange(1.0, 31.0)
+    (res,) = check_against_scipy(x, exact_kernel(x, 0.1, 3.0, 6.0), 1, 10000)
+    assert res.success
+
+
+def test_lockstep_matches_scipy_on_the_default_fit():
+    ages, means = hump_means()
+    results = check_against_scipy(ages, smooth((ages, means)), 10, 10000, seed=7)
+    assert any(res.success for res in results)
+
+
+@pytest.mark.parametrize("restarts, budget", [(7, 7), (3, 6), (3, 11), (2, 9)])
+def test_lockstep_matches_scipy_before_the_simplex_is_filled(restarts, budget):
+    results = check_against_scipy(*hump_means(), restarts, budget)
+    # with fewer than 4 evaluations a start keeps inf at its unevaluated vertices
+    assert (budget // restarts < 4) == any(np.isinf(res.final_simplex[1]).any()
+                                           for res in results)
+
+
+# The first shrink of the one-restart hump fit starts after evaluation 282.
+@pytest.mark.parametrize("restarts, budget", [(1, 282), (1, 283), (1, 284), (2, 566)])
+def test_lockstep_matches_scipy_when_the_budget_runs_out_in_a_shrink(restarts, budget):
+    ages, means = hump_means()
+    results = check_against_scipy(ages, means, restarts, budget)
+    assert stale_vertex(ages, means, results[0])
+
+
+def test_lockstep_matches_scipy_where_residuals_overflow():
+    ages, values = steep_curve()
+    results = check_against_scipy(ages, values, 3, 600)
+    assert min(res.fun for res in results) == 1e300
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(["exact", "noisy", "steep"]),
+    n=st.integers(min_value=5, max_value=40),
+    c=st.floats(min_value=0.02, max_value=0.5),
+    k=st.floats(min_value=0.5, max_value=5.0),
+    theta=st.floats(min_value=1.0, max_value=20.0),
+    sigma=st.floats(min_value=1e-4, max_value=0.05),
+    power=st.floats(min_value=40.0, max_value=120.0),
+    restarts=st.integers(min_value=1, max_value=11),
+    per_start=st.sampled_from([1, 2, 3, 4, 5, 9, 30, 120, 400]),
+    spare=st.integers(min_value=0, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# a steep curve whose best c underflows to 0: both routes raise the same ValueError
+@example(shape="steep", n=5, c=0.5, k=1.0, theta=1.0, sigma=0.03125, power=102.5,
+         restarts=2, per_start=120, spare=0, seed=70)
+def test_lockstep_matches_scipy_bit_for_bit(shape, n, c, k, theta, sigma, power,
+                                            restarts, per_start, spare, seed):
+    if shape == "steep":
+        x = np.arange(1.0, 301.0)
+        y = (x / 300.0) ** power * np.exp(-x / 1000.0)
+    else:
+        x = np.arange(1.0, n + 1.0)
+        y = exact_kernel(x, c, k, theta)
+        if shape == "noisy":
+            y = y + np.random.default_rng(seed).normal(0.0, sigma, n)
+    check_against_scipy(x, y, restarts, restarts * per_start + min(spare, restarts - 1), seed)
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 4, 10])
+def test_restart_blocks_do_not_change_the_fit(monkeypatch, restarts):
+    ages, means = hump_means()
+    sm = smooth((ages, means))
+    budget = 300 * restarts  # short enough that some restarts run out
+    whole = lockstep_restarts(ages, sm, restarts, budget, 5)
+    fit = fit_and_converged(ages, sm, restarts, budget, 5)
+    monkeypatch.setattr(recovery, "_RESTART_BLOCK", 3)
+    blocked = lockstep_restarts(ages, sm, restarts, budget, 5)
+    assert len(list(recovery._restart_blocks(ages, sm, restarts, budget, 5))) == \
+        -(-restarts // 3)
+    for a, b in zip(whole, blocked):
+        assert a.tobytes() == b.tobytes()
+    assert fit_and_converged(ages, sm, restarts, budget, 5) == fit
 
 
 # ---------------------------------------------------------------- evaluation
