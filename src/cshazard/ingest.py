@@ -65,24 +65,15 @@ class RiskBand(Enum):
 
     @property
     def label(self) -> str:
-        return _BAND_LABELS[self]
+        return self.name.lower()
 
     @classmethod
     def from_label(cls, label: str) -> "RiskBand":
         key = label.strip().lower().replace("-", "_").replace(" ", "_")
-        for band, name in _BAND_LABELS.items():
-            if key == name:
+        for band in cls:
+            if key == band.label:
                 return band
         raise ValueError(f"unknown risk band: {label!r}")
-
-
-_BAND_LABELS = {
-    RiskBand.SUPER_PRIME: "super_prime",
-    RiskBand.PRIME: "prime",
-    RiskBand.NEAR_PRIME: "near_prime",
-    RiskBand.SUBPRIME: "subprime",
-    RiskBand.DEEP_SUBPRIME: "deep_subprime",
-}
 
 # Left-closed APR boundaries: [0,5) super-prime, [5,10) prime, [10,15)
 # near-prime, [15,20) subprime, [20,inf) deep subprime.
@@ -449,10 +440,13 @@ def _parse_float(raw: str) -> float:
 # newline, and for an 8-byte word read at any offset inside the file.
 _SPARE = 9
 # Block sizes of the separator scan (file bytes) and of the numeric parse
-# (cells): each block's temporaries fit in a core's L2 cache, so no pass
-# makes a temporary as long as the file or the column.
+# and the separator compaction (cells or separators): each block's
+# temporaries fit in a core's L2 cache, so no pass makes a temporary as long
+# as the file or the column.
 _SCAN_BYTES = 1 << 18
 _PARSE_ROWS = 1 << 15
+# Separator offsets are int32 in a buffer smaller than this, int64 in a larger one.
+_INT32_BYTES = 1 << 31
 # _BYTE_MASK[b] keeps the low b bytes of a little-endian word.
 _BYTE_MASK = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
 
@@ -615,14 +609,6 @@ def _wanted_columns(where: str, header: list, required) -> list[int]:
     return [position[name] for name in required]
 
 
-def _check_widths(where: str, width: int, found, lines) -> None:
-    """Rows may carry extra trailing fields (ignored), never fewer than the header."""
-    short = np.flatnonzero(np.asarray(found) < width)
-    if short.size:
-        k = short[0]
-        raise SchemaError(f"{where}:{lines[k]}: expected {width} fields, found {found[k]}")
-
-
 def _not_utf8(loc: str, column, exc: UnicodeDecodeError) -> SchemaError:
     """The error for a cell that is not UTF-8; `column` is a name or a field number."""
     return SchemaError(f"{loc}: column {column!r}: byte 0x{exc.object[exc.start]:02x} "
@@ -640,79 +626,105 @@ def _header_names(loc: str, fields: list[bytes]) -> list[str]:
     return names
 
 
-def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(buffer, line ends, grid) of file bytes ending in a newline and the spare bytes.
+def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(buffer, separator offsets, lines, CRs before a newline) of file bytes
+    ending in a newline and the spare bytes.
 
-    Commas and newlines are found in one pass, `_SCAN_BYTES` of the file at
-    a time through two reused masks; each block's offsets are kept as int32
-    until all are counted.  When every line holds as many fields as the
-    first, two or more, grid[i, j] is the separator after field j of line i,
-    and its last column gives the line ends.  Any other file (a blank line,
-    a short or long row, one column) has no grid.
+    Commas and newlines are found `_SCAN_BYTES` at a time through two reused
+    masks, in two passes: the first counts them, so the second writes each
+    block's offsets straight into one array.
     """
     buf = np.frombuffer(data, np.uint8)  # the spare bytes are NUL: no separator
-    width = data.count(b",", 0, data.index(b"\n")) + 1
     newline = np.empty(min(_SCAN_BYTES, buf.size), np.bool_)
     comma = np.empty_like(newline)
-    lines, pieces = 0, []  # per block: (its first byte, its separators' offsets in it)
+    lines = crlf = count = 0
+    for at in range(0, buf.size, _SCAN_BYTES):
+        block = buf[at:at + _SCAN_BYTES]
+        ends = np.flatnonzero(np.equal(block, _NEWLINE, out=newline[:block.size])) + (at - 1)
+        lines, crlf = lines + ends.size, crlf + np.count_nonzero(buf[ends] == _CR)  # buf[-1]: spare
+        count += ends.size + np.count_nonzero(np.equal(block, _COMMA, out=comma[:block.size]))
+    found, k = np.empty(count, np.int32 if buf.size < _INT32_BYTES else np.int64), 0
     for at in range(0, buf.size, _SCAN_BYTES):
         block = buf[at:at + _SCAN_BYTES]
         separator = np.equal(block, _NEWLINE, out=newline[:block.size])
-        lines += np.count_nonzero(separator)
         separator |= np.equal(block, _COMMA, out=comma[:block.size])
-        pieces.append((at, np.flatnonzero(separator).astype(np.int32)))
-    found = np.empty(sum(piece.size for _, piece in pieces), np.int64)
-    k = 0
-    for at, piece in pieces:
-        np.add(piece, at, out=found[k:k + piece.size], dtype=np.int64)
+        piece = np.flatnonzero(separator)
+        np.add(piece, at, out=found[k:k + piece.size], casting="unsafe")
         k += piece.size
-    if width > 1 and found.size == lines * width:
-        grid = found.reshape(lines, width)
-        # The last column holds every newline exactly when each line has `width` fields.
-        if (buf[grid[:, -1]] == _NEWLINE).all():
-            return buf, grid[:, -1], grid
-    return buf, found[buf[found] == _NEWLINE], None
+    return buf, found, lines, crlf
+
+
+def _compact(where: str, buf: np.ndarray, found: np.ndarray,
+             width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, jumps) of a file whose lines do not all hold the header's `width` fields.
+
+    Walking `_PARSE_ROWS` separators at a time, each row keeps those after
+    its first `width` fields and a blank line none; they move to the front
+    of `found`, which the grid views.  A row after a long row or a blank
+    line takes a jump.
+    """
+    kept, field, line = 0, 0, 1  # separators kept; the next one's field number and line
+    last, last_kept, jumps = -1, False, []  # the separator before the next; was it kept
+    for at in range(0, found.size, _PARSE_ROWS):
+        sep = found[at:at + _PARSE_ROWS]
+        newline = buf[sep] == _NEWLINE
+        before = np.append(last, sep[:-1])
+        gap = sep - before
+        index = np.arange(sep.size)
+        position = index - np.maximum.accumulate(  # from the first separator of its line
+            np.append(-field, np.where(newline[:-1], index[1:], -field)))
+        on_line = line + np.cumsum(newline) - newline
+        blank = newline & (position == 0) & ((gap == 1) | (gap == 2) & (buf[sep - 1] == _CR))
+        short = np.flatnonzero(newline & (position < width - 1) & ~blank)
+        if short.size:  # a row may carry extra trailing fields (ignored), never fewer
+            k = short[0]
+            raise SchemaError(f"{where}:{on_line[k]}: expected {width} fields, "
+                              f"found {position[k] + 1}")
+        keep = (position < width) & ~blank
+        jump = np.flatnonzero(keep & (position == 0) & ~np.append(last_kept, keep[:-1]))
+        row = (kept + np.cumsum(keep)[jump] - 1) // width - 1
+        jumps.append(np.stack([row, before[jump] + 1, on_line[jump]]))
+        field = 0 if newline[-1] else int(position[-1]) + 1
+        line, last, last_kept = line + int(newline.sum()), int(sep[-1]), bool(keep[-1])
+        moved = sep[keep]
+        found[kept:kept + moved.size] = moved
+        kept += moved.size
+    return found[:kept].reshape(-1, width), np.concatenate(jumps, axis=1)
 
 
 class _Columns:
     """The cells of a CSV file's required columns, as byte offsets into one buffer.
 
-    The byte after every cell is a separator, and the buffer ends in
-    `_SPARE` bytes past the file.  `read` finds every comma and newline in
-    one pass over blocks of `_SCAN_BYTES` (`_separators`).  When each line
-    holds the header's fields, the separator offsets reshape to a (line,
-    field) grid, and the buffer and the grid are all that is kept: a
-    column's (start, end), a row's file line (row i is line i + 2) and a
-    CRLF line's end at its CR are derived when asked, for the rows asked
-    for.  Any other file (a blank line, a short or long row) takes the
-    general path, which searches each line's commas, skips blank lines and
-    keeps a table of every required cell, cell k of row i being
-    buf[cells[0, k, i] : cells[1, k, i]], with each row's line; both paths
-    give the same cells and lines.  A bare CR ends a line too: a file
-    holding one is rewritten with newlines first, found by comparing its CRs
-    with those before newlines.
-
-    Numbers parse straight from the bytes, `_PARSE_ROWS` cells at a time,
-    one word per eight digits (see `_parse_plain`); only cells outside the
-    plain grammar go one by one through int or Decimal.  Text columns go
-    through `codes`, which groups rows by their cell's bytes without a
-    Python object per row, so each distinct cell is decoded and parsed once.
-    Only files holding a quote go through `csv.reader`: on a 470k-row
-    payment file its per-cell strings took over twice the time and memory
+    Every file is held alike: the buffer (the file and `_SPARE` bytes), a
+    grid of separator offsets (int32 below `_INT32_BYTES` of buffer, int64
+    above) and a jump table.  grid[0] holds the header's separators and
+    grid[i + 1, j] the one after field j of row i, so cell j of row i runs
+    from just past grid[i + 1, j - 1] (for j = 0, the last of grid row i) to
+    grid[i + 1, j]; a cell that ends its file line ends at a CR before the
+    newline.  Row i starts after grid row i, on the line after row i - 1's,
+    unless a jump says otherwise: `jumps` holds (row, first byte, line) for
+    the header (row -1, line 1) and each row after a long row (whose last
+    grid separator is the comma after the header's last field) or after
+    skipped blank lines, and for every row of a quoted file (a quoted cell
+    may hold line breaks).  A sparse table is the simplest exception: a
+    file whose lines all hold the header's fields needs no entry and a
+    lookup is one searchsorted, where a start or a line per row would cost
+    8 bytes a row on a file with one blank line.  Bounds and lines are
+    derived for the rows asked.  Only files holding a quote go through
+    `csv.reader`, whose per-cell strings took over twice the time and memory
     of the byte scan (see BENCH_columnar_ingest.json).
     """
 
-    def __init__(self, where: str, required, buf: np.ndarray, *, grid=None, fields=None,
-                 cells=None, line=None) -> None:
-        """Either `grid` and the header position of each required column in
-        `fields`, or the `cells` table and the `line` of each row."""
-        self.where = where
-        self.index = {name: k for k, name in enumerate(required)}
-        self.buf, self.grid, self.fields, self.cells, self._line = buf, grid, fields, cells, line
-        self.rows = line.size if grid is None else grid.shape[0] - 1
+    def __init__(self, where: str, required, buf: np.ndarray, columns, grid: np.ndarray,
+                 jumps: np.ndarray) -> None:
+        self.where, self.column = where, dict(zip(required, columns))
+        self.buf, self.grid, self.jumps = buf, grid, jumps
+        self.rows = grid.shape[0] - 1
 
     @classmethod
     def read(cls, path: str | Path, required) -> "_Columns":
+        """Every comma and newline in one pass (`_separators`), reshaped into the
+        grid when every line holds the header's fields, else compacted."""
         where = str(path)
         data, size = _read_padded(path)
         if b'"' in data:  # bytes that are not UTF-8 reach the buffer (see _read_quoted)
@@ -721,31 +733,18 @@ class _Columns:
         if size == 0 or data[size - 1] != _NEWLINE:
             data[size] = _NEWLINE
             size += 1
-        buf, newlines, grid = _separators(data)
-        if b"\r" in data and data.count(b"\r") != np.count_nonzero(buf[newlines - 1] == _CR):
-            # a bare CR ends a line too
-            data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            size = len(data)
-            data += bytes(_SPARE)
-            buf, newlines, grid = _separators(data)
+        buf, found, lines, crlf = _separators(data)
+        if b"\r" in data and data.count(b"\r") != crlf:  # a bare CR ends a line too
+            data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + bytes(_SPARE)
+            buf, found, lines, _ = _separators(data)
         header = _header_names(f"{where}:1", data[:data.index(b"\n")].rstrip(b"\r").split(b","))
-        wanted = _wanted_columns(where, header, required)
-        if grid is not None:  # every line holds the header's fields
-            return cls(where, required, buf, grid=grid, fields=wanted)
-        begins = newlines[:-1] + 1
-        ends = newlines[1:] - (buf[newlines[1:] - 1] == _CR)  # a CRLF line ends at its CR
-        lines = np.flatnonzero(ends > begins)  # blank lines are skipped, as csv readers do
-        begins, ends = begins[lines], ends[lines]
-        commas = np.append(np.flatnonzero(buf == _COMMA), size)
-        first = np.searchsorted(commas, begins)  # the row's first comma
-        found = np.searchsorted(commas, ends) - first + 1
-        _check_widths(where, len(header), found, lines + 2)
-        cells = np.empty((2, len(wanted), lines.size), np.int64)
-        for k, j in enumerate(wanted):
-            # per row, the offset just past field j - 1 and field j
-            cells[0, k] = begins if j == 0 else commas[first + j - 1] + 1
-            cells[1, k] = np.where(j + 1 < found, commas[first + j], ends)
-        return cls(where, required, buf, cells=cells, line=lines + 2)
+        columns = _wanted_columns(where, header, required)
+        if len(header) > 1 and found.size == lines * len(header):
+            grid = found.reshape(lines, -1)
+            # The last column holds every newline exactly when each line has the header's fields.
+            if (buf[grid[:, -1]] == _NEWLINE).all():
+                return cls(where, required, buf, columns, grid, np.array([[-1], [0], [1]]))
+        return cls(where, required, buf, columns, *_compact(where, buf, found, len(header)))
 
     @classmethod
     def _read_quoted(cls, where: str, text: str, required) -> "_Columns":
@@ -753,45 +752,56 @@ class _Columns:
 
         `text` escapes each byte that is not UTF-8 as a surrogate, and each
         cell goes back to its own bytes, so such a cell is reported where
-        it is decoded, as in an unquoted file.
+        it is decoded, as in an unquoted file.  Each wanted cell is laid out
+        followed by a comma, so none ends a file line: a quoted cell that
+        ends in CR keeps it.
         """
         reader = csv.reader(io.StringIO(text, newline=""))
         header = [name.encode("utf-8", "surrogateescape") for name in next(reader, [])]
-        header = _header_names(f"{where}:{reader.line_num}", header)
+        line = [reader.line_num]  # the header's, then each row's
+        header = _header_names(f"{where}:{line[0]}", header)
         wanted = _wanted_columns(where, header, required)
-        parts, lines = [], []
+        parts = []
         for row in reader:
             if not row:
                 continue
-            _check_widths(where, len(header), [len(row)], [reader.line_num])
+            if len(row) < len(header):
+                raise SchemaError(f"{where}:{reader.line_num}: expected {len(header)} fields, "
+                                  f"found {len(row)}")
             parts.extend(row[j].encode("utf-8", "surrogateescape") for j in wanted)
-            lines.append(reader.line_num)
-        # Laid out like an unquoted file: every cell is followed by one separator.
+            line.append(reader.line_num)
+        buf = np.frombuffer(b",".join(parts) + b"," + bytes(_SPARE), np.uint8)
         size = np.fromiter(map(len, parts), np.int64, len(parts))
-        ends = (np.cumsum(size + 1) - 1).reshape(len(lines), len(wanted)).T
-        cells = np.stack([ends - size.reshape(len(lines), len(wanted)).T, ends])
-        buf = np.frombuffer(b"\n".join(parts) + b"\n" + bytes(_SPARE), np.uint8)
-        return cls(where, required, buf, cells=cells, line=np.array(lines, dtype=np.int64))
+        ends = np.append(np.full(len(wanted), -1), np.cumsum(size + 1) - 1)  # row 0 starts at 0
+        grid = ends.astype(np.int32 if buf.size < _INT32_BYTES else np.int64).reshape(len(line), -1)
+        return cls(where, required, buf, range(len(wanted)), grid,  # a jump for every row
+                   np.stack([np.arange(-1, len(line) - 1), np.append(0, grid[:-1, -1] + 1), line]))
+
+    def _jump(self, rows) -> np.ndarray:
+        """The (row, first byte, line) columns of the last jump at or before each of `rows`."""
+        return self.jumps[:, np.searchsorted(self.jumps[0], rows, side="right") - 1]
 
     def _field(self, name: str, rows=slice(None)):
         """(start, end) of a column's cells in `rows`: a slice, an index array or one row."""
-        k = self.index[name]
-        if self.grid is None:
-            return self.cells[0, k, rows], self.cells[1, k, rows]
-        j, grid = self.fields[k], self.grid
-        start = (grid[:-1, -1] if j == 0 else grid[1:, j - 1])[rows] + 1
+        j, grid, buf = self.column[name], self.grid, self.buf
         end = grid[1:, j][rows]
-        if j + 1 == grid.shape[1]:  # the newline: a CRLF line ends at its CR
-            end = end - (self.buf[end - 1] == _CR)
+        if j + 1 == grid.shape[1]:  # a cell that ends its file line ends at a CR before it
+            end = end - ((buf[end] == _NEWLINE) & (buf[end - 1] == _CR))
+        start = (grid[1:, j - 1] if j else grid[:-1, -1])[rows] + 1
+        if j == 0 and self.jumps.shape[1] > 1:  # some row jumps
+            at = np.arange(*rows.indices(self.rows)) if isinstance(rows, slice) else rows
+            jump_row, jump_start, _ = self._jump(at)
+            start = np.where(jump_row == at, jump_start, start)
         return start, end
+
+    def line_of(self, rows):
+        """The file line of one row or of each of an index array."""
+        jump_row, _, jump_line = self._jump(rows)
+        return jump_line + (rows - jump_row)
 
     @property
     def line(self) -> np.ndarray:
-        """The file line of each row."""
-        return np.arange(2, self.rows + 2) if self.grid is not None else self._line
-
-    def line_of(self, i: int) -> int:
-        return int(i) + 2 if self.grid is not None else int(self._line[i])
+        return self.line_of(np.arange(self.rows))
 
     def loc(self, i: int) -> str:
         return f"{self.where}:{self.line_of(i)}"
@@ -836,8 +846,7 @@ class _Columns:
             # bytes past the cell are masked off below
             keys[1:, block] = words[np.minimum(start + offset, words.size - 1)]
             keys[1:, block] &= _BYTE_MASK.take(length - offset, mode="clip")
-        head = _changes(keys)
-        runs = np.flatnonzero(head)
+        runs = np.flatnonzero(_changes(keys))
         keys = keys[:, runs]
         order = np.lexsort(keys)  # stable: a group's earliest run sorts first
         new = _changes(keys[:, order])
@@ -850,11 +859,8 @@ class _Columns:
         return np.repeat(run_code, np.diff(np.append(runs, self.rows))), runs[is_lead]
 
     def texts(self, name: str, rows: np.ndarray) -> list[str]:
-        """The cells of the given rows as strings, decoded in one batch.
-
-        A cell that is not UTF-8 is a SchemaError at the first such row in
-        `rows`.
-        """
+        """The cells of the given rows as strings, decoded in one batch; a cell
+        that is not UTF-8 is a SchemaError at the first such row in `rows`."""
         if rows.size == 0:
             return []
         start, end = self._field(name, rows)
@@ -872,11 +878,8 @@ class _Columns:
         return texts
 
     def labels(self, name: str, parse, dtype) -> np.ndarray:
-        """Parse each distinct cell once, in order of its first row.
-
-        A ValueError becomes a SchemaError located at the cell's first row,
-        which is the earliest row holding a cell `parse` rejects.
-        """
+        """Parse each distinct cell once, in order of its first row.  A ValueError
+        becomes a SchemaError at the earliest row holding a cell `parse` rejects."""
         code, first = self.codes(name)
         values = []
         for i, raw in zip(first.tolist(), self.texts(name, first)):
@@ -932,12 +935,10 @@ class _Columns:
         values, plain = self._parse(name, point=True)
         rows = np.flatnonzero(~plain)  # a missing cell is never plain
         missing = np.zeros(self.rows, np.bool_)
-        if allow_missing:
-            last = max(self.buf.size - 1, 0)
+        if allow_missing:  # the spare bytes past the file hold start + 1 inside the buffer
             start, end = self._field(name, rows)
-            missing[rows] = (end == start) | ((end - start == 2)
-                                              & (self.buf[np.minimum(start, last)] == _N)
-                                              & (self.buf[np.minimum(start + 1, last)] == _A))
+            missing[rows] = (end == start) | ((end - start == 2) & (self.buf[start] == _N)
+                                              & (self.buf[start + 1] == _A))
             rows = rows[~missing[rows]]
         odd = {}
         for i in rows.tolist():
@@ -965,8 +966,7 @@ class _Columns:
                 values[i] = cents
         if odd:
             values = _as_decimals(values)
-            for i, amount in odd.items():
-                values[i] = amount
+            values[list(odd)] = list(odd.values())
         return values, missing
 
 
@@ -1012,8 +1012,7 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
             a[order] for a in (balance, missing, payment, principal))
     if any(col.dtype == object for col in (balance, payment, principal)):
         balance, payment, principal = map(_as_decimals, (balance, payment, principal))
-    payments = _Payments(start, months, balance, missing, payment, principal)
-    return payments, segment_of
+    return _Payments(start, months, balance, missing, payment, principal), segment_of
 
 
 def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:

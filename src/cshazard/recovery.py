@@ -144,13 +144,17 @@ def _kernel(x: np.ndarray, c: np.ndarray, k: np.ndarray, theta: np.ndarray) -> n
     return c * x ** (k - 1.0) * np.exp(-x / theta)
 
 
-def _squared_residuals(x: np.ndarray, y: np.ndarray, log_params: np.ndarray) -> np.ndarray:
-    """Sum of squared residuals for each row of (m, 3) log parameters.
+def _parameters(log_params: np.ndarray) -> np.ndarray:
+    """(c, k, theta) of log parameters clipped to [-50, 50]: what the fit scores and reports."""
+    return np.exp(np.clip(log_params, -50.0, 50.0))
+
+
+def _squared_residuals(x: np.ndarray, y: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Sum of squared residuals for each row of (m, 3) parameters (c, k, theta).
 
     A row whose residual leaves float range scores 1e300.  Each row keeps its
     own 1-D dot, which gives the bits of a one-point evaluation.
     """
-    params = np.exp(np.clip(log_params, -50.0, 50.0))
     out = np.full(len(params), 1e300)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = y - _kernel(x, params[:, 0:1], params[:, 1:2], params[:, 2:3])
@@ -309,7 +313,7 @@ def _restart_blocks(x: np.ndarray, y: np.ndarray, restarts: int, budget: int, se
     per_start = budget // restarts
 
     def objective(log_params: np.ndarray) -> np.ndarray:
-        return _squared_residuals(x, y, log_params)
+        return _squared_residuals(x, y, _parameters(log_params))
 
     for lo in range(0, restarts, _RESTART_BLOCK):
         starts = np.tile(seed_point, (min(_RESTART_BLOCK, restarts - lo), 1))
@@ -361,7 +365,7 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
         if best_fun is None or res.fun[i] < best_fun:
             best, best_fun = res.x[i], res.fun[i]
         any_converged = any_converged or bool(res.success.any())
-    c, k, theta = np.exp(best)
+    c, k, theta = _parameters(best)
     fit = GammaKernelFit(c=float(c), k=float(k), theta=float(theta),
                          residual=float(best_fun))
     if not any_converged:

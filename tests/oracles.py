@@ -453,9 +453,8 @@ def scipy_restarts(ages, values, restarts: int, budget: int, seed: int = 0):
     further restart from the seeded stream, and one `minimize(...,
     method="Nelder-Mead", adaptive=True)` per start on a one-point objective.
     Floating-point warnings are silenced for the whole run, scipy's own
-    arithmetic included, since only the values are compared.  The fit is
-    the ValueError `GammaKernelFit` raises when a best parameter leaves
-    float range, as `fit_gamma_kernel` raises it.
+    arithmetic included, since only the values are compared.  The fit
+    reports the clipped parameters that the objective scored.
     """
     from cshazard.recovery import GammaKernelFit, _seed_point
 
@@ -482,10 +481,6 @@ def scipy_restarts(ages, values, restarts: int, budget: int, seed: int = 0):
                 options={"maxfev": budget // restarts, "xatol": 1e-12,
                          "fatol": 1e-16, "adaptive": True}))
     best_fun, idx = min((res.fun, i) for i, res in enumerate(results))
-    c, k, theta = np.exp(results[idx].x)
-    try:
-        fit = GammaKernelFit(c=float(c), k=float(k), theta=float(theta),
-                             residual=float(best_fun))
-    except ValueError as exc:
-        fit = exc
+    c, k, theta = np.exp(np.clip(results[idx].x, -50.0, 50.0))
+    fit = GammaKernelFit(c=float(c), k=float(k), theta=float(theta), residual=float(best_fun))
     return results, fit, any(bool(res.success) for res in results)

@@ -42,7 +42,6 @@ from cshazard.ingest import (
     read_observations_csv,
     _Columns,
     _parse_plain,
-    _separators,
     _SPARE,
     write_observations_csv,
 )
@@ -834,6 +833,11 @@ def oracle_fields(data: bytes):
             if line][1:]
 
 
+def offsets_dtype():
+    """The grid dtype of a small file: int32, unless `_INT32_BYTES` is patched down."""
+    return np.int32 if ingest._INT32_BYTES == 1 << 31 else np.int64
+
+
 def layout(ends, blank=False, extra=False, short=False):
     """ROWS under the header `a,b,c,d`, each line ended by the next of `ends`."""
     rows = [list(row) for row in ROWS]
@@ -858,21 +862,14 @@ EXTRA = pytest.mark.parametrize("extra", [False, True], ids=["", "extra"])
 @LINE_ENDS
 @BLANK
 @EXTRA
-def test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, monkeypatch, ends,
-                                                             blank, extra):
+def test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, ends, blank, extra):
     data = layout(ends, blank, extra)
     path = tmp_path / "rows.csv"
     path.write_bytes(data)
-    grids = []
-
-    def spy(data):
-        found = _separators(data)
-        grids.append(found[2] is not None)
-        return found
-
-    monkeypatch.setattr(ingest, "_separators", spy)
     cols = _Columns.read(path, ["d", "b", "c", "a"])
-    assert grids[-1] == (not (blank or extra))  # the one-pass grid, else the general path
+    assert cols.grid.dtype == offsets_dtype()
+    # rows that do not follow the row before take jumps; the header always has one
+    assert (cols.jumps.shape[1] > 1) == (blank or extra)
     want = oracle_fields(data)
     assert cols.line.tolist() == [number for number, _ in want]
     for j, name in enumerate("abcd"):
@@ -957,10 +954,9 @@ def test_codes_and_labels_match_a_per_row_oracle_in_tiny_blocks(texts, quoted, f
 @LINE_ENDS
 @BLANK
 @EXTRA
-def test_reader_finds_the_same_cells_in_tiny_blocks(tmp_path, monkeypatch, ends, blank, extra):
+def test_reader_finds_the_same_cells_in_tiny_blocks(tmp_path, ends, blank, extra):
     with tiny_blocks():
-        test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, monkeypatch, ends,
-                                                                 blank, extra)
+        test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, ends, blank, extra)
 
 
 @LINE_ENDS
@@ -998,7 +994,7 @@ def test_every_separator_and_crlf_pair_may_straddle_a_scan_block(tmp_path, newli
         path.write_bytes(data)
         with tiny_blocks():
             cols = _Columns.read(path, ["a", "b", "c", "d"])
-            assert cols.grid is not None
+            assert cols.grid.dtype == offsets_dtype() and cols.jumps.shape == (3, 1)
             assert cols.line.tolist() == [2, 3, 4, 5]
             for j, name in enumerate("abcd"):
                 start, end = cols._field(name)
@@ -1034,6 +1030,143 @@ def test_cells_at_parse_block_edges_parse_and_are_located(tmp_path, row):
             cols = _Columns.read(path, ["n", "v"])
             with pytest.raises(SchemaError, match=rf"cells\.csv:{row + 2}: {message}$"):
                 cols.ints("n") if column == 0 else cols.money("v")
+
+
+SHAPES = pytest.mark.parametrize("shape", ["blank", "long", "quoted"])
+
+
+def shaped_rows(shift, newline, final_newline, shape):
+    """(file bytes, line of each row) of the straddle test's file, with a blank
+    line after row 0 and at the end, two extra fields in row 1, or row 2's `a`
+    cell quoted."""
+    rows = [[b""] + row for row in ROWS]
+    if shape == "long":
+        rows[1] += [b"x", b""]
+    if shape == "quoted":
+        rows[2][1] = b'"' + rows[2][1] + b'"'
+    lines = [b"e" * (shift + 1) + b",a,b,c,d"] + [b",".join(row) for row in rows]
+    if shape == "blank":
+        lines[2:2] = [b""]
+        lines.append(b"")
+    data = newline.join(lines) + (newline if final_newline else b"")
+    return data, [2, 4, 5, 6] if shape == "blank" else [2, 3, 4, 5]
+
+
+@SHAPES
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["", "no-final-newline"])
+def test_rows_after_blank_lines_long_rows_or_quotes_may_straddle_a_scan_block(
+        tmp_path, shape, newline, final_newline):
+    """The straddle test above on the two other layouts: rows that take jumps
+    (after a blank line or a long row) and a quoted file."""
+    path = tmp_path / "rows.csv"
+    for shift in range(16):
+        data, lines = shaped_rows(shift, newline, final_newline, shape)
+        path.write_bytes(data)
+        with tiny_blocks():
+            cols = _Columns.read(path, ["a", "b", "c", "d"])
+            assert cols.grid.dtype == offsets_dtype() and cols.jumps.shape[1] > 1
+            assert cols.line.tolist() == lines
+            for j, name in enumerate("abcd"):
+                start, end = cols._field(name)
+                assert [cols.buf[s:e].tobytes() for s, e in zip(start, end)] == [
+                    row[j] for row in ROWS]
+                assert [cols.cell(name, i) for i in range(4)] == [row[j].decode() for row in ROWS]
+                assert cols.texts(name, np.arange(4)) == [row[j].decode() for row in ROWS]
+            assert cols.money("c", allow_missing=True)[1].tolist() == [False, True, True, False]
+            assert cols.money("d")[0].tolist() == [11000, 11050, -700, 1200]
+
+
+@SHAPES
+@pytest.mark.parametrize("row", [0, 2, 3, 5, 6], ids=lambda row: f"row{row}")
+def test_cells_at_parse_block_edges_after_blank_lines_long_rows_or_quotes(tmp_path, row,
+                                                                          shape):
+    """The parse-block test above with a blank line before every row, every row
+    long, or every `v` cell quoted."""
+    path = tmp_path / "cells.csv"
+    line = 3 + 2 * row if shape == "blank" else row + 2
+    text = {"blank": "\n{},{}\n", "long": "{},{},x\n", "quoted": '{},"{}"\n'}[shape]
+
+    def write(cells):
+        path.write_text("n,v\n" + "".join(text.format(*cell) for cell in cells),
+                        encoding="utf-8")
+
+    cells = [(str(i), f"{i}.25") for i in range(7)]
+    cells[row] = ("-123456789012", "1.005")
+    write(cells)
+    with tiny_blocks():
+        cols = _Columns.read(path, ["n", "v"])
+        assert cols.ints("n").tolist() == [-123456789012 if i == row else i for i in range(7)]
+        assert cols.money("v")[0].tolist() == [
+            Decimal("1.005") if i == row else Decimal(f"{i}.25") for i in range(7)]
+        assert cols.line_of(row) == line
+        for column, message in [(0, "column 'n' has non-integer value '4x'"),
+                                (1, "column 'v' has non-numeric value '4x'")]:
+            broken = list(cells)
+            broken[row] = ("4x", cells[row][1]) if column == 0 else (cells[row][0], "4x")
+            write(broken)
+            cols = _Columns.read(path, ["n", "v"])
+            with pytest.raises(SchemaError, match=rf"cells\.csv:{line}: {message}$"):
+                cols.ints("n") if column == 0 else cols.money("v")
+
+
+def int64_offsets():
+    """Offsets held as int64 whatever the buffer's size, as in a buffer of 2 GiB or more."""
+    return mock.patch.object(ingest, "_INT32_BYTES", 0)
+
+
+@LINE_ENDS
+@BLANK
+@EXTRA
+def test_reader_finds_the_same_cells_with_int64_offsets(tmp_path, ends, blank, extra):
+    with int64_offsets():
+        test_reader_finds_the_same_cells_whichever_path_it_takes(tmp_path, ends, blank, extra)
+
+
+@LINE_ENDS
+@BLANK
+def test_reader_locates_a_short_row_with_int64_offsets(tmp_path, ends, blank):
+    with int64_offsets():
+        test_reader_locates_a_short_row_whichever_path_it_takes(tmp_path, ends, blank)
+
+
+@pytest.mark.parametrize("shape", ["grid", "blank", "long", "quoted"])
+def test_block_edges_read_alike_with_int64_offsets(tmp_path, shape):
+    with int64_offsets():
+        for k, (newline, final_newline) in enumerate([(b"\n", True), (b"\r\n", False)]):
+            (tmp_path / f"scan{k}").mkdir()
+            if shape == "grid":
+                test_every_separator_and_crlf_pair_may_straddle_a_scan_block(
+                    tmp_path / f"scan{k}", newline, final_newline)
+            else:
+                test_rows_after_blank_lines_long_rows_or_quotes_may_straddle_a_scan_block(
+                    tmp_path / f"scan{k}", shape, newline, final_newline)
+        for row in (0, 2, 3, 5, 6):
+            (tmp_path / f"parse{row}").mkdir()
+            if shape == "grid":
+                test_cells_at_parse_block_edges_parse_and_are_located(tmp_path / f"parse{row}", row)
+            else:
+                test_cells_at_parse_block_edges_after_blank_lines_long_rows_or_quotes(
+                    tmp_path / f"parse{row}", row, shape)
+
+
+def test_cell_errors_are_located_alike_with_int64_offsets(tmp_path):
+    with int64_offsets():
+        test_cell_errors_are_located_alike_in_tiny_blocks(tmp_path)
+
+
+def test_only_a_cell_that_ends_its_file_line_loses_a_closing_cr(tmp_path):
+    """A CRLF line's last cell ends at its CR; a quoted cell that ends in CR keeps
+    it, and so does a long row's last wanted cell, which ends at a comma."""
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b'a,b\r\n"x\r","y\r"\r\n1,2\r\n')
+    cols = _Columns.read(path, ["b", "a"])
+    assert [cols.cell("b", i) for i in range(2)] == ["y\r", "2"]
+    assert cols.texts("a", np.arange(2)) == ["x\r", "1"]
+    path.write_bytes(b"a,b\r\nx,y\r\n1,2,z\r\n")
+    cols = _Columns.read(path, ["b"])
+    assert cols.texts("b", np.arange(2)) == ["y", "2"]
+    assert cols.jumps.shape == (3, 1)  # the long row is the last: no row follows it
 
 
 def test_cells_that_are_not_plain_derive_only_their_own_bounds(tmp_path, monkeypatch):
@@ -1074,17 +1207,41 @@ def peak_of_load(loans, payments) -> int:
         tracemalloc.stop()
 
 
-def test_ingest_peak_memory_stays_a_small_multiple_of_the_payments_file(tmp_path):
-    """On a tape of 2,000 loans and 50,000 payment rows, the traced peak of
-    `load_loan_data` stays below 6.3 times the payments file's size.  Reading
-    blocks and keeping only the buffer and the separator grid (2.2 times on
-    their own) peaks at 5.42 times; a cell table beside the grid and parsing
-    whole columns at once peaked at 7.15 times (see CHANGES.md)."""
+def guard_tape(directory):
+    """A tape of 2,000 loans and 50,000 payment rows: (loans, payments, payments size)."""
     months = 25
     history = ([f"{20000 - 500 * m}.{m:02d}" for m in range(months)], ["512.34"] * months,
                [f"{480 + m}.5" for m in range(months)])
     loans = {f"L{i:06d}": {} for i in range(2000)}
-    paths = write_tape(tmp_path, loans, dict.fromkeys(loans, history))
+    paths = write_tape(directory, loans, dict.fromkeys(loans, history))
     size = paths[1].stat().st_size
     assert 50000 * 30 < size < 50000 * 50  # about 50k rows of about 40 bytes
-    assert peak_of_load(*paths) < 6.3 * size
+    return (*paths, size)
+
+
+def test_ingest_peak_memory_stays_a_small_multiple_of_the_payments_file(tmp_path):
+    """On the guard tape, the traced peak of `load_loan_data` stays below 4.9
+    times the payments file's size.  The buffer and an int32 separator grid
+    peak at 4.40 times, which leaves 0.5 for numpy and allocator versions; an
+    int64 grid peaked at 5.42 times, and a cell table beside the grid with
+    whole-column parses at 7.15 times (see CHANGES.md)."""
+    loans, payments, size = guard_tape(tmp_path)
+    assert peak_of_load(loans, payments) < 4.9 * size
+
+
+@pytest.mark.parametrize("shape, bound", [("blank", 4.9), ("long", 4.9), ("quoted", 30.0)])
+def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, shape, bound):
+    """The guard tape with a trailing blank line or one long row peaks like the
+    plain tape (4.40 times; 6.71 while such files kept a table of every cell).
+    With one quoted cell the file goes through `csv.reader`, whose string per
+    cell peaks at 27.5 times (32.5 with the cell table)."""
+    loans, payments, size = guard_tape(tmp_path)
+    text = payments.read_bytes()
+    if shape == "blank":
+        text += b"\n"
+    else:
+        header, first, rest = text.split(b"\n", 2)
+        first = first + b",extra" if shape == "long" else b'"' + first.replace(b",", b'",', 1)
+        text = b"\n".join([header, first, rest])
+    payments.write_bytes(text)
+    assert peak_of_load(loans, payments) < bound * size

@@ -213,17 +213,11 @@ def lockstep_restarts(ages, values, restarts, budget, seed):
 
 
 def fit_and_converged(ages, values, restarts, budget, seed):
-    """The fit and True, or the best of a RecoveryFitError and False.
-
-    A best parameter whose exp leaves float range makes `GammaKernelFit`
-    raise ValueError; its message stands for the fit, with converged None.
-    """
+    """The fit and True, or the best of a RecoveryFitError and False."""
     try:
         return fit_gamma_kernel(ages, values, restarts=restarts, budget=budget, seed=seed), True
     except RecoveryFitError as exc:
         return exc.best, False
-    except ValueError as exc:
-        return str(exc), None
 
 
 def check_against_scipy(ages, values, restarts, budget, seed=0):
@@ -237,12 +231,9 @@ def check_against_scipy(ages, values, restarts, budget, seed=0):
         assert (got.nfev[i], got.nit[i], bool(got.success[i])) == \
             (res.nfev, res.nit, bool(res.success)), i
     got_fit, got_converged = fit_and_converged(ages, values, restarts, budget, seed)
-    if isinstance(fit, ValueError):
-        assert (got_fit, got_converged) == (str(fit), None)
-    else:
-        assert got_converged == converged
-        assert [v.hex() for v in (got_fit.c, got_fit.k, got_fit.theta, got_fit.residual)] == \
-            [v.hex() for v in (fit.c, fit.k, fit.theta, fit.residual)]
+    assert got_converged == converged
+    assert [v.hex() for v in (got_fit.c, got_fit.k, got_fit.theta, got_fit.residual)] == \
+        [v.hex() for v in (fit.c, fit.k, fit.theta, fit.residual)]
     return results
 
 
@@ -261,7 +252,8 @@ def stale_vertex(ages, values, res):
     """A vertex whose value is not its objective value: a shrink cut short."""
     sim, fsim = res.final_simplex
     evaluated = recovery._squared_residuals(np.asarray(ages, np.float64),
-                                            np.asarray(values, np.float64), sim)
+                                            np.asarray(values, np.float64),
+                                            recovery._parameters(sim))
     return bool(np.isfinite(fsim).all() and np.any(evaluated != fsim))
 
 
@@ -313,7 +305,7 @@ def test_lockstep_matches_scipy_where_residuals_overflow():
     spare=st.integers(min_value=0, max_value=10),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-# a steep curve whose best c underflows to 0: both routes raise the same ValueError
+# a steep curve whose best log c (-810.7) is clipped to -50: both routes report the same fit
 @example(shape="steep", n=5, c=0.5, k=1.0, theta=1.0, sigma=0.03125, power=102.5,
          restarts=2, per_start=120, spare=0, seed=70)
 def test_lockstep_matches_scipy_bit_for_bit(shape, n, c, k, theta, sigma, power,
@@ -343,6 +335,25 @@ def test_restart_blocks_do_not_change_the_fit(monkeypatch, restarts):
     for a, b in zip(whole, blocked):
         assert a.tobytes() == b.tobytes()
     assert fit_and_converged(ages, sm, restarts, budget, 5) == fit
+
+
+@pytest.mark.parametrize("case", ["hump", "steep"])
+def test_reported_parameters_reproduce_the_reported_residual(case):
+    """The fit reports the parameters the objective scored, clipped log c included:
+    on the steep curve the best log c is -810.7, which used to be reported as
+    exp(-810.7) = 0 and raise ValueError."""
+    if case == "hump":
+        ages, means = hump_means()
+        x, y, restarts, budget, seed = ages, smooth((ages, means)), 10, 10000, 7
+    else:
+        x = np.arange(1.0, 301.0)
+        y = (x / 300.0) ** 102.5 * np.exp(-x / 1000.0)
+        restarts, budget, seed = 2, 240, 70
+    fit, _ = fit_and_converged(x, y, restarts, budget, seed)
+    assert recovery._squared_residuals(x, y, np.array([[fit.c, fit.k, fit.theta]])).tolist() \
+        == [fit.residual]
+    if case == "steep":
+        assert fit.c == math.exp(-50.0)
 
 
 # ---------------------------------------------------------------- evaluation
