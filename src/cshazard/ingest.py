@@ -263,6 +263,10 @@ class _Payments:
         the first of the three.  Anything else is censored at the last trust
         month.  A segment whose first balance is missing has no outcome;
         callers drop such loans first (see `integrity_ok`).
+
+        The first zero balance and the first run of three zero payments are
+        found among the rows that hold one (`_first_at`), so no temporary
+        but a few boolean masks is as long as the payment rows.
         """
         balance, principal = self.balance, self.principal
         pad = _decimal(pad)
@@ -272,25 +276,34 @@ class _Payments:
                 balance, principal = _as_decimals(balance), _as_decimals(principal)
             else:
                 pad = pad_cents
-        n, start = balance.size, self.start
+        start = self.start
         if start.size == 0:
             return np.zeros(0, np.int8), np.zeros(0, np.int64)
-        row = np.arange(n)
-        end = (start + self.months)[np.repeat(np.arange(start.size), self.months)]
-        zero_balance = ~self.balance_missing & (balance == 0)
-        first_zero = np.minimum.reduceat(np.where(zero_balance, row, n), start)
+        end = start + self.months
+        zero_balance = balance == 0
+        zero_balance &= ~self.balance_missing
+        first_zero = _first_at(np.flatnonzero(zero_balance), start, end)
+        del zero_balance
         zero = self.payment == 0
-        run = np.zeros(n, np.bool_)
-        run[:-2] = zero[:-2] & zero[1:-1] & zero[2:]
-        run &= row + 3 <= end  # all three months inside the loan's own history
-        first_run = np.minimum.reduceat(np.where(run, row, n), start)
+        run = zero[:-2] & zero[1:-1]
+        run &= zero[2:]
+        del zero
+        # A run is the segment's only when all three months lie inside it; a
+        # later run in the same segment ends later still, so the first decides.
+        first_run = _first_at(np.flatnonzero(run), start, end)
         repaid = self._paid(principal) + pad >= balance[start]
-        defaulted = ~repaid & (first_run < n)
+        defaulted = ~repaid & (first_run + 3 <= end)
         code = np.where(repaid, Cause.PREPAY.value,
                         np.where(defaulted, Cause.DEFAULT.value, _CENSORED)).astype(np.int8)
-        month = np.where(repaid & (first_zero < n), first_zero - start + 1,
+        month = np.where(repaid & (first_zero < end), first_zero - start + 1,
                          np.where(defaulted, first_run - start + 1, self.months))
         return code, month
+
+
+def _first_at(rows: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Per segment start[k] : end[k], the first of the sorted `rows` at or after
+    its start; `end[-1]` (past every segment) when no row follows the start."""
+    return np.append(rows, end[-1])[np.searchsorted(rows, start)]
 
 
 def _observation_ages(loan_age_at_entry, event_month):
@@ -404,6 +417,8 @@ _TRUE = {"true", "1", "yes", "y", "t"}
 _FALSE = {"false", "0", "no", "n", "f"}
 
 _COMMA, _NEWLINE, _CR, _MINUS, _PLUS, _POINT, _ZERO, _N, _A = b",\n\r-+.0NA"
+# Trust months are held as int32 while every one fits.
+_INT32 = np.iinfo(np.int32)
 # A plain cell holds at most this many digits.
 _PLAIN_DIGITS = 12
 
@@ -445,6 +460,8 @@ _SPARE = 9
 # as the file or the column.
 _SCAN_BYTES = 1 << 18
 _PARSE_ROWS = 1 << 15
+# The payments file is read this many bytes at a time (`_Columns.blocks`).
+_READ_BYTES = 1 << 19
 # Separator offsets are int32 in a buffer smaller than this, int64 in a larger one.
 _INT32_BYTES = 1 << 31
 # _BYTE_MASK[b] keeps the low b bytes of a little-endian word.
@@ -580,16 +597,51 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     return value, plain
 
 
-def _read_padded(path: str | Path) -> tuple[bytearray, int]:
-    """(the file's bytes followed by _SPARE NUL bytes, the file's size), read once."""
-    with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size + _SPARE)
-        size = fh.readinto(data)
-        if size == len(data):  # not a regular file, or it grew: read the rest
-            data += fh.read()
-            size = len(data)
-            data += bytes(_SPARE)
-    return data, size
+def _fill(fh, lead: bytes, size: int | None, total: int) -> tuple[bytearray, int, int, bool]:
+    """(data, held, got, eof): `lead`, then up to `size` bytes read from `fh`
+    (None: the rest of the file, whose size is `total`), then _SPARE NUL
+    bytes.  `held` counts the bytes before the spare ones, `got` those read;
+    eof: the file is done."""
+    whole = size is None
+    if whole:  # one byte more than the file: a full read means a pipe or a grown file
+        size = total + 1
+    data = bytearray(len(lead) + size + _SPARE)
+    data[:len(lead)] = lead
+    got = 0
+    with memoryview(data) as view:
+        while got < size:  # a read may stop short of `size` before the end of the file
+            n = fh.readinto(view[len(lead) + got:len(lead) + size])
+            if not n:
+                break
+            got += n
+    if whole and got == size:
+        del data[len(lead) + got:]
+        rest = fh.read()
+        data += rest
+        got += len(rest)
+        data += bytes(_SPARE)
+    else:
+        del data[len(lead) + got + _SPARE:]
+    return data, len(lead) + got, got, whole or got < size
+
+
+class _Rest(io.RawIOBase):
+    """Bytes already read from a binary file, then the rest of the file."""
+
+    def __init__(self, head, fh) -> None:
+        super().__init__()
+        self.head, self.fh = memoryview(head), fh
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        if not self.head:
+            return self.fh.readinto(b)
+        n = min(len(b), len(self.head))
+        b[:n] = self.head[:n]
+        self.head = self.head[n:] if n < len(self.head) else b""  # frees the buffer once read
+        return n
 
 
 def _changes(keys: np.ndarray) -> np.ndarray:
@@ -654,16 +706,16 @@ def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, int, int]:
     return buf, found, lines, crlf
 
 
-def _compact(where: str, buf: np.ndarray, found: np.ndarray,
-             width: int) -> tuple[np.ndarray, np.ndarray]:
+def _compact(where: str, buf: np.ndarray, found: np.ndarray, width: int,
+             line: int) -> tuple[np.ndarray, np.ndarray]:
     """(grid, jumps) of a file whose lines do not all hold the header's `width` fields.
 
     Walking `_PARSE_ROWS` separators at a time, each row keeps those after
     its first `width` fields and a blank line none; they move to the front
     of `found`, which the grid views.  A row after a long row or a blank
-    line takes a jump.
+    line takes a jump.  `line` is the file line of the header's line.
     """
-    kept, field, line = 0, 0, 1  # separators kept; the next one's field number and line
+    kept, field = 0, 0  # separators kept; the next one's field number
     last, last_kept, jumps = -1, False, []  # the separator before the next; was it kept
     for at in range(0, found.size, _PARSE_ROWS):
         sep = found[at:at + _PARSE_ROWS]
@@ -692,26 +744,37 @@ def _compact(where: str, buf: np.ndarray, found: np.ndarray,
     return found[:kept].reshape(-1, width), np.concatenate(jumps, axis=1)
 
 
+def _line_at(jump_row: np.ndarray, jump_line: np.ndarray, rows):
+    """The file line of one row or of each of an index array: rows after a
+    jump (sorted by row) take the lines after its own."""
+    k = np.searchsorted(jump_row, rows, side="right") - 1
+    return jump_line[k] + (rows - jump_row[k])
+
+
 class _Columns:
     """The cells of a CSV file's required columns, as byte offsets into one buffer.
 
-    Every file is held alike: the buffer (the file and `_SPARE` bytes), a
-    grid of separator offsets (int32 below `_INT32_BYTES` of buffer, int64
-    above) and a jump table.  grid[0] holds the header's separators and
+    A `_Columns` holds a whole file (`read`) or one block of its lines
+    (`blocks`, through which the payments file is read, so that only one
+    block's bytes and separators are held at a time).  Every file and block
+    is held alike: the buffer (the file and `_SPARE` bytes), a grid of
+    separator offsets (int32 below `_INT32_BYTES` of buffer, int64 above)
+    and a jump table.  grid[0] holds the header's separators and
     grid[i + 1, j] the one after field j of row i, so cell j of row i runs
     from just past grid[i + 1, j - 1] (for j = 0, the last of grid row i) to
     grid[i + 1, j]; a cell that ends its file line ends at a CR before the
     newline.  Row i starts after grid row i, on the line after row i - 1's,
     unless a jump says otherwise: `jumps` holds (row, first byte, line) for
-    the header (row -1, line 1) and each row after a long row (whose last
-    grid separator is the comma after the header's last field) or after
-    skipped blank lines, and for every row of a quoted file (a quoted cell
-    may hold line breaks).  A sparse table is the simplest exception: a
-    file whose lines all hold the header's fields needs no entry and a
-    lookup is one searchsorted, where a start or a line per row would cost
-    8 bytes a row on a file with one blank line.  Bounds and lines are
-    derived for the rows asked.  Only files holding a quote go through
-    `csv.reader`, whose per-cell strings took over twice the time and memory
+    the header (row -1: line 1, or in a later block the line before the
+    block) and each row after a long row (whose last grid separator is the
+    comma after the header's last field) or after skipped blank lines, and
+    for every row of a quoted file (a quoted cell may hold line breaks).  A
+    sparse table is the simplest exception: a file whose lines all hold the
+    header's fields needs no entry and a lookup is one searchsorted, where a
+    start or a line per row would cost 8 bytes a row on a file with one
+    blank line.  Bounds and lines are derived for the rows asked.  Only
+    files holding a quote go through `csv.reader` (from the first block
+    holding one), whose per-cell strings took over twice the time and memory
     of the byte scan (see BENCH_columnar_ingest.json).
     """
 
@@ -723,13 +786,68 @@ class _Columns:
 
     @classmethod
     def read(cls, path: str | Path, required) -> "_Columns":
-        """Every comma and newline in one pass (`_separators`), reshaped into the
-        grid when every line holds the header's fields, else compacted."""
+        """The whole file as one block (`blocks` with no size limit)."""
+        (block, _), = cls.blocks(path, required, None)
+        return block
+
+    @classmethod
+    def blocks(cls, path: str | Path, required, size: int | None):
+        """Yield (block, share): the file's rows as `_Columns` of whole lines,
+        read `size` bytes at a time (None: the whole file as one block), and
+        the share of the file's bytes read so far (0 when it is not known:
+        the size of a pipe, or the bytes behind rows laid out by csv).
+
+        Each block is cut after the last line end read (a CR ends a line
+        unless a newline follows it); a line longer than `size` is read on
+        until it ends.  Blocks after the first stand a line of the header's
+        width in for the header, so each is laid out like a whole file, and
+        carry their file lines in their jumps: every `file:line` is the same
+        whatever the block size.  From the first block holding a quote on,
+        the rest of the file goes through `_read_quoted`.
+        """
         where = str(path)
-        data, size = _read_padded(path)
-        if b'"' in data:  # bytes that are not UTF-8 reach the buffer (see _read_quoted)
-            return cls._read_quoted(where, data[:size].decode("utf-8", "surrogateescape"),
-                                    required)
+        with open(path, "rb") as fh:
+            total = os.fstat(fh.fileno()).st_size
+            header, head, pending, done, read = None, b"", b"", 0, 0  # done: file lines laid out
+            while True:
+                data, held, got, eof = _fill(fh, head + pending, size, total)
+                read += got
+                if eof and held == len(head) and header is not None:
+                    return
+                if data.find(b'"', len(head), held) >= 0:
+                    rest = _Rest(memoryview(data)[len(head):held], fh)
+                    del data
+                    yield from cls._read_quoted(where, required, header, done, rest,
+                                                None if size is None else _PARSE_ROWS)
+                    return
+                cut = held if eof else max(data.rfind(b"\n", len(head), held),
+                                           data.rfind(b"\r", len(head), held - 1)) + 1
+                if cut == 0:  # no line ends yet
+                    pending = bytes(data[len(head):held])
+                    continue
+                if cut < held:  # the bytes after the cut start the next block
+                    pending = bytes(data[cut:held])
+                    del data[cut:]
+                    data += bytes(_SPARE)
+                else:
+                    pending = b""
+                shift = done - 1 if head else 0  # file line minus buffer line
+                block, header, lines = cls._plain(where, required, data, cut, header, shift)
+                yield block, (read - len(pending)) / total if total else 0.0
+                del block, data  # freed before the next block is read
+                if eof:
+                    return
+                done = shift + lines
+                head = b"x" + b"," * (len(header) - 1) + b"\n"
+
+    @classmethod
+    def _plain(cls, where: str, required, data: bytearray, size: int, header,
+               shift: int) -> tuple["_Columns", list, int]:
+        """(block, header names, lines) of unquoted lines: every comma and newline
+        in one pass (`_separators`), reshaped into the grid when every line
+        holds the header's fields, else compacted.  The buffer's first line is
+        the header (read when `header` is None) and its line b is file line
+        b + `shift`."""
         if size == 0 or data[size - 1] != _NEWLINE:
             data[size] = _NEWLINE
             size += 1
@@ -737,44 +855,62 @@ class _Columns:
         if b"\r" in data and data.count(b"\r") != crlf:  # a bare CR ends a line too
             data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + bytes(_SPARE)
             buf, found, lines, _ = _separators(data)
-        header = _header_names(f"{where}:1", data[:data.index(b"\n")].rstrip(b"\r").split(b","))
+        if header is None:
+            header = _header_names(f"{where}:1",
+                                   data[:data.index(b"\n")].rstrip(b"\r").split(b","))
         columns = _wanted_columns(where, header, required)
         if len(header) > 1 and found.size == lines * len(header):
             grid = found.reshape(lines, -1)
             # The last column holds every newline exactly when each line has the header's fields.
             if (buf[grid[:, -1]] == _NEWLINE).all():
-                return cls(where, required, buf, columns, grid, np.array([[-1], [0], [1]]))
-        return cls(where, required, buf, columns, *_compact(where, buf, found, len(header)))
+                jumps = np.array([[-1], [0], [1 + shift]])
+                return cls(where, required, buf, columns, grid, jumps), header, lines
+        grid, jumps = _compact(where, buf, found, len(header), 1 + shift)
+        return cls(where, required, buf, columns, grid, jumps), header, lines
 
     @classmethod
-    def _read_quoted(cls, where: str, text: str, required) -> "_Columns":
-        """Files with quoted fields go through the csv module.
+    def _read_quoted(cls, where: str, required, header, done: int, rest: _Rest,
+                     rows: int | None):
+        """Yield (block, share) of `rest`, the file from line `done` + 1 on, read
+        through the csv module `rows` rows at a time (None: all at once); the
+        share of the file read is not known (0) until the last block (1).
 
-        `text` escapes each byte that is not UTF-8 as a surrogate, and each
-        cell goes back to its own bytes, so such a cell is reported where
-        it is decoded, as in an unquoted file.  Each wanted cell is laid out
-        followed by a comma, so none ends a file line: a quoted cell that
-        ends in CR keeps it.
+        The text escapes each byte that is not UTF-8 as a surrogate, and each
+        cell goes back to its own bytes, so such a cell is reported where it
+        is decoded, as in an unquoted file.  The header is read first when
+        `header` is None.  Each wanted cell is laid out followed by a comma,
+        so none ends a file line: a quoted cell that ends in CR keeps it.
+        No cell's bytes outlive its block.
         """
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = [name.encode("utf-8", "surrogateescape") for name in next(reader, [])]
-        line = [reader.line_num]  # the header's, then each row's
-        header = _header_names(f"{where}:{line[0]}", header)
+        reader = csv.reader(io.TextIOWrapper(io.BufferedReader(rest), "utf-8",
+                                             "surrogateescape", newline=""))
+        if header is None:
+            names = [name.encode("utf-8", "surrogateescape") for name in next(reader, [])]
+            header = _header_names(f"{where}:{reader.line_num}", names)
         wanted = _wanted_columns(where, header, required)
-        parts = []
+        # The line of the header (or of the row before the first), then of each row.
+        parts, line = [], [done + reader.line_num]
         for row in reader:
             if not row:
                 continue
             if len(row) < len(header):
-                raise SchemaError(f"{where}:{reader.line_num}: expected {len(header)} fields, "
-                                  f"found {len(row)}")
+                raise SchemaError(f"{where}:{done + reader.line_num}: expected {len(header)} "
+                                  f"fields, found {len(row)}")
             parts.extend(row[j].encode("utf-8", "surrogateescape") for j in wanted)
-            line.append(reader.line_num)
+            line.append(done + reader.line_num)
+            if len(line) - 1 == rows:
+                yield cls._laid_out(where, required, parts, line, len(wanted)), 0.0
+                parts, line = [], line[-1:]
+        yield cls._laid_out(where, required, parts, line, len(wanted)), 1.0
+
+    @classmethod
+    def _laid_out(cls, where: str, required, parts: list, line: list, width: int) -> "_Columns":
+        """The block of the wanted cells `parts` of rows on lines line[1:], `width` a row."""
         buf = np.frombuffer(b",".join(parts) + b"," + bytes(_SPARE), np.uint8)
         size = np.fromiter(map(len, parts), np.int64, len(parts))
-        ends = np.append(np.full(len(wanted), -1), np.cumsum(size + 1) - 1)  # row 0 starts at 0
+        ends = np.append(np.full(width, -1), np.cumsum(size + 1) - 1)  # row 0 starts at 0
         grid = ends.astype(np.int32 if buf.size < _INT32_BYTES else np.int64).reshape(len(line), -1)
-        return cls(where, required, buf, range(len(wanted)), grid,  # a jump for every row
+        return cls(where, required, buf, range(width), grid,  # a jump for every row
                    np.stack([np.arange(-1, len(line) - 1), np.append(0, grid[:-1, -1] + 1), line]))
 
     def _jump(self, rows) -> np.ndarray:
@@ -796,8 +932,7 @@ class _Columns:
 
     def line_of(self, rows):
         """The file line of one row or of each of an index array."""
-        jump_row, _, jump_line = self._jump(rows)
-        return jump_line + (rows - jump_row)
+        return _line_at(self.jumps[0], self.jumps[2], rows)
 
     @property
     def line(self) -> np.ndarray:
@@ -983,36 +1118,118 @@ def _parse_apr(raw: str) -> float:
 
 
 def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
-    """The long file as payment segments, plus the segment of each loan_id."""
-    cols = _Columns.read(path, _PAYMENT_COLUMNS)
-    code, segment_of = cols.ids("loan_id")
-    month = cols.ints("trust_month")
-    in_order = (code[1:] > code[:-1]) | ((code[1:] == code[:-1]) & (month[1:] > month[:-1]))
+    """The long file as payment segments, plus the segment of each loan_id.
+
+    The file is read `_READ_BYTES` at a time (`_Columns.blocks`), and each
+    block's rows go into per-row columns that outlive it.  They are allotted
+    once, for the rows that the share of the file read so far predicts and
+    1/16 more, grown in place only when a block overruns them (doubled where
+    the share is not known: a pipe, a quoted file) and trimmed in place
+    after the last block, so no block leaves pieces behind.  Loan keys
+    (int32) count up by first row across blocks; trust months are int32
+    while every month fits.  A money column turns into Decimals at the first
+    block holding a cell that is not whole cents.  Order and contiguity are
+    checked after the last block, so a bad cell anywhere is reported before
+    a month gap; the gap's line comes from the (row, line) pairs kept from
+    the blocks' jumps.
+    """
+    segment_of: dict[str, int] = {}
+    out = {name: np.empty(0, dtype) for name, dtype in _PAYMENT_DTYPES.items()}
+    jump_rows, jump_lines = [], []
+    rows = 0
+    for cols, share in _Columns.blocks(path, _PAYMENT_COLUMNS, _READ_BYTES):
+        end = rows + cols.rows
+        if end > out["key"].size:  # room for the rows the share read predicts, and 1/16 more
+            size = max(end, int(end / share * 17 / 16) if share else 2 * end)
+            for column in out.values():
+                column.resize(size, refcheck=False)
+        _put_block(cols, out, slice(rows, end), segment_of)
+        row, line = cols.jumps[0], cols.jumps[2]
+        new = np.append(True, np.diff(line - row) != 0)  # the jumps that move the line on
+        ahead = row[new] < 0  # the header's: kept as row 0's, which the last block's rows precede
+        jump_rows.append(row[new] + ahead + rows)
+        jump_lines.append(line[new] + ahead)
+        rows = end
+        del cols  # freed before the next block is read
+    for column in out.values():
+        column.resize(rows, refcheck=False)
+    key, month, missing = out.pop("key"), out.pop("month"), out.pop("missing")
     order = None  # the file row of each sorted row, when the file is not sorted
-    if not in_order.all():
-        order = np.lexsort((month, code))
-        code, month = code[order], month[order]
-    months = np.bincount(code, minlength=len(segment_of))
+    if not _in_order(key, month):
+        order = np.lexsort((month, key))
+        key, month = key[order], month[order]
+    months = np.bincount(key, minlength=len(segment_of))
     start = np.cumsum(months) - months
-    expected = np.arange(1, code.size + 1)
-    expected -= start[code]
-    wrong = month != expected
-    if wrong.any():
-        at = int(np.argmax(wrong))
-        k = int(code[at])
+    at = _first_gap(key, month, start)
+    if at is not None:
+        k = int(key[at])
         loan_id = next(key for key, seg in segment_of.items() if seg == k)
-        raise SchemaError(f"{cols.loc(at if order is None else order[at])}: loan {loan_id} "
-                          f"trust_month values are not a contiguous 1..{months[k]} sequence")
-    del code, month, expected, wrong  # the money columns parse without them
-    balance, missing = cols.money("balance", allow_missing=True)
-    payment, _ = cols.money("payment")
-    principal, _ = cols.money("principal")
+        line = _line_at(np.concatenate(jump_rows), np.concatenate(jump_lines),
+                        at if order is None else order[at])
+        raise SchemaError(f"{path}:{line}: loan {loan_id} trust_month values are not a "
+                          f"contiguous 1..{months[k]} sequence")
+    del key, month
+    balance, payment, principal = out.values()
     if order is not None:
         balance, missing, payment, principal = (
             a[order] for a in (balance, missing, payment, principal))
     if any(col.dtype == object for col in (balance, payment, principal)):
         balance, payment, principal = map(_as_decimals, (balance, payment, principal))
     return _Payments(start, months, balance, missing, payment, principal), segment_of
+
+
+# The per-row columns `_read_payments` fills, by their types before a block
+# turns them wider: trust months into int64, money into Decimals.
+_PAYMENT_DTYPES = {"key": np.int32, "month": np.int32, "missing": np.bool_,
+                   "balance": np.int64, "payment": np.int64, "principal": np.int64}
+
+
+def _put_block(cols: _Columns, out: dict, rows: slice, segment_of: dict) -> None:
+    """Write one block's rows into `rows` of the columns `out`, widening a
+    column in `out` whose type cannot hold them; loan keys count on in
+    `segment_of`."""
+    code, key_of = cols.ids("loan_id")
+    keys = np.fromiter((segment_of.setdefault(k, len(segment_of)) for k in key_of),
+                       np.int32, len(key_of))
+    out["key"][rows] = keys[code]
+    months = cols.ints("trust_month")
+    if out["month"].dtype == np.int32 and months.size and (
+            months.min() < _INT32.min or months.max() > _INT32.max):
+        out["month"] = out["month"].astype(np.int64)
+    out["month"][rows] = months
+    for name in ("balance", "payment", "principal"):
+        values, missing = cols.money(name, allow_missing=name == "balance")
+        if values.dtype == object and out[name].dtype != object:
+            decimals = np.empty(out[name].size, object)
+            decimals[:rows.start] = _as_decimals(out[name][:rows.start])
+            out[name] = decimals
+        out[name][rows] = _as_decimals(values) if out[name].dtype == object else values
+        if name == "balance":
+            out["missing"][rows] = missing
+
+
+def _in_order(key: np.ndarray, month: np.ndarray) -> bool:
+    """Whether rows run by key, and within a key by strictly rising month,
+    checked `_PARSE_ROWS` rows at a time."""
+    for at in range(0, key.size - 1, _PARSE_ROWS):
+        stop = min(at + _PARSE_ROWS, key.size - 1)
+        key0, key1 = key[at:stop], key[at + 1:stop + 1]
+        up = (key1 == key0) & (month[at + 1:stop + 1] > month[at:stop])
+        if not (up | (key1 > key0)).all():
+            return False
+    return True
+
+
+def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | None:
+    """The first sorted row, `_PARSE_ROWS` rows at a time, whose month is not its
+    place in its key's segment (segment k starts at row start[k]); None if none."""
+    for at in range(0, key.size, _PARSE_ROWS):
+        block = slice(at, at + _PARSE_ROWS)
+        keys = key[block]
+        wrong = np.flatnonzero(month[block] != np.arange(at + 1, at + 1 + keys.size) - start[keys])
+        if wrong.size:
+            return at + int(wrong[0])
+    return None
 
 
 def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:

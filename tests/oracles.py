@@ -13,7 +13,7 @@ from decimal import Decimal
 import numpy as np
 from scipy import optimize, stats
 
-from cshazard import actuarial
+from cshazard import actuarial, ingest
 from cshazard.errors import NumericalError
 from cshazard.montecarlo import simulate_cohort
 from cshazard.riskmodel import Cause
@@ -439,6 +439,46 @@ def plain_cells(buf, start, end, point):
         value *= 10 ** np.clip(2 - after_point, 0, 2)
     value = np.where(plain, np.where(negative, -value, value), 0)
     return value, plain
+
+
+# ---------------------------------------------------------------------------
+# segment outcomes by row-length masks and reductions
+
+
+def reduceat_outcomes(payments, pad):
+    """(outcome code, trust month) per segment of an `ingest._Payments`.
+
+    The rules of `_Payments.outcomes`, computed as it did before it searched
+    the rows that hold a zero: row-length index arrays, each row's segment
+    end, and a minimum over each segment by `np.minimum.reduceat`.
+    """
+    balance, principal = payments.balance, payments.principal
+    pad = ingest._decimal(pad)
+    if balance.dtype != object:
+        pad_cents = ingest._cents_of(pad)
+        if pad_cents is None:
+            balance, principal = ingest._as_decimals(balance), ingest._as_decimals(principal)
+        else:
+            pad = pad_cents
+    n, start = balance.size, payments.start
+    if start.size == 0:
+        return np.zeros(0, np.int8), np.zeros(0, np.int64)
+    row = np.arange(n)
+    end = (start + payments.months)[np.repeat(np.arange(start.size), payments.months)]
+    zero_balance = ~payments.balance_missing & (balance == 0)
+    first_zero = np.minimum.reduceat(np.where(zero_balance, row, n), start)
+    zero = payments.payment == 0
+    run = np.zeros(n, np.bool_)
+    run[:-2] = zero[:-2] & zero[1:-1] & zero[2:]
+    run &= row + 3 <= end  # all three months inside the loan's own history
+    first_run = np.minimum.reduceat(np.where(run, row, n), start)
+    repaid = payments._paid(principal) + pad >= balance[start]
+    defaulted = ~repaid & (first_run < n)
+    code = np.where(repaid, Cause.PREPAY.value,
+                    np.where(defaulted, Cause.DEFAULT.value, ingest._CENSORED)).astype(np.int8)
+    month = np.where(repaid & (first_zero < n), first_zero - start + 1,
+                     np.where(defaulted, first_run - start + 1, payments.months))
+    return code, month
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import observation_table, staged_curve, write_tape
-from oracles import decimal_outcome, plain_cells
+from oracles import decimal_outcome, plain_cells, reduceat_outcomes
 
 from cshazard import ingest
 from cshazard.cli import _read_recovery_observations
@@ -446,6 +446,45 @@ def test_segment_classifier_matches_decimal_oracle(loans, pad):
         assert build_observations(tape, pad=pad) == observation_table(expected)
 
 
+@st.composite
+def payment_segments(draw):
+    """A `_Payments` of 1-6 segments of 1-5 rows, some of one row.
+
+    Zero balances and zero payments are common, so they fall on a
+    segment's first and last rows and zero runs straddle segment edges or
+    end exactly at a segment's end; a balance may be missing.  The columns
+    are cents or Decimals, and Decimals may hold mils.
+    """
+    months = np.array(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
+    n = int(months.sum())
+    cents = st.sampled_from([0, 0, 0, 500, 1000]) | st.integers(0, 2000)
+    balance, principal = (np.array(draw(st.lists(cents, min_size=n, max_size=n)))
+                          for _ in range(2))
+    payment = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 110]), min_size=n, max_size=n)))
+    missing = np.array(draw(st.lists(st.integers(0, 5).map(lambda k: k == 0), min_size=n,
+                                     max_size=n)))
+    balance[missing] = 0
+    columns = [balance, payment, principal]
+    if draw(st.booleans()):
+        columns = [ingest._as_decimals(column) for column in columns]
+        for column in columns:
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+                column[i] += Decimal("0.001")
+    return ingest._Payments(np.cumsum(months) - months, months, columns[0], missing,
+                            columns[1], columns[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(payment_segments(), st.sampled_from([Decimal("10"), Decimal("0"), Decimal("10.005"),
+                                            7, 0.5]))
+def test_segment_outcomes_match_the_reduceat_oracle(payments, pad):
+    code, month = payments.outcomes(pad)
+    expected_code, expected_month = reduceat_outcomes(payments, pad)
+    assert code.dtype == expected_code.dtype and month.dtype == expected_month.dtype
+    assert code.tolist() == expected_code.tolist()
+    assert month.tolist() == expected_month.tolist()
+
+
 def test_money_cells_keep_exact_values(tmp_path):
     cells = (["100.00", "1.5E+1", ""], ["5", "0.005", "0"], ["90.00", "+.50", "0.001"])
     back = load_loan_data(*write_tape(tmp_path, {"L1": {}}, {"L1": cells}))
@@ -700,6 +739,10 @@ def test_trust_month_gap_is_located_at_its_first_row(tmp_path):
     with pytest.raises(SchemaError, match=r"payments\.csv:4: loan L1 trust_month values are "
                                           r"not a contiguous 1\.\.3 sequence$"):
         load_loan_data(loans, payments)
+    payments_file(payments, [("L1", 1), ("L1", 2**32 + 2), ("L2", 1)])  # 2 in 32 bits
+    with pytest.raises(SchemaError, match=r"payments\.csv:3: loan L1 trust_month values are "
+                                          r"not a contiguous 1\.\.2 sequence$"):
+        load_loan_data(loans, payments)
 
 
 def test_trust_month_gap_in_an_unsorted_file_is_located_at_its_own_line(tmp_path):
@@ -931,9 +974,9 @@ def test_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, column
 
 
 def tiny_blocks():
-    """Scan blocks of 16 bytes and parse blocks of 3 rows, so small files cross
-    many block edges."""
-    return mock.patch.multiple(ingest, _SCAN_BYTES=16, _PARSE_ROWS=3)
+    """Payments read 16 bytes at a time, scan blocks of 16 bytes and parse
+    blocks of 3 rows, so small files cross many block edges."""
+    return mock.patch.multiple(ingest, _READ_BYTES=16, _SCAN_BYTES=16, _PARSE_ROWS=3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1110,6 +1153,138 @@ def test_cells_at_parse_block_edges_after_blank_lines_long_rows_or_quotes(tmp_pa
                 cols.ints("n") if column == 0 else cols.money("v")
 
 
+# ---------------------------------------------------------------------------
+# the payments file read in blocks: every cut between lines reads alike
+
+
+STREAM_ROWS = [["L1", "1", "300.00", "110", "100"], ["L1", "2", "", "110.5", "100"],
+               ["L1", "3", "0", "0", "100"], ["L2", "1", "250", "0", "0"],
+               ["L2", "2", "250", "0", "0"], ["L2", "3", "NA", "0", "0"],
+               ["L3", "1", "90.25", "45", "45"]]
+
+
+def stream_file(rows, shape) -> bytes:
+    """Payments bytes of `rows`: LF, CRLF or bare-CR line ends, blank lines
+    (after the header, mid-file and at the end), long rows, or a quoted cell
+    on the next-to-last row, so it first appears in a later block."""
+    lines = [",".join(ingest._PAYMENT_COLUMNS)] + [",".join(row) for row in rows]
+    if shape == "blank":
+        lines[1:1] = [""]
+        lines[5:5] = ["", ""]
+        lines.append("")
+    if shape == "long":
+        lines[1] += ",x"
+        lines[4] += ",y,"
+    if shape == "quote":
+        lines[-2] = '"' + lines[-2].replace(",", '",', 1)
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(shape, "\n")
+    return (newline.join(lines) + newline).encode("utf-8", "surrogateescape")
+
+
+STREAM_SHAPES = ["lf", "crlf", "cr", "blank", "long", "quote"]
+
+
+def changed(row, column, cell, rows=STREAM_ROWS):
+    """A copy of `rows` with one cell changed; a cell of None cuts the row short there."""
+    rows = [list(r) for r in rows]
+    rows[row][column:] = [] if cell is None else [cell, *rows[row][column + 1:]]
+    return rows
+
+
+STREAM_ERRORS = {  # the rows, and the error they give without its location
+    "gap": (changed(2, 1, "4"),
+            r"loan L1 trust_month values are not a contiguous 1\.\.3 sequence"),
+    "unsorted gap": (changed(6, 1, "4", [STREAM_ROWS[k] for k in (3, 0, 6, 4, 1, 5, 2)]),
+                     r"loan L1 trust_month values are not a contiguous 1\.\.3 sequence"),
+    "money": (changed(4, 3, "x1"), r"column 'payment' has non-numeric value 'x1'"),
+    "short": (changed(4, 4, None), r"expected 5 fields, found 4"),
+    "utf8": (changed(6, 0, "L\udcff3"), r"column 'loan_id': byte 0xff at position 1 is not UTF-8"),
+}
+
+
+def read_payments_in_blocks(path, size):
+    """`_read_payments` reading `size` bytes at a time: (payments, segment_of) or the error text."""
+    with mock.patch.object(ingest, "_READ_BYTES", size):
+        try:
+            return ingest._read_payments(path)
+        except SchemaError as exc:
+            return str(exc)
+
+
+def same_payments(a, b) -> bool:
+    (pa, ida), (pb, idb) = a, b
+    return list(ida.items()) == list(idb.items()) and all(
+        getattr(pa, name).dtype == getattr(pb, name).dtype
+        and getattr(pa, name).tolist() == getattr(pb, name).tolist()
+        for name in ("start", "months", "balance", "balance_missing", "payment", "principal"))
+
+
+@pytest.mark.parametrize("shape", STREAM_SHAPES)
+def test_payments_read_alike_at_every_block_size(tmp_path, shape):
+    """Blocks of every size from one byte (less than a line) up to the whole
+    file give the same payments and loan keys as one block."""
+    path = tmp_path / "payments.csv"
+    data = stream_file(STREAM_ROWS, shape)
+    path.write_bytes(data)
+    whole = read_payments_in_blocks(path, len(data) + 1)
+    assert list(whole[1]) == ["L1", "L2", "L3"] and whole[0].months.tolist() == [3, 3, 1]
+    for size in range(1, len(data) + 1):
+        assert same_payments(read_payments_in_blocks(path, size), whole), size
+
+
+@pytest.mark.parametrize("shape", STREAM_SHAPES)
+@pytest.mark.parametrize("error", list(STREAM_ERRORS))
+def test_payment_errors_read_alike_at_every_block_size(tmp_path, shape, error):
+    """A month gap (in a sorted and an unsorted file), a bad money cell, a
+    short row and a non-UTF-8 id in the last block give the same located
+    error at every block size."""
+    rows, message = STREAM_ERRORS[error]
+    path = tmp_path / "payments.csv"
+    data = stream_file(rows, shape)
+    path.write_bytes(data)
+    whole = read_payments_in_blocks(path, len(data) + 1)
+    assert re.fullmatch(rf"{re.escape(str(path))}:\d+: {message}", whole), whole
+    for size in range(1, len(data) + 1):
+        assert read_payments_in_blocks(path, size) == whole, size
+
+
+def test_payment_error_lines_follow_blank_lines_and_line_ends(tmp_path):
+    """The lines those errors name: the row's own line in each layout."""
+    path = tmp_path / "payments.csv"
+    for shape, line in [("lf", 6), ("cr", 6), ("blank", 9), ("long", 6), ("quote", 6)]:
+        path.write_bytes(stream_file(STREAM_ERRORS["money"][0], shape))
+        assert read_payments_in_blocks(path, 8).startswith(f"{path}:{line}: "), shape
+    path.write_bytes(stream_file(STREAM_ERRORS["unsorted gap"][0], "blank"))
+    assert read_payments_in_blocks(path, 8).startswith(f"{path}:11: loan L1 ")
+
+
+def test_payments_read_through_a_pipe_load_the_same_tape(tmp_path):
+    """A pipe has no size to read ahead of: its blocks grow the columns as they come."""
+    loans, payments = write_tape(tmp_path, {"L1": {}, "L2": {}, "L3": {}}, {})
+    for shape in ("lf", "quote"):
+        payments.write_bytes(stream_file(STREAM_ROWS, shape))
+        tidy = load_loan_data(loans, payments)
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader, tiny_blocks():
+            with open(write_end, "wb") as writer:
+                writer.write(payments.read_bytes())
+            piped = load_loan_data(loans, f"/dev/fd/{read_end}")
+        assert same_payments((piped.payments, {}), (tidy.payments, {}))
+        assert piped.segment.tolist() == tidy.segment.tolist() == [0, 1, 2]
+        assert build_observations(piped) == build_observations(tidy)
+
+
+def test_a_bad_cell_is_reported_before_a_month_gap(tmp_path):
+    """Trust months are checked once every block is read, so a bad cell on a
+    later line wins over an earlier month gap."""
+    loans, payments = write_tape(tmp_path, {"L1": {}, "L2": {}}, {})
+    payments.write_text("loan_id,trust_month,balance,payment,principal\nL1,1,10,10,10\n"
+                        "L1,3,10,10,10\nL2,1,10,x,10\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"payments\.csv:4: column 'payment' has "
+                                          r"non-numeric value 'x'$"):
+        load_loan_data(loans, payments)
+
+
 def int64_offsets():
     """Offsets held as int64 whatever the buffer's size, as in a buffer of 2 GiB or more."""
     return mock.patch.object(ingest, "_INT32_BYTES", 0)
@@ -1220,21 +1395,25 @@ def guard_tape(directory):
 
 
 def test_ingest_peak_memory_stays_a_small_multiple_of_the_payments_file(tmp_path):
-    """On the guard tape, the traced peak of `load_loan_data` stays below 4.9
-    times the payments file's size.  The buffer and an int32 separator grid
-    peak at 4.40 times, which leaves 0.5 for numpy and allocator versions; an
-    int64 grid peaked at 5.42 times, and a cell table beside the grid with
-    whole-column parses at 7.15 times (see CHANGES.md)."""
+    """On the guard tape, the traced peak of `load_loan_data` stays below 3.6
+    times the payments file's size.  Read in 512 KiB blocks it peaks at 3.10
+    times, which leaves 0.5 for numpy and allocator versions; the whole
+    file's buffer and int32 separator grid peaked at 4.40 times, an int64
+    grid at 5.42 times, and a cell table beside the grid with whole-column
+    parses at 7.15 times (see CHANGES.md)."""
     loans, payments, size = guard_tape(tmp_path)
-    assert peak_of_load(loans, payments) < 4.9 * size
+    assert peak_of_load(loans, payments) < 3.6 * size
 
 
-@pytest.mark.parametrize("shape, bound", [("blank", 4.9), ("long", 4.9), ("quoted", 30.0)])
+@pytest.mark.parametrize("shape, bound", [("blank", 3.6), ("long", 3.6), ("quoted", 16.0)])
 def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, shape, bound):
     """The guard tape with a trailing blank line or one long row peaks like the
-    plain tape (4.40 times; 6.71 while such files kept a table of every cell).
-    With one quoted cell the file goes through `csv.reader`, whose string per
-    cell peaks at 27.5 times (32.5 with the cell table)."""
+    plain tape (3.09 times; 4.40 read whole, 6.71 while such files kept a
+    table of every cell).  With one quoted cell the file goes through
+    `csv.reader`, whose string per cell peaks at 14.3 times when the strings
+    are laid out 2^15 rows at a time (27.5 times for the whole file at once,
+    32.5 with the cell table); the bound leaves 1.7 for csv, numpy and
+    allocator versions."""
     loans, payments, size = guard_tape(tmp_path)
     text = payments.read_bytes()
     if shape == "blank":
@@ -1245,3 +1424,20 @@ def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, 
         text = b"\n".join([header, first, rest])
     payments.write_bytes(text)
     assert peak_of_load(loans, payments) < bound * size
+
+
+def test_build_observations_peak_stays_a_few_bytes_per_payment_row(tmp_path):
+    """On the guard tape, the traced peak of `build_observations` above the
+    tape it is given stays below 8.5 bytes per payment row: 6.85 measured,
+    from boolean masks and the rows that hold a zero, where outcomes built
+    with row-length int64 index arrays peaked at 32.0.  One int64 temporary
+    as long as the payment rows would add 8."""
+    loans, payments, _ = guard_tape(tmp_path)
+    tape = load_loan_data(loans, payments)
+    tracemalloc.start()
+    try:
+        build_observations(tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * tape.payments.balance.size
