@@ -795,11 +795,12 @@ class _Columns:
         """Yield (block, share): the file's rows as `_Columns` of whole lines,
         read `size` bytes at a time (None: the whole file as one block), and
         the share of the file's bytes read so far (0 when it is not known:
-        the size of a pipe, or the bytes behind rows laid out by csv).
+        the size of a pipe, or the bytes behind rows laid out by csv).  An
+        empty file is one empty block, whose header misses every column.
 
         Each block is cut after the last line end read (a CR ends a line
-        unless a newline follows it); a line longer than `size` is read on
-        until it ends.  Blocks after the first stand a line of the header's
+        unless a newline follows it); a line longer than `size` is read on,
+        twice as many bytes each time, until it ends.  Blocks after the first stand a line of the header's
         width in for the header, so each is laid out like a whole file, and
         carry their file lines in their jumps: every `file:line` is the same
         whatever the block size.  From the first block holding a quote on,
@@ -809,8 +810,9 @@ class _Columns:
         with open(path, "rb") as fh:
             total = os.fstat(fh.fileno()).st_size
             header, head, pending, done, read = None, b"", b"", 0, 0  # done: file lines laid out
+            step = size  # doubled while no line end is found, so a long line costs linear time
             while True:
-                data, held, got, eof = _fill(fh, head + pending, size, total)
+                data, held, got, eof = _fill(fh, head + pending, step, total)
                 read += got
                 if eof and held == len(head) and header is not None:
                     return
@@ -822,9 +824,11 @@ class _Columns:
                     return
                 cut = held if eof else max(data.rfind(b"\n", len(head), held),
                                            data.rfind(b"\r", len(head), held - 1)) + 1
-                if cut == 0:  # no line ends yet
+                if cut == 0 and not eof:  # no line ends yet
                     pending = bytes(data[len(head):held])
+                    step *= 2
                     continue
+                step = size
                 if cut < held:  # the bytes after the cut start the next block
                     pending = bytes(data[cut:held])
                     del data[cut:]

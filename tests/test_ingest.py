@@ -1160,7 +1160,7 @@ def test_cells_at_parse_block_edges_after_blank_lines_long_rows_or_quotes(tmp_pa
 STREAM_ROWS = [["L1", "1", "300.00", "110", "100"], ["L1", "2", "", "110.5", "100"],
                ["L1", "3", "0", "0", "100"], ["L2", "1", "250", "0", "0"],
                ["L2", "2", "250", "0", "0"], ["L2", "3", "NA", "0", "0"],
-               ["L3", "1", "90.25", "45", "45"]]
+               ["L3", "1", "90.255", "45", "45"]]  # mils: balances turn Decimal in the last block
 
 
 def stream_file(rows, shape) -> bytes:
@@ -1215,7 +1215,7 @@ def same_payments(a, b) -> bool:
     (pa, ida), (pb, idb) = a, b
     return list(ida.items()) == list(idb.items()) and all(
         getattr(pa, name).dtype == getattr(pb, name).dtype
-        and getattr(pa, name).tolist() == getattr(pb, name).tolist()
+        and list(map(repr, getattr(pa, name).tolist())) == list(map(repr, getattr(pb, name).tolist()))
         for name in ("start", "months", "balance", "balance_missing", "payment", "principal"))
 
 
@@ -1228,6 +1228,9 @@ def test_payments_read_alike_at_every_block_size(tmp_path, shape):
     path.write_bytes(data)
     whole = read_payments_in_blocks(path, len(data) + 1)
     assert list(whole[1]) == ["L1", "L2", "L3"] and whole[0].months.tolist() == [3, 3, 1]
+    # Blocks before the one holding 90.255 read cents; their rows turn Decimal with it.
+    assert [str(v) for v in whole[0].balance.tolist()] == [
+        "300.00", "0.00", "0.00", "250.00", "250.00", "0.00", "90.255"]
     for size in range(1, len(data) + 1):
         assert same_payments(read_payments_in_blocks(path, size), whole), size
 
@@ -1283,6 +1286,49 @@ def test_a_bad_cell_is_reported_before_a_month_gap(tmp_path):
     with pytest.raises(SchemaError, match=r"payments\.csv:4: column 'payment' has "
                                           r"non-numeric value 'x'$"):
         load_loan_data(loans, payments)
+
+
+def bounded_reads(limit=64):
+    """`_fill` that fails past `limit` reads, so a read loop that never ends fails instead."""
+    fill, calls = ingest._fill, []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= limit, "the file is read without end"
+        return fill(*args)
+    return mock.patch.object(ingest, "_fill", counted)
+
+
+@pytest.mark.parametrize("empty", ["loans", "payments"])
+def test_an_empty_file_misses_every_required_column(tmp_path, empty):
+    """An empty file or pipe is one empty block, read whole or in blocks of
+    any size: its header misses every required column."""
+    loans, payments = write_tape(tmp_path, {"L1": {}}, {})
+    path = {"loans": loans, "payments": payments}[empty]
+    required = {"loans": ingest._LOAN_FIELDS, "payments": ingest._PAYMENT_COLUMNS}[empty]
+    path.write_bytes(b"")
+    missing = rf"{empty}\.csv: missing required column\(s\) loan_id, "
+    for size in (None, 1, 16, ingest._READ_BYTES):
+        with bounded_reads(), pytest.raises(SchemaError, match=missing):
+            list(ingest._Columns.blocks(path, required, size))
+    with bounded_reads(), pytest.raises(SchemaError, match=missing):
+        load_loan_data(loans, payments)
+    with tiny_blocks(), bounded_reads(), pytest.raises(SchemaError, match=missing):
+        load_loan_data(loans, payments)
+    read_end, write_end = os.pipe()
+    os.close(write_end)
+    with open(read_end, "rb"), bounded_reads(), pytest.raises(
+            SchemaError, match=rf"/dev/fd/{read_end}: missing required column\(s\) loan_id, "):
+        list(ingest._Columns.blocks(f"/dev/fd/{read_end}", required, 16))
+
+
+def test_a_line_longer_than_the_block_is_read_in_doubling_steps(tmp_path):
+    """A line with no end is read on in reads that double, so the reads (and
+    the bytes copied) grow with the log of its length, not the length."""
+    path = tmp_path / "payments.csv"
+    path.write_bytes(b"x" * (1 << 16))
+    with bounded_reads(limit=14), pytest.raises(SchemaError, match="missing required column"):
+        list(ingest._Columns.blocks(path, ingest._PAYMENT_COLUMNS, 16))
 
 
 def int64_offsets():
