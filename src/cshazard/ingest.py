@@ -8,16 +8,17 @@ filter, determines the outcome from the payment vectors, and emits one
 observation per retained loan in loan-age coordinates.
 
 Ingest is columnar.  Both files load into a `LoanTape`, the one form in
-which loans are held: column arrays whose payment rows are sorted by (loan,
-trust month), so each loan's history is one contiguous segment.  The
-eligibility, integrity and outcome rules run once over all segments as
-array operations, and the result is an `ObservationTable` of parallel
-arrays, the one form in which observations pass between layers.
+which loans are held: column arrays, and payments folded as they are read
+into a flag byte per row, sorted by (loan, trust month) so each loan's
+history is one contiguous segment, and a first balance and principal paid
+per loan.  The eligibility, integrity and outcome rules run once over all
+segments as array operations, and the result is an `ObservationTable` of
+parallel arrays, the one form in which observations pass between layers.
 
 Monetary fields are exact: a plain decimal cell with at most two fraction
 digits is read straight into integer cents, any other cell is parsed with
-`Decimal`, and when some payment cell is not a whole number of cents the
-tape's payment columns hold `Decimal` objects instead of cents.  Outcome
+`Decimal`, and when some balance or principal cell is not a whole number of
+cents the per-loan sums hold `Decimal` objects instead of cents.  Outcome
 classification (zero-payment runs, principal-vs-balance comparisons) thus
 never depends on binary float representation.
 """
@@ -217,29 +218,30 @@ def _as_decimals(column: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Payment segments and the outcome rules
 
+_ZERO_BALANCE, _ZERO_PAYMENT, _NO_BALANCE = 1, 2, 4  # the flag bits of a payment row
+
 
 @dataclass(frozen=True)
 class _Payments:
-    """Payment rows grouped by loan: segment k is rows start[k] : start[k] + months[k].
+    """Payment rows folded by loan: segment k is rows start[k] : start[k] + months[k].
 
     Segments are contiguous, in increasing order, and cover every row; within
-    a segment rows run through trust months 1..months[k].  Missing balances
-    read as zero and are flagged in `balance_missing`.  The three money
-    columns share one representation (all cents or all Decimal).
+    a segment rows run through trust months 1..months[k].  A row keeps one
+    byte of `flags`: a zero balance that is not missing, a zero payment, a
+    missing balance.  A segment keeps its first balance (zero when missing)
+    and the principal it paid: cents, or Decimals when some balance or
+    principal cell is not whole cents.  A Decimal `paid` is summed in file
+    order from the loan's first row, so it is `np.add.reduceat` over the
+    segment's rows in month order when the file is sorted, and equals it in
+    any order whenever no partial sum needs more than 28 significant digits
+    (the decimal context's precision): every sum is then exact.
     """
 
     start: np.ndarray
     months: np.ndarray
-    balance: np.ndarray
-    balance_missing: np.ndarray
-    payment: np.ndarray
-    principal: np.ndarray
-
-    def _paid(self, principal) -> np.ndarray:
-        """Total principal paid per segment."""
-        if self.start.size == 0:
-            return principal[:0]
-        return np.add.reduceat(principal, self.start)
+    flags: np.ndarray
+    first_balance: np.ndarray
+    paid: np.ndarray
 
     def integrity_ok(self) -> np.ndarray:
         """Per segment: whether the outcome can be determined.
@@ -248,10 +250,10 @@ class _Payments:
         paid falls short of the first balance while the last balance is
         missing.
         """
-        first = self.start
-        last = self.start + self.months - 1
-        short = self._paid(self.principal) < self.balance[first]
-        return ~self.balance_missing[first] & ~(short & self.balance_missing[last])
+        first = self.flags[self.start] & _NO_BALANCE
+        last = self.flags[self.start + self.months - 1] & _NO_BALANCE
+        short = self.paid < self.first_balance
+        return (first == 0) & ~(short & (last != 0))
 
     def outcomes(self, pad: Decimal) -> tuple[np.ndarray, np.ndarray]:
         """Per segment: (outcome code, 1-based trust month of the event).
@@ -266,32 +268,27 @@ class _Payments:
 
         The first zero balance and the first run of three zero payments are
         found among the rows that hold one (`_first_at`), so no temporary
-        but a few boolean masks is as long as the payment rows.
+        but a few bytes a row is as long as the payment rows.
         """
-        balance, principal = self.balance, self.principal
-        pad = _decimal(pad)
-        if balance.dtype != object:
-            pad_cents = _cents_of(pad)
-            if pad_cents is None:
-                balance, principal = _as_decimals(balance), _as_decimals(principal)
+        paid, first_balance, pad = self.paid, self.first_balance, _decimal(pad)
+        if paid.dtype != object:  # cents, unless the pad is not whole cents
+            if _cents_of(pad) is None:
+                paid, first_balance = _as_decimals(paid), _as_decimals(first_balance)
             else:
-                pad = pad_cents
-        start = self.start
+                pad = _cents_of(pad)
+        start, flags = self.start, self.flags
         if start.size == 0:
             return np.zeros(0, np.int8), np.zeros(0, np.int64)
         end = start + self.months
-        zero_balance = balance == 0
-        zero_balance &= ~self.balance_missing
-        first_zero = _first_at(np.flatnonzero(zero_balance), start, end)
-        del zero_balance
-        zero = self.payment == 0
-        run = zero[:-2] & zero[1:-1]
-        run &= zero[2:]
-        del zero
+        first_zero = _first_at(np.flatnonzero(flags & _ZERO_BALANCE), start, end)
+        run = flags[:-2] & flags[1:-1]
+        run &= flags[2:]
+        run &= _ZERO_PAYMENT
         # A run is the segment's only when all three months lie inside it; a
         # later run in the same segment ends later still, so the first decides.
         first_run = _first_at(np.flatnonzero(run), start, end)
-        repaid = self._paid(principal) + pad >= balance[start]
+        del run
+        repaid = paid + pad >= first_balance
         defaulted = ~repaid & (first_run + 3 <= end)
         code = np.where(repaid, Cause.PREPAY.value,
                         np.where(defaulted, Cause.DEFAULT.value, _CENSORED)).astype(np.int8)
@@ -1122,23 +1119,24 @@ def _parse_apr(raw: str) -> float:
 
 
 def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
-    """The long file as payment segments, plus the segment of each loan_id.
+    """The long file folded into payment segments, plus the segment of each loan_id.
 
-    The file is read `_READ_BYTES` at a time (`_Columns.blocks`), and each
-    block's rows go into per-row columns that outlive it.  They are allotted
-    once, for the rows that the share of the file read so far predicts and
-    1/16 more, grown in place only when a block overruns them (doubled where
-    the share is not known: a pipe, a quoted file) and trimmed in place
-    after the last block, so no block leaves pieces behind.  Loan keys
-    (int32) count up by first row across blocks; trust months are int32
-    while every month fits.  A money column turns into Decimals at the first
-    block holding a cell that is not whole cents.  Order and contiguity are
-    checked after the last block, so a bad cell anywhere is reported before
-    a month gap; the gap's line comes from the (row, line) pairs kept from
-    the blocks' jumps.
+    The file is read `_READ_BYTES` at a time (`_Columns.blocks`) and each
+    block is folded as it is read (`_put_block`), so no money column
+    outlives its block.  The per-row loan keys (int32, counting up by first
+    row across blocks), trust months (int32 while every month fits) and
+    flags are allotted once, for the rows that the share of the file read so
+    far predicts and 1/16 more, grown in place only when a block overruns
+    them (doubled where the share is not known: a pipe, a quoted file) and
+    trimmed in place after the last block.  Order and contiguity are checked
+    after the last block, so a bad cell anywhere is reported before a month
+    gap; the gap's line comes from the (row, line) pairs kept from the
+    blocks' jumps.
     """
     segment_of: dict[str, int] = {}
-    out = {name: np.empty(0, dtype) for name, dtype in _PAYMENT_DTYPES.items()}
+    out = {"key": np.empty(0, np.int32), "month": np.empty(0, np.int32),
+           "flags": np.empty(0, np.uint8)}  # a block may widen trust months to int64
+    sums = {"first_balance": np.zeros(0, np.int64), "paid": np.zeros(0, np.int64)}
     jump_rows, jump_lines = [], []
     rows = 0
     for cols, share in _Columns.blocks(path, _PAYMENT_COLUMNS, _READ_BYTES):
@@ -1147,7 +1145,7 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
             size = max(end, int(end / share * 17 / 16) if share else 2 * end)
             for column in out.values():
                 column.resize(size, refcheck=False)
-        _put_block(cols, out, slice(rows, end), segment_of)
+        _put_block(cols, out, slice(rows, end), sums, segment_of)
         row, line = cols.jumps[0], cols.jumps[2]
         new = np.append(True, np.diff(line - row) != 0)  # the jumps that move the line on
         ahead = row[new] < 0  # the header's: kept as row 0's, which the last block's rows precede
@@ -1157,7 +1155,7 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
         del cols  # freed before the next block is read
     for column in out.values():
         column.resize(rows, refcheck=False)
-    key, month, missing = out.pop("key"), out.pop("month"), out.pop("missing")
+    key, month, flags = out.values()
     order = None  # the file row of each sorted row, when the file is not sorted
     if not _in_order(key, month):
         order = np.lexsort((month, key))
@@ -1172,44 +1170,46 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
                         at if order is None else order[at])
         raise SchemaError(f"{path}:{line}: loan {loan_id} trust_month values are not a "
                           f"contiguous 1..{months[k]} sequence")
-    del key, month
-    balance, payment, principal = out.values()
-    if order is not None:
-        balance, missing, payment, principal = (
-            a[order] for a in (balance, missing, payment, principal))
-    if any(col.dtype == object for col in (balance, payment, principal)):
-        balance, payment, principal = map(_as_decimals, (balance, payment, principal))
-    return _Payments(start, months, balance, missing, payment, principal), segment_of
+    for column in sums.values():
+        column.resize(months.size, refcheck=False)
+    return _Payments(start, months, flags if order is None else flags[order],
+                     sums["first_balance"], sums["paid"]), segment_of
 
 
-# The per-row columns `_read_payments` fills, by their types before a block
-# turns them wider: trust months into int64, money into Decimals.
-_PAYMENT_DTYPES = {"key": np.int32, "month": np.int32, "missing": np.bool_,
-                   "balance": np.int64, "payment": np.int64, "principal": np.int64}
-
-
-def _put_block(cols: _Columns, out: dict, rows: slice, segment_of: dict) -> None:
-    """Write one block's rows into `rows` of the columns `out`, widening a
-    column in `out` whose type cannot hold them; loan keys count on in
-    `segment_of`."""
+def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: dict) -> None:
+    """Fold one block: its rows' keys, trust months and flags into `rows` of
+    `out`, each loan's first balance and principal (in file order from its
+    first row) into `sums`.  Loan keys count on in `segment_of`."""
     code, key_of = cols.ids("loan_id")
+    known = len(segment_of)
     keys = np.fromiter((segment_of.setdefault(k, len(segment_of)) for k in key_of),
                        np.int32, len(key_of))
-    out["key"][rows] = keys[code]
+    key = out["key"][rows] = keys[code]
     months = cols.ints("trust_month")
     if out["month"].dtype == np.int32 and months.size and (
             months.min() < _INT32.min or months.max() > _INT32.max):
         out["month"] = out["month"].astype(np.int64)
     out["month"][rows] = months
-    for name in ("balance", "payment", "principal"):
-        values, missing = cols.money(name, allow_missing=name == "balance")
-        if values.dtype == object and out[name].dtype != object:
-            decimals = np.empty(out[name].size, object)
-            decimals[:rows.start] = _as_decimals(out[name][:rows.start])
-            out[name] = decimals
-        out[name][rows] = _as_decimals(values) if out[name].dtype == object else values
-        if name == "balance":
-            out["missing"][rows] = missing
+    if len(segment_of) > sums["paid"].size:  # room for the loans first met here
+        for column in sums.values():
+            column.resize(max(len(segment_of), 2 * column.size), refcheck=False)
+    balance, missing = cols.money("balance", allow_missing=True)
+    flags = out["flags"][rows]
+    flags[:] = np.where(missing, _NO_BALANCE, (balance == 0) * _ZERO_BALANCE)
+    first = np.flatnonzero(months == 1)
+    first_balance = balance[first]
+    del balance, missing
+    flags[cols.money("payment")[0] == 0] |= _ZERO_PAYMENT
+    principal = cols.money("principal")[0]
+    if object in (first_balance.dtype, principal.dtype):  # the sums are Decimals from here on
+        sums.update({name: _as_decimals(column) for name, column in sums.items()})
+    if sums["paid"].dtype == object:
+        first_balance, principal = _as_decimals(first_balance), _as_decimals(principal)
+    sums["first_balance"][key[first]] = first_balance
+    lead = np.unique(code, return_index=True)[1][keys >= known]  # each new loan's first row
+    later = np.delete(np.arange(key.size), lead)
+    sums["paid"][key[lead]] = principal[lead]  # a Decimal sum starts unrounded
+    np.add.at(sums["paid"], key[later], principal[later])
 
 
 def _in_order(key: np.ndarray, month: np.ndarray) -> bool:

@@ -8,6 +8,7 @@ an algebra slip in the library cannot silently agree with itself.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -442,15 +443,69 @@ def plain_cells(buf, start, end, point):
 
 
 # ---------------------------------------------------------------------------
-# segment outcomes by row-length masks and reductions
+# segment outcomes from per-row money columns, by row-length masks and reductions
+
+
+@dataclass(frozen=True)
+class RowPayments:
+    """Payment rows grouped by loan, every money column kept per row: the
+    payments as `ingest` held them before it folded each block into a flag
+    byte per row and two sums per loan.
+
+    Segment k is rows start[k] : start[k] + months[k], in month order.
+    Missing balances read as zero and are flagged in `balance_missing`.  The
+    three money columns share one representation (all cents or all Decimal).
+    """
+
+    start: np.ndarray
+    months: np.ndarray
+    balance: np.ndarray
+    balance_missing: np.ndarray
+    payment: np.ndarray
+    principal: np.ndarray
+
+    def paid(self, principal) -> np.ndarray:
+        """Total principal paid per segment."""
+        if self.start.size == 0:
+            return principal[:0]
+        return np.add.reduceat(principal, self.start)
+
+    def integrity_ok(self) -> np.ndarray:
+        """Per segment: whether the outcome can be determined (see `ingest._Payments`)."""
+        first = self.start
+        last = self.start + self.months - 1
+        short = self.paid(self.principal) < self.balance[first]
+        return ~self.balance_missing[first] & ~(short & self.balance_missing[last])
+
+
+def row_payments(histories) -> RowPayments:
+    """The `RowPayments` of loan histories, each (balances, payments,
+    principals) in month order as Decimals, a balance None where missing.
+
+    As the reader did, the columns are cents when every amount is a whole
+    number of cents below `ingest._CENTS_LIMIT`, and otherwise all Decimals,
+    whole-cent amounts written with two places.
+    """
+    months = np.array([len(history[0]) for history in histories], np.int64)
+    columns = [[amount for history in histories for amount in history[k]] for k in range(3)]
+    missing = np.array([amount is None for amount in columns[0]], np.bool_)
+    columns[0] = [Decimal(0) if amount is None else amount for amount in columns[0]]
+    cents = [[ingest._cents_of(amount) for amount in column] for column in columns]
+    if all(c is not None for column in cents for c in column):
+        columns = [np.array(column, np.int64) for column in cents]
+    else:
+        columns = [np.array([amount if c is None else Decimal(c).scaleb(-2)
+                             for amount, c in zip(column, row_cents)], object)
+                   for column, row_cents in zip(columns, cents)]
+    return RowPayments(np.cumsum(months) - months, months, columns[0], missing, *columns[1:])
 
 
 def reduceat_outcomes(payments, pad):
-    """(outcome code, trust month) per segment of an `ingest._Payments`.
+    """(outcome code, trust month) per segment of a `RowPayments`.
 
-    The rules of `_Payments.outcomes`, computed as it did before it searched
-    the rows that hold a zero: row-length index arrays, each row's segment
-    end, and a minimum over each segment by `np.minimum.reduceat`.
+    The rules of `ingest._Payments.outcomes`, computed as it did before it
+    searched the rows that hold a zero: row-length index arrays, each row's
+    segment end, and a minimum over each segment by `np.minimum.reduceat`.
     """
     balance, principal = payments.balance, payments.principal
     pad = ingest._decimal(pad)
@@ -472,7 +527,7 @@ def reduceat_outcomes(payments, pad):
     run[:-2] = zero[:-2] & zero[1:-1] & zero[2:]
     run &= row + 3 <= end  # all three months inside the loan's own history
     first_run = np.minimum.reduceat(np.where(run, row, n), start)
-    repaid = payments._paid(principal) + pad >= balance[start]
+    repaid = payments.paid(principal) + pad >= balance[start]
     defaulted = ~repaid & (first_run < n)
     code = np.where(repaid, Cause.PREPAY.value,
                     np.where(defaulted, Cause.DEFAULT.value, ingest._CENSORED)).astype(np.int8)

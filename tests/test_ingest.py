@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import observation_table, staged_curve, write_tape
-from oracles import decimal_outcome, plain_cells, reduceat_outcomes
+from oracles import decimal_outcome, plain_cells, reduceat_outcomes, row_payments
 
 from cshazard import ingest
 from cshazard.cli import _read_recovery_observations
@@ -52,14 +52,29 @@ def money(v):
     return None if v is None else Decimal(str(v))
 
 
-def payment_rows(tape):
-    """The tape's payment rows as (balance or None, payment, principal) in currency units."""
-    p = tape.payments
-    balance, payment, principal = (
-        [c if isinstance(c, Decimal) else Decimal(c).scaleb(-2) for c in column.tolist()]
-        for column in (p.balance, p.payment, p.principal))
-    balance = [None if gone else b for b, gone in zip(balance, p.balance_missing.tolist())]
-    return list(zip(balance, payment, principal))
+def currency(column):
+    """A money column's amounts in currency units: cents become Decimals of two places."""
+    return [c if isinstance(c, Decimal) else Decimal(c).scaleb(-2) for c in column.tolist()]
+
+
+def payment_rows(path):
+    """A payments file's rows as (balance or None, payment, principal) in
+    currency units, read by `_Columns.money`, in order of loan and month."""
+    cols = _Columns.read(path, ingest._PAYMENT_COLUMNS)
+    balance, missing = cols.money("balance", allow_missing=True)
+    payment, principal = (currency(cols.money(name)[0]) for name in ("payment", "principal"))
+    balance = [None if gone else b for b, gone in zip(currency(balance), missing.tolist())]
+    found = list(zip(balance, payment, principal))
+    keys = [(loan_id.strip(), month) for loan_id, month in zip(
+        cols.texts("loan_id", np.arange(cols.rows)), cols.ints("trust_month").tolist())]
+    return [found[i] for i in sorted(range(cols.rows), key=keys.__getitem__)]
+
+
+def folded(payments):
+    """(flags, first balances, principal paid) of a `_Payments`, each amount
+    as the repr of its currency units, so a Decimal's exponent counts."""
+    return (payments.flags.tolist(), list(map(repr, currency(payments.first_balance))),
+            list(map(repr, currency(payments.paid))))
 
 
 def rows(balance, payment, principal):
@@ -84,6 +99,10 @@ def outcomes(directory, loans, histories, pad=DEFAULT_PAD):
 
 
 REPAID = ([300, 200, 100, 0], [110, 110, 110, 0], [100, 100, 100, 0])
+# The flag bits of a payment row: zero balance, zero payment, no balance.
+ZB, ZP, NB = ingest._ZERO_BALANCE, ingest._ZERO_PAYMENT, ingest._NO_BALANCE
+# REPAID folded: its flags, first balance and principal paid.
+REPAID_FOLDED = ([0, 0, 0, ZB | ZP], ["Decimal('300.00')"], ["Decimal('300.00')"])
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +370,11 @@ def test_loan_csv_round_trip(tmp_path):
         ("L2", 6, 8, None, RiskBand.SUPER_PRIME)])
     assert back.original_amount.tolist() == [2000005, 2000000]  # exact cents
     assert back.recovered_amount.tolist() == [0, 123450]
-    assert payment_rows(back) == rows(*histories["L1"]) + rows(*histories["L2"])
+    assert payment_rows(tmp_path / "payments.csv") == rows(*histories["L1"]) + rows(
+        *histories["L2"])
+    assert folded(back.payments) == ([0, 0, 0, ZB | ZP, 0, NB | ZP, 0],
+                                     ["Decimal('300.00')", "Decimal('500.00')"],
+                                     ["Decimal('300.00')", "Decimal('20.00')"])
 
 
 def test_observation_csv_round_trip(tmp_path):
@@ -446,52 +469,91 @@ def test_segment_classifier_matches_decimal_oracle(loans, pad):
         assert build_observations(tape, pad=pad) == observation_table(expected)
 
 
+# Principal cells drawn for the folded read: cents, zeros, and mils.
+CENTS = st.sampled_from([0, 0, 0, 500, 1000]) | st.integers(0, 2000)
+# 30 significant digits: the sum with any other amount is rounded to 28.
+LONG_PRINCIPAL = Decimal("1234567890123456789012345.67891")
+
+
 @st.composite
-def payment_segments(draw):
-    """A `_Payments` of 1-6 segments of 1-5 rows, some of one row.
+def payment_files(draw):
+    """Loan histories of 1-6 loans of 1-5 months as Decimals (a balance None
+    where missing), and the order of the file's rows: month order, or
+    shuffled unless a principal cell holds 30 significant digits.
 
     Zero balances and zero payments are common, so they fall on a
     segment's first and last rows and zero runs straddle segment edges or
-    end exactly at a segment's end; a balance may be missing.  The columns
-    are cents or Decimals, and Decimals may hold mils.
+    end exactly at a segment's end.  Amounts are cents, or some hold mils.
     """
-    months = np.array(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
-    n = int(months.sum())
-    cents = st.sampled_from([0, 0, 0, 500, 1000]) | st.integers(0, 2000)
-    balance, principal = (np.array(draw(st.lists(cents, min_size=n, max_size=n)))
-                          for _ in range(2))
-    payment = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 110]), min_size=n, max_size=n)))
-    missing = np.array(draw(st.lists(st.integers(0, 5).map(lambda k: k == 0), min_size=n,
-                                     max_size=n)))
-    balance[missing] = 0
-    columns = [balance, payment, principal]
+    histories = []
+    for _ in range(draw(st.integers(1, 6))):
+        months = draw(st.integers(1, 5))
+        balance, principal = (draw(st.lists(CENTS, min_size=months, max_size=months))
+                              for _ in range(2))
+        payment = draw(st.lists(st.sampled_from([0, 0, 0, 11000]), min_size=months,
+                                max_size=months))
+        histories.append([[Decimal(c).scaleb(-2) for c in column]
+                          for column in (balance, payment, principal)])
+    if draw(st.booleans()):  # mils here and there: not whole cents
+        for _ in range(draw(st.integers(1, 3))):
+            history = draw(st.sampled_from(histories))
+            column = history[draw(st.integers(0, 2))]
+            column[draw(st.integers(0, len(column) - 1))] += Decimal("0.001")
+    for history in histories:
+        history[0] = [None if draw(st.integers(0, 5)) == 0 else b for b in history[0]]
+    rows = [(k, m) for k, history in enumerate(histories) for m in range(len(history[0]))]
     if draw(st.booleans()):
-        columns = [ingest._as_decimals(column) for column in columns]
-        for column in columns:
-            for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-                column[i] += Decimal("0.001")
-    return ingest._Payments(np.cumsum(months) - months, months, columns[0], missing,
-                            columns[1], columns[2])
+        history = draw(st.sampled_from(histories))
+        history[2][draw(st.integers(0, len(history[2]) - 1))] = LONG_PRINCIPAL
+    elif draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return histories, rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(payment_segments(), st.sampled_from([Decimal("10"), Decimal("0"), Decimal("10.005"),
-                                            7, 0.5]))
-def test_segment_outcomes_match_the_reduceat_oracle(payments, pad):
-    code, month = payments.outcomes(pad)
-    expected_code, expected_month = reduceat_outcomes(payments, pad)
-    assert code.dtype == expected_code.dtype and month.dtype == expected_month.dtype
-    assert code.tolist() == expected_code.tolist()
-    assert month.tolist() == expected_month.tolist()
+@settings(max_examples=200, deadline=None)
+@given(payment_files(), st.data())
+def test_segment_outcomes_match_the_reduceat_oracle(files, data):
+    """The payments folded as they are read, at any block size and in any
+    row order, give the outcomes and integrity of the per-row oracle on the
+    same rows, for every pad."""
+    histories, rows = files
+    lines = ["loan_id,trust_month,balance,payment,principal"]
+    for k, m in rows:
+        balance, payment, principal = (history[m] for history in histories[k])
+        lines.append(f"L{k},{m + 1},{'NA' if balance is None else balance},{payment},{principal}")
+    data_bytes = ("\n".join(lines) + "\n").encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "payments.csv"
+        path.write_bytes(data_bytes)
+        size = data.draw(st.integers(1, len(data_bytes) + 1), label="block size")
+        with tiny_blocks(), mock.patch.object(ingest, "_READ_BYTES", size):
+            payments, segment_of = ingest._read_payments(path)
+    order = [int(loan_id[1:]) for loan_id in segment_of]  # loans by first row in the file
+    oracle = row_payments([histories[k] for k in order])
+    assert payments.start.tolist() == oracle.start.tolist()
+    assert payments.months.tolist() == oracle.months.tolist()
+    assert payments.integrity_ok().tolist() == oracle.integrity_ok().tolist()
+    for pad in (Decimal("10"), Decimal("0"), Decimal("10.005"), 7, 0.5):
+        code, month = payments.outcomes(pad)
+        expected_code, expected_month = reduceat_outcomes(oracle, pad)
+        assert code.dtype == expected_code.dtype and month.dtype == expected_month.dtype
+        assert code.tolist() == expected_code.tolist(), pad
+        assert month.tolist() == expected_month.tolist(), pad
+    if rows == sorted(rows):  # summed in month order: the oracle's reduceat, exponent and all
+        paid = oracle.paid(oracle.principal)
+        assert list(map(repr, currency(payments.paid))) == list(map(repr, currency(paid)))
 
 
 def test_money_cells_keep_exact_values(tmp_path):
     cells = (["100.00", "1.5E+1", ""], ["5", "0.005", "0"], ["90.00", "+.50", "0.001"])
-    back = load_loan_data(*write_tape(tmp_path, {"L1": {}}, {"L1": cells}))
-    assert back.payments.payment.dtype == object  # a mil is not whole cents
-    assert payment_rows(back) == [(Decimal("100"), Decimal("5"), Decimal("90")),
-                                  (Decimal("15"), Decimal("0.005"), Decimal("0.5")),
-                                  (None, Decimal("0"), Decimal("0.001"))]
+    loans, payments = write_tape(tmp_path, {"L1": {}}, {"L1": cells})
+    assert payment_rows(payments) == [(Decimal("100"), Decimal("5"), Decimal("90")),
+                                      (Decimal("15"), Decimal("0.005"), Decimal("0.5")),
+                                      (None, Decimal("0"), Decimal("0.001"))]
+    back = load_loan_data(loans, payments)
+    assert back.payments.paid.dtype == object  # a mil is not whole cents
+    assert folded(back.payments) == ([0, 0, NB | ZP], ["Decimal('100.00')"],
+                                     ["Decimal('90.501')"])
 
 
 NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "sNaN"]
@@ -513,10 +575,10 @@ def test_reader_handles_quotes_crlf_and_blank_lines(tmp_path):
 
     loans, payments = write_tape(tmp_path, {"L1": {}}, {"L1": REPAID})
     text = payments.read_text()
-    payments.write_text(text.replace("\n", "\r\n\r\n", 2), newline="")
-    assert payment_rows(load_loan_data(loans, payments)) == rows(*REPAID)
-    payments.write_text(text.replace("\n", "\r"), newline="")
-    assert payment_rows(load_loan_data(loans, payments)) == rows(*REPAID)
+    for messy in (text.replace("\n", "\r\n\r\n", 2), text.replace("\n", "\r")):
+        payments.write_text(messy, newline="")  # CRLF and blank lines, then bare CR
+        assert payment_rows(payments) == rows(*REPAID)
+        assert folded(load_loan_data(loans, payments).payments) == REPAID_FOLDED
 
     # Curve and recoveries files take the same reader and read the same.
     curve = tmp_path / "curve.csv"
@@ -564,11 +626,14 @@ def test_reader_ignores_extra_fields_and_rejects_short_rows(tmp_path):
     expected = rows([300, 200], [110, 110], [100, 100])
     payments.write_text("loan_id,trust_month,balance,payment,principal\n"
                         "L1,1,300,110,100,extra,\nL1,2,200,110,100\n", encoding="utf-8")
-    assert payment_rows(load_loan_data(loans, payments)) == expected  # extra fields are ignored
+    folds = ([0, 0], ["Decimal('300.00')"], ["Decimal('200.00')"])
+    assert payment_rows(payments) == expected  # extra fields are ignored
+    assert folded(load_loan_data(loans, payments).payments) == folds
     reordered = tmp_path / "reordered.csv"
     reordered.write_text("principal,note,trust_month,payment,balance,loan_id\n"
                          "100,x,2,110,200,L1\n100,y,1,110,300,L1\n", encoding="utf-8")
-    assert payment_rows(load_loan_data(loans, reordered)) == expected
+    assert payment_rows(reordered) == expected
+    assert folded(load_loan_data(loans, reordered).payments) == folds
     payments.write_text(payments.read_text().replace("L1,2,200,110,100", "L1,2,200,110"))
     with pytest.raises(SchemaError, match=r"payments\.csv:3: expected 5 fields, found 4"):
         load_loan_data(loans, payments)
@@ -723,7 +788,10 @@ def test_payment_ids_merge_however_the_rows_are_laid_out(tmp_path):
     back = load_loan_data(tmp_path / "loans.csv", messy)
     assert back.payments.start.tolist() == tidy.payments.start.tolist() == [0, 4]
     assert back.segment.tolist() == tidy.segment.tolist() == [0, 1]
-    assert payment_rows(back) == payment_rows(tidy)
+    assert payment_rows(messy) == payment_rows(tmp_path / "payments.csv")
+    assert folded(back.payments) == folded(tidy.payments) == (
+        REPAID_FOLDED[0] + [0, 0, 0], REPAID_FOLDED[1] + ["Decimal('500.00')"],
+        REPAID_FOLDED[2] + ["Decimal('60.00')"])
     assert build_observations(back) == build_observations(tidy)
 
 
@@ -1216,7 +1284,7 @@ def same_payments(a, b) -> bool:
     return list(ida.items()) == list(idb.items()) and all(
         getattr(pa, name).dtype == getattr(pb, name).dtype
         and list(map(repr, getattr(pa, name).tolist())) == list(map(repr, getattr(pb, name).tolist()))
-        for name in ("start", "months", "balance", "balance_missing", "payment", "principal"))
+        for name in ("start", "months", "flags", "first_balance", "paid"))
 
 
 @pytest.mark.parametrize("shape", STREAM_SHAPES)
@@ -1228,9 +1296,13 @@ def test_payments_read_alike_at_every_block_size(tmp_path, shape):
     path.write_bytes(data)
     whole = read_payments_in_blocks(path, len(data) + 1)
     assert list(whole[1]) == ["L1", "L2", "L3"] and whole[0].months.tolist() == [3, 3, 1]
-    # Blocks before the one holding 90.255 read cents; their rows turn Decimal with it.
-    assert [str(v) for v in whole[0].balance.tolist()] == [
+    balance = _Columns.read(path, ingest._PAYMENT_COLUMNS).money("balance", allow_missing=True)
+    assert [str(v) for v in balance[0].tolist()] == [
         "300.00", "0.00", "0.00", "250.00", "250.00", "0.00", "90.255"]
+    # Blocks before the one holding 90.255 fold cents; their sums turn Decimal with it.
+    assert folded(whole[0]) == ([0, NB, ZB | ZP, ZP, ZP, NB | ZP, 0],
+                                ["Decimal('300.00')", "Decimal('250.00')", "Decimal('90.255')"],
+                                ["Decimal('300.00')", "Decimal('0.00')", "Decimal('45.00')"])
     for size in range(1, len(data) + 1):
         assert same_payments(read_payments_in_blocks(path, size), whole), size
 
@@ -1441,29 +1513,36 @@ def guard_tape(directory):
 
 
 def test_ingest_peak_memory_stays_a_small_multiple_of_the_payments_file(tmp_path):
-    """On the guard tape, the traced peak of `load_loan_data` stays below 3.6
-    times the payments file's size.  Read in 512 KiB blocks it peaks at 3.10
-    times, which leaves 0.5 for numpy and allocator versions; the whole
-    file's buffer and int32 separator grid peaked at 4.40 times, an int64
-    grid at 5.42 times, and a cell table beside the grid with whole-column
-    parses at 7.15 times (see CHANGES.md)."""
+    """On the guard tape, the traced peak of `load_loan_data` stays below 2.8
+    times the payments file's size.  With each 512 KiB block folded into a
+    flag byte per row and two sums per loan it peaks at 2.29 times, which
+    leaves 0.5 for numpy and allocator versions; three money columns per
+    row peaked at 3.10 times, the whole file's buffer and int32 separator
+    grid at 4.40 times, an int64 grid at 5.42 times, and a cell table beside
+    the grid with whole-column parses at 7.15 times (see CHANGES.md)."""
     loans, payments, size = guard_tape(tmp_path)
-    assert peak_of_load(loans, payments) < 3.6 * size
+    assert peak_of_load(loans, payments) < 2.8 * size
 
 
-@pytest.mark.parametrize("shape, bound", [("blank", 3.6), ("long", 3.6), ("quoted", 16.0)])
+@pytest.mark.parametrize("shape, bound", [("blank", 2.8), ("long", 2.8), ("quoted", 16.0),
+                                          ("mils", 3.9)])
 def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, shape, bound):
     """The guard tape with a trailing blank line or one long row peaks like the
-    plain tape (3.09 times; 4.40 read whole, 6.71 while such files kept a
-    table of every cell).  With one quoted cell the file goes through
-    `csv.reader`, whose string per cell peaks at 14.3 times when the strings
-    are laid out 2^15 rows at a time (27.5 times for the whole file at once,
-    32.5 with the cell table); the bound leaves 1.7 for csv, numpy and
-    allocator versions."""
+    plain tape (2.29 times; 3.09 with three money columns per row, 4.40 read
+    whole, 6.71 while such files kept a table of every cell).  With one
+    quoted cell the file goes through `csv.reader`, whose string per cell
+    peaks at 14.3 times when the strings are laid out 2^15 rows at a time
+    (27.5 times for the whole file at once, 32.5 with the cell table); the
+    bound leaves 1.7 for csv, numpy and allocator versions.  One principal
+    of mils on the first row turns the loans' sums into Decimals, and each
+    later block's principal with them while it is added: 3.34 times, where
+    every row's three money cells as Decimals peaked at 12.78 times."""
     loans, payments, size = guard_tape(tmp_path)
     text = payments.read_bytes()
     if shape == "blank":
         text += b"\n"
+    elif shape == "mils":
+        text = text.replace(b",480.5\n", b",480.505\n", 1)
     else:
         header, first, rest = text.split(b"\n", 2)
         first = first + b",extra" if shape == "long" else b'"' + first.replace(b",", b'",', 1)
@@ -1474,10 +1553,12 @@ def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, 
 
 def test_build_observations_peak_stays_a_few_bytes_per_payment_row(tmp_path):
     """On the guard tape, the traced peak of `build_observations` above the
-    tape it is given stays below 8.5 bytes per payment row: 6.85 measured,
-    from boolean masks and the rows that hold a zero, where outcomes built
-    with row-length int64 index arrays peaked at 32.0.  One int64 temporary
-    as long as the payment rows would add 8."""
+    tape it is given stays below 8.0 bytes per payment row: 6.52 measured
+    (mostly the per-loan columns, at 25 rows a loan, and a few one-byte
+    masks), which leaves 1.5 for numpy and allocator versions.  Outcomes
+    from three per-row money columns peaked at 6.85, and with row-length
+    int64 index arrays at 32.0.  One int64 temporary as long as the payment
+    rows would add 8."""
     loans, payments, _ = guard_tape(tmp_path)
     tape = load_loan_data(loans, payments)
     tracemalloc.start()
@@ -1486,4 +1567,18 @@ def test_build_observations_peak_stays_a_few_bytes_per_payment_row(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.5 * tape.payments.balance.size
+    assert peak < 8.0 * 50000  # the guard tape's payment rows
+
+
+def test_loaded_payments_hold_a_byte_per_row_and_a_few_per_loan(tmp_path):
+    """What the load holds of the payments file: one flag byte per row, and
+    per loan its segment's start and length, first balance and principal
+    paid (8 bytes each), so no per-row money column can come back."""
+    loans, payments, _ = guard_tape(tmp_path)
+    for shape in ("cents", "mils"):
+        if shape == "mils":  # the sums hold Decimals: 8 bytes of pointer each
+            payments.write_bytes(payments.read_bytes().replace(b",480.5\n", b",480.505\n", 1))
+        held = load_loan_data(loans, payments).payments
+        assert held.paid.dtype == (object if shape == "mils" else np.int64)
+        nbytes = sum(getattr(held, name).nbytes for name in held.__dataclass_fields__)
+        assert nbytes <= 50000 + 32 * 2000, shape

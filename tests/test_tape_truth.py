@@ -9,6 +9,7 @@ repayment rule and the loan-age translation, all at once.
 """
 import csv
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -33,7 +34,26 @@ def tape_module():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_ingest_reproduces_the_tape_truth(tmp_path, tape_module, seed):
-    tape = tape_module.generate(tmp_path / "tape", seed, n_loans=2000)
+    check_ingest(tmp_path, tape_module, tape_module.generate(tmp_path / "tape", seed,
+                                                             n_loans=2000))
+
+
+def test_ingest_reproduces_the_tape_truth_from_shuffled_payments(tmp_path, tape_module):
+    """The payment rows in a random order, written back by the csv module:
+    ingest sorts each loan's months itself and finds the same outcomes."""
+    tape = tape_module.generate(tmp_path / "tape", 3, n_loans=2000)
+    with open(tape.payments, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    shuffled = rows[:]
+    random.Random(3).shuffle(shuffled)
+    assert shuffled != rows
+    with open(tape.payments, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *shuffled])
+    check_ingest(tmp_path, tape_module, tape)
+
+
+def check_ingest(tmp_path, tape_module, tape):
+    """`cshazard ingest` of the tape writes the observation rows its truth implies."""
     out = tmp_path / "out"
     assert cli.main(["ingest", str(tape.loans), str(tape.payments),
                      "--output-dir", str(out)]) == 0
