@@ -73,29 +73,41 @@ def assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
     )
 
 
-def count_exits(entry, exit_age, event, is_default, age_lo, age_hi, weights=None):
+def count_exits(entry, exit_age, event, is_default, age_lo, age_hi, weights=None,
+                groups=None, n_groups=1):
     """Per-age at-risk and cause-split event counts.
 
     at_risk[x] counts observations with entry <= x <= exit; the event arrays
     count observed exits at x by cause.  Ages run age_lo..age_hi inclusive.
     With `weights`, row i stands for weights[i] identical observations (a
-    histogram over distinct rows); the weights must be whole numbers.
+    histogram over distinct rows); the weights must be whole numbers.  With
+    `groups`, row i counts toward group groups[i] in 0..n_groups-1, and each
+    table has one row per group, shape (n_groups, ages); a group that no row
+    names counts zeros.
     """
     width = age_hi - age_lo + 1
-    ent = np.bincount(np.clip(entry, age_lo, age_hi + 1) - age_lo, weights,
-                      minlength=width + 1)
-    ext = np.bincount(np.clip(exit_age, age_lo - 1, age_hi + 1) - (age_lo - 1), weights,
-                      minlength=width + 2)
-    at_risk = np.cumsum(ent)[:width] - np.cumsum(ext)[:width]
+    ent = np.clip(entry, age_lo, age_hi + 1) - age_lo
+    ext = np.clip(exit_age, age_lo - 1, age_hi + 1) - (age_lo - 1)
     in_window = event & (exit_age >= age_lo) & (exit_age <= age_hi)
     d_mask = in_window & is_default
     p_mask = in_window & ~is_default
-    ev_default = np.bincount(exit_age[d_mask] - age_lo,
-                             None if weights is None else weights[d_mask], minlength=width)
-    ev_prepay = np.bincount(exit_age[p_mask] - age_lo,
-                            None if weights is None else weights[p_mask], minlength=width)
-    return (
+    ev_d = exit_age[d_mask] - age_lo
+    ev_p = exit_age[p_mask] - age_lo
+    if groups is not None:  # each group counts into its own stretch of every bincount
+        ent = ent + groups * (width + 1)
+        ext = ext + groups * (width + 2)
+        ev_d = ev_d + groups[d_mask] * width
+        ev_p = ev_p + groups[p_mask] * width
+    ent = np.bincount(ent, weights, minlength=n_groups * (width + 1)).reshape(n_groups, -1)
+    ext = np.bincount(ext, weights, minlength=n_groups * (width + 2)).reshape(n_groups, -1)
+    at_risk = np.cumsum(ent, axis=1)[:, :width] - np.cumsum(ext, axis=1)[:, :width]
+    ev_default = np.bincount(ev_d, None if weights is None else weights[d_mask],
+                             minlength=n_groups * width)
+    ev_prepay = np.bincount(ev_p, None if weights is None else weights[p_mask],
+                            minlength=n_groups * width)
+    tables = (
         at_risk.astype(np.int64),
-        ev_default.astype(np.int64),
-        ev_prepay.astype(np.int64),
+        ev_default.reshape(n_groups, width).astype(np.int64),
+        ev_prepay.reshape(n_groups, width).astype(np.int64),
     )
+    return tables if groups is not None else tuple(t[0] for t in tables)

@@ -367,7 +367,7 @@ def remaining_payments(balance: float, payment: float, rate: float) -> int:
     if not math.isfinite(raw):
         raise ValueError(f"payment {payment} is too small to count the payments "
                          f"that clear balance {balance}")
-    return math.ceil(raw - _CEIL_GUARD)
+    return max(1, math.ceil(raw - _CEIL_GUARD))  # a positive balance takes a payment
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,16 @@ def truncated_alpha(dist: CompetingRisksDistribution, trunc: TruncationLaw) -> f
                for y in trunc.support)
 
 
+def _retention(dist: CompetingRisksDistribution, trunc: TruncationLaw) -> float:
+    """truncated_alpha, the divisor of every analytic fraction, rejected where it is 0."""
+    alpha = truncated_alpha(dist, trunc)
+    if alpha <= 0:
+        last = dist.min_age + max(i for i, p in enumerate(dist.pmf) if p > 0)
+        raise ValueError(f"entry window {trunc.lo}..{trunc.hi} lies past the law's last age "
+                         f"with mass, {last}: no lifetime clears truncation")
+    return alpha
+
+
 def _entry_window_prob(trunc: TruncationLaw, x: int) -> float:
     """Pr(Y <= x <= Y + offset) under the entry law."""
     lo = max(trunc.lo, x - trunc.censor_offset)
@@ -124,19 +134,19 @@ def observed_event_fraction(dist: CompetingRisksDistribution, trunc: TruncationL
     times the probability the observation window straddles x, normalized by
     the retention probability.
     """
-    return _event_fraction(dist, trunc, x, cause, truncated_alpha(dist, trunc))
+    return _event_fraction(dist, trunc, x, cause, _retention(dist, trunc))
 
 
 def observed_at_risk_fraction(dist: CompetingRisksDistribution, trunc: TruncationLaw,
                               x: int) -> float:
     """Expected fraction of retained loans at risk at age x."""
-    return _at_risk_fraction(dist, trunc, x, truncated_alpha(dist, trunc))
+    return _at_risk_fraction(dist, trunc, x, _retention(dist, trunc))
 
 
 def truncated_hazard(dist: CompetingRisksDistribution, trunc: TruncationLaw,
                      x: int, cause: Cause) -> float:
     """Cause-specific hazard under truncation; equals the unconditional one."""
-    return _hazard_and_variance(dist, trunc, x, cause, 1.0, truncated_alpha(dist, trunc))[0]
+    return _hazard_and_variance(dist, trunc, x, cause, 1.0, _retention(dist, trunc))[0]
 
 
 def analytic_variance(dist: CompetingRisksDistribution, trunc: TruncationLaw,
@@ -148,7 +158,7 @@ def analytic_variance(dist: CompetingRisksDistribution, trunc: TruncationLaw,
     lifetimes, pass n times the retention probability.
     """
     return _hazard_and_variance(dist, trunc, x, cause, n_observed,
-                                truncated_alpha(dist, trunc))[1]
+                                _retention(dist, trunc))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +272,9 @@ class StudyReport:
                     writer.writerow(row)
 
 
-# Replicates are scored in blocks of about this many (replicate, age) rows, so
-# the interval pass holds a bounded set of temporaries however long the law.
+# Replicates are counted and scored in blocks of about this many (replicate, age)
+# rows, and of at most this many (replicate, occupied code) pairs, so the tally
+# and the interval pass hold a bounded set of temporaries however long the law.
 _SCORE_BLOCK_ROWS = 1 << 12
 
 
@@ -298,14 +309,15 @@ def run_study(config: SimConfig) -> StudyReport:
 
     Every draw lands in one (entry offset, lifetime index, cause) cell, and
     every cell gives one kind of observation, so a replicate is counted from
-    its histogram over those kinds rather than from its individual draws.
+    its histogram over those kinds rather than from its individual draws, and
+    a block of replicates from one tally of their occupied kinds.
     """
     dist, trunc = config.dist, config.trunc
     ages = np.arange(dist.min_age, dist.max_age + 1)
     n_ages = ages.size
     r = config.replicates
 
-    alpha = truncated_alpha(dist, trunc)
+    alpha = _retention(dist, trunc)
     n_observed = config.n * alpha
     lam_true = np.empty((n_ages, 2))
     asym = np.empty((n_ages, 2))
@@ -328,12 +340,12 @@ def run_study(config: SimConfig) -> StudyReport:
     defined_counts = np.zeros((n_ages, 2), dtype=np.int64)
     covered_counts = np.zeros((n_ages, 2), dtype=np.int64)
     kept = np.empty(r, dtype=np.int64)
-    block = min(r, max(1, _SCORE_BLOCK_ROWS // n_ages))
-    at_risk = np.empty((block, n_ages, 1), dtype=np.int64)  # broadcasts over the cause axis
-    events = np.empty((block, n_ages, 2), dtype=np.int64)
+    # a replicate occupies at most min(n, n_codes) codes
+    block = min(r, max(1, _SCORE_BLOCK_ROWS // max(n_ages, min(config.n, n_codes))))
     for first in range(0, r, block):
         stop = min(first + block, r)
-        for b, rep in enumerate(range(first, stop)):
+        codes, counts = [], []
+        for rep in range(first, stop):
             offset, idx, cause_bit = _kernels.draw_cells(*_uniforms(config, rep), cdf, guide,
                                                          share, span)
             if offsets < span:
@@ -341,13 +353,17 @@ def run_study(config: SimConfig) -> StudyReport:
             hist = np.bincount(kind[offset * n_ages + idx] * 2 + cause_bit,
                                minlength=n_codes + 2)
             sel = (hist[:n_codes] > 0).nonzero()[0]  # the occupied live codes
-            weights = hist[sel]
-            kept[rep] = weights.sum()
-            at_risk[b, :, 0], events[b, :, 0], events[b, :, 1] = _kernels.count_exits(
-                entry[sel], exit_age[sel], event[sel], is_default[sel],
-                int(ages[0]), int(ages[-1]), weights=weights)
+            codes.append(sel)
+            counts.append(hist[sel])
+        # every replicate's (code, count) pairs, counted at once by replicate
+        group = np.repeat(np.arange(stop - first), [sel.size for sel in codes])
+        codes, counts = np.concatenate(codes), np.concatenate(counts)
+        kept[first:stop] = np.bincount(group, counts, minlength=stop - first)
+        ar, ev_d, ev_p = _kernels.count_exits(
+            entry[codes], exit_age[codes], event[codes], is_default[codes],
+            int(ages[0]), int(ages[-1]), weights=counts, groups=group, n_groups=stop - first)
+        ar, ev = ar[:, :, None], np.stack((ev_d, ev_p), axis=2)  # ar broadcasts over causes
 
-        ar, ev = at_risk[:stop - first], events[:stop - first]
         with np.errstate(invalid="ignore"):
             estimates[first:stop] = np.where(ar > 0, ev / ar, np.nan)
         # zero-event and saturated rows have no usable interval: undefined

@@ -394,6 +394,16 @@ def test_remaining_payments_examples():
         remaining_payments(1000, 1e-320, 0.0)  # 1000 / 1e-320 overflows
 
 
+def test_one_payment_that_clears_the_balance_counts_as_one():
+    # the raw count lies below the ceiling guard, yet a positive balance needs a payment
+    assert remaining_payments(100, 1e12, 0.01) == 1
+    assert remaining_payments(100, 1e12, 0.0) == 1
+    assert remaining_payments(100, 100, 0.0) == 1
+    est = refinance_savings(100, 1e12, 0.01, 0.005)
+    assert est.remaining_payments == 1
+    assert est.new_payment == pytest.approx(100.5, rel=1e-12)  # one month at the new rate
+
+
 def test_refinance_savings_formula_contract():
     # the plain monthly-rate variant chains remaining_payments and
     # monthly_payment literally; frozen values pin that composition

@@ -661,6 +661,17 @@ def test_savings_csv_output(tmp_path):
     assert values["remaining_payments"] == "44"
 
 
+def test_savings_with_one_payment_left(tmp_path):
+    # the payment clears the balance at once: one remaining payment, not an invalid term
+    rc = cli.main(["savings", "--balance", "20000", "--payment", "1e308",
+                   "--old-apr", "1e308", "--new-apr", "5", "--format", "json",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "savings.json").read_text())
+    assert doc["remaining_payments"] == 1
+    assert doc["new_payment"] == pytest.approx(20000 * (1 + 5 / 1200), abs=0.005)
+
+
 def test_savings_rejects_rate_increase(tmp_path):
     rc = cli.main(["savings", "--balance", "7485", "--payment", "360",
                    "--old-apr", "3.59", "--new-apr", "22.37",
@@ -873,6 +884,18 @@ def test_simulate_entry_window_below_the_first_age(tmp_path):
         doc = json.loads((out / "study.json").read_text())
         assert doc["alpha_true"] == pytest.approx(brute, rel=1e-12)
     assert brute == pytest.approx(0.92)  # entries at 4 and 5 lose the early exits
+
+
+def test_simulate_entry_window_past_the_last_age(tmp_path, capsys):
+    (tmp_path / "bench.json").write_text(benchmark_distribution().to_json())
+    rc = cli.main(["simulate", "--dist", str(tmp_path / "bench.json"), "--entry-lo", "20",
+                   "--entry-hi", "30", "--tau", "5", "--n", "100", "--r", "3",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: entry window 20..30 lies past the law's last age with mass, 10: "
+        "no lifetime clears truncation\n")
+    assert not (tmp_path / "out" / "study.csv").exists()
 
 
 def test_simulate_unknown_preset(tmp_path):

@@ -181,3 +181,49 @@ def test_weighted_count_exits_equals_repeated_rows(seed):
     for left, right in zip(got, want):
         np.testing.assert_array_equal(left, right)
         assert left.dtype == np.int64
+
+
+@st.composite
+def grouped_cohorts(draw):
+    """Weighted rows in groups, some groups empty; entries and exits straddle the window."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(1, 6))
+    hi = lo + draw(st.integers(0, 8))
+    n, n_groups = draw(st.integers(0, 80)), draw(st.integers(1, 6))
+    entry = rng.integers(lo - 3, hi + 4, size=n)
+    exit_age = entry + rng.integers(0, 10, size=n)
+    event, is_default = rng.random(n) < 0.7, rng.random(n) < 0.4
+    weights = rng.integers(0, 6, size=n) * (rng.random(n) < draw(st.sampled_from([0.0, 0.8])))
+    named = rng.choice(n_groups, size=draw(st.integers(1, n_groups)), replace=False)
+    return entry, exit_age, event, is_default, lo, hi, weights, rng.choice(named, size=n), n_groups
+
+
+def _cohort(entry, exit_age, event, is_default, lo, hi, weights, groups, n_groups):
+    """One cohort as `grouped_cohorts` draws it, from lists."""
+    return (np.array(entry, dtype=np.int64), np.array(exit_age, dtype=np.int64),
+            np.array(event, dtype=bool), np.array(is_default, dtype=bool), lo, hi,
+            np.array(weights, dtype=np.int64), np.array(groups, dtype=np.int64), n_groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_cohorts())
+@example(_cohort([], [], [], [], 2, 5, [], [], 3))  # no rows: every group empty
+# a single group; an exit before the window and an entry after it
+@example(_cohort([1, 2, 9], [1, 7, 12], [True, True, True], [True, False, True], 3, 6,
+                 [2, 1, 3], [0, 0, 0], 1))
+# zero weights only, and groups 1 and 3 empty
+@example(_cohort([3, 4, 4], [5, 4, 8], [True, True, False], [False, True, True], 3, 6,
+                 [0, 0, 0], [2, 0, 2], 4))
+def test_grouped_count_exits_equals_one_weighted_call_per_group(cohort):
+    entry, exit_age, event, is_default, lo, hi, weights, groups, n_groups = cohort
+    got = _kernels.count_exits(entry, exit_age, event, is_default, lo, hi,
+                               weights=weights, groups=groups, n_groups=n_groups)
+    for table in got:
+        assert table.dtype == np.int64 and table.shape == (n_groups, hi - lo + 1)
+    for g in range(n_groups):
+        rows = groups == g
+        want = _kernels.count_exits(entry[rows], exit_age[rows], event[rows], is_default[rows],
+                                    lo, hi, weights=weights[rows])
+        for table, one in zip(got, want):
+            assert one.dtype == np.int64
+            np.testing.assert_array_equal(table[g], one)

@@ -85,6 +85,25 @@ def test_no_window_mass_raises(bench_dist):
         analytic_variance(bench_dist, narrow, 6, Cause.DEFAULT, 100.0)
 
 
+def test_entry_window_past_the_last_age_with_mass_raises(bench_dist):
+    # no lifetime clears truncation: every analytic fraction would divide by zero
+    past = TruncationLaw(lo=11, hi=30, censor_offset=5)
+    assert truncated_alpha(bench_dist, past) == 0.0
+    message = r"^entry window 11\.\.30 lies past the law's last age with mass, 10: "
+    for call in (lambda: truncated_hazard(bench_dist, past, 10, Cause.DEFAULT),
+                 lambda: analytic_variance(bench_dist, past, 10, Cause.PREPAY, 100.0),
+                 lambda: observed_event_fraction(bench_dist, past, 10, Cause.DEFAULT),
+                 lambda: observed_at_risk_fraction(bench_dist, past, 10),
+                 lambda: run_study(SimConfig(dist=bench_dist, trunc=past, n=10, replicates=2,
+                                             seed=1))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a law whose mass ends before its last age: the message names the last age with mass
+    early = CompetingRisksDistribution(1, 4, (0.5, 0.5, 0.0, 0.0), (0.5,) * 4)
+    with pytest.raises(ValueError, match=r"^entry window 3\.\.5 .* with mass, 2: "):
+        truncated_hazard(early, TruncationLaw(lo=3, hi=5, censor_offset=2), 3, Cause.DEFAULT)
+
+
 def test_analytic_variance_formula(bench_dist, bench_trunc):
     f, u, alpha = enumerate_truncated(bench_dist, bench_trunc, 8, Cause.DEFAULT)
     n_obs = 1000 * alpha
@@ -285,29 +304,38 @@ def _window_past_last_age():
 
 
 @settings(max_examples=60, deadline=None)
-# replicates are scored in blocks of block_rows // ages: 1 << 12 gives one block here
+# replicates are scored in blocks of block_rows // max(ages, min(n, codes)): 1 << 12 gives
+# one block here
 @given(study_configs(), st.sampled_from([1, 30, 1 << 12]))
 @example(_window_past_last_age(), 1 << 12)  # most entry offsets lie above the last age
 @example(_forty_age_config(1, 1), 1 << 12)  # one draw, one replicate: most ages have nobody at risk
 @example(_forty_age_config(3, 5), 80)  # blocks of two replicates, the last one short
+# blocks of two replicates that keep 1, 0 | 0 draws: each block ends in an empty replicate
+@example(dataclasses.replace(_window_past_last_age(), n=2, seed=20), 10)
 def test_run_study_matches_loop_counts(config, block_rows):
     seen = []
     count_exits = _kernels.count_exits
 
-    def recording(*args, **kwargs):
-        seen.append(count_exits(*args, **kwargs))
-        return seen[-1]
+    def recording(*args, weights, groups, n_groups, **kwargs):
+        tables = count_exits(*args, weights=weights, groups=groups, n_groups=n_groups, **kwargs)
+        seen.append((np.bincount(groups, weights, minlength=n_groups), *tables))
+        return tables
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "count_exits", recording)
         mp.setattr(montecarlo, "_SCORE_BLOCK_ROWS", block_rows)
         report = run_study(config)
     kept, at_risk, events = loop_study_counts(config)
-    assert len(seen) == config.replicates
-    for rep, (got_risk, got_d, got_p) in enumerate(seen):
-        np.testing.assert_array_equal(got_risk, at_risk[rep])
-        np.testing.assert_array_equal(got_d, events[rep, :, 0])
-        np.testing.assert_array_equal(got_p, events[rep, :, 1])
+    # one call per block of replicates: equal blocks, the last one no longer
+    sizes = [len(call[0]) for call in seen]
+    assert sum(sizes) == config.replicates
+    assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
+    got_kept, got_risk, got_d, got_p = (np.concatenate(tables) for tables in zip(*seen))
+    for rep in range(config.replicates):
+        assert got_kept[rep] == kept[rep]
+        np.testing.assert_array_equal(got_risk[rep], at_risk[rep])
+        np.testing.assert_array_equal(got_d[rep], events[rep, :, 0])
+        np.testing.assert_array_equal(got_p[rep], events[rep, :, 1])
 
     # the report from those counts, replicate by replicate and cause by cause
     z = normal_quantile(1.0 - config.theta / 2.0)
