@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .estimator import HazardCurve
+from .riskmodel import _event_rows
 
 __all__ = [
     "AmortizationSchedule",
@@ -140,21 +141,6 @@ def _hazards(default_hazard, prepay_hazard, ages: np.ndarray):
         raise ValueError(f"invalid hazards at age {ages[i]}: {lam1[i]}, {lam2[i]}")
     lam2[-1] = 1.0 - lam1[-1]
     return lam1, lam2
-
-
-def _event_rows(lam1: np.ndarray, lam2: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """[cause, row, column]: hazard times survival over the row's earlier live columns.
-
-    Cause 0 is default, 1 prepay; dead columns get zero; each row sums to 1.
-    """
-    alive = np.ones(live.shape)
-    np.cumprod(np.where(live, 1.0 - (lam1 + lam2), 1.0)[:, :-1], axis=1, out=alive[:, 1:])
-    probs = np.where(live, np.stack([lam1, lam2])[:, None, :] * alive, 0.0)
-    total = probs.sum(axis=(0, 2))
-    worst = total[np.argmax(np.abs(total - 1.0))]
-    if not abs(worst - 1.0) <= 1e-9:
-        raise NumericalError(f"event probabilities sum to {worst}, not 1")
-    return probs
 
 
 def event_probabilities(default_hazard, prepay_hazard, start: int, term: int):

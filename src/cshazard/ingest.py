@@ -199,11 +199,22 @@ def _decimal(value) -> Decimal:
 
 
 def _cents_of(value: Decimal) -> int | None:
-    """The amount in whole cents, or None when cents cannot hold it exactly."""
-    cents = value.scaleb(2)
-    if cents != cents.to_integral_value() or abs(cents) >= _CENTS_LIMIT:
+    """The amount in whole cents, or None when cents cannot hold it exactly.
+
+    Decided on the digits in integers, not in the decimal context, so no
+    amount is rounded to the context's precision or overflows its exponent.
+    """
+    sign, digits, exponent = value.as_tuple()
+    if not any(digits):
+        return 0
+    if value.adjusted() > 12:  # at least 10**13 units, past any cents kept
         return None
-    return int(cents)
+    shift = exponent + 2  # the power of ten of the last digit, in cents
+    whole = max(len(digits) + min(shift, 0), 0)  # the digits above a cent
+    if any(digits[whole:]):
+        return None
+    cents = int("".join(map(str, digits[:whole]))) * 10 ** max(shift, 0)
+    return None if cents >= _CENTS_LIMIT else -cents if sign else cents
 
 
 def _as_decimals(column: np.ndarray) -> np.ndarray:
@@ -1025,16 +1036,16 @@ class _Columns:
                 raise SchemaError(f"{self.loc(i)}: column {name!r}: {exc}") from None
         return np.fromiter(values, dtype, len(values))[code]
 
-    def ids(self, name: str) -> tuple[np.ndarray, dict[str, int]]:
-        """(key per row, {stripped cell: key}): keys count up by first row.
+    def ids(self, name: str, key_of: dict[str, int]) -> np.ndarray:
+        """The key per row, from {stripped cell: key}; a cell not yet in `key_of`
+        is added with the next key, so new keys count up by first row.
 
         Cells that differ only in surrounding space share a key.
         """
         code, first = self.codes(name)
-        key_of: dict[str, int] = {}
         merged = np.fromiter((key_of.setdefault(raw.strip(), len(key_of))
                               for raw in self.texts(name, first)), np.int64, first.size)
-        return merged[code], key_of
+        return merged[code]
 
     def _parse(self, name: str, point: bool) -> tuple[np.ndarray, np.ndarray]:
         """`_parse_plain` of a column, one block of `_PARSE_ROWS` rows at a time:
@@ -1129,8 +1140,9 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
     far predicts and 1/16 more, grown in place only when a block overruns
     them (doubled where the share is not known: a pipe, a quoted file) and
     trimmed in place after the last block.  Order and contiguity are checked
-    after the last block, so a bad cell anywhere is reported before a month
-    gap; the gap's line comes from the (row, line) pairs kept from the
+    in one pass after the last block, so a bad cell anywhere is reported
+    before a month gap; only a file that fails the pass is sorted and checked
+    again.  The gap's line comes from the (row, line) pairs kept from the
     blocks' jumps.
     """
     segment_of: dict[str, int] = {}
@@ -1156,13 +1168,14 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
     for column in out.values():
         column.resize(rows, refcheck=False)
     key, month, flags = out.values()
-    order = None  # the file row of each sorted row, when the file is not sorted
-    if not _in_order(key, month):
-        order = np.lexsort((month, key))
-        key, month = key[order], month[order]
     months = np.bincount(key, minlength=len(segment_of))
     start = np.cumsum(months) - months
+    order = None  # the file row of each sorted row, when the file is not sorted
     at = _first_gap(key, month, start)
+    if at is not None:
+        order = np.lexsort((month, key))
+        key, month = key[order], month[order]
+        at = _first_gap(key, month, start)
     if at is not None:
         k = int(key[at])
         loan_id = next(key for key, seg in segment_of.items() if seg == k)
@@ -1180,11 +1193,8 @@ def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: d
     """Fold one block: its rows' keys, trust months and flags into `rows` of
     `out`, each loan's first balance and principal (in file order from its
     first row) into `sums`.  Loan keys count on in `segment_of`."""
-    code, key_of = cols.ids("loan_id")
     known = len(segment_of)
-    keys = np.fromiter((segment_of.setdefault(k, len(segment_of)) for k in key_of),
-                       np.int32, len(key_of))
-    key = out["key"][rows] = keys[code]
+    key = out["key"][rows] = cols.ids("loan_id", segment_of)
     months = cols.ints("trust_month")
     if out["month"].dtype == np.int32 and months.size and (
             months.min() < _INT32.min or months.max() > _INT32.max):
@@ -1206,31 +1216,27 @@ def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: d
     if sums["paid"].dtype == object:
         first_balance, principal = _as_decimals(first_balance), _as_decimals(principal)
     sums["first_balance"][key[first]] = first_balance
-    lead = np.unique(code, return_index=True)[1][keys >= known]  # each new loan's first row
+    lead = np.unique(key, return_index=True)[1]
+    lead = lead[key[lead] >= known]  # each new loan's first row
     later = np.delete(np.arange(key.size), lead)
     sums["paid"][key[lead]] = principal[lead]  # a Decimal sum starts unrounded
     np.add.at(sums["paid"], key[later], principal[later])
 
 
-def _in_order(key: np.ndarray, month: np.ndarray) -> bool:
-    """Whether rows run by key, and within a key by strictly rising month,
-    checked `_PARSE_ROWS` rows at a time."""
-    for at in range(0, key.size - 1, _PARSE_ROWS):
-        stop = min(at + _PARSE_ROWS, key.size - 1)
-        key0, key1 = key[at:stop], key[at + 1:stop + 1]
-        up = (key1 == key0) & (month[at + 1:stop + 1] > month[at:stop])
-        if not (up | (key1 > key0)).all():
-            return False
-    return True
-
-
 def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | None:
-    """The first sorted row, `_PARSE_ROWS` rows at a time, whose month is not its
-    place in its key's segment (segment k starts at row start[k]); None if none."""
+    """The first row, `_PARSE_ROWS` rows at a time, that lies before its key's
+    segment (segment k starts at row start[k]) or whose month is not its
+    1-based place there; None if none.
+
+    With no such row, the rows of keys k and up lie at or past start[k] and
+    are just as many as those places, so every key's rows fill its segment,
+    in months 1, 2, ...: one pass proves both order and contiguity.
+    """
     for at in range(0, key.size, _PARSE_ROWS):
         block = slice(at, at + _PARSE_ROWS)
         keys = key[block]
-        wrong = np.flatnonzero(month[block] != np.arange(at + 1, at + 1 + keys.size) - start[keys])
+        place = np.arange(at + 1, at + 1 + keys.size) - start[keys]
+        wrong = np.flatnonzero((month[block] != place) | (place < 1))
         if wrong.size:
             return at + int(wrong[0])
     return None
@@ -1239,7 +1245,8 @@ def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | N
 def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:
     """Read the static and long CSVs into a LoanTape."""
     cols = _Columns.read(loans_path, _LOAN_FIELDS)
-    key, key_of = cols.ids("loan_id")
+    key_of: dict[str, int] = {}
+    key = cols.ids("loan_id", key_of)
     loan_id = np.array(list(key_of), dtype=object)[key]
     owner = np.unique(key, return_index=True)[1][key]  # the first row with the row's id
     original_amount, _ = cols.money("original_amount")

@@ -278,39 +278,13 @@ class StudyReport:
 _SCORE_BLOCK_ROWS = 1 << 12
 
 
-def _observation_kinds(dist: CompetingRisksDistribution, trunc: TruncationLaw):
-    """Collapse the (entry offset, lifetime index) cells to the observations
-    they produce.
-
-    Cells that give the same entry, exit and event flag share a kind, so every
-    draw censored at one entry age counts alike whatever its lifetime.  Entry
-    offsets above the last age are always truncated and share one dead offset
-    row.  Returns (offsets, kind, entry, exit, event): `offsets` rows in the
-    cell grid, `kind` the kind of each cell by row-major code over
-    (offsets, ages), every truncated cell mapping to the dead kind numbered
-    after the others, and the observation of each live kind.
-    """
-    span = trunc.hi - trunc.lo + 1
-    n_live = min(span, max(dist.max_age - trunc.lo + 1, 0))
-    offsets = n_live + (n_live < span)
-    entry = trunc.lo + np.arange(offsets)[:, None]
-    life = dist.min_age + np.arange(dist.max_age - dist.min_age + 1)
-    keep, exit_age, event = _kernels.truncate_censor(entry, life, trunc.censor_offset)
-    radix = dist.max_age + 2  # exceeds every exit age
-    dead = np.iinfo(np.int64).max
-    key, kind = np.unique(np.where(keep, (entry * radix + exit_age) * 2 + event, dead),
-                          return_inverse=True)
-    key = key[:np.searchsorted(key, dead)]
-    return offsets, kind.reshape(-1), key // (2 * radix), key // 2 % radix, key % 2 == 1
-
-
 def run_study(config: SimConfig) -> StudyReport:
     """Run the full replicate loop and aggregate against analytic truth.
 
     Every draw lands in one (entry offset, lifetime index, cause) cell, and
-    every cell gives one kind of observation, so a replicate is counted from
-    its histogram over those kinds rather than from its individual draws, and
-    a block of replicates from one tally of their occupied kinds.
+    every cell gives one observation or none, so a replicate is counted from
+    its histogram over the cells rather than from its individual draws, and
+    a block of replicates from one tally of their occupied cells.
     """
     dist, trunc = config.dist, config.trunc
     ages = np.arange(dist.min_age, dist.max_age + 1)
@@ -327,10 +301,13 @@ def run_study(config: SimConfig) -> StudyReport:
                 dist, trunc, int(x), cause, n_observed, alpha)
 
     span = trunc.hi - trunc.lo + 1
-    offsets, kind, entry, exit_age, event = _observation_kinds(dist, trunc)
-    # each kind splits by cause: code 2k + 1 is kind k's default, 2k its prepayment
-    entry, exit_age, event = np.repeat(entry, 2), np.repeat(exit_age, 2), np.repeat(event, 2)
-    is_default = np.tile([False, True], entry.size // 2)
+    # entry offsets past the last age are always truncated and share the grid's last row
+    offsets = min(span, max(dist.max_age - trunc.lo + 1, 0) + 1)
+    # a draw's cell code is (entry offset * n_ages + lifetime index) * 2 + is_default
+    entry = np.repeat(trunc.lo + np.arange(offsets), 2 * n_ages)
+    keep, exit_age, event = _kernels.truncate_censor(entry, np.tile(np.repeat(ages, 2), offsets),
+                                                     trunc.censor_offset)
+    is_default = np.tile([False, True], offsets * n_ages)
     n_codes = entry.size
     cdf, share = _law_arrays(dist)
     guide = _kernels.guide_table(cdf)
@@ -340,8 +317,8 @@ def run_study(config: SimConfig) -> StudyReport:
     defined_counts = np.zeros((n_ages, 2), dtype=np.int64)
     covered_counts = np.zeros((n_ages, 2), dtype=np.int64)
     kept = np.empty(r, dtype=np.int64)
-    # a replicate occupies at most min(n, n_codes) codes
-    block = min(r, max(1, _SCORE_BLOCK_ROWS // max(n_ages, min(config.n, n_codes))))
+    # a replicate occupies at most min(n, live codes) codes
+    block = min(r, max(1, _SCORE_BLOCK_ROWS // max(n_ages, min(config.n, int(keep.sum())))))
     for first in range(0, r, block):
         stop = min(first + block, r)
         codes, counts = [], []
@@ -350,9 +327,8 @@ def run_study(config: SimConfig) -> StudyReport:
                                                          share, span)
             if offsets < span:
                 offset = np.minimum(offset, offsets - 1)
-            hist = np.bincount(kind[offset * n_ages + idx] * 2 + cause_bit,
-                               minlength=n_codes + 2)
-            sel = (hist[:n_codes] > 0).nonzero()[0]  # the occupied live codes
+            hist = np.bincount((offset * n_ages + idx) * 2 + cause_bit, minlength=n_codes)
+            sel = ((hist > 0) & keep).nonzero()[0]  # the occupied live codes
             codes.append(sel)
             counts.append(hist[sel])
         # every replicate's (code, count) pairs, counted at once by replicate

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "Cause",
     "CompetingRisksDistribution",
@@ -172,6 +174,21 @@ def cause_specific_hazard(dist: CompetingRisksDistribution, x: int, cause: Cause
     return dist.prob(x) * share / s
 
 
+def _event_rows(lam1: np.ndarray, lam2: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """[cause, row, column]: hazard times survival over the row's earlier live columns.
+
+    Cause 0 is default, 1 prepay; dead columns get zero; each row sums to 1.
+    """
+    alive = np.ones(live.shape)
+    np.cumprod(np.where(live, 1.0 - (lam1 + lam2), 1.0)[:, :-1], axis=1, out=alive[:, 1:])
+    probs = np.where(live, np.stack([lam1, lam2])[:, None, :] * alive, 0.0)
+    total = probs.sum(axis=(0, 2))
+    worst = total[np.argmax(np.abs(total - 1.0))]
+    if not abs(worst - 1.0) <= 1e-9:
+        raise NumericalError(f"event probabilities sum to {worst}, not 1")
+    return probs
+
+
 def conditional_event_probs(
     dist: CompetingRisksDistribution, x: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -180,18 +197,13 @@ def conditional_event_probs(
     Returns (ages, probs) where probs has shape (len(ages), 2) with column 0
     the default cause and column 1 prepayment.  Each row j is built as the
     cause-specific hazard at j times the probability of surviving every age
-    in [x, j); the full table sums to 1.
+    in [x, j), by the recurrence pricing uses (`_event_rows`); the full
+    table sums to 1.
     """
     s = survival(dist, x)
     if s <= 0.0:
         raise ValueError(f"zero survival mass at age {x}")
     ages = np.arange(x, dist.max_age + 1)
-    probs = np.zeros((ages.size, 2))
-    alive = 1.0
-    for row, j in enumerate(ages):
-        lam1 = cause_specific_hazard(dist, j, Cause.DEFAULT)
-        lam2 = cause_specific_hazard(dist, j, Cause.PREPAY)
-        probs[row, 0] = lam1 * alive
-        probs[row, 1] = lam2 * alive
-        alive *= 1.0 - (lam1 + lam2)
-    return ages, probs
+    lam1, lam2 = (np.array([cause_specific_hazard(dist, j, cause) for j in ages.tolist()])
+                  for cause in (Cause.DEFAULT, Cause.PREPAY))
+    return ages, _event_rows(lam1, lam2, np.ones((1, ages.size), dtype=bool))[:, 0].T.copy()

@@ -14,7 +14,7 @@ from decimal import Decimal
 import numpy as np
 from scipy import optimize, stats
 
-from cshazard import actuarial, ingest
+from cshazard import actuarial, ingest, riskmodel
 from cshazard.errors import NumericalError
 from cshazard.montecarlo import simulate_cohort
 from cshazard.riskmodel import Cause
@@ -350,7 +350,7 @@ def plain_bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
     rows, width = price.size, lam1.size
     dead = np.arange(width) < np.arange(rows)[:, None]
     exponent = np.arange(rows)[:, None] - np.arange(width) - 1.0  # minus the discount step
-    probs = actuarial._event_rows(lam1, lam2, ~dead)
+    probs = riskmodel._event_rows(lam1, lam2, ~dead)
     # 0 * inf where the discount factors overflow must count as 0, so zero
     # cash flows and zero-probability terms are set to exactly 0
     no_cash, idle = (cash == 0.0)[:, None, :], probs == 0.0

@@ -637,6 +637,83 @@ def test_each_documented_exit_code(tmp_path, capsys, code):
         assert "EPV root not bracketed" in err
 
 
+def with_payment_cell(tmp, row, column, cell):
+    """write_portfolio's tape with one payments cell replaced: (loans, payments)."""
+    loans, payments = write_portfolio(tmp)
+    lines = payments.read_text().splitlines()
+    fields = lines[row].split(",")
+    fields[["loan_id", "trust_month", "balance", "payment", "principal"].index(column)] = cell
+    lines[row] = ",".join(fields)
+    payments.write_text("\n".join(lines) + "\n")
+    return [str(loans), str(payments)]
+
+
+def error_path_recipe(case, tmp):
+    """CLI arguments of a run that takes one documented error path."""
+    if case == "empty-payment":
+        return ["ingest", *with_payment_cell(tmp, 2, "payment", "")]
+    if case == "huge-trust-month":
+        return ["ingest", *with_payment_cell(tmp, 2, "trust_month", "1" * 20)]
+    if case == "non-boolean-flag":
+        return ["ingest", *map(str, write_portfolio(tmp, has_coborrower="maybe"))]
+    if case == "dash-window":
+        return ["estimate", str(four_loan_observations(tmp)), "--window", "5-9"]
+    if case == "one-band":
+        return ["converge", str(four_loan_observations(tmp))]
+    if case == "curve-and-observations":
+        write_curve_csv(tmp / "a.csv", staged_curve("a", 10, 0.05))
+        return ["converge", str(tmp / "a.csv"), str(four_loan_observations(tmp))]
+    if case == "recovery-rate":
+        return ["returns", "--balance", "100", "--apr", "12", "--term", "12",
+                "--recovery-rate", "1.5"]
+    # header-only curve
+    write_curve_csv(tmp / "a.csv", staged_curve("a", 10, 0.05))
+    (tmp / "empty.csv").write_text((tmp / "a.csv").read_text().splitlines()[0] + "\n")
+    return ["returns", "--balance", "100", "--apr", "12", "--term", "12",
+            "--default-curve", str(tmp / "empty.csv")]
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("empty-payment", 2, "payments.csv:3: column 'payment' is missing a value"),
+    ("huge-trust-month", 2, f"payments.csv:3: column 'trust_month' value '{'1' * 20}' "
+                            f"is out of range"),
+    ("non-boolean-flag", 2, "loans.csv:2: column 'has_coborrower': non-boolean value 'maybe'"),
+    ("dash-window", 2, "window must be LO:HI or 'full', got '5-9'"),
+    ("one-band", 3, "need at least two bands to compare"),
+    ("curve-and-observations", 2, "converge expects either two or more curve CSVs or a "
+                                  "single observations CSV"),
+    ("recovery-rate", 2, "recovery rate must lie in [0, 1]"),
+    ("header-only-curve", 2, "empty.csv: curve file has no rows"),
+])
+def test_documented_error_paths(tmp_path, capsys, case, code, message):
+    rc = cli.main([*error_path_recipe(case, tmp_path), "--output-dir", str(tmp_path / "out")])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_ingest_reads_a_money_cell_past_the_decimal_exponent(tmp_path):
+    rc = cli.main(["ingest", *map(str, write_portfolio(tmp_path)),
+                   "--output-dir", str(tmp_path / "plain")])
+    assert rc == 0
+    # the first balance of the first censored loan; it stays censored
+    out = tmp_path / "huge"
+    rc = cli.main(["ingest", *with_payment_cell(tmp_path, 10, "balance", "1E+999999"),
+                   "--output-dir", str(out)])
+    assert rc == 0
+    assert (out / "observations.csv").read_bytes() == \
+        (tmp_path / "plain" / "observations.csv").read_bytes()
+
+
+def test_estimate_of_all_causes(tmp_path):
+    rc = cli.main(["estimate", str(four_loan_observations(tmp_path)), "--cause", "all",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    curve = read_curve_csv(tmp_path / "out" / "curve.csv")
+    assert curve.cause is None
+    assert curve.events.tolist() == [0, 2, 0] and curve.at_risk.tolist() == [4, 4, 2]
+
+
 # ---------------------------------------------------------------- savings
 
 def test_savings_json_output(tmp_path):

@@ -545,15 +545,35 @@ def test_segment_outcomes_match_the_reduceat_oracle(files, data):
 
 
 def test_money_cells_keep_exact_values(tmp_path):
-    cells = (["100.00", "1.5E+1", ""], ["5", "0.005", "0"], ["90.00", "+.50", "0.001"])
+    cells = (["100.00", "1.5E+1", "", " NA "], ["5", "0.005", "0", "1"],
+             ["90.00", "+.50", "0.001", "0"])
     loans, payments = write_tape(tmp_path, {"L1": {}}, {"L1": cells})
     assert payment_rows(payments) == [(Decimal("100"), Decimal("5"), Decimal("90")),
                                       (Decimal("15"), Decimal("0.005"), Decimal("0.5")),
-                                      (None, Decimal("0"), Decimal("0.001"))]
+                                      (None, Decimal("0"), Decimal("0.001")),
+                                      (None, Decimal("1"), Decimal("0"))]
     back = load_loan_data(loans, payments)
     assert back.payments.paid.dtype == object  # a mil is not whole cents
-    assert folded(back.payments) == ([0, 0, NB | ZP], ["Decimal('100.00')"],
+    assert folded(back.payments) == ([0, 0, NB | ZP, NB], ["Decimal('100.00')"],
                                      ["Decimal('90.501')"])
+
+
+def test_a_balance_a_hair_above_whole_cents_is_not_rounded_to_them(tmp_path):
+    # 30 significant digits, two more than the decimal context keeps
+    balance = "1.00000000000000000000000000001"
+    # 1.00 paid falls short of the balance: censored, not repaid
+    assert outcomes(tmp_path, {"L1": 0}, {"L1": ([balance], ["1"], ["1.00"])},
+                    pad=Decimal(0)) == {"L1": (None, 1, 1)}
+    assert payment_rows(tmp_path / "payments.csv") == [(Decimal(balance), Decimal("1"),
+                                                        Decimal("1"))]
+
+
+def test_a_money_cell_past_the_context_exponent_is_read_exactly(tmp_path):
+    loans, payments = write_tape(tmp_path, {"L1": {}}, {"L1": (["1E+999999", "5"], ["1", "1"],
+                                                               ["1", "1E+999999"])})
+    assert payment_rows(payments) == [(Decimal("1E+999999"), Decimal("1"), Decimal("1")),
+                                      (Decimal("5"), Decimal("1"), Decimal("1E+999999"))]
+    assert folded(load_loan_data(loans, payments).payments)[1] == ["Decimal('1E+999999')"]
 
 
 NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "sNaN"]
@@ -821,6 +841,12 @@ def test_trust_month_gap_in_an_unsorted_file_is_located_at_its_own_line(tmp_path
         load_loan_data(loans, payments)
     payments_file(payments, [("L2", 1), ("L1", 1), ("L2", 1)])  # a repeated month
     with pytest.raises(SchemaError, match=r"payments\.csv:4: loan L2 trust_month values are "
+                                          r"not a contiguous 1\.\.2 sequence$"):
+        load_loan_data(loans, payments)
+    # each month is its row's place counted from its segment's start, but rows
+    # 2 and 3 lie outside their segments (L1: rows 1-2, L2: row 3)
+    payments_file(payments, [("L1", 1), ("L2", 0), ("L1", 3)])
+    with pytest.raises(SchemaError, match=r"payments\.csv:4: loan L1 trust_month values are "
                                           r"not a contiguous 1\.\.2 sequence$"):
         load_loan_data(loans, payments)
 

@@ -369,7 +369,7 @@ def test_run_study_matches_loop_counts(config, block_rows):
 
 
 def _long_law_config():
-    """360 ages, entry on 1..60, offset 301: 36,354 kind codes against n = 1,000."""
+    """360 ages, entry on 1..60, offset 301: 43,200 cell codes against n = 1,000."""
     rng = np.random.default_rng(7)
     pmf = rng.random(360)
     dist = CompetingRisksDistribution(1, 360, tuple((pmf / pmf.sum()).tolist()),

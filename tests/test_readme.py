@@ -1,4 +1,4 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the files it names exist."""
 import re
 from pathlib import Path
 
@@ -29,3 +29,9 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     row, month = capsys.readouterr().out.splitlines()
     assert row.startswith("{'age': 12, ")
     assert month == "None" or int(month) >= 10  # the default minimum test age
+
+
+def test_readme_names_only_bench_files_that_exist():
+    named = set(re.findall(r"BENCH_\w+\.json", README.read_text(encoding="utf-8")))
+    assert named  # the Install section's table of current numbers links them
+    assert sorted(name for name in named if not (README.parent / name).is_file()) == []
