@@ -183,8 +183,8 @@ _BLOCK = 48  # valuation months solved together; about 2 MB of work arrays at T=
 # so leading zeros in a multiple of 32 leave a dot's bits unchanged (the
 # tests compare every table row with the month solved alone).
 _DOT_ALIGN = 32
-# A bisection midpoint farther than this from its row's estimated root takes
-# its side from the estimate; _estimate_roots argues the margin.
+# The widest replay distance a row may have; _estimate_roots gives each row
+# its own, and a row whose distance is wider evaluates at every step.
 _MARGIN = 1e-12
 _NEWTON_STEPS = 8
 
@@ -212,12 +212,25 @@ def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
     columns in.  Each row repeats the one-month solve bit for bit: its dots
     start at column r mod 32 and it stops once its own hi - lo < 1e-14.
 
-    The midpoints are those of a bisection that calls gap() at every step,
-    but most steps need not call it.  A few Newton steps first estimate each
-    row's root (_estimate_roots).  A midpoint farther than _MARGIN from its
-    row's estimate takes its side from the estimate, which is the side gap()
-    would give there; a step where some active row's midpoint is nearer, or
-    where an active row's estimate is not trusted, calls gap() for the block.
+    The midpoints are those of a bisection that calls gap() on every row
+    at every step, but most rows at most steps need not call it.  A few
+    Newton steps first estimate each row's root and its own replay distance
+    (_estimate_roots), which give the row's near interval.  A midpoint
+    outside it takes its side from the estimate, which is the side gap()
+    would give there.  A step where some active row's midpoint is inside,
+    or where an active row's estimate is not trusted (its interval is the
+    whole line), calls gap() on the rows from the first to the last such
+    row; a far row inside that range takes gap()'s sign, which is the
+    estimate's side.  Columns before the range's first row, rounded down to
+    a multiple of 32, are dead in every row of the range, so gap() skips
+    them: each dot starts a multiple of 32 columns later than in the full
+    block, over leading zeros only, and keeps its bits.
+
+    The bracket ends are evaluated, for the "not bracketed" check, unless
+    both lie outside every row's near interval: then g(-0.99) > 0 > g(2.0)
+    on every row, and the ends are two more far points.  A NaN input leaves
+    its row untrusted, so that block still evaluates the ends and raises as
+    the plain bisection does.
     """
     rows, width = price.size, lam1.size
     dead = np.arange(width) < np.arange(rows)[:, None]
@@ -230,38 +243,44 @@ def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
     paths = np.empty((2, rows, width))
     dots = np.empty((2, rows, 1, 1))
 
-    def gap(rho):
-        """EPV minus price per row; +inf where the discount factors overflow."""
+    def gap(rho, first=0, stop=rows):
+        """EPV minus price of rows first..stop-1; +inf where the discount factors overflow."""
+        r, c0 = slice(first, stop), first - first % _DOT_ALIGN
+        d, an, p = disc[r, c0:], annuity[r, c0:], paths[:, r, c0:]
         # no where= here: numpy's masked power can fall back to libm pow and change bits
-        np.power((1.0 + rho)[:, None], exponent, out=disc)
-        np.copyto(disc, 0.0, where=dead)
-        np.cumsum(disc[:, :-1], axis=1, out=annuity[:, 1:])
-        np.multiply(cash[:, None, :], disc, out=paths)
-        np.copyto(paths, 0.0, where=no_cash)
-        np.add(paths, payment * annuity, out=paths)
-        np.copyto(paths, 0.0, where=idle)
-        for c in range(min(rows, _DOT_ALIGN)):
-            r = slice(c, None, _DOT_ALIGN)
-            np.matmul(probs[:, r, None, c:], paths[:, r, c:, None], out=dots[:, r])
-        g = dots[0, :, 0, 0] + dots[1, :, 0, 0] - price
+        np.power((1.0 + rho)[:, None], exponent[r, c0:], out=d)
+        np.copyto(d, 0.0, where=dead[r, c0:])
+        np.cumsum(d[:, :-1], axis=1, out=an[:, 1:])
+        np.multiply(cash[:, None, c0:], d, out=p)
+        np.copyto(p, 0.0, where=no_cash[:, :, c0:])
+        np.add(p, payment * an, out=p)
+        np.copyto(p, 0.0, where=idle[:, r, c0:])
+        for k in range(first, min(stop, first + _DOT_ALIGN)):
+            c, same = c0 + k % _DOT_ALIGN, slice(k, stop, _DOT_ALIGN)
+            np.matmul(probs[:, same, None, c:], paths[:, same, c:, None], out=dots[:, same])
+        g = dots[0, r, 0, 0] + dots[1, r, 0, 0] - price[r]
         if np.isnan(g).any():
             raise NumericalError("EPV is not a number; check the schedule and recovery")
         return g
 
+    lower, upper = _estimate_roots(probs, cash, payment, price, exponent, ~dead)
     (a, b), active = _BRACKET, np.ones(rows, dtype=bool)
     lo, hi = np.full(rows, a), np.full(rows, b)
-    g_lo, g_hi = gap(lo), gap(hi)
-    if np.any((g_lo < 0) | (g_hi > 0)):
-        r = int(np.argmax((g_lo < 0) | (g_hi > 0)))
-        raise NumericalError(
-            f"EPV root not bracketed on [{a}, {b}]: g({a})={g_lo[r]:.3g}, g({b})={g_hi[r]:.3g}")
-    root = _estimate_roots(probs, cash, payment, price, exponent, ~dead)
+    if not np.all((a < lower) & (upper < b)):
+        g_lo, g_hi = gap(lo), gap(hi)
+        if np.any((g_lo < 0) | (g_hi > 0)):
+            r = int(np.argmax((g_lo < 0) | (g_hi > 0)))
+            raise NumericalError(
+                f"EPV root not bracketed on [{a}, {b}]: g({a})={g_lo[r]:.3g}, g({b})={g_hi[r]:.3g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        far = np.abs(mid - root) > _MARGIN  # never where the root is NaN
-        above = gap(mid) > 0 if (active & ~far).any() else mid < root
-        lo = np.where(active & above, mid, lo)
-        hi = np.where(active & ~above, mid, hi)
+        above = mid < lower  # a far row's side
+        near = ((lower <= mid) & (mid <= upper) & active).nonzero()[0]
+        if near.size:
+            first, stop = int(near[0]), int(near[-1]) + 1
+            np.greater(gap(mid[first:stop], first, stop), 0.0, out=above[first:stop])
+        np.copyto(lo, mid, where=active & above)
+        np.copyto(hi, mid, where=active & ~above)
         active &= hi - lo >= 1e-14
         if not active.any():
             break
@@ -272,14 +291,19 @@ def _bisect(lam1, lam2, cash, payment, price) -> np.ndarray:
 
 
 def _estimate_roots(probs, cash, payment, price, exponent, live):
-    """Newton estimate of each row's root; NaN where the replay may not trust it.
+    """The rates within each row's replay distance of its Newton root estimate.
+
+    Returns (lower, upper) per row: (-inf, inf) where the replay may not
+    trust the estimate, so that every midpoint of such a row is near.
 
     EPV(rho) = sum_j weight[r, j] * (1 + rho) ** exponent[r, j], where a
     column's weight is its default and prepay cash flows plus the payment
     that every event after it receives.  Newton runs on y = log(1 + rho).
     When no weight is negative, log EPV is convex and decreasing in y, so
     the first step (from y = 0) and every later one stay at or below the
-    root, and after a step of size s the error is O(s^2).
+    root, and after a step of size s the error is O(s^2).  The steps go on
+    until none is above 2**-51, a step at the rounding level, so the last
+    one adds at most 2**-50 * (1 + rho) to the replay distance below.
 
     Why the replay gets every side right for a trusted row.  Its cash flows
     and probabilities are nonnegative, so EPV is a sum of w_k (1 + rho)^-k
@@ -288,28 +312,35 @@ def _estimate_roots(probs, cash, payment, price, exponent, live):
     there.  gap() sums nonnegative terms in at most 2n + 16 roundings (the
     power, the cumsum and dot over the row's n live columns, and the
     products and adds between them).  So it returns EPV * (1 + t) - price
-    with |t| <= g = (2n + 16) u, u = 2**-53 (8e-14 at n = 360), evaluated
+    with |t| <= g = (2n + 16) u, u = 2**-53 (8e-14 at n = 360), the forward
+    error bound of a sum of nonnegative terms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2), evaluated
     at fl(1 + rho), within u * (1 + rho) of 1 + rho.  Left of rho*, f lies
     above its tangent at rho*; right of it, |f| grows while EPV falls.  So
     gap() has the sign of rho* - rho once |rho - rho*| exceeds
     band = (g / D + u) * (1 + rho*), to first order in g and the distance.
     This estimate sums the same terms in another order under the same
     bound, so it lies within band + |s| * (1 + rho) of rho*, s its last
-    step.  A midpoint farther than _MARGIN from the estimate is therefore
-    outside the band when 2 * band + |s| * (1 + rho) <= _MARGIN / 2, the
-    test below, which keeps half of _MARGIN as a cushion.  The band is at
-    most 2.4e-13 at n = 360 (D = 1, rho* = 2); on the price-long
-    benchmark's rows (D from 1 to 53 months) it is at most 3e-15, over 300
-    times below _MARGIN.  Underflow adds at most 2**-1074 a term, far below
-    _MARGIN * price / 3 for any price above 1e-280.
+    step.  A midpoint farther than the row's replay distance
+    margin = 2 * (2 * band + |s| * (1 + rho)) from the estimate is
+    therefore outside the band, with half the distance as a cushion; the
+    near interval (rho - margin, rho + margin), rounded, only widens.  The
+    bracket ends are midpoints like any other: outside the interval, gap()
+    is positive at -0.99 and negative at 2.0.  The band is at most 2.4e-13
+    at n = 360 (D = 1, rho* = 2); on the price-long benchmark's seed-11
+    rows (D from 1 to 53 months) the margin runs from 2.9e-15 to 1.2e-14.
+    A row whose margin exceeds _MARGIN is not trusted, so the first-order
+    terms stay small.  Underflow adds at most 2**-1074 a term, far below
+    margin * price / 3 (margin >= 12 u (1 + rho)) for any price above
+    1e-280.
 
     A trusted row also cannot hide a NaN that evaluating every midpoint
     would raise: with no negative term there is no inf - inf, and zero terms
-    are set to exactly 0, so its gap is NaN only from a NaN input, at every
-    rate, which the bracket evaluation raises.  An untrusted row (a negative
-    cash flow or probability, an EPV that overflows or underflows, no
-    convergence) calls gap() at every step while it is active, and its last
-    midpoint is the rate of the final check.
+    are set to exactly 0, so its gap is NaN only from a NaN input, which
+    makes its estimate NaN and the row untrusted.  An untrusted row (a
+    negative cash flow or probability, an EPV that overflows or underflows,
+    no convergence) calls gap() at every step while it is active, and its
+    last midpoint is the rate of the final check.
     """
     total = probs.sum(axis=0)
     later = np.zeros_like(total)  # probability of an event after the column
@@ -325,15 +356,16 @@ def _estimate_roots(probs, cash, payment, price, exponent, live):
         duration = np.einsum("ij,ij->i", timed, scale) / epv
         step = np.log(epv / price) / duration
         y += step
-        if not np.any(np.abs(step) > _MARGIN / 64):
+        if not np.any(np.abs(step) > 2.0 ** -51):
             break
     rho = np.expm1(y)
     n = live.sum(axis=1)
     band = ((2 * n + 16) / duration + 1.0) * 2.0 ** -53 * (1.0 + rho)
+    margin = 2 * (2 * band + np.abs(step) * (1.0 + rho))
     nonnegative = ~((probs < 0).any(axis=0) | ((cash < 0).any(axis=0) & live)).any(axis=1)
     trusted = (nonnegative & (price > 1e-280) & (_BRACKET[0] < rho) & (rho < _BRACKET[1])
-               & (2 * band + np.abs(step) * (1.0 + rho) <= _MARGIN / 2))
-    return np.where(trusted, rho, np.nan)
+               & (margin <= _MARGIN))
+    return np.where(trusted, rho - margin, -np.inf), np.where(trusted, rho + margin, np.inf)
 
 
 def remaining_payments(balance: float, payment: float, rate: float) -> int:

@@ -28,7 +28,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from enum import Enum
 from itertools import repeat
 from numbers import Integral
@@ -1192,7 +1192,8 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
 def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: dict) -> None:
     """Fold one block: its rows' keys, trust months and flags into `rows` of
     `out`, each loan's first balance and principal (in file order from its
-    first row) into `sums`.  Loan keys count on in `segment_of`."""
+    first row) into `sums`.  Loan keys count on in `segment_of`.  A Decimal
+    principal sum past the exponent limit is a SchemaError naming its loan."""
     known = len(segment_of)
     key = out["key"][rows] = cols.ids("loan_id", segment_of)
     months = cols.ints("trust_month")
@@ -1220,7 +1221,14 @@ def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: d
     lead = lead[key[lead] >= known]  # each new loan's first row
     later = np.delete(np.arange(key.size), lead)
     sums["paid"][key[lead]] = principal[lead]  # a Decimal sum starts unrounded
-    np.add.at(sums["paid"], key[later], principal[later])
+    with localcontext() as context:  # a Decimal sum past the exponent limit reads Infinity
+        context.clear_flags()
+        context.traps[Overflow] = False
+        np.add.at(sums["paid"], key[later], principal[later])
+    if context.flags[Overflow]:
+        i = next(i for i in later.tolist() if not sums["paid"][key[i]].is_finite())
+        raise SchemaError(f"{cols.where}: loan {cols.cell('loan_id', i)!r}: column 'principal' "
+                          f"sums past the decimal exponent limit")
 
 
 def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | None:

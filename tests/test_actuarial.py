@@ -273,8 +273,13 @@ def replay_loan(rng, term, scenario):
     the whole balance at default; low and high: default nearly certain every
     month, recovering 1-3% or 250-299% of the balance, so roots lie near
     the bracket ends -0.99 and 2.0; negative: a small negative recovery,
-    whose rows the replay does not trust and evaluates at every midpoint.
-    Above 154 months the EPV overflows to +inf at -0.99.
+    whose rows the replay does not trust and evaluates at every midpoint;
+    mixed: that negative recovery in about a third of the first third of
+    the months and a random one elsewhere, so a block holds untrusted rows
+    (those valued before a negative month) and trusted ones after them, and
+    a step evaluates the untrusted rows with trusted rows near their roots
+    and far rows between.  Above 154 months the EPV overflows to +inf at
+    -0.99.
     """
     rate = 0.0 if scenario == "zero" and rng.random() < 0.5 else float(rng.uniform(0, 0.4 / 12))
     schedule = AmortizationSchedule.build(float(rng.uniform(50, 50000)), rate, term)
@@ -295,6 +300,10 @@ def replay_loan(rng, term, scenario):
         return schedule, lam1, lam2, share
     if scenario == "negative":
         return schedule, lam1, lam2, {j: -0.02 * share[j] for j in ages}
+    if scenario == "mixed":
+        return schedule, lam1, lam2, {
+            j: -0.02 * share[j] if 3 * j <= term and rng.random() < 0.3
+            else float(rng.uniform(0, 1)) * share[j] for j in ages}
     return schedule, lam1, lam2, {j: float(rng.uniform(0, 1)) * share[j] for j in ages}
 
 
@@ -304,15 +313,16 @@ def same_bits(a, b):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 360),
-       st.sampled_from(["random", "zero", "full", "low", "high", "negative"]))
+       st.sampled_from(["random", "zero", "full", "low", "high", "negative", "mixed"]))
 @example(11, 360, "random")
 @example(12, 360, "zero")
 @example(13, 360, "full")
 @example(14, 200, "low")
 @example(15, 360, "high")
 @example(16, 120, "negative")
+@example(17, 72, "mixed")
 def test_returns_table_replays_plain_bisection_bit_for_bit(seed, term, scenario):
-    if scenario == "negative":
+    if scenario in ("negative", "mixed"):
         term = min(term, 120)  # longer, the negative recovery overflows to NaN at -0.99
     schedule, lam1, lam2, rec = replay_loan(np.random.default_rng(seed), term, scenario)
     hazards = (lambda j: lam1.get(j, 0.0), lambda j: lam2.get(j, 0.0),
@@ -340,9 +350,54 @@ def test_returns_table_errors_match_plain_bisection(case, message):
     assert str(replayed.value) == str(plain.value)
 
 
+def test_returns_table_settles_the_bracket_ends_from_the_estimates(monkeypatch):
+    # gap() computes its discount factors with np.power(1 + rho, ..., out=...),
+    # the Newton estimate without out=; count the calls at a bracket end
+    ends = [1.0 + end for end in actuarial._BRACKET]
+    evaluations = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def power(self, base, exponent, **kwargs):
+            if "out" in kwargs and any(np.all(base == end) for end in ends):
+                evaluations.append(1)
+            return np.power(base, exponent, **kwargs)
+
+    def solved_or_error(solve):
+        try:
+            return solve().view(np.int64).tolist()
+        except NumericalError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(actuarial, "np", CountingNumpy())
+    # one 48-month block whose estimates all lie far from -0.99 and 2.0
+    schedule, lam1, lam2, rec = replay_loan(np.random.default_rng(5), 48, "random")
+    loan = (schedule, lam1.get, lam2.get, rec.get)
+    assert same_bits(returns_table(*loan), plain_table(*loan))
+    assert evaluations == []
+    # roots 0.01 from an end: bits as the plain bisection's
+    for seed, scenario in ((14, "low"), (15, "high")):
+        schedule, lam1, lam2, rec = replay_loan(np.random.default_rng(seed), 96, scenario)
+        loan = (schedule, lam1.get, lambda j: lam2.get(j, 0.0), rec.get)
+        assert same_bits(returns_table(*loan), plain_table(*loan))
+    # a root on an end: a one-month loan defaulting for sure, recovering
+    # 0.01 or 3 times its price, evaluates both ends and fails or solves as
+    # the plain bisection does
+    for recovered in (0.01, 3.0):
+        schedule = AmortizationSchedule.build(1000.0, 0.01, 1)
+        loan = (schedule, lambda j: 1.0, None, lambda age, r=recovered: r)
+        want = solved_or_error(lambda: plain_table(*loan))
+        evaluations.clear()
+        assert solved_or_error(lambda: returns_table(*loan)) == want
+        assert len(evaluations) == 2
+
+
 def test_returns_table_evaluates_the_epv_near_roots_only(monkeypatch):
     # hazards shaped like the price-long benchmark's bands; every exact EPV
-    # evaluation in actuarial (gap) checks its result with np.isnan once
+    # evaluation in actuarial (gap) checks its result with np.isnan once,
+    # on the rows it evaluates
     ages = np.arange(1, 73)
     hump = 0.3 + 0.7 * (ages / 12.0) * np.exp(1.0 - ages / 12.0)
     ramp = 0.5 + 0.5 * np.minimum(ages, 36) / 36.0
@@ -362,14 +417,17 @@ def test_returns_table_evaluates_the_epv_near_roots_only(monkeypatch):
             return getattr(np, name)
 
         def isnan(self, x):
-            evaluations.append(1)
+            evaluations.append(x.size)
             return np.isnan(x)
 
     monkeypatch.setattr(actuarial, "np", CountingNumpy())
     got = returns_table(schedule, default, prepay, recovery)
     assert same_bits(got, want)
-    blocks = -(-360 // 48)
-    assert len(evaluations) <= 30 * blocks  # the plain bisection makes 52 per block
+    # measured: 61 calls on 1,948 rows (a replay with one 1e-12 distance for
+    # every row and both bracket ends evaluated made 127 on 5,784, the plain
+    # bisection 416 on 18,720); the bounds allow 10% more
+    assert len(evaluations) <= 67
+    assert sum(evaluations) <= 2143
 
 
 def test_remaining_payments_examples():

@@ -637,13 +637,15 @@ def test_each_documented_exit_code(tmp_path, capsys, code):
         assert "EPV root not bracketed" in err
 
 
-def with_payment_cell(tmp, row, column, cell):
-    """write_portfolio's tape with one payments cell replaced: (loans, payments)."""
+def with_payment_cell(tmp, rows, column, cell):
+    """write_portfolio's tape with the payments cell of one row, or of each of
+    several, replaced: (loans, payments)."""
     loans, payments = write_portfolio(tmp)
     lines = payments.read_text().splitlines()
-    fields = lines[row].split(",")
-    fields[["loan_id", "trust_month", "balance", "payment", "principal"].index(column)] = cell
-    lines[row] = ",".join(fields)
+    for row in (rows,) if isinstance(rows, int) else rows:
+        fields = lines[row].split(",")
+        fields[["loan_id", "trust_month", "balance", "payment", "principal"].index(column)] = cell
+        lines[row] = ",".join(fields)
     payments.write_text("\n".join(lines) + "\n")
     return [str(loans), str(payments)]
 
@@ -654,6 +656,8 @@ def error_path_recipe(case, tmp):
         return ["ingest", *with_payment_cell(tmp, 2, "payment", "")]
     if case == "huge-trust-month":
         return ["ingest", *with_payment_cell(tmp, 2, "trust_month", "1" * 20)]
+    if case == "principal-sum-overflow":  # two months of the first loan
+        return ["ingest", *with_payment_cell(tmp, (1, 2), "principal", "9E+999999")]
     if case == "non-boolean-flag":
         return ["ingest", *map(str, write_portfolio(tmp, has_coborrower="maybe"))]
     if case == "dash-window":
@@ -677,6 +681,8 @@ def error_path_recipe(case, tmp):
     ("empty-payment", 2, "payments.csv:3: column 'payment' is missing a value"),
     ("huge-trust-month", 2, f"payments.csv:3: column 'trust_month' value '{'1' * 20}' "
                             f"is out of range"),
+    ("principal-sum-overflow", 2, "payments.csv: loan 'ds-repaid-0': column 'principal' "
+                                  "sums past the decimal exponent limit"),
     ("non-boolean-flag", 2, "loans.csv:2: column 'has_coborrower': non-boolean value 'maybe'"),
     ("dash-window", 2, "window must be LO:HI or 'full', got '5-9'"),
     ("one-band", 3, "need at least two bands to compare"),
