@@ -30,7 +30,6 @@ import os
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from enum import Enum
-from itertools import repeat
 from numbers import Integral
 from pathlib import Path
 
@@ -481,7 +480,7 @@ def _each_byte(byte: int) -> np.uint64:
     return np.uint64(byte * 0x0101010101010101)
 
 
-_ZEROS, _POINTS = _each_byte(_ZERO), _each_byte(_POINT)
+_ZEROS = _each_byte(_ZERO)
 _HIGH_NIBBLES, _LOW_NIBBLES = _each_byte(0xF0), _each_byte(0x0F)
 
 
@@ -490,21 +489,17 @@ def _words(buf: np.ndarray) -> np.ndarray:
     return np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
 
 
-def _digits_before(words: np.ndarray, stop: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Per row, the eight bytes before offset `stop` as one little-endian word,
-    with all but the last `keep` of them set to '0'.
+def _word_before(words: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per row, the eight bytes before offset `stop` as one little-endian word.
 
-    The byte just before `stop` is the word's high byte, so a number whose
-    last digit sits there is right-aligned, and the '0' fill stands for
-    leading zeros.  A word that would start before the buffer is read from
-    its start and shifted into place; the bytes shifted in are filled.
+    The byte just before `stop` is the word's high byte, so a cell ending
+    there is right-aligned.  A word that would start before the buffer is
+    read from its start and shifted into place, NUL bytes shifted in.
     """
     at = stop - 8
     if at.size and at.min() < 0:
-        word = words[np.maximum(at, 0)] << (8 * np.clip(-at, 0, 7)).astype(np.uint64)
-    else:
-        word = words[at]
-    return _keep_last(word, keep)
+        return words[np.maximum(at, 0)] << (8 * np.clip(-at, 0, 7)).astype(np.uint64)
+    return words[at]
 
 
 def _keep_last(word: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -547,6 +542,37 @@ def _digits_value(word: np.ndarray) -> np.ndarray:
     return word.view(np.int64)
 
 
+def _point_code(word: np.ndarray) -> np.ndarray:
+    """Per word, which of its last three bytes hold a '.': bit k for byte 5 + k.
+
+    Warren's exact zero-byte test (Hacker's Delight, 2nd ed., section 6-1)
+    on the bytes xor '.', which sets the high bit of each zero byte and no
+    other; one multiply gathers the three high bits into bits 21..23.
+    """
+    top = word >> np.uint64(40)
+    top ^= np.uint64(_POINT * 0x010101)
+    low = np.uint64(0x7F7F7F)
+    found = top & low
+    found += low
+    found |= top
+    found |= low
+    found = ~found  # the high bit of each byte that was a '.'; garbage above bit 23
+    found *= np.uint64(1 | 1 << 7 | 1 << 14)
+    found >>= np.uint64(21)
+    found &= np.uint64(7)
+    return found.view(np.int64)
+
+
+# By point code (see `_point_code`): the bytes up to and with the point, each
+# of which takes the byte below it ('0' below the first), so the digits close
+# up over the point; the cents of one unit of the word's value; the power of
+# ten of a second word's digits.  A code of two or three points squeezes
+# nothing, so its points fail the digit check.
+_SQUEEZE = np.array([0, (1 << 48) - 1, (1 << 56) - 1, 0, (1 << 64) - 1, 0, 0, 0], np.uint64)
+_CENTS = np.array([100, 1, 10, 0, 100, 0, 0, 0], np.int64)
+_LEAD = np.array([10**8, 10**7, 10**7, 0, 10**7, 0, 0, 0], np.int64)
+
+
 def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
                  point: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read plain numeric cells straight from the bytes.
@@ -556,52 +582,55 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     value is returned in hundredths (cents).  Returns (values, plain); cells
     that are not plain read 0 and are left to the caller.
 
-    Each cell takes one word per eight integer digits rather than one pass
-    per character.  The cell's last eight bytes give the point, which a
-    plain cell holds among its last three bytes, and the fraction digits.
-    The integer digits (up to the point or the cell's end) load as one word
-    right-aligned there, the bytes before them filled with '0'; a check of
-    all eight bytes and three multiply-mask-shift steps give their value
-    (Lemire, "Number Parsing at a Gigabyte per Second", 2021).  Only cells
-    with more than eight integer digits read a second word.  Every byte of
-    the cell is checked (sign, digits, point), so a cell is plain exactly
-    when it matches the grammar.  Every step makes temporaries as long as
-    `start`, so `_Columns` passes one block of `_PARSE_ROWS` cells at a time.
+    Each cell reads the word that ends at its end, which holds the whole of
+    a cell of up to eight bytes, its sign too.  The bytes before the digits
+    are set to '0', which stands for leading zeros.  A plain cell holds its
+    point among its last three bytes: found there (`_point_code`), it is
+    squeezed out and the digits close up over it.  A check of all eight
+    bytes and three multiply-mask-shift steps give the value (Lemire,
+    "Number Parsing at a Gigabyte per Second", 2021).  Only a cell of more
+    than eight bytes reads its sign from `buf`, and only one of more than
+    eight bytes after the sign reads its leading digits from a second word
+    (the word before).  Integer cells (no `point`) take the same steps but
+    the squeeze, so any point leaves them not plain.  Every byte of the cell is checked
+    (sign, digits, point), so a cell is plain exactly when it matches the
+    grammar.  Every step makes temporaries as long as `start`, so
+    `_Columns` passes one block of `_PARSE_ROWS` cells at a time.
     """
     words = _words(buf)
-    first = buf[start]
-    sign = ((first == _MINUS) | (first == _PLUS)).view(np.int8)
-    whole_end, decimals = end, 0  # the integer digits end at the point or the cell's end
-    plain = np.ones(start.size, np.bool_)
+    length = end - start
+    word = _word_before(words, end)
+    # the cell's first byte: its place in the word, or in `buf` past eight bytes
+    first = word >> (8 * (8 - np.clip(length, 1, 8))).astype(np.uint64)
+    first &= np.uint64(0xFF)
+    far = np.flatnonzero(length > 8)
+    first[far] = buf[start[far]]
+    minus = first == _MINUS
+    body = length - (minus | (first == _PLUS))  # the bytes after the sign
+    del first
+    _keep_last(word, body)
     if point:
-        tail = _digits_before(words, end, end - start)  # bytes before the cell read '0'
-        top = (tail ^ _POINTS) >> np.uint64(40)  # the last three bytes; 0 where a '.'
-        back = ((top & 0xFF) == 0).view(np.int8) * 3  # the point's distance from the end
-        back = np.where((top & 0xFF00) == 0, 2, back)
-        back = np.where(top < 1 << 16, 1, back)  # 0: no point
-        del top
-        fraction = _keep_last(tail, back - 1)
-        plain &= _all_digits(fraction)
-        cents = _digits_value(fraction).astype(np.int16)
-        cents[back == 2] *= 10
-        whole_end = end - back
-        decimals = np.maximum(back - 1, 0)
-    whole_digits = whole_end - start - sign
-    digits = whole_digits + decimals
+        code = _point_code(word)
+        squeeze = (word << np.uint64(8)) | np.uint64(_ZERO)
+        squeeze ^= word
+        squeeze &= _SQUEEZE[code]
+        word ^= squeeze
+        del squeeze
+        digits = body - (code != 0)
+    else:
+        digits = body
+    plain = _all_digits(word)
     plain &= (digits >= 1) & (digits <= _PLAIN_DIGITS)
-    whole = _digits_before(words, whole_end, whole_digits)
-    plain &= _all_digits(whole)
-    value = _digits_value(whole)
-    long = np.flatnonzero(whole_digits > 8)
+    value = _digits_value(word)
+    long = np.flatnonzero(body > 8)
     if long.size:  # their leading digits take a second word
-        lead = _digits_before(words, whole_end[long] - 8, whole_digits[long] - 8)
+        lead = _keep_last(_word_before(words, end[long] - 8), body[long] - 8)
         plain[long] &= _all_digits(lead)
-        value[long] += _digits_value(lead) * 10**8
+        value[long] += _digits_value(lead) * (_LEAD[code[long]] if point else 10**8)
     if point:
-        value *= 100
-        value += cents
-    value[first == _MINUS] *= -1
-    value[~plain] = 0
+        value *= _CENTS[code]
+    np.negative(value, out=value, where=minus)
+    value *= plain
     return value, plain
 
 
@@ -658,6 +687,174 @@ def _changes(keys: np.ndarray) -> np.ndarray:
     change[0] = True
     (keys[:, 1:] != keys[:, :-1]).any(axis=0, out=change[1:])
     return change
+
+
+def _cell_keys(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The key of each cell start[k]:end[k] of `buf`, one column per cell: its
+    length, then its bytes eight at a time as little-endian words with the
+    bytes past the cell masked off.  Keys are exact, so no hash and no
+    collision check are needed.  Built `_PARSE_ROWS` cells at a time, so the
+    keys are the only temporary as long as the column."""
+    length = end - start
+    offset = np.arange(0, int(length.max(initial=0)), 8)[:, None]  # of each word in its cell
+    words = _words(buf)
+    keys = np.empty((offset.size + 1, length.size), np.uint64)
+    keys[0] = length
+    for at in range(0, length.size, _PARSE_ROWS):
+        block = slice(at, at + _PARSE_ROWS)
+        # bytes past the cell are masked off below
+        keys[1:, block] = words[np.minimum(start[block] + offset, words.size - 1)]
+        keys[1:, block] &= _BYTE_MASK.take(length[block] - offset, mode="clip")
+    return keys
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(code per cell, first cell of each code, codes in key order) of cells
+    by their keys (`_cell_keys`).
+
+    Cells share a code exactly when their keys are equal; codes count up in
+    order of first cell.  Runs of equal adjacent cells collapse to their
+    first cell before the rest are sorted, length first: the order of
+    `_records`.
+    """
+    cells = keys.shape[1]
+    if cells == 0:
+        return (np.zeros(0, np.int64),) * 3
+    runs = np.flatnonzero(_changes(keys))
+    keys = keys[:, runs]
+    order = np.lexsort(keys[::-1])  # stable: a group's earliest run sorts first
+    new = _changes(keys[:, order])
+    lead = order[new]  # the earliest run of each group
+    is_lead = np.zeros(runs.size, np.bool_)
+    is_lead[lead] = True
+    code_of_group = (np.cumsum(is_lead) - 1)[lead]  # numbered by first cell
+    run_code = np.empty(runs.size, np.int64)
+    run_code[order] = code_of_group[np.cumsum(new) - 1]
+    return np.repeat(run_code, np.diff(np.append(runs, cells))), runs[is_lead], code_of_group
+
+
+# The ASCII bytes that `str.strip` removes, and the high bit of each byte of a word.
+_SPACE = np.zeros(256, np.bool_)
+_SPACE[list(b" \t\n\v\f\r\x1c\x1d\x1e\x1f")] = True
+_HIGH_BITS = _each_byte(0x80)
+
+
+def _trimmed(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) of cells without the ASCII whitespace `str.strip` removes at either edge."""
+    start, end = start.astype(np.int64), end.astype(np.int64)  # copies: `end` may view a grid
+    for bound, step, edge in ((start, 1, 0), (end, -1, -1)):
+        at = np.arange(bound.size)
+        while at.size:  # once per byte trimmed, over the cells still trimmed
+            at = at[_SPACE[buf[bound[at] + edge]] & (start[at] < end[at])]
+            bound[at] += step
+    return start, end
+
+
+def _records(keys: np.ndarray) -> np.ndarray:
+    """Cell keys (`_cell_keys`) as fixed-width byte strings, whose byte order
+    is the order of `_group`: each word big-endian, the length first."""
+    return np.ascontiguousarray(keys.T, dtype=">u8").view(f"S{8 * keys.shape[0]}").ravel()
+
+
+def _widened(records: np.ndarray, size: int) -> np.ndarray:
+    """Records of at least `size` bytes: zero words appended, which keep their order."""
+    if records.itemsize >= size:
+        return records
+    out = np.zeros((records.size, size), np.uint8)
+    out[:, :records.itemsize] = records.view(np.uint8).reshape(records.size, records.itemsize)
+    return out.view(f"S{size}").ravel()
+
+
+class _IdTable:
+    """Distinct ids, each with a number: their records (`_records` of the
+    stripped cells), sorted, so the ids of a block are found by one search
+    in sorted order, and new ones are inserted where they sort."""
+
+    def __init__(self) -> None:
+        self.records, self.number = np.zeros(0, "S8"), np.zeros(0, np.int64)
+
+    def __len__(self) -> int:
+        return self.number.size
+
+    def _search(self, records: np.ndarray, order: np.ndarray):
+        """(sorted records, their place in the table, whether they are there);
+        `order` sorts `records`.  The table's records are widened first when
+        `records` are wider."""
+        size = max(records.itemsize, self.records.itemsize)
+        self.records, query = _widened(self.records, size), _widened(records, size)[order]
+        at = np.searchsorted(self.records, query)
+        known = at < len(self)
+        known[known] = self.records[at[known]] == query[known]
+        return query, at, known
+
+    def find(self, records: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """The number of each record, -1 for one not in the table."""
+        _, at, known = self._search(records, order)
+        number = np.full(records.size, -1, np.int64)
+        number[order[known]] = self.number[at[known]]
+        return number
+
+    def add(self, records: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """The number of each record: distinct records not in the table are
+        added, numbered on from the last."""
+        query, at, known = self._search(records, order)
+        number = np.empty(records.size, np.int64)
+        number[order[known]] = self.number[at[known]]
+        new = order[~known]
+        number[new] = np.arange(len(self), len(self) + new.size)
+        if new.size:
+            self.records = np.insert(self.records, at[~known], query[~known])
+            self.number = np.insert(self.number, at[~known], number[new])
+        return number
+
+    def name(self, number: int) -> str:
+        """The id numbered `number`."""
+        record = self.records.view(np.uint8).reshape(len(self), -1)[self.number == number][0]
+        size = int.from_bytes(record[:8].tobytes(), "big")
+        return record[8:].reshape(-1, 8)[:, ::-1].tobytes()[:size].decode("utf-8")
+
+
+class _Vocabulary:
+    """The labels a cell parser is mostly given, and the value it reads from each.
+
+    A cell spells a label when it has the label's length and bytes.  No two
+    labels share their length and first byte, so those two pick the one
+    label a cell may spell (`slot`, in which the last label stands for
+    none), and the cell's words are compared with that label's.
+    """
+
+    def __init__(self, labels, parse, dtype) -> None:
+        cells = [label.encode("utf-8") for label in labels]
+        none = len(cells)
+        self.length = np.array([len(cell) for cell in cells] + [-1])
+        width = max(1, -(-self.length.max() // 8))
+        self.words = np.frombuffer(b"".join(cell.ljust(8 * width, b"\0") for cell in cells)
+                                   + bytes(8 * width), "<u8").reshape(-1, width).T.copy()
+        self.masks = _BYTE_MASK.take(self.length - 8 * np.arange(width)[:, None], mode="clip")
+        self.slot = np.full((self.length.max() + 2, 256), none)  # by length (past: none), first byte
+        for k, cell in enumerate(cells):
+            at = (len(cell), cell[0] if cell else slice(None))
+            if (self.slot[at] != none).any():
+                raise ValueError(f"labels share a length and first byte: {labels[k]!r}")
+            self.slot[at] = k
+        self.slot = self.slot.ravel()
+        # the value of no label is never taken: a cell that spells none is parsed
+        self.values = np.array([parse(label) for label in labels] + [parse(labels[0])], dtype)
+
+    def match(self, buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+        """(value, whether it spells a label) of each cell start[k]:end[k] of `buf`."""
+        words, length = _words(buf), end - start
+        word = words[start]  # a cell starts before the spare bytes: no word runs past them
+        at = np.minimum(length, self.slot.size // 256 - 1) * 256
+        at += (word & np.uint64(0xFF)).view(np.int64)
+        at = self.slot[at]
+        spelt = self.length[at] == length
+        for j in range(self.words.shape[0]):
+            if j:
+                word = words[np.minimum(start + 8 * j, words.size - 1)]
+            word &= self.masks[j][at]
+            spelt &= word == self.words[j][at]
+        return self.values[at], spelt
 
 
 def _wanted_columns(where: str, header: list, required) -> list[int]:
@@ -966,51 +1163,21 @@ class _Columns:
         except UnicodeDecodeError as exc:
             raise _not_utf8(self.loc(i), name, exc) from None
 
-    def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(code per row, first row of each code) of a column.
+    def codes(self, name: str, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(code per row, first row of each code) of a column's `rows` (a slice
+        or an index array): rows share a code exactly when their cells hold
+        the same bytes (see `_group`)."""
+        code, first, _ = _group(_cell_keys(self.buf, *self._field(name, rows)))
+        return code, first if isinstance(rows, slice) else rows[first]
 
-        Rows share a code exactly when their cells hold the same bytes; codes
-        count up in order of first row.  A cell's key is its length and its
-        bytes, read eight at a time through an unaligned little-endian word
-        view with the bytes past the cell masked off.  Keys are exact, so no
-        hash and no collision check are needed.  Runs of equal adjacent rows
-        collapse to their first row before the rest are sorted.  The keys
-        are built `_PARSE_ROWS` rows at a time, so they are the only
-        temporary as long as the column.
-        """
-        if self.rows == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        blocks = [slice(at, at + _PARSE_ROWS) for at in range(0, self.rows, _PARSE_ROWS)]
-        longest = max(int(np.max(end - start))
-                      for start, end in (self._field(name, block) for block in blocks))
-        offset = np.arange(0, longest, 8)[:, None]  # of each word in its cell
-        words = _words(self.buf)
-        keys = np.empty((offset.size + 1, self.rows), np.uint64)
-        for block in blocks:
-            start, end = self._field(name, block)
-            length = end - start
-            keys[0, block] = length
-            # bytes past the cell are masked off below
-            keys[1:, block] = words[np.minimum(start + offset, words.size - 1)]
-            keys[1:, block] &= _BYTE_MASK.take(length - offset, mode="clip")
-        runs = np.flatnonzero(_changes(keys))
-        keys = keys[:, runs]
-        order = np.lexsort(keys)  # stable: a group's earliest run sorts first
-        new = _changes(keys[:, order])
-        lead = order[new]  # the earliest run of each group
-        is_lead = np.zeros(runs.size, np.bool_)
-        is_lead[lead] = True
-        code_of_group = (np.cumsum(is_lead) - 1)[lead]  # numbered by first row
-        run_code = np.empty(runs.size, np.int64)
-        run_code[order] = code_of_group[np.cumsum(new) - 1]
-        return np.repeat(run_code, np.diff(np.append(runs, self.rows))), runs[is_lead]
-
-    def texts(self, name: str, rows: np.ndarray) -> list[str]:
+    def texts(self, name: str, rows: np.ndarray, bounds=None) -> list[str]:
         """The cells of the given rows as strings, decoded in one batch; a cell
-        that is not UTF-8 is a SchemaError at the first such row in `rows`."""
+        that is not UTF-8 is a SchemaError at the first such row in `rows`.
+        `bounds` gives (start, end) of a part of each cell, known to be UTF-8,
+        to decode in its place."""
         if rows.size == 0:
             return []
-        start, end = self._field(name, rows)
+        start, end = self._field(name, rows) if bounds is None else bounds
         size = end - start + 1  # each cell and the separator after it
         stop = np.cumsum(size)
         gathered = self.buf[np.arange(stop[-1]) + np.repeat(start - (stop - size), size)]
@@ -1019,15 +1186,31 @@ class _Columns:
             texts = gathered.tobytes().decode("utf-8").split("\n")
         except UnicodeDecodeError:  # decoded cell by cell below, to name the row
             texts = []
-        if len(texts) != rows.size + 1:  # or a quoted cell holds a line break
+        if len(texts) == rows.size + 1:  # else a quoted cell holds a line break
+            texts.pop()
+            return texts
+        if bounds is None:
             return [self.cell(name, i) for i in rows.tolist()]
-        texts.pop()
-        return texts
+        return [self.buf[s:e].tobytes().decode("utf-8") for s, e in zip(start.tolist(), end.tolist())]
 
-    def labels(self, name: str, parse, dtype) -> np.ndarray:
+    def labels(self, name: str, parse, dtype, known: _Vocabulary | None = None) -> np.ndarray:
         """Parse each distinct cell once, in order of its first row.  A ValueError
-        becomes a SchemaError at the earliest row holding a cell `parse` rejects."""
-        code, first = self.codes(name)
+        becomes a SchemaError at the earliest row holding a cell `parse` rejects.
+
+        A cell that spells a label of `known` (a `_Vocabulary` of `parse`)
+        takes its value from there; only the other rows are parsed.
+        """
+        if known is None:
+            return self._parsed(name, parse, dtype, slice(None))
+        values, spelt = known.match(self.buf, *self._field(name))
+        rows = np.flatnonzero(~spelt)
+        if rows.size:
+            values[rows] = self._parsed(name, parse, dtype, rows)
+        return values
+
+    def _parsed(self, name: str, parse, dtype, rows) -> np.ndarray:
+        """`parse` of each of `rows` (a slice or an index array), as `labels` reads them."""
+        code, first = self.codes(name, rows)
         values = []
         for i, raw in zip(first.tolist(), self.texts(name, first)):
             try:
@@ -1036,16 +1219,34 @@ class _Columns:
                 raise SchemaError(f"{self.loc(i)}: column {name!r}: {exc}") from None
         return np.fromiter(values, dtype, len(values))[code]
 
-    def ids(self, name: str, key_of: dict[str, int]) -> np.ndarray:
-        """The key per row, from {stripped cell: key}; a cell not yet in `key_of`
-        is added with the next key, so new keys count up by first row.
+    def ids(self, name: str):
+        """(code per row, first row of each code, codes in record order, the
+        record of each code (`_records`), (start, end) of each code's id).
 
-        Cells that differ only in surrounding space share a key.
+        Rows share a code exactly when their cells match after `str.strip`.
+        Rows are grouped by their bytes (`_group`), and each distinct cell is
+        stripped: ASCII whitespace on the bytes, and a cell holding a
+        non-ASCII byte as text, so such a cell that is not UTF-8 is a
+        SchemaError at its first row.  Only when some cell was stripped are
+        the stripped cells grouped again.
         """
-        code, first = self.codes(name)
-        merged = np.fromiter((key_of.setdefault(raw.strip(), len(key_of))
-                              for raw in self.texts(name, first)), np.int64, first.size)
-        return merged[code]
+        start, end = self._field(name)
+        keys = _cell_keys(self.buf, start, end)
+        code, first, order = _group(keys)
+        keys = keys[:, first]
+        start, end = start[first], end[first]
+        strip_start, strip_end = _trimmed(self.buf, start, end)
+        wide = np.flatnonzero((keys[1:] & _HIGH_BITS).any(axis=0))
+        for k, raw in zip(wide.tolist(), self.texts(name, first[wide])):
+            text = raw.strip()
+            strip_start[k] = start[k] + len(raw[:raw.find(text)].encode("utf-8"))
+            strip_end[k] = strip_start[k] + len(text.encode("utf-8"))
+        if (strip_start != start).any() or (strip_end != end).any():
+            keys = _cell_keys(self.buf, strip_start, strip_end)
+            stripped, lead, order = _group(keys)
+            code, first, keys = stripped[code], first[lead], keys[:, lead]
+            strip_start, strip_end = strip_start[lead], strip_end[lead]
+        return code, first, order, _records(keys), (strip_start, strip_end)
 
     def _parse(self, name: str, point: bool) -> tuple[np.ndarray, np.ndarray]:
         """`_parse_plain` of a column, one block of `_PARSE_ROWS` rows at a time:
@@ -1071,6 +1272,21 @@ class _Columns:
             except OverflowError:
                 raise SchemaError(f"{self.loc(i)}: column {name!r} value {raw!r} "
                                   f"is out of range") from None
+        return values
+
+    def aprs(self, name: str) -> np.ndarray:
+        """APR percentages: a plain cell (`_parse_plain`) without a minus sign
+        reads its cents over 100.0, which is exactly `float` of it (both are
+        exact doubles, and division rounds correctly); any other cell goes
+        through `labels` with `_parse_apr`, so -0 keeps its sign and every
+        error its text and row."""
+        cents, plain = self._parse(name, point=True)
+        zero = np.flatnonzero(plain & (cents <= 0))  # where a minus sign may stand
+        plain[zero[self.buf[self._field(name, zero)[0]] == _MINUS]] = False
+        values = cents / 100.0
+        rows = np.flatnonzero(~plain)
+        if rows.size:
+            values[rows] = self._parsed(name, _parse_apr, np.float64, rows)
         return values
 
     def money(self, name: str, allow_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -1129,13 +1345,15 @@ def _parse_apr(raw: str) -> float:
     return apr
 
 
-def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
-    """The long file folded into payment segments, plus the segment of each loan_id.
+def _read_payments(path: str | Path, ids: _IdTable | None = None) -> tuple[_Payments, _IdTable]:
+    """The long file folded into payment segments, and `ids` (the loans
+    file's ids, or none) with the file's ids added, all numbered by segment
+    (-1: an id with no payment rows).
 
     The file is read `_READ_BYTES` at a time (`_Columns.blocks`) and each
     block is folded as it is read (`_put_block`), so no money column
-    outlives its block.  The per-row loan keys (int32, counting up by first
-    row across blocks), trust months (int32 while every month fits) and
+    outlives its block.  The per-row loan keys (int32), trust months (int32
+    while every month fits) and
     flags are allotted once, for the rows that the share of the file read so
     far predicts and 1/16 more, grown in place only when a block overruns
     them (doubled where the share is not known: a pipe, a quoted file) and
@@ -1144,8 +1362,14 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
     before a month gap; only a file that fails the pass is sorted and checked
     again.  The gap's line comes from the (row, line) pairs kept from the
     blocks' jumps.
+
+    Each block's ids are looked up in `ids` and numbered on there (see
+    `_put_block`), so a file whose ids the loans file holds inserts none.
+    Those numbers stand for the loans in the per-row keys and the per-loan
+    sums until the last block, when segments are numbered by first row.
     """
-    segment_of: dict[str, int] = {}
+    ids = _IdTable() if ids is None else ids
+    seen, met = np.zeros(len(ids), np.bool_), []  # per id number; the numbers met, by first row
     out = {"key": np.empty(0, np.int32), "month": np.empty(0, np.int32),
            "flags": np.empty(0, np.uint8)}  # a block may widen trust months to int64
     sums = {"first_balance": np.zeros(0, np.int64), "paid": np.zeros(0, np.int64)}
@@ -1157,7 +1381,7 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
             size = max(end, int(end / share * 17 / 16) if share else 2 * end)
             for column in out.values():
                 column.resize(size, refcheck=False)
-        _put_block(cols, out, slice(rows, end), sums, segment_of)
+        met.append(_put_block(cols, out, slice(rows, end), sums, ids, seen))
         row, line = cols.jumps[0], cols.jumps[2]
         new = np.append(True, np.diff(line - row) != 0)  # the jumps that move the line on
         ahead = row[new] < 0  # the header's: kept as row 0's, which the last block's rows precede
@@ -1168,7 +1392,13 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
     for column in out.values():
         column.resize(rows, refcheck=False)
     key, month, flags = out.values()
-    months = np.bincount(key, minlength=len(segment_of))
+    met = np.concatenate([np.zeros(0, np.int64), *met])
+    segment = np.full(len(ids), -1, np.int32)
+    segment[met] = np.arange(met.size)
+    ids.number = segment[ids.number]
+    for at in range(0, key.size, _PARSE_ROWS):  # in place, a block at a time
+        key[at:at + _PARSE_ROWS] = segment[key[at:at + _PARSE_ROWS]]
+    months = np.bincount(key, minlength=met.size)
     start = np.cumsum(months) - months
     order = None  # the file row of each sorted row, when the file is not sorted
     at = _first_gap(key, month, start)
@@ -1178,32 +1408,35 @@ def _read_payments(path: str | Path) -> tuple[_Payments, dict[str, int]]:
         at = _first_gap(key, month, start)
     if at is not None:
         k = int(key[at])
-        loan_id = next(key for key, seg in segment_of.items() if seg == k)
         line = _line_at(np.concatenate(jump_rows), np.concatenate(jump_lines),
                         at if order is None else order[at])
-        raise SchemaError(f"{path}:{line}: loan {loan_id} trust_month values are not a "
+        raise SchemaError(f"{path}:{line}: loan {ids.name(k)} trust_month values are not a "
                           f"contiguous 1..{months[k]} sequence")
-    for column in sums.values():
-        column.resize(months.size, refcheck=False)
     return _Payments(start, months, flags if order is None else flags[order],
-                     sums["first_balance"], sums["paid"]), segment_of
+                     sums["first_balance"][met], sums["paid"][met]), ids
 
 
-def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: dict) -> None:
+def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, ids: _IdTable,
+               seen: np.ndarray) -> np.ndarray:
     """Fold one block: its rows' keys, trust months and flags into `rows` of
     `out`, each loan's first balance and principal (in file order from its
-    first row) into `sums`.  Loan keys count on in `segment_of`.  A Decimal
-    principal sum past the exponent limit is a SchemaError naming its loan."""
-    known = len(segment_of)
-    key = out["key"][rows] = cols.ids("loan_id", segment_of)
+    first row) into `sums`.  Loan keys are the numbers of `ids`, new ids
+    numbered on by first row; returns the numbers of the loans first met
+    here (marked in `seen`), by first row.  A Decimal principal sum past
+    the exponent limit is a SchemaError naming its loan."""
+    code, id_first, order, records, _ = cols.ids("loan_id")
+    number = ids.add(records, order)
+    key = out["key"][rows] = number[code]
     months = cols.ints("trust_month")
     if out["month"].dtype == np.int32 and months.size and (
             months.min() < _INT32.min or months.max() > _INT32.max):
         out["month"] = out["month"].astype(np.int64)
     out["month"][rows] = months
-    if len(segment_of) > sums["paid"].size:  # room for the loans first met here
-        for column in sums.values():
-            column.resize(max(len(segment_of), 2 * column.size), refcheck=False)
+    if len(ids) > seen.size:  # room for the ids new to the table
+        seen.resize(max(len(ids), 2 * seen.size), refcheck=False)
+    for column in sums.values():
+        if column.size < seen.size:
+            column.resize(seen.size, refcheck=False)
     balance, missing = cols.money("balance", allow_missing=True)
     flags = out["flags"][rows]
     flags[:] = np.where(missing, _NO_BALANCE, (balance == 0) * _ZERO_BALANCE)
@@ -1217,8 +1450,9 @@ def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: d
     if sums["paid"].dtype == object:
         first_balance, principal = _as_decimals(first_balance), _as_decimals(principal)
     sums["first_balance"][key[first]] = first_balance
-    lead = np.unique(key, return_index=True)[1]
-    lead = lead[key[lead] >= known]  # each new loan's first row
+    new = ~seen[number]
+    seen[number[new]] = True
+    lead = id_first[new]  # each new loan's first row
     later = np.delete(np.arange(key.size), lead)
     sums["paid"][key[lead]] = principal[lead]  # a Decimal sum starts unrounded
     with localcontext() as context:  # a Decimal sum past the exponent limit reads Infinity
@@ -1229,6 +1463,7 @@ def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, segment_of: d
         i = next(i for i in later.tolist() if not sums["paid"][key[i]].is_finite())
         raise SchemaError(f"{cols.where}: loan {cols.cell('loan_id', i)!r}: column 'principal' "
                           f"sums past the decimal exponent limit")
+    return number[new]
 
 
 def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | None:
@@ -1253,10 +1488,11 @@ def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | N
 def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:
     """Read the static and long CSVs into a LoanTape."""
     cols = _Columns.read(loans_path, _LOAN_FIELDS)
-    key_of: dict[str, int] = {}
-    key = cols.ids("loan_id", key_of)
-    loan_id = np.array(list(key_of), dtype=object)[key]
-    owner = np.unique(key, return_index=True)[1][key]  # the first row with the row's id
+    code, first, order, records, bounds = cols.ids("loan_id")
+    ids = _IdTable()
+    ids.add(records, order)
+    loan_id = np.array(cols.texts("loan_id", first, bounds), dtype=object)[code]
+    owner = first[code]  # the first row with the row's id
     original_amount, _ = cols.money("original_amount")
     loan_age_at_entry = cols.ints("loan_age_at_entry")
     cols.check_rows(((owner < np.arange(cols.rows),
@@ -1265,13 +1501,13 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
                      (loan_age_at_entry < 0, "column 'loan_age_at_entry' must be >= 0")))
     columns = dict(
         loan_id=loan_id,
-        apr_pct=cols.labels("apr_pct", _parse_apr, np.float64),
+        apr_pct=cols.aprs("apr_pct"),
         original_amount=original_amount,
         original_term=cols.ints("original_term"),
         loan_age_at_entry=loan_age_at_entry,
-        has_coborrower=cols.labels("has_coborrower", _parse_bool, np.bool_),
+        has_coborrower=cols.labels("has_coborrower", _parse_bool, np.bool_, _BOOLS),
         income_verification=cols.labels("income_verification", str.strip, object),
-        subvention=cols.labels("subvention", _parse_bool, np.bool_),
+        subvention=cols.labels("subvention", _parse_bool, np.bool_, _BOOLS),
         vehicle_condition=cols.labels("vehicle_condition", str.strip, object),
         initial_status=cols.labels("initial_status", str.strip, object),
         recovered_amount=cols.money("recovered_amount")[0],
@@ -1279,8 +1515,8 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
         line=cols.line,
     )
     del cols  # the loans file's buffer is not held while the payments file is read
-    payments, segment_of = _read_payments(payments_path)
-    segment = np.fromiter(map(segment_of.get, loan_id, repeat(-1)), np.int64, loan_id.size)
+    payments, ids = _read_payments(payments_path, ids)
+    segment = ids.find(records, order)[code]
     return LoanTape(**columns, segment=segment, payments=payments)
 
 
@@ -1308,14 +1544,21 @@ def _cause_code(raw: str) -> int:
     return Cause.from_label(raw).value if raw.strip() else _CENSORED
 
 
+# The labels written, and the lowercase booleans read: their cells are read
+# without a parse (`_Columns.labels`).
+_BOOLS = _Vocabulary(sorted(_TRUE | _FALSE), _parse_bool, np.bool_)
+_CAUSES = _Vocabulary(list(_CAUSE_LABEL_OF), _cause_code, np.int8)
+_BANDS = _Vocabulary(list(_BAND_LABEL_OF), _band_code, np.int8)
+
+
 def read_observations_csv(path: str | Path, loan_ids: bool = True) -> ObservationTable:
     """Read an observation table.  With `loan_ids` false the loan_id column
     must still be present, but its cells are not read: every id is empty."""
     cols = _Columns.read(path, _OBS_COLUMNS)
     columns = dict(
-        event=cols.labels("event", _parse_bool, np.bool_),
-        cause=cols.labels("cause", _cause_code, np.int8),
-        band=cols.labels("band", _band_code, np.int8),
+        event=cols.labels("event", _parse_bool, np.bool_, _BOOLS),
+        cause=cols.labels("cause", _cause_code, np.int8, _CAUSES),
+        band=cols.labels("band", _band_code, np.int8, _BANDS),
         entry_age=cols.ints("entry_age"),
         exit_age=cols.ints("exit_age"),
         loan_id=(cols.labels("loan_id", str.strip, object) if loan_ids

@@ -9,6 +9,7 @@ tape takes: `load_loan_data`, then `build_observations`.
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import os
 import re
@@ -527,8 +528,8 @@ def test_segment_outcomes_match_the_reduceat_oracle(files, data):
         path.write_bytes(data_bytes)
         size = data.draw(st.integers(1, len(data_bytes) + 1), label="block size")
         with tiny_blocks(), mock.patch.object(ingest, "_READ_BYTES", size):
-            payments, segment_of = ingest._read_payments(path)
-    order = [int(loan_id[1:]) for loan_id in segment_of]  # loans by first row in the file
+            payments, ids = ingest._read_payments(path)
+    order = [int(loan_id[1:]) for loan_id in id_names(ids)]  # loans by first row in the file
     oracle = row_payments([histories[k] for k in order])
     assert payments.start.tolist() == oracle.start.tolist()
     assert payments.months.tolist() == oracle.months.tolist()
@@ -697,6 +698,41 @@ LOAN_ERRORS = [
 ]
 
 
+# APR cells outside the plain grammar, or with a minus sign, and what they read.
+ODD_APRS = ["1e1", " 7.5", "7.125", "nan", "-5", "\u0663", "-0", "-0.00", "+0", "7.5 "]
+
+
+@st.composite
+def apr_cell(draw):
+    """A plain APR cell (1-12 digits, at most 2 after a point, an optional
+    sign) or one of ODD_APRS."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(ODD_APRS))
+    decimals = draw(st.integers(0, 2))
+    digits = draw(st.text("0123456789", min_size=max(1, decimals), max_size=12))
+    whole, fraction = digits[:len(digits) - decimals], digits[len(digits) - decimals:]
+    point = "." if decimals or draw(st.booleans()) else ""
+    return draw(st.sampled_from(["", "+", "-"])) + whole + point + fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(apr_cell(), min_size=1, max_size=20))
+def test_aprs_read_bit_for_bit_like_the_per_cell_parse(cells):
+    """Each APR equals `_parse_apr` of its cell to the bit (-0 keeps its
+    sign), and the first bad cell gives its error at its line, as when
+    every distinct cell is parsed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "aprs.csv"
+        path.write_text("n,apr_pct\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(cells)),
+                        encoding="utf-8")
+        cols = _Columns.read(path, ["apr_pct"])
+        parsed = labels_outcome(lambda: cols.labels("apr_pct", ingest._parse_apr, np.float64))
+        assert labels_outcome(lambda: cols.aprs("apr_pct")) == parsed
+        if not isinstance(parsed, str):
+            want = np.array([ingest._parse_apr(cell) for cell in cells])
+            assert cols.aprs("apr_pct").view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("changes, message", LOAN_ERRORS, ids=loan_case_id)
 def test_loan_attribute_errors_carry_location(tmp_path, changes, message):
     paths = write_tape(tmp_path, {"L1": changes}, {"L1": (["100"], ["10"], ["10"])})
@@ -783,6 +819,55 @@ def check_codes_and_labels(texts, quoted, final_newline):
                 rejects_bang(text) for text in texts]
 
 
+# Per label column: its parser and vocabulary, the labels written, and cells
+# that are no label: spellings the parser also reads, unknown labels, a byte
+# that is not UTF-8, and cells that share a label's length and first byte.
+VOCABULARY_COLUMNS = {
+    "event": (ingest._parse_bool, np.bool_, ingest._BOOLS, ["0", "1"],
+              ["TRUE", "t", "no", "2", " 1", "\udcff", "", "11", "0\0"]),
+    "cause": (ingest._cause_code, np.int8, ingest._CAUSES, ["default", "prepay", ""],
+              ["PREPAYMENT", "2", "1", " default", "lapsed", "prepax", "defaulT", "\udcff"]),
+    "band": (ingest._band_code, np.int8, ingest._BANDS, [b.label for b in RiskBand] + [""],
+             ["Prime", " near-prime ", "Deep Subprime", "platinum", "deep_subprimE",
+              "deep_subprime_", "near_primx", "s", "\udcff"]),
+    "has_coborrower": (ingest._parse_bool, np.bool_, ingest._BOOLS,
+                       sorted(ingest._TRUE | ingest._FALSE),
+                       ["TRUE", "No", " y", "maybe", "", "fals", "f\0", "\udcff"]),
+}
+
+
+def labels_outcome(read):
+    """The values `read()` gives as a list, or the text of its SchemaError."""
+    try:
+        return read().tolist()
+    except SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans(), st.booleans())
+def test_vocabulary_reads_match_the_per_row_parse(data, tiny, quoted):
+    """Label columns read through their vocabulary give the table, or the
+    first error's text and file:line, of parsing each distinct cell."""
+    rows = data.draw(st.integers(0, 25), label="rows")
+    mostly = {name: st.sampled_from(labels) | st.sampled_from(labels + others)
+              for name, (_, _, _, labels, others) in VOCABULARY_COLUMNS.items()}
+    cells = {name: data.draw(st.lists(cell, min_size=rows, max_size=rows), label=name)
+             for name, cell in mostly.items()}
+    quote = '"' if quoted else ""  # a quoted file's cells are laid out by csv
+    text = "\n".join([",".join(cells)] + [",".join(quote + cell + quote for cell in row)
+                                          for row in zip(*cells.values())])
+    with tempfile.TemporaryDirectory() as tmp, tiny_blocks() if tiny else contextlib.nullcontext():
+        path = Path(tmp) / "labels.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape") + b"\n")
+        cols = _Columns.read(path, list(cells))
+        for name, (parse, dtype, known, _, _) in VOCABULARY_COLUMNS.items():
+            parsed = labels_outcome(lambda: cols.labels(name, parse, dtype))
+            assert labels_outcome(lambda: cols.labels(name, parse, dtype, known)) == parsed
+            if rows == 0:
+                assert cols.labels(name, parse, dtype, known).dtype == dtype
+
+
 def test_reader_reads_a_pipe(tmp_path):
     obs = observation_table([("a", 7, 16, Cause.DEFAULT, RiskBand.SUBPRIME),
                              ("b", 1, 52, None, None)])
@@ -813,6 +898,66 @@ def test_payment_ids_merge_however_the_rows_are_laid_out(tmp_path):
         REPAID_FOLDED[0] + [0, 0, 0], REPAID_FOLDED[1] + ["Decimal('500.00')"],
         REPAID_FOLDED[2] + ["Decimal('60.00')"])
     assert build_observations(back) == build_observations(tidy)
+
+
+def id_names(ids):
+    """The loan ids of an `_IdTable` by number: by first row in the payments file."""
+    return [ids.name(k) for k in range(len(ids))]
+
+
+def test_ids_match_after_stripping_whitespace_as_str_strip(tmp_path):
+    """Ids padded with tabs, NBSP and other whitespace that `str.strip`
+    removes share one loan and one segment, in both files and in blocks."""
+    loans, payments = write_tape(tmp_path, {"L1": {}, "\tL2 ": {}, "\u00a0L3": {}}, {})
+    payments.write_text("loan_id,trust_month,balance,payment,principal\n" + "".join(
+        f"{loan_id},{month},10,10,10\n" for loan_id, month in [
+            ("L1\t", 1), (" L1", 2), ("L2", 1), ("\u00a0L2\u3000", 2), ("\x1cL3\u00a0", 1),
+            ("\tL3\t", 2)]), encoding="utf-8")
+    for blocks in (contextlib.nullcontext(), tiny_blocks()):
+        with blocks:
+            tape = load_loan_data(loans, payments)
+        assert tape.loan_id.tolist() == ["L1", "L2", "L3"]
+        assert tape.segment.tolist() == [0, 1, 2]
+        assert tape.payments.months.tolist() == [2, 2, 2]
+
+
+_ID_CHARS = st.sampled_from(list("LAB09-") + ["\0", "\u00e9", "\u20ac"])
+_PADDING = st.text(st.sampled_from([" ", "\t", "\u00a0", "\x1c", "\u3000", "\x85"]), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(_ID_CHARS, max_size=17), min_size=1, max_size=6, unique=True),
+       st.data())
+def test_loan_ids_join_like_a_dict_of_stripped_strings(bases, data):
+    """Segments are numbered by first row in the payments file and loans
+    joined to them, as a dict of `str.strip`ped ids numbers them, at any
+    block size: ids cross the 8- and 16-byte word edges and hold NUL,
+    non-ASCII bytes and padding."""
+    bases = list(dict.fromkeys(base.strip() for base in bases))
+    padded = st.builds(lambda left, k, right: (left + bases[k] + right, k), _PADDING,
+                       st.integers(0, len(bases) - 1), _PADDING)
+    rows = data.draw(st.lists(padded, min_size=1, max_size=12), label="payment ids")
+    loans = data.draw(st.lists(padded, max_size=6, unique_by=lambda cell: cell[1]), label="loans")
+    months, lines = {}, []  # the rows of each id so far; the file's lines
+    for cell, k in rows:
+        months[k] = months.get(k, 0) + 1
+        lines.append(f"{cell},{months[k]},10,10,10")
+    with tempfile.TemporaryDirectory() as tmp:
+        loans_path, payments_path = write_tape(Path(tmp), {cell: {} for cell, _ in loans}, {})
+        data_bytes = ("loan_id,trust_month,balance,payment,principal\n" + "\n".join(lines)
+                      + "\n").encode("utf-8")
+        payments_path.write_bytes(data_bytes)
+        size = data.draw(st.integers(1, len(data_bytes) + 1), label="block size")
+        with tiny_blocks(), mock.patch.object(ingest, "_READ_BYTES", size):
+            payments, ids = ingest._read_payments(payments_path)
+            tape = load_loan_data(loans_path, payments_path)
+    segment_of = {}
+    for _, k in rows:
+        segment_of.setdefault(bases[k], len(segment_of))
+    assert id_names(ids) == list(segment_of)
+    assert payments.months.tolist() == [months[bases.index(b)] for b in segment_of]
+    assert tape.loan_id.tolist() == [bases[k] for _, k in loans]
+    assert tape.segment.tolist() == [segment_of.get(bases[k], -1) for _, k in loans]
 
 
 def payments_file(path, rows):
@@ -852,6 +997,8 @@ def test_trust_month_gap_in_an_unsorted_file_is_located_at_its_own_line(tmp_path
 
 
 def test_text_columns_decode_one_string_per_distinct_cell(tmp_path, monkeypatch):
+    """Label columns that hold only canonical labels decode nothing; other
+    labels, and the text columns, decode one string per distinct cell."""
     asked = []
     original = _Columns.texts
 
@@ -867,7 +1014,18 @@ def test_text_columns_decode_one_string_per_distinct_cell(tmp_path, monkeypatch)
                               RiskBand.PRIME) for i in range(200)])
     write_observations_csv(tmp_path / "obs.csv", obs)
     assert read_observations_csv(tmp_path / "obs.csv") == obs
-    assert {name for name, _, _ in asked} >= {"loan_id", "band", "cause", "event"}
+    labels = {"band", "cause", "event", "has_coborrower", "subvention"}
+    assert {name for name, _, _ in asked} >= {"loan_id", "income_verification"}
+    assert not {name for name, _, _ in asked} & labels, asked
+    assert all(rows <= distinct for _, rows, distinct in asked), asked
+    asked.clear()
+    lines = (tmp_path / "obs.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    (tmp_path / "odd.csv").write_text("\n".join([lines[0]] + [",".join(
+        [loan_id, "Prime", entry, exit_, {"0": "False", "1": "True"}[event], cause.upper()])
+        for loan_id, _, entry, exit_, event, cause in rows]) + "\n", encoding="utf-8")
+    assert read_observations_csv(tmp_path / "odd.csv") == obs
+    assert {name for name, _, _ in asked} >= {"band", "cause", "event"}
     assert all(rows <= distinct for _, rows, distinct in asked), asked
 
 
@@ -947,15 +1105,17 @@ def test_word_parse_of_read_files_matches_the_oracle(cells, quoted, crlf, final_
 
 def test_parse_reads_signs_long_integers_and_short_fractions():
     cells = [b"-1.5", b"+.5", b"5.", b"123456789012", b"-99999999.99", b"1234567890.12",
-             b"12345678901.2", b"0", b"1.2.3", b"1234567890123", b"+", b".", b"", b"NA",
-             b"1_0", b"1 ", b"/", b":"]
+             b"12345678901.2", b"0", b"12345678", b"-12345678", b"+1234567", b"1234567.8",
+             b"123456.78", b"-123456.78", b"1234567.", b"1.2.3", b"1234567890123", b"+", b".",
+             b"", b"NA", b"1_0", b"1 ", b"/", b":"]
     buf = np.frombuffer(b",".join(cells) + bytes(_SPARE), np.uint8)
     size = np.array([len(cell) for cell in cells], dtype=np.int64)
     end = np.cumsum(size + 1) - 1
     values, plain = _parse_plain(buf, end - size, end, point=True)
     assert values[plain].tolist() == [-150, 50, 500, 12345678901200, -9999999999, 123456789012,
-                                      1234567890120, 0]
-    assert plain.tolist() == [True] * 8 + [False] * 10
+                                      1234567890120, 0, 1234567800, -1234567800, 123456700,
+                                      123456780, 12345678, -12345678, 123456700]
+    assert plain.tolist() == [True] * 15 + [False] * 10
 
 
 ROWS = [[b"L1", b"1", b"300.00", b"110"], [b"L1", b"2", b"", b"110.5"],
@@ -1297,7 +1457,7 @@ STREAM_ERRORS = {  # the rows, and the error they give without its location
 
 
 def read_payments_in_blocks(path, size):
-    """`_read_payments` reading `size` bytes at a time: (payments, segment_of) or the error text."""
+    """`_read_payments` reading `size` bytes at a time: (payments, loan ids) or the error text."""
     with mock.patch.object(ingest, "_READ_BYTES", size):
         try:
             return ingest._read_payments(path)
@@ -1307,7 +1467,7 @@ def read_payments_in_blocks(path, size):
 
 def same_payments(a, b) -> bool:
     (pa, ida), (pb, idb) = a, b
-    return list(ida.items()) == list(idb.items()) and all(
+    return id_names(ida) == id_names(idb) and all(
         getattr(pa, name).dtype == getattr(pb, name).dtype
         and list(map(repr, getattr(pa, name).tolist())) == list(map(repr, getattr(pb, name).tolist()))
         for name in ("start", "months", "flags", "first_balance", "paid"))
@@ -1321,7 +1481,7 @@ def test_payments_read_alike_at_every_block_size(tmp_path, shape):
     data = stream_file(STREAM_ROWS, shape)
     path.write_bytes(data)
     whole = read_payments_in_blocks(path, len(data) + 1)
-    assert list(whole[1]) == ["L1", "L2", "L3"] and whole[0].months.tolist() == [3, 3, 1]
+    assert id_names(whole[1]) == ["L1", "L2", "L3"] and whole[0].months.tolist() == [3, 3, 1]
     balance = _Columns.read(path, ingest._PAYMENT_COLUMNS).money("balance", allow_missing=True)
     assert [str(v) for v in balance[0].tolist()] == [
         "300.00", "0.00", "0.00", "250.00", "250.00", "0.00", "90.255"]
@@ -1370,7 +1530,8 @@ def test_payments_read_through_a_pipe_load_the_same_tape(tmp_path):
             with open(write_end, "wb") as writer:
                 writer.write(payments.read_bytes())
             piped = load_loan_data(loans, f"/dev/fd/{read_end}")
-        assert same_payments((piped.payments, {}), (tidy.payments, {}))
+        assert same_payments((piped.payments, ingest._IdTable()),
+                             (tidy.payments, ingest._IdTable()))
         assert piped.segment.tolist() == tidy.segment.tolist() == [0, 1, 2]
         assert build_observations(piped) == build_observations(tidy)
 
