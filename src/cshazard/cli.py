@@ -12,7 +12,6 @@ Exit codes: 0 ok, 2 schema/parse error, 3 empty result, 4 unknown key,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -252,13 +251,10 @@ def cmd_returns(args) -> None:
         estimator.read_curve_csv(args.prepay_curve) if args.prepay_curve else None,
         _recovery_fn(args))
 
-    out = _outdir(args) / args.out
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["age", "price", "monthly_return", "annual_return"])
-        for x, rho in enumerate(rates.tolist(), start=1):
-            writer.writerow([x, f"{schedule.balance(x - 1):.2f}",
-                             repr(rho), repr(actuarial.annualize(rho))])
+    out, rates = _outdir(args) / args.out, rates.tolist()
+    ingest._write_csv(out, ["age", "price", "monthly_return", "annual_return"], [
+        range(1, len(rates) + 1), [f"{b:.2f}" for b in schedule.balances[:-1].tolist()],
+        list(map(repr, rates)), [repr(actuarial.annualize(rho)) for rho in rates]])
     _finish(args, [out])
 
 
@@ -282,10 +278,7 @@ def cmd_savings(args) -> None:
         out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     else:
         out = outdir / "savings.csv"
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(doc))
-            writer.writerow([doc[k] for k in doc])
+        ingest._write_csv(out, list(doc), [[value] for value in doc.values()])
     _finish(args, [out])
 
 
@@ -295,7 +288,7 @@ def _read_recovery_observations(path: str | Path) -> list[tuple[int, float]]:
     if cols.rows == 0:
         raise EmptyResultError(f"{path}: no recovery observations")
     ages = cols.ints("age")
-    fractions = cols.labels("recovery", ingest._parse_float, float)
+    fractions, = cols.numbers(("recovery",), ingest._parse_float, float)
     cols.check_rows((
         (ages < 1, lambda i: f"age {cols.cell('age', i)} is below 1"),
         (~((fractions >= 0.0) & (fractions <= 1.5)),

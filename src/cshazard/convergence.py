@@ -9,7 +9,6 @@ end of the shared grid.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import UnknownKeyError
 from .estimator import HazardCurve, check_shared_grid
+from .ingest import _write_csv
 
 __all__ = [
     "Decision",
@@ -216,21 +216,11 @@ def transition_matrix(curves: dict, min_test_age: int = DEFAULT_MIN_TEST_AGE,
 
 def write_matrix_csv(path: str | Path, matrix: TransitionMatrix) -> None:
     """Write the matrix in display layout: bands on both axes, upper triangle filled."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["band", *matrix.bands])
-        for i, band in enumerate(matrix.bands):
-            row = [""] * i + [
-                "" if m is None else m for m in matrix.months[i]
-            ]
-            writer.writerow([band, *row])
+    rows = [[band, *[""] * i, *matrix.months[i]] for i, band in enumerate(matrix.bands)]
+    _write_csv(path, ["band", *matrix.bands], list(zip(*rows)))
 
 
 def write_trace_csv(path: str | Path, results) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["band_a", "band_b", "age", "decision"])
-        for res in results:
-            for i in range(res.ages.size):
-                writer.writerow([res.band_a, res.band_b, int(res.ages[i]),
-                                 res.decisions[i].value])
+    rows = [(res.band_a, res.band_b, age, decision.value) for res in results
+            for age, decision in zip(res.ages.astype(np.int64).tolist(), res.decisions)]
+    _write_csv(path, ["band_a", "band_b", "age", "decision"], list(zip(*rows)))

@@ -10,7 +10,6 @@ positive.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import IncompatibleInputsError, SchemaError
-from .ingest import ObservationTable, _Columns, _parse_float
+from .ingest import ObservationTable, _Columns, _parse_float, _write_csv
 from .riskmodel import Cause
 
 __all__ = [
@@ -301,17 +300,14 @@ def _fmt(value: float) -> str:
 
 def write_curve_csv(path: str | Path, curve: HazardCurve) -> None:
     cause_label = curve.cause.label if curve.cause is not None else "all"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CURVE_COLUMNS)
-        for i in range(curve.ages.size):
-            writer.writerow([
-                curve.band, cause_label, int(curve.ages[i]),
-                int(curve.events[i]), int(curve.at_risk[i]),
-                repr(float(curve.hazard[i])), _fmt(curve.variance[i]),
-                _fmt(curve.ci_lo[i]), _fmt(curve.ci_hi[i]),
-                int(curve.interpolated[i]),
-            ])
+    ints = [column.astype(np.int64).tolist() for column in
+            (curve.ages, curve.events, curve.at_risk, curve.interpolated)]
+    floats = [column.astype(np.float64).tolist() for column in
+              (curve.hazard, curve.variance, curve.ci_lo, curve.ci_hi)]
+    _write_csv(path, _CURVE_COLUMNS, [
+        [curve.band] * curve.ages.size, [cause_label] * curve.ages.size, *ints[:3],
+        list(map(repr, floats[0])), *([_fmt(v) for v in column] for column in floats[1:]),
+        ints[3]])
 
 
 def _whole_cell(raw: str) -> int:
@@ -338,11 +334,10 @@ def read_curve_csv(path: str | Path) -> HazardCurve:
     cols = _Columns.read(path, _CURVE_COLUMNS)
     if cols.rows == 0:
         raise SchemaError(f"{cols.where}: curve file has no rows")
-    ages, events, at_risk = (cols.labels(name, _whole_cell, np.int64)
-                             for name in ("age", "events", "at_risk"))
-    hazard, variance, ci_lo, ci_hi = (cols.labels(name, _parse_float, np.float64)
-                                      for name in ("hazard", "var", "ci_lo", "ci_hi"))
-    interpolated = cols.labels("interpolated", _whole_cell, np.bool_)
+    ages, events, at_risk = cols.numbers(("age", "events", "at_risk"), _whole_cell, np.int64)
+    hazard, variance, ci_lo, ci_hi = cols.numbers(("hazard", "var", "ci_lo", "ci_hi"),
+                                                  _parse_float, np.float64)
+    interpolated, = cols.numbers(("interpolated",), _whole_cell, np.bool_)
     band = cols.labels("band", str, object)
     cause = cols.labels("cause", _cause_cell, object)
     cell = cols.cell

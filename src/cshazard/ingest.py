@@ -574,13 +574,15 @@ _LEAD = np.array([10**8, 10**7, 10**7, 0, 10**7, 0, 0, 0], np.int64)
 
 
 def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
-                 point: bool) -> tuple[np.ndarray, np.ndarray]:
+                 point: bool, unsigned: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Read plain numeric cells straight from the bytes.
 
     A plain cell is an optional sign and 1..12 digits; with `point`, at most
     one '.' may sit among them with at most two digits after it, and the
-    value is returned in hundredths (cents).  Returns (values, plain); cells
-    that are not plain read 0 and are left to the caller.
+    value is returned in hundredths (cents).  With `unsigned`, a cell with a
+    minus sign is not plain, so its caller's parse keeps the sign of -0.
+    Returns (values, plain); cells that are not plain read 0 and are left
+    to the caller.
 
     Each cell reads the word that ends at its end, which holds the whole of
     a cell of up to eight bytes, its sign too.  The bytes before the digits
@@ -621,6 +623,8 @@ def _parse_plain(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
         digits = body
     plain = _all_digits(word)
     plain &= (digits >= 1) & (digits <= _PLAIN_DIGITS)
+    if unsigned:
+        plain &= ~minus
     value = _digits_value(word)
     long = np.flatnonzero(body > 8)
     if long.size:  # their leading digits take a second word
@@ -883,23 +887,30 @@ def _header_names(loc: str, fields: list[bytes]) -> list[str]:
     return names
 
 
-def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(buffer, separator offsets, lines, CRs before a newline) of file bytes
-    ending in a newline and the spare bytes.
+def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """(buffer, separator offsets, lines, CRs before a newline, CRs) of file
+    bytes ending in a newline and the spare bytes.
 
-    Commas and newlines are found `_SCAN_BYTES` at a time through two reused
-    masks, in two passes: the first counts them, so the second writes each
-    block's offsets straight into one array.
+    Commas and newlines are found `_SCAN_BYTES` at a time through reused
+    masks, in two passes: the first only counts them and the CRs (Langdale
+    and Lemire's mask scan), a CR that ends one block carried into the
+    next, so the second writes each block's offsets straight into one array.
     """
     buf = np.frombuffer(data, np.uint8)  # the spare bytes are NUL: no separator
     newline = np.empty(min(_SCAN_BYTES, buf.size), np.bool_)
-    comma = np.empty_like(newline)
-    lines = crlf = count = 0
+    comma, cr = np.empty_like(newline), np.empty_like(newline)
+    lines = crlf = crs = count = 0
+    carry = False  # whether the block before ended in a CR
     for at in range(0, buf.size, _SCAN_BYTES):
         block = buf[at:at + _SCAN_BYTES]
-        ends = np.flatnonzero(np.equal(block, _NEWLINE, out=newline[:block.size])) + (at - 1)
-        lines, crlf = lines + ends.size, crlf + np.count_nonzero(buf[ends] == _CR)  # buf[-1]: spare
-        count += ends.size + np.count_nonzero(np.equal(block, _COMMA, out=comma[:block.size]))
+        n = block.size
+        ends, back = np.equal(block, _NEWLINE, out=newline[:n]), np.equal(block, _CR, out=cr[:n])
+        lines, crs = lines + np.count_nonzero(ends), crs + np.count_nonzero(back)
+        count += np.count_nonzero(np.equal(block, _COMMA, out=comma[:n]))
+        pairs = np.logical_and(back[:-1], ends[1:], out=comma[:n - 1])
+        crlf += np.count_nonzero(pairs) + (carry and ends[0])
+        carry = bool(back[-1])
+    count += lines
     found, k = np.empty(count, np.int32 if buf.size < _INT32_BYTES else np.int64), 0
     for at in range(0, buf.size, _SCAN_BYTES):
         block = buf[at:at + _SCAN_BYTES]
@@ -908,7 +919,7 @@ def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, int, int]:
         piece = np.flatnonzero(separator)
         np.add(piece, at, out=found[k:k + piece.size], casting="unsafe")
         k += piece.size
-    return buf, found, lines, crlf
+    return buf, found, lines, crlf, crs
 
 
 def _compact(where: str, buf: np.ndarray, found: np.ndarray, width: int,
@@ -968,12 +979,14 @@ class _Columns:
     grid[i + 1, j] the one after field j of row i, so cell j of row i runs
     from just past grid[i + 1, j - 1] (for j = 0, the last of grid row i) to
     grid[i + 1, j]; a cell that ends its file line ends at a CR before the
-    newline.  Row i starts after grid row i, on the line after row i - 1's,
-    unless a jump says otherwise: `jumps` holds (row, first byte, line) for
-    the header (row -1: line 1, or in a later block the line before the
-    block) and each row after a long row (whose last grid separator is the
-    comma after the header's last field) or after skipped blank lines, and
-    for every row of a quoted file (a quoted cell may hold line breaks).  A
+    newline (`cr`: 1 or 0 when every row's line has or lacks one, None when
+    each row is tested).  Row i starts after grid row i, on the line after
+    row i - 1's, unless a jump says otherwise: `jumps` holds (row, first
+    byte, line) for the header (row -1: line 1, or in a later block the
+    line before the block) and each row after a long row (whose last grid
+    separator is the comma after the header's last field) or after skipped
+    blank lines, and for every row of a quoted file (a quoted cell may hold
+    line breaks).  A
     sparse table is the simplest exception: a file whose lines all hold the
     header's fields needs no entry and a lookup is one searchsorted, where a
     start or a line per row would cost 8 bytes a row on a file with one
@@ -984,9 +997,9 @@ class _Columns:
     """
 
     def __init__(self, where: str, required, buf: np.ndarray, columns, grid: np.ndarray,
-                 jumps: np.ndarray) -> None:
+                 jumps: np.ndarray, cr: int | None = None) -> None:
         self.where, self.column = where, dict(zip(required, columns))
-        self.buf, self.grid, self.jumps = buf, grid, jumps
+        self.buf, self.grid, self.jumps, self.cr = buf, grid, jumps, cr
         self.rows = grid.shape[0] - 1
 
     @classmethod
@@ -1060,10 +1073,10 @@ class _Columns:
         if size == 0 or data[size - 1] != _NEWLINE:
             data[size] = _NEWLINE
             size += 1
-        buf, found, lines, crlf = _separators(data)
-        if b"\r" in data and data.count(b"\r") != crlf:  # a bare CR ends a line too
+        buf, found, lines, crlf, crs = _separators(data)
+        if crs != crlf:  # a bare CR ends a line too
             data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + bytes(_SPARE)
-            buf, found, lines, _ = _separators(data)
+            buf, found, lines, crlf, crs = _separators(data)
         if header is None:
             header = _header_names(f"{where}:1",
                                    data[:data.index(b"\n")].rstrip(b"\r").split(b","))
@@ -1073,7 +1086,9 @@ class _Columns:
             # The last column holds every newline exactly when each line has the header's fields.
             if (buf[grid[:, -1]] == _NEWLINE).all():
                 jumps = np.array([[-1], [0], [1 + shift]])
-                return cls(where, required, buf, columns, grid, jumps), header, lines
+                crlf -= buf[grid[0, -1] - 1] == _CR  # now the rows' CR-LF line ends
+                cr = 1 if crlf == lines - 1 else 0 if crlf == 0 else None
+                return cls(where, required, buf, columns, grid, jumps, cr), header, lines
         grid, jumps = _compact(where, buf, found, len(header), 1 + shift)
         return cls(where, required, buf, columns, grid, jumps), header, lines
 
@@ -1130,8 +1145,8 @@ class _Columns:
         """(start, end) of a column's cells in `rows`: a slice, an index array or one row."""
         j, grid, buf = self.column[name], self.grid, self.buf
         end = grid[1:, j][rows]
-        if j + 1 == grid.shape[1]:  # a cell that ends its file line ends at a CR before it
-            end = end - ((buf[end] == _NEWLINE) & (buf[end - 1] == _CR))
+        if j + 1 == grid.shape[1] and self.cr != 0:  # a cell ending its line ends at a CR before it
+            end = end - (self.cr or (buf[end] == _NEWLINE) & (buf[end - 1] == _CR))
         start = (grid[1:, j - 1] if j else grid[:-1, -1])[rows] + 1
         if j == 0 and self.jumps.shape[1] > 1:  # some row jumps
             at = np.arange(*rows.indices(self.rows)) if isinstance(rows, slice) else rows
@@ -1173,8 +1188,8 @@ class _Columns:
     def texts(self, name: str, rows: np.ndarray, bounds=None) -> list[str]:
         """The cells of the given rows as strings, decoded in one batch; a cell
         that is not UTF-8 is a SchemaError at the first such row in `rows`.
-        `bounds` gives (start, end) of a part of each cell, known to be UTF-8,
-        to decode in its place."""
+        `bounds` gives (start, end) of other bytes to decode in place of each
+        cell (a UnicodeDecodeError if one is not UTF-8)."""
         if rows.size == 0:
             return []
         start, end = self._field(name, rows) if bounds is None else bounds
@@ -1211,13 +1226,37 @@ class _Columns:
     def _parsed(self, name: str, parse, dtype, rows) -> np.ndarray:
         """`parse` of each of `rows` (a slice or an index array), as `labels` reads them."""
         code, first = self.codes(name, rows)
+        return self._each(name, parse, dtype, first)[code]
+
+    def _each(self, name: str, parse, dtype, rows: np.ndarray) -> np.ndarray:
+        """`parse` of each of `rows`, decoded in one batch (`texts`) and parsed
+        in order: a ValueError is a SchemaError at its row."""
         values = []
-        for i, raw in zip(first.tolist(), self.texts(name, first)):
+        for i, raw in zip(rows.tolist(), self.texts(name, rows)):
             try:
                 values.append(parse(raw))
             except ValueError as exc:
                 raise SchemaError(f"{self.loc(i)}: column {name!r}: {exc}") from None
-        return np.fromiter(values, dtype, len(values))[code]
+        return np.fromiter(values, dtype, len(values))
+
+    def numbers(self, names, parse, dtype) -> np.ndarray:
+        """`labels` of each named column, as the rows of one array, with no cell
+        grouped (for small files of mostly distinct cells): a plain integer
+        cell without a minus sign reads its value, which is `parse`'s, and
+        the rest are decoded in one batch and parsed in column and row order.
+        A failure is found again column by column (`_each`), so every error
+        and its row are those of `labels`."""
+        start, end = (np.concatenate(bounds) for bounds in zip(*map(self._field, names)))
+        values, plain = _parse_plain(self.buf, start, end, False, True)
+        values, rows = values.astype(dtype), np.flatnonzero(~plain)
+        try:
+            texts = self.texts(names[0], rows, (start[rows], end[rows]))
+            values[rows] = np.fromiter(map(parse, texts), dtype, rows.size)
+        except ValueError:  # a UnicodeDecodeError too
+            for k, name in enumerate(names):
+                mine = rows[(rows >= k * self.rows) & (rows < (k + 1) * self.rows)]
+                values[mine] = self._each(name, parse, dtype, mine - k * self.rows)
+        return values.reshape(len(names), self.rows)
 
     def ids(self, name: str):
         """(code per row, first row of each code, codes in record order, the
@@ -1248,14 +1287,16 @@ class _Columns:
             strip_start, strip_end = strip_start[lead], strip_end[lead]
         return code, first, order, _records(keys), (strip_start, strip_end)
 
-    def _parse(self, name: str, point: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _parse(self, name: str, point: bool,
+               unsigned: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """`_parse_plain` of a column, one block of `_PARSE_ROWS` rows at a time:
         each block's bounds are derived and parsed while they are in cache."""
         values = np.empty(self.rows, np.int64)
         plain = np.empty(self.rows, np.bool_)
         for at in range(0, self.rows, _PARSE_ROWS):
             block = slice(at, at + _PARSE_ROWS)
-            values[block], plain[block] = _parse_plain(self.buf, *self._field(name, block), point)
+            values[block], plain[block] = _parse_plain(self.buf, *self._field(name, block), point,
+                                                       unsigned)
         return values, plain
 
     def ints(self, name: str) -> np.ndarray:
@@ -1280,9 +1321,7 @@ class _Columns:
         exact doubles, and division rounds correctly); any other cell goes
         through `labels` with `_parse_apr`, so -0 keeps its sign and every
         error its text and row."""
-        cents, plain = self._parse(name, point=True)
-        zero = np.flatnonzero(plain & (cents <= 0))  # where a minus sign may stand
-        plain[zero[self.buf[self._field(name, zero)[0]] == _MINUS]] = False
+        cents, plain = self._parse(name, point=True, unsigned=True)
         values = cents / 100.0
         rows = np.flatnonzero(~plain)
         if rows.size:
@@ -1525,15 +1564,41 @@ _BAND_LABEL_OF = np.array([b.label for b in RiskBand] + [""], dtype=object)
 _CAUSE_LABEL_OF = np.array(["", Cause.DEFAULT.label, Cause.PREPAY.label], dtype=object)
 
 
-def write_observations_csv(path: str | Path, table: ObservationTable) -> None:
+_QUOTE_IF = (",", '"', "\r", "\n")  # a cell holding one of these is quoted
+
+
+def _csv_cells(cells, lone: bool) -> list:
+    """Cells as `csv.writer` writes them in the excel dialect: None as '',
+    another non-text cell as its str, and a cell holding a comma, a quote,
+    CR or LF (or, when it is its row's only cell (`lone`), an empty one)
+    quoted with its quotes doubled.  One join tests a whole column."""
+    cells = list(cells)
+    try:
+        text = "".join(cells)
+    except TypeError:
+        cells = ["" if cell is None else str(cell) for cell in cells]
+        text = "".join(cells)
+    if not any(c in text for c in _QUOTE_IF) and not (lone and "" in cells):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if any(c in cell for c in _QUOTE_IF)
+            or lone and not cell else cell for cell in cells]
+
+
+def _write_csv(path: str | Path, header, columns) -> None:
+    """Write a header row and the rows of `columns` (one sequence of cells
+    per field) with the bytes of `csv.writer` in the excel dialect: cells
+    joined by ',' (see `_csv_cells`), each row ended by CRLF, UTF-8."""
+    lone = len(header) == 1
+    rows = zip(*(_csv_cells(column, lone) for column in columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_OBS_COLUMNS)
-        writer.writerows(zip(
-            table.loan_id.tolist(), _BAND_LABEL_OF[table.band].tolist(),
-            table.entry_age.tolist(), table.exit_age.tolist(),
-            table.event.astype(np.int8).tolist(), _CAUSE_LABEL_OF[table.cause].tolist(),
-        ))
+        fh.write("\r\n".join([",".join(_csv_cells(header, lone)), *map(",".join, rows), ""]))
+
+
+def write_observations_csv(path: str | Path, table: ObservationTable) -> None:
+    _write_csv(path, _OBS_COLUMNS, [
+        table.loan_id.tolist(), _BAND_LABEL_OF[table.band].tolist(),
+        table.entry_age.tolist(), table.exit_age.tolist(),
+        np.where(table.event, "1", "0").tolist(), _CAUSE_LABEL_OF[table.cause].tolist()])
 
 
 def _band_code(raw: str) -> int:
@@ -1562,7 +1627,7 @@ def read_observations_csv(path: str | Path, loan_ids: bool = True) -> Observatio
         entry_age=cols.ints("entry_age"),
         exit_age=cols.ints("exit_age"),
         loan_id=(cols.labels("loan_id", str.strip, object) if loan_ids
-                 else np.full(cols.rows, "", dtype=object)),
+                 else np.array([""], object).repeat(cols.rows)),
     )
     cols.check_rows(_row_checks(columns["entry_age"], columns["exit_age"],
                                 columns["event"], columns["cause"]))

@@ -10,7 +10,6 @@ computed in closed form.
 """
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .estimator import _log_ci, check_theta, normal_quantile
-from .ingest import ObservationTable
+from .ingest import ObservationTable, _write_csv
 from .riskmodel import Cause, CompetingRisksDistribution, TruncationLaw, survival
 
 __all__ = [
@@ -256,20 +255,14 @@ class StudyReport:
 
     def write_csv(self, path: str | Path) -> None:
         """Per-age rows suitable for plotting estimate-vs-truth comparisons."""
-        ratio = self.var_ratio
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["age", "cause", "lam_true", "lam_mean", "emp_var",
-                             "asym_var", "var_ratio", "coverage", "ci_defined"])
-            for ai, age in enumerate(self.ages):
-                for ci, cause in enumerate(("default", "prepay")):
-                    row = [int(age), cause]
-                    for arr in (self.lam_true, self.lam_mean, self.emp_var,
-                                self.asym_var, ratio, self.coverage):
-                        v = arr[ai, ci]
-                        row.append("" if np.isnan(v) else repr(float(v)))
-                    row.append(int(self.ci_defined[ai, ci]))
-                    writer.writerow(row)
+        ages = np.asarray(self.ages, np.int64)  # each age takes a default and a prepay row
+        _write_csv(path, ["age", "cause", "lam_true", "lam_mean", "emp_var",
+                          "asym_var", "var_ratio", "coverage", "ci_defined"], [
+            np.repeat(ages, 2).tolist(), ["default", "prepay"] * ages.size,
+            *(["" if v != v else repr(v) for v in np.asarray(arr, np.float64).ravel().tolist()]
+              for arr in (self.lam_true, self.lam_mean, self.emp_var, self.asym_var,
+                          self.var_ratio, self.coverage)),
+            np.asarray(self.ci_defined, np.int64).ravel().tolist()])
 
 
 # Replicates are counted and scored in blocks of about this many (replicate, age)

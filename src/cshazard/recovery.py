@@ -9,7 +9,6 @@ observed default ages.  When k > 1 the kernel has a single interior peak at
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -20,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, SchemaError
+from .ingest import _write_csv
 
 __all__ = [
     "RecoveryPoints",
@@ -402,14 +402,11 @@ def _log_kernel(fit: GammaKernelFit, age: float) -> float:
 
 def write_recovery_csv(path: str | Path, points: RecoveryPoints,
                        smoothed: np.ndarray, fit: GammaKernelFit) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["age", "raw_mean", "smoothed", "fitted"])
-        for i in range(points.ages.size):
-            age = int(points.ages[i])
-            writer.writerow([age, repr(float(points.mean[i])),
-                             repr(float(smoothed[i])),
-                             repr(recovery_at(fit, age))])
+    ages = points.ages.astype(np.int64).tolist()
+    _write_csv(path, ["age", "raw_mean", "smoothed", "fitted"], [
+        ages, *(list(map(repr, np.asarray(column, np.float64).tolist()))
+                for column in (points.mean, smoothed)),
+        [repr(recovery_at(fit, age)) for age in ages]])
 
 
 def fit_to_json(fit: GammaKernelFit) -> str:

@@ -7,6 +7,8 @@ an algebra slip in the library cannot silently agree with itself.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -579,3 +581,16 @@ def scipy_restarts(ages, values, restarts: int, budget: int, seed: int = 0):
     c, k, theta = np.exp(np.clip(results[idx].x, -50.0, 50.0))
     fit = GammaKernelFit(c=float(c), k=float(k), theta=float(theta), residual=float(best_fun))
     return results, fit, any(bool(res.success) for res in results)
+
+
+# ---------------------------------------------------------------------------
+# CSV files as the csv module writes them
+
+
+def csv_bytes(header, rows) -> bytes:
+    """A header and rows as `csv.writer` writes them in the excel dialect, UTF-8."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")

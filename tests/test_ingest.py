@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import observation_table, staged_curve, write_tape
@@ -1769,3 +1769,125 @@ def test_loaded_payments_hold_a_byte_per_row_and_a_few_per_loan(tmp_path):
         assert held.paid.dtype == (object if shape == "mils" else np.int64)
         nbytes = sum(getattr(held, name).nbytes for name in held.__dataclass_fields__)
         assert nbytes <= 50000 + 32 * 2000, shape
+
+
+# ---------------------------------------------------------------------------
+# the separator scan against a bytes oracle
+
+
+def scan_oracle(data: bytes):
+    """(separator offsets, lines, CR-LF pairs, CRs) of `data`, by bytes methods."""
+    return ([k for k, byte in enumerate(data) if byte in b",\n"], data.count(b"\n"),
+            data.count(b"\r\n"), data.count(b"\r"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([b"a", b"bc", b",", b"\r", b"\n", b"\r\n"]), max_size=40)
+       .map(b"".join))
+@example(b"a,b\r\nc,d\r\n")  # CR-LF pairs, split across blocks at some scan size
+@example(b"a,b\rc,d\r\n,\r")  # bare CRs, one at the end of the file
+@example(b"x,y\r\nz,w")  # no final newline
+@example(b"\r")
+@example(b"")
+def test_separator_scan_matches_a_bytes_oracle_at_every_scan_size(data):
+    """Lines, CRs before a newline, CRs and separator offsets: an undercount
+    would still read every file right, through the bare-CR rewrite."""
+    for size in range(1, 33):
+        with mock.patch.object(ingest, "_SCAN_BYTES", size):
+            _, found, lines, crlf, crs = ingest._separators(bytearray(data + bytes(_SPARE)))
+        assert (found.tolist(), lines, crlf, crs) == scan_oracle(data), size
+
+
+@pytest.mark.parametrize("final_newline", [True, False], ids=["", "no-final-newline"])
+def test_a_crlf_file_never_takes_the_bare_cr_rewrite(tmp_path, final_newline):
+    """Each block is scanned once unless a bare CR is rewritten, so a CR-LF
+    file makes one `_separators` call per block at every scan size."""
+    path = tmp_path / "rows.csv"
+    lines = [b"e,a,b,c,d"] + [b"," + b",".join(row) for row in ROWS]
+    path.write_bytes(b"\r\n".join(lines) + (b"\r\n" if final_newline else b""))
+    for size in range(1, 33):
+        with mock.patch.object(ingest, "_SCAN_BYTES", size), \
+                mock.patch.object(ingest, "_separators", wraps=ingest._separators) as scan:
+            cols = _Columns.read(path, ["a", "b", "c", "d"])
+            assert scan.call_count == 1 and cols.cr == (1 if final_newline else None)
+            assert [cols.cell("d", i) for i in range(4)] == [row[3].decode() for row in ROWS]
+            blocks = list(_Columns.blocks(path, ["a", "b", "c", "d"], 16))
+            assert scan.call_count == 1 + len(blocks) > 2
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r", 1))  # the header ends in a bare CR
+    with mock.patch.object(ingest, "_separators", wraps=ingest._separators) as scan:
+        _Columns.read(path, ["a", "b", "c", "d"])
+        assert scan.call_count == 2
+
+
+# ---------------------------------------------------------------------------
+# `numbers` reads as `labels` does, without grouping
+
+# Cells in a numeric column: plain, read by the parse, or rejected by it.
+NUMBER_CELLS = ["7", "-7", "+7", "007", "0", "-0", "123456789012", "1234567890123", "1e3",
+                " 7 ", "7.0", "nan", "inf", "-inf", "", "1_0", "٧", b"\xff7", "x"]
+
+
+def parse_outcome(read):
+    """The arrays `read()` returns, or the text of the SchemaError it raises."""
+    try:
+        return [np.asarray(values) for values in read()]
+    except SchemaError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+        assert np.array_equal(np.signbit(a), np.signbit(b)) if a.dtype.kind == "f" else True
+
+
+def with_cells(path, cells):
+    """`path` with cell (row, column) of its data rows replaced by each text or bytes."""
+    lines = [line.split(b",") for line in path.read_bytes().splitlines()]
+    for (row, column), cell in cells.items():
+        lines[row + 1][column] = cell if isinstance(cell, bytes) else cell.encode("utf-8")
+    changed = path.with_suffix(".changed")
+    changed.write_bytes(b"\r\n".join(b",".join(line) for line in lines) + b"\r\n")
+    return changed
+
+
+CURVE_GROUPS = [(("age", "events", "at_risk"), None, np.int64),
+                (("hazard", "var", "ci_lo", "ci_hi"), ingest._parse_float, np.float64),
+                (("interpolated",), None, np.bool_)]
+
+
+@pytest.mark.parametrize("cell", NUMBER_CELLS, ids=repr)
+def test_numbers_read_curve_and_recovery_cells_as_labels_does(tmp_path, cell):
+    """Each cell in each numeric column of a curve file, alone and with a
+    later column rejecting an earlier row, and in the recoveries file: the
+    values (NaN and the sign of zero too) or the first error, with its
+    file:line, of `numbers` equal those of `labels` over the same columns."""
+    from cshazard.estimator import _CURVE_COLUMNS, _whole_cell
+    curve = tmp_path / "curve.csv"
+    write_curve_csv(curve, staged_curve("prime", 3, 0.05, ages=range(1, 6)))
+    recoveries = tmp_path / "recoveries.csv"
+    recoveries.write_text("age,recovery\n3,0.5\n5,0.25\n3,0.125\n")
+    cases = [(recoveries, ["age", "recovery"], (("recovery",), ingest._parse_float, float),
+              {(row, 1): cell}) for row in (0, 2)]
+    for names, parse, dtype in CURVE_GROUPS:
+        for name in names:
+            column = _CURVE_COLUMNS.index(name)
+            for changes in ({(2, column): cell}, {(3, column): cell, (1, 9): "2x"},
+                            {(4, column): cell, (0, 3): "x"}):
+                cases.append((curve, _CURVE_COLUMNS, (names, parse or _whole_cell, dtype),
+                              changes))
+    for blocks in (contextlib.nullcontext(), tiny_blocks()):
+        with blocks:
+            for path, required, (names, parse, dtype), changes in cases:
+                cols = _Columns.read(with_cells(path, changes), required)
+                want = parse_outcome(lambda: [cols.labels(name, parse, dtype) for name in names])
+                assert_same_outcome(parse_outcome(lambda: cols.numbers(names, parse, dtype)), want)
+                if path == curve:  # the whole read, group after group, as before
+                    want = parse_outcome(lambda: [cols.labels(name, p or _whole_cell, d)
+                                                  for ns, p, d in CURVE_GROUPS for name in ns])
+                    got = parse_outcome(lambda: [row for ns, p, d in CURVE_GROUPS
+                                                 for row in cols.numbers(ns, p or _whole_cell, d)])
+                    assert_same_outcome(got, want)
