@@ -48,16 +48,23 @@ class Rule(Enum):
     NONE = "none"
 
 
+_BY_CODE = np.array([Decision.REJECT, Decision.FAIL_TO_REJECT, Decision.UNDEFINED], object)
+
+
+def _decisions(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Each age's Decision from the two intervals' bounds: undefined where a
+    bound is NaN, else closed-interval overlap (touching endpoints too) fails
+    to reject."""
+    undefined = np.isnan(lo_a) | np.isnan(hi_a) | np.isnan(lo_b) | np.isnan(hi_b)
+    return _BY_CODE[np.where(undefined, 2, (lo_a <= hi_b) & (lo_b <= hi_a))]
+
+
 def overlap_test(ci_a: tuple[float, float], ci_b: tuple[float, float]) -> Decision:
     """Closed-interval overlap check: touching endpoints fail to reject."""
-    a_lo, a_hi = ci_a
-    b_lo, b_hi = ci_b
-    for v in (a_lo, a_hi, b_lo, b_hi):
-        if v != v:  # NaN
-            raise ValueError("overlap_test requires defined intervals")
-    if a_lo <= b_hi and b_lo <= a_hi:
-        return Decision.FAIL_TO_REJECT
-    return Decision.REJECT
+    decision = _decisions(*ci_a, *ci_b)
+    if decision is Decision.UNDEFINED:
+        raise ValueError("overlap_test requires defined intervals")
+    return decision
 
 
 @dataclass(frozen=True)
@@ -77,18 +84,6 @@ def _check_test_rules(min_test_age: int, run_length: int) -> None:
         raise ValueError(f"run_length must be >= 1, got {run_length}")
 
 
-def _age_decisions(curve_a: HazardCurve, curve_b: HazardCurve) -> list[Decision]:
-    out = []
-    for i in range(curve_a.ages.size):
-        bounds = (curve_a.ci_lo[i], curve_a.ci_hi[i],
-                  curve_b.ci_lo[i], curve_b.ci_hi[i])
-        if any(v != v for v in bounds):
-            out.append(Decision.UNDEFINED)
-        else:
-            out.append(overlap_test((bounds[0], bounds[1]), (bounds[2], bounds[3])))
-    return out
-
-
 def convergence_point(curve_a: HazardCurve, curve_b: HazardCurve,
                       min_test_age: int = DEFAULT_MIN_TEST_AGE,
                       run_length: int = DEFAULT_RUN_LENGTH) -> ConvergenceResult:
@@ -100,30 +95,25 @@ def convergence_point(curve_a: HazardCurve, curve_b: HazardCurve,
     """
     _check_test_rules(min_test_age, run_length)
     ages = check_shared_grid(curve_a, curve_b)
-    decisions = _age_decisions(curve_a, curve_b)
+    decisions = _decisions(curve_a.ci_lo, curve_a.ci_hi, curve_b.ci_lo, curve_b.ci_hi)
 
-    run_month = None
-    for i in range(len(decisions)):
-        age = int(ages[i])
-        if age < min_test_age:
-            continue
-        if i + run_length > len(decisions):
-            break
-        window = decisions[i:i + run_length]
-        consecutive = all(int(ages[i + k]) == age + k for k in range(run_length))
-        if consecutive and all(d is Decision.FAIL_TO_REJECT for d in window):
-            run_month = age
-            break
+    # A run starts at i when ages i .. i + run_length - 1 all fail to reject
+    # and step by one; cumulative sums count both over every window at once.
+    fails = np.cumsum(np.append(0, decisions == Decision.FAIL_TO_REJECT))
+    steps = np.cumsum(np.append(0, np.diff(ages) == 1))
+    start = np.arange(max(ages.size - run_length + 1, 0))
+    runs = np.flatnonzero((ages[start] >= min_test_age)
+                          & (fails[start + run_length] - fails[start] == run_length)
+                          & (steps[start + run_length - 1] - steps[start] == run_length - 1))
+    run_month = int(ages[runs[0]]) if runs.size else None
 
-    zero_month = None
-    both_zero = (curve_a.hazard == 0.0) & (curve_b.hazard == 0.0)
-    if both_zero.size and both_zero[-1]:
-        i = both_zero.size - 1
-        while i > 0 and both_zero[i - 1]:
-            i -= 1
-        candidate = max(int(ages[i]), min_test_age)
-        if candidate <= int(ages[-1]):
-            zero_month = candidate
+    # The both-zero tail follows the last age where either hazard is not zero;
+    # its first age, moved up to min_test_age, counts while it is on the grid.
+    live = np.flatnonzero((curve_a.hazard != 0.0) | (curve_b.hazard != 0.0))
+    tail = ages[live[-1] + 1:] if live.size else ages
+    zero_month = max(int(tail[0]), min_test_age) if tail.size else None
+    if zero_month is not None and zero_month > ages[-1]:
+        zero_month = None
 
     month = None
     rule = Rule.NONE

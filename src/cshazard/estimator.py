@@ -10,6 +10,7 @@ positive.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -225,6 +226,8 @@ def estimate_csh(observations: ObservationTable, cause: Cause | None,
     lo, hi = age_range
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid age range [{lo}, {hi}]")
+    last = int(exit_age.max())  # no one is at risk past the last exit
+    lo, hi = min(lo, last + 1), min(hi, last)
     at_risk, ev_d, ev_p = _kernels.count_exits(entry, exit_age, event, is_default, lo, hi)
     if cause is Cause.DEFAULT:
         events = ev_d
@@ -267,24 +270,14 @@ def interpolate_zero_defaults(curve: HazardCurve) -> HazardCurve:
     are flagged and their variance/CI stay undefined rather than being
     fabricated.
     """
-    if not np.any(curve.events > 0):
+    positive = curve.events > 0
+    if not positive.any():
         raise ValueError("cannot interpolate an all-zero curve")
-    hazard = curve.hazard.copy()
-    interpolated = curve.interpolated.copy()
-    last = None
-    for i in range(hazard.size):
-        if curve.events[i] > 0:
-            last = hazard[i]
-        elif last is not None:
-            hazard[i] = last
-            interpolated[i] = True
-    first_positive = hazard[np.argmax(curve.events > 0)]
-    for i in range(hazard.size):
-        if curve.events[i] > 0:
-            break
-        hazard[i] = first_positive
-        interpolated[i] = True
-    return replace(curve, hazard=hazard, interpolated=interpolated)
+    # Each row's source is the last positive row up to it, or the first one.
+    source = np.maximum.accumulate(np.where(positive, np.arange(positive.size),
+                                            np.argmax(positive)))
+    return replace(curve, hazard=curve.hazard[source],
+                   interpolated=curve.interpolated | ~positive)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +374,10 @@ def align_grids(curves: dict) -> dict:
     """
     if not curves:
         raise ValueError("no curves to align")
-    common = None
-    for curve in curves.values():
-        ages = set(int(a) for a in curve.ages)
-        common = ages if common is None else common & ages
-    if not common:
+    # A curve's ages are distinct. Saying so also skips np.unique, whose first
+    # call imports numpy.ma (numpy 2.4), about 2 MB of peak RSS.
+    common = functools.reduce(functools.partial(np.intersect1d, assume_unique=True),
+                              [curve.ages for curve in curves.values()])
+    if common.size == 0:
         raise IncompatibleInputsError("hazard curves share no common ages")
-    keep = sorted(common)
-    return {label: curve.take(np.isin(curve.ages, keep)) for label, curve in curves.items()}
+    return {label: curve.take(np.isin(curve.ages, common)) for label, curve in curves.items()}

@@ -1108,23 +1108,26 @@ class _Columns:
         """
         reader = csv.reader(io.TextIOWrapper(io.BufferedReader(rest), "utf-8",
                                              "surrogateescape", newline=""))
-        if header is None:
-            names = [name.encode("utf-8", "surrogateescape") for name in next(reader, [])]
-            header = _header_names(f"{where}:{reader.line_num}", names)
-        wanted = _wanted_columns(where, header, required)
-        # The line of the header (or of the row before the first), then of each row.
-        parts, line = [], [done + reader.line_num]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise SchemaError(f"{where}:{done + reader.line_num}: expected {len(header)} "
-                                  f"fields, found {len(row)}")
-            parts.extend(row[j].encode("utf-8", "surrogateescape") for j in wanted)
-            line.append(done + reader.line_num)
-            if len(line) - 1 == rows:
-                yield cls._laid_out(where, required, parts, line, len(wanted)), 0.0
-                parts, line = [], line[-1:]
+        try:  # a cell past the csv module's field limit is reported at its line
+            if header is None:
+                names = [name.encode("utf-8", "surrogateescape") for name in next(reader, [])]
+                header = _header_names(f"{where}:{reader.line_num}", names)
+            wanted = _wanted_columns(where, header, required)
+            # The line of the header (or of the row before the first), then of each row.
+            parts, line = [], [done + reader.line_num]
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < len(header):
+                    raise SchemaError(f"{where}:{done + reader.line_num}: expected "
+                                      f"{len(header)} fields, found {len(row)}")
+                parts.extend(row[j].encode("utf-8", "surrogateescape") for j in wanted)
+                line.append(done + reader.line_num)
+                if len(line) - 1 == rows:
+                    yield cls._laid_out(where, required, parts, line, len(wanted)), 0.0
+                    parts, line = [], line[-1:]
+        except csv.Error as exc:
+            raise SchemaError(f"{where}:{done + reader.line_num}: {exc}") from None
         yield cls._laid_out(where, required, parts, line, len(wanted)), 1.0
 
     @classmethod
@@ -1435,6 +1438,14 @@ def _read_payments(path: str | Path, ids: _IdTable | None = None) -> tuple[_Paym
     segment = np.full(len(ids), -1, np.int32)
     segment[met] = np.arange(met.size)
     ids.number = segment[ids.number]
+    paid = sums["paid"][met]
+    if paid.dtype == object:  # each sum rounded as the outcome test rounds paid + pad
+        with localcontext() as context:
+            context.traps[Overflow] = False
+            past = [k for k, value in enumerate((paid + 0).tolist()) if not value.is_finite()]
+        if past:
+            raise SchemaError(f"{path}: loan {ids.name(past[0])!r}: column 'principal' sums "
+                              f"past the decimal exponent limit")
     for at in range(0, key.size, _PARSE_ROWS):  # in place, a block at a time
         key[at:at + _PARSE_ROWS] = segment[key[at:at + _PARSE_ROWS]]
     months = np.bincount(key, minlength=met.size)
@@ -1452,7 +1463,7 @@ def _read_payments(path: str | Path, ids: _IdTable | None = None) -> tuple[_Paym
         raise SchemaError(f"{path}:{line}: loan {ids.name(k)} trust_month values are not a "
                           f"contiguous 1..{months[k]} sequence")
     return _Payments(start, months, flags if order is None else flags[order],
-                     sums["first_balance"][met], sums["paid"][met]), ids
+                     sums["first_balance"][met], paid), ids
 
 
 def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, ids: _IdTable,
@@ -1462,7 +1473,7 @@ def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, ids: _IdTable
     first row) into `sums`.  Loan keys are the numbers of `ids`, new ids
     numbered on by first row; returns the numbers of the loans first met
     here (marked in `seen`), by first row.  A Decimal principal sum past
-    the exponent limit is a SchemaError naming its loan."""
+    the exponent limit reads Infinity; `_read_payments` reports it."""
     code, id_first, order, records, _ = cols.ids("loan_id")
     number = ids.add(records, order)
     key = out["key"][rows] = number[code]
@@ -1495,13 +1506,8 @@ def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, ids: _IdTable
     later = np.delete(np.arange(key.size), lead)
     sums["paid"][key[lead]] = principal[lead]  # a Decimal sum starts unrounded
     with localcontext() as context:  # a Decimal sum past the exponent limit reads Infinity
-        context.clear_flags()
         context.traps[Overflow] = False
         np.add.at(sums["paid"], key[later], principal[later])
-    if context.flags[Overflow]:
-        i = next(i for i in later.tolist() if not sums["paid"][key[i]].is_finite())
-        raise SchemaError(f"{cols.where}: loan {cols.cell('loan_id', i)!r}: column 'principal' "
-                          f"sums past the decimal exponent limit")
     return number[new]
 
 

@@ -199,7 +199,8 @@ def loop_study_counts(config):
 
 
 def _brute_pair(curve_a, curve_b, min_test_age, run_length):
-    """(month or None, rule name) for two curves on one age grid."""
+    """(month or None, rule name, decision names by age) for two curves on one
+    age grid."""
     ages = [int(a) for a in curve_a.ages]
     n = len(ages)
     decisions = []
@@ -227,14 +228,15 @@ def _brute_pair(curve_a, curve_b, min_test_age, run_length):
                 zero_month = max(ages[k], min_test_age)
             break
     if run_month is not None and (zero_month is None or run_month <= zero_month):
-        return run_month, "overlap_run"
+        return run_month, "overlap_run", decisions
     if zero_month is not None:
-        return zero_month, "both_zero"
-    return None, "none"
+        return zero_month, "both_zero", decisions
+    return None, "none", decisions
 
 
 def brute_transition_matrix(curves, band_order, min_test_age, run_length):
-    """Upper-triangular (months, rule names) rows, one band pair at a time.
+    """Upper-triangular (months, rule names) rows, one band pair at a time,
+    and each pair's decision names by age, pairs in row order.
 
     For each pair every age is decided by the closed-interval overlap rule
     (undefined where any bound is NaN); the convergence month is the earlier
@@ -243,16 +245,42 @@ def brute_transition_matrix(curves, band_order, min_test_age, run_length):
     (moved up to min_test_age), with the overlap run winning a tie.  The
     diagonal is min_test_age under the overlap rule.
     """
-    months, rules = [], []
+    months, rules, decisions = [], [], []
     for i, a in enumerate(band_order):
         row_m, row_r = [min_test_age], ["overlap_run"]
         for b in band_order[i + 1:]:
-            month, rule = _brute_pair(curves[a], curves[b], min_test_age, run_length)
+            month, rule, pair = _brute_pair(curves[a], curves[b], min_test_age, run_length)
             row_m.append(month)
             row_r.append(rule)
+            decisions.append(pair)
         months.append(row_m)
         rules.append(row_r)
-    return months, rules
+    return months, rules, decisions
+
+
+# ---------------------------------------------------------------------------
+# curve helpers row by row
+
+
+def loop_interpolate(events, hazard, interpolated):
+    """(hazard, interpolated flags): each zero-event row takes the hazard of
+    the last positive row before it, or of the first positive row when none
+    precedes it, and is flagged."""
+    hazard, flags = list(hazard), list(interpolated)
+    first = next(i for i, e in enumerate(events) if e > 0)
+    last = first
+    for i, e in enumerate(events):
+        if e > 0:
+            last = i
+        else:
+            hazard[i] = hazard[last]
+            flags[i] = True
+    return hazard, flags
+
+
+def loop_common_ages(grids):
+    """The ages present in every grid, in increasing order."""
+    return [age for age in sorted(set(grids[0])) if all(age in grid for grid in grids[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,28 @@ def test_estimate_window_beyond_the_data_is_empty_result(tmp_path):
     assert not (tmp_path / "out" / "curve.csv").exists()
 
 
+def test_a_huge_window_writes_the_bytes_of_one_ending_at_the_last_exit(tmp_path):
+    # no one is at risk past the last exit age, so nothing is counted past it
+    assert cli.main(["ingest", *map(str, write_portfolio(tmp_path)),
+                     "--output-dir", str(tmp_path)]) == 0
+    obs = tmp_path / "observations.csv"
+    with open(obs, newline="", encoding="utf-8") as fh:
+        last = max(int(row["exit_age"]) for row in csv.DictReader(fh))
+    for command, huge in (("estimate", "1:10000000000"), ("converge", "1:3000000000")):
+        written = []
+        for window in (huge, f"1:{last}"):
+            out = tmp_path / command / window.replace(":", "-")
+            assert cli.main([command, str(obs), "--window", window,
+                             "--output-dir", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if not p.name.endswith(".manifest.json")})
+        assert written[0] == written[1]
+    past = "99999999999999999999:99999999999999999999"  # wholly past the data, beyond int64
+    for command in ("estimate", "converge"):
+        rc = cli.main([command, str(obs), "--window", past, "--output-dir", str(tmp_path / "p")])
+        assert rc == 3
+
+
 # ---------------------------------------------------------------- converge
 
 def write_staged_pair(tmp):
@@ -658,6 +680,9 @@ def error_path_recipe(case, tmp):
         return ["ingest", *with_payment_cell(tmp, 2, "trust_month", "1" * 20)]
     if case == "principal-sum-overflow":  # two months of the first loan
         return ["ingest", *with_payment_cell(tmp, (1, 2), "principal", "9E+999999")]
+    if case == "lone-principal-overflow":  # a loan's only principal cell
+        return ["ingest", *map(str, write_tape(tmp, {"L1": {}},
+                                               {"L1": ([100], [10], ["1E+1000000"])}))]
     if case == "non-boolean-flag":
         return ["ingest", *map(str, write_portfolio(tmp, has_coborrower="maybe"))]
     if case == "dash-window":
@@ -683,6 +708,8 @@ def error_path_recipe(case, tmp):
                             f"is out of range"),
     ("principal-sum-overflow", 2, "payments.csv: loan 'ds-repaid-0': column 'principal' "
                                   "sums past the decimal exponent limit"),
+    ("lone-principal-overflow", 2, "payments.csv: loan 'L1': column 'principal' sums past "
+                                   "the decimal exponent limit"),
     ("non-boolean-flag", 2, "loans.csv:2: column 'has_coborrower': non-boolean value 'maybe'"),
     ("dash-window", 2, "window must be LO:HI or 'full', got '5-9'"),
     ("one-band", 3, "need at least two bands to compare"),
@@ -709,6 +736,14 @@ def test_ingest_reads_a_money_cell_past_the_decimal_exponent(tmp_path):
     assert rc == 0
     assert (out / "observations.csv").read_bytes() == \
         (tmp_path / "plain" / "observations.csv").read_bytes()
+
+
+def test_ingest_keeps_a_principal_sum_that_rounds_back_into_range(tmp_path):
+    # the first cell alone rounds past the exponent limit, the loan's sum does not
+    histories = {"L1": ([100, 100], [10, 10], ["9" * 31 + "E+999969", "-5E+999999"])}
+    rc = cli.main(["ingest", *map(str, write_tape(tmp_path, {"L1": {}}, histories)),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
 
 
 def test_estimate_of_all_causes(tmp_path):

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import STAGED_ONSETS, curve_with_cis, staged_band_set, staged_curve
@@ -269,10 +270,14 @@ def curve_sets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(curve_sets(), st.integers(1, 18), st.integers(1, 3), st.randoms())
+@example({b: curve_with_cis(b, [10, 12, 13], [0.1] * 3, [0.2] * 3) for b in "ab"}, 10, 2,
+         random.Random(0))  # the gap between 10 and 12 breaks a run: it starts at 12
 def test_transition_matrix_matches_brute_force(curves, min_test_age, run_length, rnd):
     order = list(curves)
     rnd.shuffle(order)
-    matrix, _ = transition_matrix(curves, min_test_age, run_length, band_order=order)
-    months, rules = brute_transition_matrix(curves, order, min_test_age, run_length)
+    matrix, results = transition_matrix(curves, min_test_age, run_length, band_order=order)
+    months, rules, decisions = brute_transition_matrix(curves, order, min_test_age, run_length)
     assert [list(row) for row in matrix.months] == months
     assert [[rule.value for rule in row] for row in matrix.rules] == rules
+    assert [[d.value for d in result.decisions] for result in results] == decisions
+    assert all(type(result.decisions) is tuple for result in results)

@@ -67,7 +67,7 @@ def test_observations_file_is_csv_writer_bytes(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(TEXT, st.sampled_from([None, Cause.DEFAULT, Cause.PREPAY]),
-       st.lists(st.tuples(BIG, st.integers(0, 2**62), st.integers(0, 2**62),
+       st.lists(st.tuples(BIG, st.integers(0, 2**62), st.integers(0, 2**62 - 1),  # int64 sum
                           st.floats(0.0, 1.0), FLOAT, FLOAT, FLOAT, st.booleans()), max_size=6))
 def test_curve_file_is_csv_writer_bytes(band, cause, rows):
     column = [np.array([r[k] for r in rows]) for k in range(8)]

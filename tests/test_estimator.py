@@ -1,15 +1,16 @@
 """Hazard estimation: counts, variance, intervals, interpolation, grids."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import observation_table
-from oracles import life_table, z_quantile
+from oracles import life_table, loop_common_ages, loop_interpolate, z_quantile
 
 from cshazard.errors import IncompatibleInputsError, SchemaError
 from cshazard.estimator import (
@@ -150,6 +151,43 @@ def test_interpolation_carry_rules():
     all_zero = curve_from_counts("x", None, 100, [1, 2], [0, 0], [100, 100])
     with pytest.raises(ValueError):
         interpolate_zero_defaults(all_zero)
+
+
+ROWS = st.lists(st.tuples(st.sampled_from([0, 0, 1, 2, 3]), st.integers(3, 9), st.booleans()),
+                min_size=1, max_size=12).filter(lambda rows: any(e for e, _, _ in rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ROWS)
+@example([(0, 5, False), (0, 4, True), (2, 9, False), (0, 3, False)])  # leading and trailing
+@example([(3, 7, True)])  # one positive row
+def test_interpolation_matches_the_loop_oracle(rows):
+    events, at_risk, preset = map(list, zip(*rows))
+    curve = curve_from_counts("x", Cause.DEFAULT, 50, np.arange(1, len(rows) + 1), events,
+                              at_risk)
+    curve = replace(curve, interpolated=np.array(preset))
+    filled = interpolate_zero_defaults(curve)
+    hazard, flags = loop_interpolate(events, curve.hazard.tolist(), preset)
+    assert filled.hazard.tolist() == hazard
+    assert filled.interpolated.tolist() == flags
+    np.testing.assert_array_equal(filled.ci_lo, curve.ci_lo)  # no fabricated interval
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 12), min_size=1, max_size=12), min_size=1, max_size=4))
+def test_align_grids_matches_the_loop_oracle(grids):
+    grids = [sorted(grid) for grid in grids]
+    curves = {f"c{i}": curve_from_counts(f"c{i}", None, 50, grid, [age % 4 for age in grid],
+                                         [9] * len(grid))
+              for i, grid in enumerate(grids)}
+    common = loop_common_ages(grids)
+    if not common:
+        with pytest.raises(IncompatibleInputsError, match="share no common ages"):
+            align_grids(curves)
+        return
+    for aligned in align_grids(curves).values():
+        assert aligned.ages.tolist() == common
+        assert aligned.events.tolist() == [age % 4 for age in common]
 
 
 def test_default_window_restrict():

@@ -156,20 +156,17 @@ def digest(path: Path) -> str:
 def run_workload(name: str, tape_module, work: Path) -> dict[str, str]:
     """Run one workload's commands in `work` and digest every file they write.
 
-    A converge run whose options the benchmark leaves at their defaults writes
-    to its own directory, so its files do not replace the benchmark pass's.
+    A converge run with a `--run` option writes to a directory of its own, so
+    its files do not replace those of the benchmark's converge run.
     """
     out = work / "output"
-    outputs = {}
     with contextlib.redirect_stdout(None):
         for i, cmd in enumerate(WORKLOADS[name](tape_module, work / "input", out)):
             target = out if "--run" not in cmd else out / f"step{i}"
             rc = cli.main([*cmd, "--output-dir", str(target)])
             assert rc == 0, f"{name}: {' '.join(cmd)} exited {rc}"
-    for path in sorted(out.rglob("*")):
-        if path.is_file():
-            outputs[path.relative_to(out).as_posix()] = digest(path)
-    return outputs
+    return {path.relative_to(out).as_posix(): digest(path)
+            for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 @pytest.fixture(scope="module")

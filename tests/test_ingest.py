@@ -1233,6 +1233,21 @@ def tiny_blocks():
     return mock.patch.multiple(ingest, _READ_BYTES=16, _SCAN_BYTES=16, _PARSE_ROWS=3)
 
 
+@pytest.mark.parametrize("blocks", [contextlib.nullcontext, tiny_blocks])
+def test_a_quoted_cell_past_the_csv_field_limit_is_a_schema_error(tmp_path, blocks):
+    # the limit (131,072 characters) is process-wide state, so it is left as it is
+    recoveries = tmp_path / "recoveries.csv"
+    recoveries.write_text('age,recovery\n"' + "1" * 200_000 + '",0.5\n')
+    loans, payments = write_tape(tmp_path, {"L1": {}}, {"L1": ([100], [10], [5])})
+    with open(payments, "a") as fh:
+        fh.write('"' + "L" * 140_000 + '",2,90,10,10\n')
+    with blocks():
+        with pytest.raises(SchemaError, match=r"recoveries\.csv:2: field larger than field limit"):
+            _read_recovery_observations(recoveries)
+        with pytest.raises(SchemaError, match=r"payments\.csv:3: field larger than field limit"):
+            load_loan_data(loans, payments)
+
+
 @settings(max_examples=100, deadline=None)
 @READ_CELLS
 def test_word_parse_of_read_files_matches_the_oracle_in_tiny_blocks(cells, quoted, crlf,
