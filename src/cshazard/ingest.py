@@ -15,12 +15,14 @@ per loan.  The eligibility, integrity and outcome rules run once over all
 segments as array operations, and the result is an `ObservationTable` of
 parallel arrays, the one form in which observations pass between layers.
 
-Monetary fields are exact: a plain decimal cell with at most two fraction
-digits is read straight into integer cents, any other cell is parsed with
-`Decimal`, and when some balance or principal cell is not a whole number of
-cents the per-loan sums hold `Decimal` objects instead of cents.  Outcome
+Monetary fields are exact.  Every amount is held in int64 cents: a plain
+decimal cell with at most two fraction digits is read straight from its
+bytes, and any other cell is parsed with `Decimal`.  The rare cell that is
+not a whole number of cents below `_CENTS_LIMIT` is kept as an exact
+`Decimal` for its own loan only, whose principal paid is summed in `_EXACT`:
+every sum is exact, or a SchemaError naming the loan.  Outcome
 classification (zero-payment runs, principal-vs-balance comparisons) thus
-never depends on binary float representation.
+never depends on binary float representation or on the order of the rows.
 """
 from __future__ import annotations
 
@@ -28,8 +30,10 @@ import csv
 import io
 import os
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation, Overflow, localcontext
+from decimal import (ROUND_FLOOR, Context, Decimal, Inexact, InvalidOperation, MAX_EMAX,
+                     MIN_EMIN, Overflow)
 from enum import Enum
+from functools import reduce
 from numbers import Integral
 from pathlib import Path
 
@@ -179,11 +183,16 @@ class FilterPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Money: int64 cents, or Decimal objects (dtype object) in currency units.
+# Money: int64 cents, and exact Decimals in currency units where cents cannot hold them.
 
 # Whole-cent amounts at or above this many cents are kept as Decimal, so the
 # sum of a payment history can never overflow int64.
 _CENTS_LIMIT = 10**12
+# The significant digits of a Decimal sum, and the context every one is made
+# in: a sum that would be rounded, or pass the exponent limit of Python's
+# default context, raises instead.
+_DIGITS = 40
+_EXACT = Context(prec=_DIGITS, Emax=999999, Emin=-999999, traps=[Inexact, Overflow])
 
 
 def _decimal(value) -> Decimal:
@@ -216,13 +225,30 @@ def _cents_of(value: Decimal) -> int | None:
     return None if cents >= _CENTS_LIMIT else -cents if sign else cents
 
 
-def _as_decimals(column: np.ndarray) -> np.ndarray:
-    """A money column as Decimal objects in currency units."""
-    if column.dtype == object:
-        return column
-    out = np.empty(column.size, dtype=object)
-    out[:] = [Decimal(c).scaleb(-2) for c in column.tolist()]
-    return out
+def _floor_cents(amount: Decimal) -> int:
+    """floor(100 * amount), or the int64 limit of its sign from 10**17 on:
+    for whole cents n in int64, n <= 100 * amount exactly when n <= this."""
+    if amount and amount.adjusted() > 16:
+        return int(np.iinfo(np.int64).max) * (-1 if amount.is_signed() else 1)
+    return int(amount.quantize(Decimal("0.01"), ROUND_FLOOR, Context(prec=_DIGITS)).scaleb(2))
+
+
+def _covers(paid: Decimal, pad: Decimal, balance: Decimal) -> bool:
+    """Whether paid + pad >= balance, exactly, with no sum spanning the places
+    between a cent and a 1E+999999 balance.  Of the terms paid, pad and
+    -balance by size (adjusted exponent), the largest outweighs both others
+    when two places lie between it and the next; else those two are summed
+    exactly in two digits more than either holds, and compared with the third.
+    """
+    terms = sorted((t for t in (paid, pad, balance.copy_negate()) if t), key=Decimal.adjusted)
+    if len(terms) == 3:
+        low, mid, high = terms
+        if high.adjusted() >= mid.adjusted() + 2:
+            return high > 0
+        digits = max(len(mid.as_tuple().digits), len(high.as_tuple().digits)) + 2
+        context = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+        terms = [low, context.add(mid, high)]
+    return not terms or terms[-1] >= terms[0].copy_negate()
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +265,9 @@ class _Payments:
     a segment rows run through trust months 1..months[k].  A row keeps one
     byte of `flags`: a zero balance that is not missing, a zero payment, a
     missing balance.  A segment keeps its first balance (zero when missing)
-    and the principal it paid: cents, or Decimals when some balance or
-    principal cell is not whole cents.  A Decimal `paid` is summed in file
-    order from the loan's first row, so it is `np.add.reduceat` over the
-    segment's rows in month order when the file is sorted, and equals it in
-    any order whenever no partial sum needs more than 28 significant digits
-    (the decimal context's precision): every sum is then exact.
+    and the principal it paid, in int64 cents.  A loan holding a balance or
+    principal cell that cents cannot hold keeps both as exact Decimals in
+    `exact`, by segment, and its int64 entries are not read.
     """
 
     start: np.ndarray
@@ -252,6 +275,16 @@ class _Payments:
     flags: np.ndarray
     first_balance: np.ndarray
     paid: np.ndarray
+    exact: dict
+
+    def covered(self, pad: Decimal) -> np.ndarray:
+        """Per segment: whether principal paid plus `pad` covers the first
+        balance, exactly.  In cents the pad enters as floor(100 * pad)
+        (`_floor_cents`); a loan in `exact` compares its Decimals (`_covers`)."""
+        covered = self.first_balance - self.paid <= _floor_cents(pad)
+        for k, (balance, paid) in self.exact.items():
+            covered[k] = _covers(paid, pad, balance)
+        return covered
 
     def integrity_ok(self) -> np.ndarray:
         """Per segment: whether the outcome can be determined.
@@ -262,8 +295,7 @@ class _Payments:
         """
         first = self.flags[self.start] & _NO_BALANCE
         last = self.flags[self.start + self.months - 1] & _NO_BALANCE
-        short = self.paid < self.first_balance
-        return (first == 0) & ~(short & (last != 0))
+        return (first == 0) & (self.covered(Decimal(0)) | (last == 0))
 
     def outcomes(self, pad: Decimal) -> tuple[np.ndarray, np.ndarray]:
         """Per segment: (outcome code, 1-based trust month of the event).
@@ -280,12 +312,6 @@ class _Payments:
         found among the rows that hold one (`_first_at`), so no temporary
         but a few bytes a row is as long as the payment rows.
         """
-        paid, first_balance, pad = self.paid, self.first_balance, _decimal(pad)
-        if paid.dtype != object:  # cents, unless the pad is not whole cents
-            if _cents_of(pad) is None:
-                paid, first_balance = _as_decimals(paid), _as_decimals(first_balance)
-            else:
-                pad = _cents_of(pad)
         start, flags = self.start, self.flags
         if start.size == 0:
             return np.zeros(0, np.int8), np.zeros(0, np.int64)
@@ -298,7 +324,7 @@ class _Payments:
         # later run in the same segment ends later still, so the first decides.
         first_run = _first_at(np.flatnonzero(run), start, end)
         del run
-        repaid = paid + pad >= first_balance
+        repaid = self.covered(_decimal(pad))
         defaulted = ~repaid & (first_run + 3 <= end)
         code = np.where(repaid, Cause.PREPAY.value,
                         np.where(defaulted, Cause.DEFAULT.value, _CENSORED)).astype(np.int8)
@@ -338,8 +364,10 @@ class LoanTape:
 
     `segment[i]` is the payment segment of loan i, or -1 when the payment
     file has no rows for it.  `original_amount` and `recovered_amount` are
-    money columns (int64 cents or Decimal objects).  `line[i]` is loan i's
-    line in the loans file `where`, for locating an error about the loan.
+    int64 cents; an amount that cents cannot hold reads its sign there, and
+    its exact Decimal in `exact` under (loan id, column).  `line[i]` is
+    loan i's line in the loans file `where`, for locating an error about
+    the loan.
     """
 
     loan_id: np.ndarray
@@ -357,6 +385,7 @@ class LoanTape:
     payments: _Payments
     where: str
     line: np.ndarray
+    exact: dict
 
     def __len__(self) -> int:
         return self.loan_id.size
@@ -712,20 +741,20 @@ def _cell_keys(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarra
     return keys
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(code per cell, first cell of each code, codes in key order) of cells
-    by their keys (`_cell_keys`).
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code per cell, first cell of each code) of cells by their keys
+    (`_cell_keys`, or several cells' keys side by side: `_stacked`).
 
     Cells share a code exactly when their keys are equal; codes count up in
     order of first cell.  Runs of equal adjacent cells collapse to their
-    first cell before the rest are sorted, length first: the order of
-    `_records`.
+    first cell before the rest are sorted.
     """
     cells = keys.shape[1]
     if cells == 0:
-        return (np.zeros(0, np.int64),) * 3
+        return (np.zeros(0, np.int64),) * 2
     runs = np.flatnonzero(_changes(keys))
-    keys = keys[:, runs]
+    if runs.size < cells:
+        keys = keys[:, runs]
     order = np.lexsort(keys[::-1])  # stable: a group's earliest run sorts first
     new = _changes(keys[:, order])
     lead = order[new]  # the earliest run of each group
@@ -734,7 +763,19 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     code_of_group = (np.cumsum(is_lead) - 1)[lead]  # numbered by first cell
     run_code = np.empty(runs.size, np.int64)
     run_code[order] = code_of_group[np.cumsum(new) - 1]
-    return np.repeat(run_code, np.diff(np.append(runs, cells))), runs[is_lead], code_of_group
+    return np.repeat(run_code, np.diff(np.append(runs, cells))), runs[is_lead]
+
+
+def _stacked(keys: list) -> np.ndarray:
+    """Key matrices (`_cell_keys`) side by side, the shorter ones padded with
+    zero words, so the keys of equal cells stay equal."""
+    height = max(k.shape[0] for k in keys)
+    return np.concatenate([np.pad(k, ((0, height - k.shape[0]), (0, 0))) for k in keys], axis=1)
+
+
+def _id_text(key: np.ndarray) -> str:
+    """The cell whose key (`_cell_keys`, a column) is `key`."""
+    return key[1:].astype("<u8").tobytes()[:int(key[0])].decode("utf-8")
 
 
 # The ASCII bytes that `str.strip` removes, and the high bit of each byte of a word.
@@ -752,70 +793,6 @@ def _trimmed(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nd
             at = at[_SPACE[buf[bound[at] + edge]] & (start[at] < end[at])]
             bound[at] += step
     return start, end
-
-
-def _records(keys: np.ndarray) -> np.ndarray:
-    """Cell keys (`_cell_keys`) as fixed-width byte strings, whose byte order
-    is the order of `_group`: each word big-endian, the length first."""
-    return np.ascontiguousarray(keys.T, dtype=">u8").view(f"S{8 * keys.shape[0]}").ravel()
-
-
-def _widened(records: np.ndarray, size: int) -> np.ndarray:
-    """Records of at least `size` bytes: zero words appended, which keep their order."""
-    if records.itemsize >= size:
-        return records
-    out = np.zeros((records.size, size), np.uint8)
-    out[:, :records.itemsize] = records.view(np.uint8).reshape(records.size, records.itemsize)
-    return out.view(f"S{size}").ravel()
-
-
-class _IdTable:
-    """Distinct ids, each with a number: their records (`_records` of the
-    stripped cells), sorted, so the ids of a block are found by one search
-    in sorted order, and new ones are inserted where they sort."""
-
-    def __init__(self) -> None:
-        self.records, self.number = np.zeros(0, "S8"), np.zeros(0, np.int64)
-
-    def __len__(self) -> int:
-        return self.number.size
-
-    def _search(self, records: np.ndarray, order: np.ndarray):
-        """(sorted records, their place in the table, whether they are there);
-        `order` sorts `records`.  The table's records are widened first when
-        `records` are wider."""
-        size = max(records.itemsize, self.records.itemsize)
-        self.records, query = _widened(self.records, size), _widened(records, size)[order]
-        at = np.searchsorted(self.records, query)
-        known = at < len(self)
-        known[known] = self.records[at[known]] == query[known]
-        return query, at, known
-
-    def find(self, records: np.ndarray, order: np.ndarray) -> np.ndarray:
-        """The number of each record, -1 for one not in the table."""
-        _, at, known = self._search(records, order)
-        number = np.full(records.size, -1, np.int64)
-        number[order[known]] = self.number[at[known]]
-        return number
-
-    def add(self, records: np.ndarray, order: np.ndarray) -> np.ndarray:
-        """The number of each record: distinct records not in the table are
-        added, numbered on from the last."""
-        query, at, known = self._search(records, order)
-        number = np.empty(records.size, np.int64)
-        number[order[known]] = self.number[at[known]]
-        new = order[~known]
-        number[new] = np.arange(len(self), len(self) + new.size)
-        if new.size:
-            self.records = np.insert(self.records, at[~known], query[~known])
-            self.number = np.insert(self.number, at[~known], number[new])
-        return number
-
-    def name(self, number: int) -> str:
-        """The id numbered `number`."""
-        record = self.records.view(np.uint8).reshape(len(self), -1)[self.number == number][0]
-        size = int.from_bytes(record[:8].tobytes(), "big")
-        return record[8:].reshape(-1, 8)[:, ::-1].tobytes()[:size].decode("utf-8")
 
 
 class _Vocabulary:
@@ -1185,7 +1162,7 @@ class _Columns:
         """(code per row, first row of each code) of a column's `rows` (a slice
         or an index array): rows share a code exactly when their cells hold
         the same bytes (see `_group`)."""
-        code, first, _ = _group(_cell_keys(self.buf, *self._field(name, rows)))
+        code, first = _group(_cell_keys(self.buf, *self._field(name, rows)))
         return code, first if isinstance(rows, slice) else rows[first]
 
     def texts(self, name: str, rows: np.ndarray, bounds=None) -> list[str]:
@@ -1262,8 +1239,8 @@ class _Columns:
         return values.reshape(len(names), self.rows)
 
     def ids(self, name: str):
-        """(code per row, first row of each code, codes in record order, the
-        record of each code (`_records`), (start, end) of each code's id).
+        """(code per row, first row of each code, the key of each code's id
+        (`_cell_keys`), (start, end) of each code's id).
 
         Rows share a code exactly when their cells match after `str.strip`.
         Rows are grouped by their bytes (`_group`), and each distinct cell is
@@ -1274,7 +1251,7 @@ class _Columns:
         """
         start, end = self._field(name)
         keys = _cell_keys(self.buf, start, end)
-        code, first, order = _group(keys)
+        code, first = _group(keys)
         keys = keys[:, first]
         start, end = start[first], end[first]
         strip_start, strip_end = _trimmed(self.buf, start, end)
@@ -1285,10 +1262,10 @@ class _Columns:
             strip_end[k] = strip_start[k] + len(text.encode("utf-8"))
         if (strip_start != start).any() or (strip_end != end).any():
             keys = _cell_keys(self.buf, strip_start, strip_end)
-            stripped, lead, order = _group(keys)
+            stripped, lead = _group(keys)
             code, first, keys = stripped[code], first[lead], keys[:, lead]
             strip_start, strip_end = strip_start[lead], strip_end[lead]
-        return code, first, order, _records(keys), (strip_start, strip_end)
+        return code, first, keys, (strip_start, strip_end)
 
     def _parse(self, name: str, point: bool,
                unsigned: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -1331,8 +1308,11 @@ class _Columns:
             values[rows] = self._parsed(name, _parse_apr, np.float64, rows)
         return values
 
-    def money(self, name: str, allow_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(amounts, missing): cents, or Decimals when some cell is not whole cents.
+    def money(self, name: str, allow_missing: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(cents, missing, exact): amounts in int64 cents, and by row the
+        exact Decimal of each cell that is not a whole number of cents below
+        `_CENTS_LIMIT`.  Such a row reads its amount's sign in cents, so it
+        reads nonzero and of the right sign.
 
         Empty and NA cells are missing (read as 0) where `allow_missing`,
         and a SchemaError otherwise; so are non-numeric and non-finite cells.
@@ -1345,7 +1325,7 @@ class _Columns:
             missing[rows] = (end == start) | ((end - start == 2) & (self.buf[start] == _N)
                                               & (self.buf[start + 1] == _A))
             rows = rows[~missing[rows]]
-        odd = {}
+        exact = {}
         for i in rows.tolist():
             raw = self.cell(name, i)
             text = raw.strip()
@@ -1366,13 +1346,10 @@ class _Columns:
                                   f"value {raw!r}")
             cents = _cents_of(amount)
             if cents is None:
-                odd[i] = amount
-            else:
-                values[i] = cents
-        if odd:
-            values = _as_decimals(values)
-            values[list(odd)] = list(odd.values())
-        return values, missing
+                exact[i] = amount
+                cents = -1 if amount.is_signed() else 1
+            values[i] = cents
+        return values, missing, exact
 
 
 def _parse_apr(raw: str) -> float:
@@ -1387,10 +1364,11 @@ def _parse_apr(raw: str) -> float:
     return apr
 
 
-def _read_payments(path: str | Path, ids: _IdTable | None = None) -> tuple[_Payments, _IdTable]:
-    """The long file folded into payment segments, and `ids` (the loans
-    file's ids, or none) with the file's ids added, all numbered by segment
-    (-1: an id with no payment rows).
+def _read_payments(path: str | Path, loans: np.ndarray = np.zeros((1, 0), np.uint64)
+                   ) -> tuple[_Payments, np.ndarray, np.ndarray]:
+    """(payments, key of each segment's loan id, segment of each id keyed
+    in `loans` (-1: no payment rows)): the long file folded into payment
+    segments, and the loans file's ids (`_Columns.ids` keys) joined to them.
 
     The file is read `_READ_BYTES` at a time (`_Columns.blocks`) and each
     block is folded as it is read (`_put_block`), so no money column
@@ -1405,25 +1383,24 @@ def _read_payments(path: str | Path, ids: _IdTable | None = None) -> tuple[_Paym
     again.  The gap's line comes from the (row, line) pairs kept from the
     blocks' jumps.
 
-    Each block's ids are looked up in `ids` and numbered on there (see
-    `_put_block`), so a file whose ids the loans file holds inserts none.
-    Those numbers stand for the loans in the per-row keys and the per-loan
-    sums until the last block, when segments are numbered by first row.
+    A block's loans are numbered by its own codes, counted on from the last
+    block's, in the per-row keys and the block's sums.  After the last block
+    all blocks' ids and the loans file's are grouped once (`_group`), which
+    numbers the segments by first row.  Sums are exact, so their order does
+    not matter; the Decimal ones are made per loan (`_exact_amounts`).
     """
-    ids = _IdTable() if ids is None else ids
-    seen, met = np.zeros(len(ids), np.bool_), []  # per id number; the numbers met, by first row
     out = {"key": np.empty(0, np.int32), "month": np.empty(0, np.int32),
            "flags": np.empty(0, np.uint8)}  # a block may widen trust months to int64
-    sums = {"first_balance": np.zeros(0, np.int64), "paid": np.zeros(0, np.int64)}
-    jump_rows, jump_lines = [], []
-    rows = 0
+    parts, jump_rows, jump_lines = [], [], []  # parts: what `_put_block` returns
+    rows = codes = 0
     for cols, share in _Columns.blocks(path, _PAYMENT_COLUMNS, _READ_BYTES):
         end = rows + cols.rows
         if end > out["key"].size:  # room for the rows the share read predicts, and 1/16 more
             size = max(end, int(end / share * 17 / 16) if share else 2 * end)
             for column in out.values():
                 column.resize(size, refcheck=False)
-        met.append(_put_block(cols, out, slice(rows, end), sums, ids, seen))
+        parts.append(_put_block(cols, out, slice(rows, end), codes))
+        codes += parts[-1][0].shape[1]
         row, line = cols.jumps[0], cols.jumps[2]
         new = np.append(True, np.diff(line - row) != 0)  # the jumps that move the line on
         ahead = row[new] < 0  # the header's: kept as row 0's, which the last block's rows precede
@@ -1434,21 +1411,23 @@ def _read_payments(path: str | Path, ids: _IdTable | None = None) -> tuple[_Paym
     for column in out.values():
         column.resize(rows, refcheck=False)
     key, month, flags = out.values()
-    met = np.concatenate([np.zeros(0, np.int64), *met])
-    segment = np.full(len(ids), -1, np.int32)
-    segment[met] = np.arange(met.size)
-    ids.number = segment[ids.number]
-    paid = sums["paid"][met]
-    if paid.dtype == object:  # each sum rounded as the outcome test rounds paid + pad
-        with localcontext() as context:
-            context.traps[Overflow] = False
-            past = [k for k, value in enumerate((paid + 0).tolist()) if not value.is_finite()]
-        if past:
-            raise SchemaError(f"{path}: loan {ids.name(past[0])!r}: column 'principal' sums "
-                              f"past the decimal exponent limit")
+    keys, first_balance, paid, balances, cells = zip(*parts)
+    del parts
+    keys = _stacked([*keys, loans])  # each block's keys freed here
+    number, first = _group(keys)
+    segments = int(number[:codes].max(initial=-1)) + 1  # the ids with payment rows come first
+    ids = keys[:, first[:segments]]
+    del keys
+    sums = []
+    for blocks in (first_balance, paid):
+        sums.append(np.zeros(segments, np.int64))
+        np.add.at(sums[-1], number[:codes], np.concatenate(blocks))
+    exact = _exact_amounts(path, ids, *sums, *(
+        [(int(number[k]), amount) for block in odd for k, amount in block]
+        for odd in (balances, cells)))
     for at in range(0, key.size, _PARSE_ROWS):  # in place, a block at a time
-        key[at:at + _PARSE_ROWS] = segment[key[at:at + _PARSE_ROWS]]
-    months = np.bincount(key, minlength=met.size)
+        key[at:at + _PARSE_ROWS] = number[key[at:at + _PARSE_ROWS]]
+    months = np.bincount(key, minlength=segments)
     start = np.cumsum(months) - months
     order = None  # the file row of each sorted row, when the file is not sorted
     at = _first_gap(key, month, start)
@@ -1460,55 +1439,66 @@ def _read_payments(path: str | Path, ids: _IdTable | None = None) -> tuple[_Paym
         k = int(key[at])
         line = _line_at(np.concatenate(jump_rows), np.concatenate(jump_lines),
                         at if order is None else order[at])
-        raise SchemaError(f"{path}:{line}: loan {ids.name(k)} trust_month values are not a "
-                          f"contiguous 1..{months[k]} sequence")
-    return _Payments(start, months, flags if order is None else flags[order],
-                     sums["first_balance"][met], paid), ids
+        raise SchemaError(f"{path}:{line}: loan {_id_text(ids[:, k])} trust_month values are "
+                          f"not a contiguous 1..{months[k]} sequence")
+    loan_segment = number[codes:]
+    loan_segment[loan_segment >= segments] = -1
+    return (_Payments(start, months, flags if order is None else flags[order], *sums, exact),
+            ids, loan_segment)
 
 
-def _put_block(cols: _Columns, out: dict, rows: slice, sums: dict, ids: _IdTable,
-               seen: np.ndarray) -> np.ndarray:
+def _put_block(cols: _Columns, out: dict, rows: slice, codes: int) -> tuple:
     """Fold one block: its rows' keys, trust months and flags into `rows` of
-    `out`, each loan's first balance and principal (in file order from its
-    first row) into `sums`.  Loan keys are the numbers of `ids`, new ids
-    numbered on by first row; returns the numbers of the loans first met
-    here (marked in `seen`), by first row.  A Decimal principal sum past
-    the exponent limit reads Infinity; `_read_payments` reports it."""
-    code, id_first, order, records, _ = cols.ids("loan_id")
-    number = ids.add(records, order)
-    key = out["key"][rows] = number[code]
+    `out`.  A loan is keyed by its code in the block (`_Columns.ids`) plus
+    `codes`.  Returns the key of each code's id, the first balance and the
+    principal paid of each code in cents, and (loan key, Decimal) of each
+    first balance and each principal cell that cents cannot hold."""
+    code, _, keys, _ = cols.ids("loan_id")
+    out["key"][rows] = code + codes
     months = cols.ints("trust_month")
     if out["month"].dtype == np.int32 and months.size and (
             months.min() < _INT32.min or months.max() > _INT32.max):
         out["month"] = out["month"].astype(np.int64)
     out["month"][rows] = months
-    if len(ids) > seen.size:  # room for the ids new to the table
-        seen.resize(max(len(ids), 2 * seen.size), refcheck=False)
-    for column in sums.values():
-        if column.size < seen.size:
-            column.resize(seen.size, refcheck=False)
-    balance, missing = cols.money("balance", allow_missing=True)
+    balance, missing, exact = cols.money("balance", allow_missing=True)
     flags = out["flags"][rows]
     flags[:] = np.where(missing, _NO_BALANCE, (balance == 0) * _ZERO_BALANCE)
-    first = np.flatnonzero(months == 1)
-    first_balance = balance[first]
+    first = months == 1
+    first_balance = np.zeros(keys.shape[1], np.int64)
+    first_balance[code[first]] = balance[first]
+    balances = [(codes + int(code[i]), amount) for i, amount in exact.items() if first[i]]
     del balance, missing
     flags[cols.money("payment")[0] == 0] |= _ZERO_PAYMENT
-    principal = cols.money("principal")[0]
-    if object in (first_balance.dtype, principal.dtype):  # the sums are Decimals from here on
-        sums.update({name: _as_decimals(column) for name, column in sums.items()})
-    if sums["paid"].dtype == object:
-        first_balance, principal = _as_decimals(first_balance), _as_decimals(principal)
-    sums["first_balance"][key[first]] = first_balance
-    new = ~seen[number]
-    seen[number[new]] = True
-    lead = id_first[new]  # each new loan's first row
-    later = np.delete(np.arange(key.size), lead)
-    sums["paid"][key[lead]] = principal[lead]  # a Decimal sum starts unrounded
-    with localcontext() as context:  # a Decimal sum past the exponent limit reads Infinity
-        context.traps[Overflow] = False
-        np.add.at(sums["paid"], key[later], principal[later])
-    return number[new]
+    principal, _, exact = cols.money("principal")
+    principal[list(exact)] = 0  # summed as Decimals
+    paid = np.zeros(keys.shape[1], np.int64)
+    np.add.at(paid, code, principal)
+    return (keys, first_balance, paid, balances,
+            [(codes + int(code[i]), amount) for i, amount in exact.items()])
+
+
+def _exact_amounts(path, ids: np.ndarray, first_balance: np.ndarray, paid: np.ndarray,
+                   balances: list, cells: list) -> dict:
+    """{segment: (first balance, principal paid)} as Decimals of each loan
+    with a first balance or principal cell that cents cannot hold
+    ((segment, Decimal) pairs in `balances` and `cells`).  The principal
+    paid is its Decimal cells, the largest first, then its cents, summed in
+    `_EXACT`, so a sum past the exponent limit or `_DIGITS` digits is a
+    SchemaError decided in one order, whatever the order of the rows."""
+    balances, by_loan, exact = dict(balances), {}, {}
+    for k, amount in sorted(cells, key=lambda cell: (cell[0], -cell[1].adjusted(), cell[1])):
+        by_loan.setdefault(k, []).append(amount)
+    for k in sorted(balances.keys() | by_loan.keys()):
+        first, cents = (Decimal(int(c)).scaleb(-2, _EXACT) for c in (first_balance[k], paid[k]))
+        try:
+            total = reduce(_EXACT.add, [*by_loan.get(k, ()), cents], Decimal(0))
+        except Inexact as exc:  # an Overflow is Inexact too
+            past = ("sums past the decimal exponent limit" if isinstance(exc, Overflow)
+                    else f"needs more than {_DIGITS} digits to sum exactly")
+            raise SchemaError(f"{path}: loan {_id_text(ids[:, k])!r}: column 'principal' "
+                              f"{past}") from None
+        exact[k] = (balances.get(k, first), total)
+    return exact
 
 
 def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | None:
@@ -1533,12 +1523,11 @@ def _first_gap(key: np.ndarray, month: np.ndarray, start: np.ndarray) -> int | N
 def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTape:
     """Read the static and long CSVs into a LoanTape."""
     cols = _Columns.read(loans_path, _LOAN_FIELDS)
-    code, first, order, records, bounds = cols.ids("loan_id")
-    ids = _IdTable()
-    ids.add(records, order)
+    code, first, keys, bounds = cols.ids("loan_id")
     loan_id = np.array(cols.texts("loan_id", first, bounds), dtype=object)[code]
     owner = first[code]  # the first row with the row's id
-    original_amount, _ = cols.money("original_amount")
+    original_amount, _, exact = cols.money("original_amount")
+    recovered_amount, _, exact_recovered = cols.money("recovered_amount")
     loan_age_at_entry = cols.ints("loan_age_at_entry")
     cols.check_rows(((owner < np.arange(cols.rows),
                       lambda i: f"loan_id {loan_id[i]!r} repeats line {cols.line_of(owner[i])}"),
@@ -1555,14 +1544,16 @@ def load_loan_data(loans_path: str | Path, payments_path: str | Path) -> LoanTap
         subvention=cols.labels("subvention", _parse_bool, np.bool_, _BOOLS),
         vehicle_condition=cols.labels("vehicle_condition", str.strip, object),
         initial_status=cols.labels("initial_status", str.strip, object),
-        recovered_amount=cols.money("recovered_amount")[0],
+        recovered_amount=recovered_amount,
         where=cols.where,
         line=cols.line,
+        exact={**{(loan_id[i], "original_amount"): amount for i, amount in exact.items()},
+               **{(loan_id[i], "recovered_amount"): amount
+                  for i, amount in exact_recovered.items()}},
     )
     del cols  # the loans file's buffer is not held while the payments file is read
-    payments, ids = _read_payments(payments_path, ids)
-    segment = ids.find(records, order)[code]
-    return LoanTape(**columns, segment=segment, payments=payments)
+    payments, _, segment = _read_payments(payments_path, keys)
+    return LoanTape(**columns, segment=segment[code], payments=payments)
 
 
 # Labels by code; index -1 (no band) and 0 (censored) give "".

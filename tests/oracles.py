@@ -11,7 +11,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal, Inexact
+from functools import reduce
 
 import numpy as np
 from scipy import optimize, stats
@@ -476,6 +477,11 @@ def plain_cells(buf, start, end, point):
 # segment outcomes from per-row money columns, by row-length masks and reductions
 
 
+# Far more digits than any sum of the amounts the tests draw needs, so every
+# sum is exact (an inexact one raises).
+EXACT = Context(prec=1000, traps=[Inexact])
+
+
 @dataclass(frozen=True)
 class RowPayments:
     """Payment rows grouped by loan, every money column kept per row: the
@@ -484,7 +490,7 @@ class RowPayments:
 
     Segment k is rows start[k] : start[k] + months[k], in month order.
     Missing balances read as zero and are flagged in `balance_missing`.  The
-    three money columns share one representation (all cents or all Decimal).
+    three money columns hold Decimals.
     """
 
     start: np.ndarray
@@ -494,39 +500,27 @@ class RowPayments:
     payment: np.ndarray
     principal: np.ndarray
 
-    def paid(self, principal) -> np.ndarray:
-        """Total principal paid per segment."""
-        if self.start.size == 0:
-            return principal[:0]
-        return np.add.reduceat(principal, self.start)
+    def paid(self) -> np.ndarray:
+        """Total principal paid per segment, summed exactly."""
+        return np.array([reduce(EXACT.add, self.principal[s:s + m], Decimal(0))
+                         for s, m in zip(self.start.tolist(), self.months.tolist())], object)
 
     def integrity_ok(self) -> np.ndarray:
         """Per segment: whether the outcome can be determined (see `ingest._Payments`)."""
         first = self.start
         last = self.start + self.months - 1
-        short = self.paid(self.principal) < self.balance[first]
+        short = self.paid() < self.balance[first]
         return ~self.balance_missing[first] & ~(short & self.balance_missing[last])
 
 
 def row_payments(histories) -> RowPayments:
     """The `RowPayments` of loan histories, each (balances, payments,
-    principals) in month order as Decimals, a balance None where missing.
-
-    As the reader did, the columns are cents when every amount is a whole
-    number of cents below `ingest._CENTS_LIMIT`, and otherwise all Decimals,
-    whole-cent amounts written with two places.
-    """
+    principals) in month order as Decimals, a balance None where missing."""
     months = np.array([len(history[0]) for history in histories], np.int64)
-    columns = [[amount for history in histories for amount in history[k]] for k in range(3)]
+    columns = [np.array([amount for history in histories for amount in history[k]], object)
+               for k in range(3)]
     missing = np.array([amount is None for amount in columns[0]], np.bool_)
-    columns[0] = [Decimal(0) if amount is None else amount for amount in columns[0]]
-    cents = [[ingest._cents_of(amount) for amount in column] for column in columns]
-    if all(c is not None for column in cents for c in column):
-        columns = [np.array(column, np.int64) for column in cents]
-    else:
-        columns = [np.array([amount if c is None else Decimal(c).scaleb(-2)
-                             for amount, c in zip(column, row_cents)], object)
-                   for column, row_cents in zip(columns, cents)]
+    columns[0][missing] = Decimal(0)
     return RowPayments(np.cumsum(months) - months, months, columns[0], missing, *columns[1:])
 
 
@@ -536,16 +530,12 @@ def reduceat_outcomes(payments, pad):
     The rules of `ingest._Payments.outcomes`, computed as it did before it
     searched the rows that hold a zero: row-length index arrays, each row's
     segment end, and a minimum over each segment by `np.minimum.reduceat`.
+    The pad is a Decimal, an integer, or a float read by its repr.
     """
-    balance, principal = payments.balance, payments.principal
-    pad = ingest._decimal(pad)
-    if balance.dtype != object:
-        pad_cents = ingest._cents_of(pad)
-        if pad_cents is None:
-            balance, principal = ingest._as_decimals(balance), ingest._as_decimals(principal)
-        else:
-            pad = pad_cents
-    n, start = balance.size, payments.start
+    balance, start = payments.balance, payments.start
+    if not isinstance(pad, Decimal):
+        pad = Decimal(pad if isinstance(pad, int) else repr(pad))
+    n = balance.size
     if start.size == 0:
         return np.zeros(0, np.int8), np.zeros(0, np.int64)
     row = np.arange(n)
@@ -557,7 +547,8 @@ def reduceat_outcomes(payments, pad):
     run[:-2] = zero[:-2] & zero[1:-1] & zero[2:]
     run &= row + 3 <= end  # all three months inside the loan's own history
     first_run = np.minimum.reduceat(np.where(run, row, n), start)
-    repaid = payments.paid(principal) + pad >= balance[start]
+    repaid = np.array([EXACT.add(paid, pad) >= first for paid, first in
+                       zip(payments.paid(), balance[start])], np.bool_)
     defaulted = ~repaid & (first_run < n)
     code = np.where(repaid, Cause.PREPAY.value,
                     np.where(defaulted, Cause.DEFAULT.value, ingest._CENSORED)).astype(np.int8)

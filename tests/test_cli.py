@@ -1149,6 +1149,30 @@ def test_recovery_fit_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "recovery_fit.json").exists()
 
 
+PIPELINE_COLD = """
+import sys
+from cshazard import cli
+loans, payments, out = sys.argv[1:]
+obs = out + "/observations.csv"
+for argv in (["ingest", loans, payments], ["estimate", obs], ["converge", obs]):
+    assert cli.main([*argv, "--output-dir", out]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_tape_pipeline_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 2 MB of peak memory, and np.unique, among others,
+    # imports it on first use: ingest, estimate and converge must not need it
+    from test_golden import load_tape_module
+    tape = load_tape_module().generate(tmp_path, 11, n_loans=500)
+    out = subprocess.run([sys.executable, "-c", PIPELINE_COLD, str(tape.loans),
+                          str(tape.payments), str(tmp_path / "out")],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_module_entry_point_runs(tmp_path):
     out = subprocess.run([sys.executable, "-m", "cshazard.cli", "savings",
                           "--balance", "7485", "--payment", "360",

@@ -11,11 +11,14 @@ from __future__ import annotations
 import ast
 import contextlib
 import csv
+import math
 import os
 import re
 import tempfile
+import time
 import tracemalloc
-from decimal import Decimal
+from decimal import Context, Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 from conftest import observation_table, staged_curve, write_tape
 from oracles import decimal_outcome, plain_cells, reduceat_outcomes, row_payments
 
-from cshazard import ingest
+from cshazard import cli, ingest
 from cshazard.cli import _read_recovery_observations
 from cshazard.errors import SchemaError
 from cshazard.estimator import read_curve_csv, write_curve_csv
@@ -53,18 +56,25 @@ def money(v):
     return None if v is None else Decimal(str(v))
 
 
-def currency(column):
-    """A money column's amounts in currency units: cents become Decimals of two places."""
-    return [c if isinstance(c, Decimal) else Decimal(c).scaleb(-2) for c in column.tolist()]
+def currency(cents, exact=()):
+    """Amounts in currency units: cents become Decimals of two places, and an
+    index in `exact` takes the Decimal kept there."""
+    return [exact[k] if k in exact else Decimal(c).scaleb(-2) for k, c in enumerate(cents.tolist())]
+
+
+def amounts(money):
+    """The amounts of a `_Columns.money` read, in currency units."""
+    cents, _, exact = money
+    return currency(cents, exact)
 
 
 def payment_rows(path):
     """A payments file's rows as (balance or None, payment, principal) in
     currency units, read by `_Columns.money`, in order of loan and month."""
     cols = _Columns.read(path, ingest._PAYMENT_COLUMNS)
-    balance, missing = cols.money("balance", allow_missing=True)
-    payment, principal = (currency(cols.money(name)[0]) for name in ("payment", "principal"))
-    balance = [None if gone else b for b, gone in zip(currency(balance), missing.tolist())]
+    balance = cols.money("balance", allow_missing=True)
+    payment, principal = (amounts(cols.money(name)) for name in ("payment", "principal"))
+    balance = [None if gone else b for b, gone in zip(amounts(balance), balance[1].tolist())]
     found = list(zip(balance, payment, principal))
     keys = [(loan_id.strip(), month) for loan_id, month in zip(
         cols.texts("loan_id", np.arange(cols.rows)), cols.ints("trust_month").tolist())]
@@ -74,8 +84,9 @@ def payment_rows(path):
 def folded(payments):
     """(flags, first balances, principal paid) of a `_Payments`, each amount
     as the repr of its currency units, so a Decimal's exponent counts."""
-    return (payments.flags.tolist(), list(map(repr, currency(payments.first_balance))),
-            list(map(repr, currency(payments.paid))))
+    return (payments.flags.tolist(), *(
+        list(map(repr, currency(column, {k: pair[j] for k, pair in payments.exact.items()})))
+        for j, column in enumerate((payments.first_balance, payments.paid))))
 
 
 def rows(balance, payment, principal):
@@ -371,11 +382,26 @@ def test_loan_csv_round_trip(tmp_path):
         ("L2", 6, 8, None, RiskBand.SUPER_PRIME)])
     assert back.original_amount.tolist() == [2000005, 2000000]  # exact cents
     assert back.recovered_amount.tolist() == [0, 123450]
+    assert back.exact == {}
     assert payment_rows(tmp_path / "payments.csv") == rows(*histories["L1"]) + rows(
         *histories["L2"])
     assert folded(back.payments) == ([0, 0, 0, ZB | ZP, 0, NB | ZP, 0],
                                      ["Decimal('300.00')", "Decimal('500.00')"],
                                      ["Decimal('300.00')", "Decimal('20.00')"])
+
+
+def test_loan_amounts_that_cents_cannot_hold_keep_their_sign_and_exact_value(tmp_path):
+    back = load_loan_data(*write_tape(
+        tmp_path, {"L1": {"original_amount": "20000.005"},
+                   "L2": {"recovered_amount": "-0.001", "original_amount": "1E+20"}},
+        {"L1": REPAID, "L2": REPAID}))
+    assert back.original_amount.tolist() == [1, 1] and back.recovered_amount.tolist() == [0, -1]
+    assert back.exact == {("L1", "original_amount"): Decimal("20000.005"),
+                          ("L2", "original_amount"): Decimal("1E+20"),
+                          ("L2", "recovered_amount"): Decimal("-0.001")}
+    with pytest.raises(SchemaError, match=r"loans\.csv:2: column 'original_amount' must be "
+                                          r"positive$"):
+        load_loan_data(*write_tape(tmp_path, {"L1": {"original_amount": "-0.001"}}, {}))
 
 
 def test_observation_csv_round_trip(tmp_path):
@@ -472,7 +498,8 @@ def test_segment_classifier_matches_decimal_oracle(loans, pad):
 
 # Principal cells drawn for the folded read: cents, zeros, and mils.
 CENTS = st.sampled_from([0, 0, 0, 500, 1000]) | st.integers(0, 2000)
-# 30 significant digits: the sum with any other amount is rounded to 28.
+# 30 significant digits: a sum with other amounts needs more than 28, and
+# fewer than `ingest._DIGITS`.
 LONG_PRINCIPAL = Decimal("1234567890123456789012345.67891")
 
 
@@ -480,7 +507,7 @@ LONG_PRINCIPAL = Decimal("1234567890123456789012345.67891")
 def payment_files(draw):
     """Loan histories of 1-6 loans of 1-5 months as Decimals (a balance None
     where missing), and the order of the file's rows: month order, or
-    shuffled unless a principal cell holds 30 significant digits.
+    shuffled.  A principal cell may hold 30 significant digits.
 
     Zero balances and zero payments are common, so they fall on a
     segment's first and last rows and zero runs straddle segment edges or
@@ -506,7 +533,7 @@ def payment_files(draw):
     if draw(st.booleans()):
         history = draw(st.sampled_from(histories))
         history[2][draw(st.integers(0, len(history[2]) - 1))] = LONG_PRINCIPAL
-    elif draw(st.booleans()):
+    if draw(st.booleans()):
         rows = draw(st.permutations(rows))
     return histories, rows
 
@@ -515,8 +542,8 @@ def payment_files(draw):
 @given(payment_files(), st.data())
 def test_segment_outcomes_match_the_reduceat_oracle(files, data):
     """The payments folded as they are read, at any block size and in any
-    row order, give the outcomes and integrity of the per-row oracle on the
-    same rows, for every pad."""
+    row order, give the outcomes, integrity and exact sums of the per-row
+    oracle on the same rows, for every pad."""
     histories, rows = files
     lines = ["loan_id,trust_month,balance,payment,principal"]
     for k, m in rows:
@@ -528,7 +555,7 @@ def test_segment_outcomes_match_the_reduceat_oracle(files, data):
         path.write_bytes(data_bytes)
         size = data.draw(st.integers(1, len(data_bytes) + 1), label="block size")
         with tiny_blocks(), mock.patch.object(ingest, "_READ_BYTES", size):
-            payments, ids = ingest._read_payments(path)
+            payments, ids, _ = ingest._read_payments(path)
     order = [int(loan_id[1:]) for loan_id in id_names(ids)]  # loans by first row in the file
     oracle = row_payments([histories[k] for k in order])
     assert payments.start.tolist() == oracle.start.tolist()
@@ -540,9 +567,7 @@ def test_segment_outcomes_match_the_reduceat_oracle(files, data):
         assert code.dtype == expected_code.dtype and month.dtype == expected_month.dtype
         assert code.tolist() == expected_code.tolist(), pad
         assert month.tolist() == expected_month.tolist(), pad
-    if rows == sorted(rows):  # summed in month order: the oracle's reduceat, exponent and all
-        paid = oracle.paid(oracle.principal)
-        assert list(map(repr, currency(payments.paid))) == list(map(repr, currency(paid)))
+    assert folded(payments)[2] == list(map(repr, oracle.paid()))  # exponent and all
 
 
 def test_money_cells_keep_exact_values(tmp_path):
@@ -554,13 +579,13 @@ def test_money_cells_keep_exact_values(tmp_path):
                                       (None, Decimal("0"), Decimal("0.001")),
                                       (None, Decimal("1"), Decimal("0"))]
     back = load_loan_data(loans, payments)
-    assert back.payments.paid.dtype == object  # a mil is not whole cents
+    assert list(back.payments.exact) == [0]  # a mil is not whole cents
     assert folded(back.payments) == ([0, 0, NB | ZP, NB], ["Decimal('100.00')"],
                                      ["Decimal('90.501')"])
 
 
 def test_a_balance_a_hair_above_whole_cents_is_not_rounded_to_them(tmp_path):
-    # 30 significant digits, two more than the decimal context keeps
+    # 30 significant digits, two more than Python's default decimal context keeps
     balance = "1.00000000000000000000000000001"
     # 1.00 paid falls short of the balance: censored, not repaid
     assert outcomes(tmp_path, {"L1": 0}, {"L1": ([balance], ["1"], ["1.00"])},
@@ -574,7 +599,61 @@ def test_a_money_cell_past_the_context_exponent_is_read_exactly(tmp_path):
                                                                ["1", "1E+999999"])})
     assert payment_rows(payments) == [(Decimal("1E+999999"), Decimal("1"), Decimal("1")),
                                       (Decimal("5"), Decimal("1"), Decimal("1E+999999"))]
-    assert folded(load_loan_data(loans, payments).payments)[1] == ["Decimal('1E+999999')"]
+    # 1 + 1E+999999 needs a million digits
+    with pytest.raises(SchemaError, match=r"payments\.csv: loan 'L1': column 'principal' needs "
+                                          r"more than 40 digits to sum exactly$"):
+        load_loan_data(loans, payments)
+    payments.write_text(payments.read_text().replace(",1E+999999\n", ",2\n"))
+    assert folded(load_loan_data(loans, payments).payments)[1:] == (["Decimal('1E+999999')"],
+                                                                    ["Decimal('3.00')"])
+
+
+def test_a_principal_sum_past_the_digits_of_the_context_names_its_loan(tmp_path):
+    """A sum that needs more than `_DIGITS` significant digits is an error,
+    whatever the order of its rows; one that needs exactly that many is exact."""
+    assert ingest._DIGITS == 40
+    wide = "9" * 38 + ".99"  # 40 digits
+    for principal, exact in [([wide, "0.02"], None), (["0.02", wide], None),
+                             ([wide, "-0.01"], "9" * 38 + ".98"), (["1E+38", "0.001"], None),
+                             (["1E+36", "0.001"], "1" + "0" * 36 + ".001")]:
+        loans, payments = write_tape(tmp_path, {"L0": {}, "L1": {}},
+                                     {"L0": (["5"], ["5"], ["5"]),
+                                      "L1": (["100"] * 2, ["10"] * 2, principal)})
+        if exact is None:
+            with pytest.raises(SchemaError, match=r"payments\.csv: loan 'L1': column 'principal' "
+                                                  r"needs more than 40 digits to sum exactly$"):
+                load_loan_data(loans, payments)
+        else:
+            assert load_loan_data(loans, payments).payments.exact[1][1] == Decimal(exact)
+
+
+# Amounts of up to 45 digits over 120 places, zeros among them.
+AMOUNTS = st.builds(lambda sign, digits, exponent: Decimal((sign, tuple(digits), exponent)),
+                    st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1, max_size=45),
+                    st.integers(-60, 60))
+
+
+@st.composite
+def cover_cases(draw):
+    """(paid, pad, balance), the balance often paid + pad itself or a hair off it."""
+    paid, pad, balance = (draw(AMOUNTS) for _ in range(3))
+    if draw(st.booleans()):
+        wide = Context(prec=500)
+        balance = wide.add(wide.add(paid, pad), draw(st.sampled_from(
+            [Decimal(0), Decimal("1E-70"), Decimal("-1E-70"), balance])))
+    return paid, pad, balance
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_cases())
+def test_the_exact_comparisons_match_fractions(case):
+    """The repayment test on Decimals, and the pad as cents, are exact."""
+    paid, pad, balance = case
+    assert ingest._covers(paid, pad, balance) == (Fraction(paid) + Fraction(pad)
+                                                  >= Fraction(balance))
+    limit = np.iinfo(np.int64).max
+    cents = math.floor(Fraction(pad) * 100) if abs(pad) < 10**17 else limit * (-1) ** (pad < 0)
+    assert ingest._floor_cents(pad) == cents
 
 
 NON_FINITE_CELLS = ["nan", "inf", "-Infinity", "sNaN"]
@@ -901,8 +980,8 @@ def test_payment_ids_merge_however_the_rows_are_laid_out(tmp_path):
 
 
 def id_names(ids):
-    """The loan ids of an `_IdTable` by number: by first row in the payments file."""
-    return [ids.name(k) for k in range(len(ids))]
+    """The loan ids of `_read_payments` by segment: by first row in the payments file."""
+    return [ingest._id_text(ids[:, k]) for k in range(ids.shape[1])]
 
 
 def test_ids_match_after_stripping_whitespace_as_str_strip(tmp_path):
@@ -949,7 +1028,7 @@ def test_loan_ids_join_like_a_dict_of_stripped_strings(bases, data):
         payments_path.write_bytes(data_bytes)
         size = data.draw(st.integers(1, len(data_bytes) + 1), label="block size")
         with tiny_blocks(), mock.patch.object(ingest, "_READ_BYTES", size):
-            payments, ids = ingest._read_payments(payments_path)
+            payments, ids, _ = ingest._read_payments(payments_path)
             tape = load_loan_data(loans_path, payments_path)
     segment_of = {}
     for _, k in rows:
@@ -1332,7 +1411,7 @@ def test_cells_at_parse_block_edges_parse_and_are_located(tmp_path, row):
     with tiny_blocks():
         cols = _Columns.read(path, ["n", "v"])
         assert cols.ints("n").tolist() == [-123456789012 if i == row else i for i in range(7)]
-        assert cols.money("v")[0].tolist() == [
+        assert amounts(cols.money("v")) == [
             Decimal("1.005") if i == row else Decimal(f"{i}.25") for i in range(7)]
         for column, bad, message in [(0, "4x", "column 'n' has non-integer value '4x'"),
                                      (1, "4x", "column 'v' has non-numeric value '4x'")]:
@@ -1409,7 +1488,7 @@ def test_cells_at_parse_block_edges_after_blank_lines_long_rows_or_quotes(tmp_pa
     with tiny_blocks():
         cols = _Columns.read(path, ["n", "v"])
         assert cols.ints("n").tolist() == [-123456789012 if i == row else i for i in range(7)]
-        assert cols.money("v")[0].tolist() == [
+        assert amounts(cols.money("v")) == [
             Decimal("1.005") if i == row else Decimal(f"{i}.25") for i in range(7)]
         assert cols.line_of(row) == line
         for column, message in [(0, "column 'n' has non-integer value '4x'"),
@@ -1471,21 +1550,29 @@ STREAM_ERRORS = {  # the rows, and the error they give without its location
 }
 
 
-def read_payments_in_blocks(path, size):
-    """`_read_payments` reading `size` bytes at a time: (payments, loan ids) or the error text."""
+def read_payments_in_blocks(path, size, loans=None):
+    """`_read_payments` reading `size` bytes at a time (`loans`: the ids of a
+    loans file to join): (payments, loan ids, segment of each loan) or the
+    error text."""
     with mock.patch.object(ingest, "_READ_BYTES", size):
         try:
-            return ingest._read_payments(path)
+            return ingest._read_payments(path, *([] if loans is None else [loans]))
         except SchemaError as exc:
             return str(exc)
 
 
 def same_payments(a, b) -> bool:
-    (pa, ida), (pb, idb) = a, b
-    return id_names(ida) == id_names(idb) and all(
-        getattr(pa, name).dtype == getattr(pb, name).dtype
-        and list(map(repr, getattr(pa, name).tolist())) == list(map(repr, getattr(pb, name).tolist()))
+    """Whether two `_Payments` are the same, their exact amounts by repr."""
+    return repr(a.exact) == repr(b.exact) and all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tolist() == getattr(b, name).tolist()
         for name in ("start", "months", "flags", "first_balance", "paid"))
+
+
+def same_read(a, b) -> bool:
+    """Whether two `read_payments_in_blocks` results are the same."""
+    return same_payments(a[0], b[0]) and id_names(a[1]) == id_names(b[1]) and (
+        a[2].tolist() == b[2].tolist())
 
 
 @pytest.mark.parametrize("shape", STREAM_SHAPES)
@@ -1498,14 +1585,15 @@ def test_payments_read_alike_at_every_block_size(tmp_path, shape):
     whole = read_payments_in_blocks(path, len(data) + 1)
     assert id_names(whole[1]) == ["L1", "L2", "L3"] and whole[0].months.tolist() == [3, 3, 1]
     balance = _Columns.read(path, ingest._PAYMENT_COLUMNS).money("balance", allow_missing=True)
-    assert [str(v) for v in balance[0].tolist()] == [
+    assert [str(v) for v in amounts(balance)] == [
         "300.00", "0.00", "0.00", "250.00", "250.00", "0.00", "90.255"]
-    # Blocks before the one holding 90.255 fold cents; their sums turn Decimal with it.
+    # Only L3, whose balance is not whole cents, keeps Decimals.
+    assert list(whole[0].exact) == [2]
     assert folded(whole[0]) == ([0, NB, ZB | ZP, ZP, ZP, NB | ZP, 0],
                                 ["Decimal('300.00')", "Decimal('250.00')", "Decimal('90.255')"],
                                 ["Decimal('300.00')", "Decimal('0.00')", "Decimal('45.00')"])
     for size in range(1, len(data) + 1):
-        assert same_payments(read_payments_in_blocks(path, size), whole), size
+        assert same_read(read_payments_in_blocks(path, size), whole), size
 
 
 @pytest.mark.parametrize("shape", STREAM_SHAPES)
@@ -1545,10 +1633,103 @@ def test_payments_read_through_a_pipe_load_the_same_tape(tmp_path):
             with open(write_end, "wb") as writer:
                 writer.write(payments.read_bytes())
             piped = load_loan_data(loans, f"/dev/fd/{read_end}")
-        assert same_payments((piped.payments, ingest._IdTable()),
-                             (tidy.payments, ingest._IdTable()))
+        assert same_payments(piped.payments, tidy.payments)
         assert piped.segment.tolist() == tidy.segment.tolist() == [0, 1, 2]
         assert build_observations(piped) == build_observations(tidy)
+
+
+# Far past the decimal context's exponent limit, either way.
+EXTREME_CELLS = ["1E+999999999", "-1E+999999999", "1E-999999999"]
+EXTREME_CASES = [("alternating", None, 2)] + [
+    (column, cell, 2 if column == "principal" else 0)
+    for column in ("balance", "payment", "principal") for cell in EXTREME_CELLS]
+
+
+@pytest.mark.parametrize("blocks", [contextlib.nullcontext, tiny_blocks], ids=["whole", "tiny"])
+@pytest.mark.parametrize("column, cell, code", EXTREME_CASES)
+def test_extreme_money_cells_end_in_a_located_exit_within_seconds(tmp_path, capsys, blocks,
+                                                                  column, cell, code):
+    """Amounts whose exact sum or comparison would span a million places or
+    more: a principal alternating 1E+999999 and 0.01 over 2,000 rows, and one
+    extreme cell in a loan's first month.  Only a principal sum can fail, and
+    its error names the loan."""
+    if cell is None:
+        history = (["100"] * 2000, ["10"] * 2000, ["1E+999999", "0.01"] * 1000)
+    else:
+        history = [["300", "200", "100"], ["110", "110", "0"], ["100", "100", "0"]]
+        history[("balance", "payment", "principal").index(column)][0] = cell
+    loans, payments = write_tape(tmp_path, {"L0": {}, "L1": {}},
+                                 {"L0": (["5"], ["5"], ["5"]), "L1": history})
+    began = time.perf_counter()
+    with blocks():
+        rc = cli.main(["ingest", str(loans), str(payments), "--output-dir", str(tmp_path / "out")])
+    assert time.perf_counter() - began < 5.0
+    assert rc == code
+    if code:
+        limit = ("needs more than 40 digits to sum exactly" if cell == "1E-999999999"
+                 else "sums past the decimal exponent limit")  # 1000 times 1E+999999 too
+        assert capsys.readouterr().err == (f"error: {payments}: loan 'L1': column 'principal' "
+                                           f"{limit}\n")
+
+
+def merge_tape(directory, shape, extra=""):
+    """A tape whose payments file holds 30 ids that its loans file lacks
+    besides the loans' 10 ("absent"), or whose loans file is filtered ahead
+    of its payments file to every other one of 40 ids ("filtered").  Loans
+    have one to three months, their rows interleaved, and ids are padded
+    with whitespace in some rows.  `extra` is appended to the payments file.
+    Returns (loans, payments, payment ids by first row)."""
+    ids = [f"X{i:02d}" for i in range(40)]
+    loans = ids[:10] if shape == "absent" else ids[::2]
+    order = ids[::3] + ids[1::3] + ids[2::3]  # first rows out of id order
+    rows = [(loan_id, month) for month in (1, 2, 3) for k, loan_id in enumerate(order)
+            if month <= 1 + k % 3]
+    loans_path, payments = write_tape(directory, dict.fromkeys(loans, {}), {})
+    pads = [(" ", ""), ("", " "), ("\t", "")]
+    payments.write_text("loan_id,trust_month,balance,payment,principal\n" + "".join(
+        f"{pads[m % 3][0]}{loan_id}{pads[m % 3][1]},{m},{200 - 100 * m},10,100\n"
+        for loan_id, m in rows) + extra, encoding="utf-8")
+    return loans_path, payments, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["absent", "filtered"]), st.data())
+def test_ids_merge_alike_at_random_block_sizes(shape, data):
+    """Payment ids that the loans file lacks, or a loans file filtered ahead
+    of its payments file: a read at any block size gives the payments,
+    segment numbers, first-row order and observations of one whole read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        loans, payments, order = merge_tape(Path(tmp), shape)
+        keys = _Columns.read(loans, ingest._LOAN_FIELDS).ids("loan_id")[2]
+        size = payments.stat().st_size + 1
+        whole, tape = read_payments_in_blocks(payments, size, keys), load_loan_data(loans, payments)
+        size = data.draw(st.integers(1, size), label="block size")
+        with tiny_blocks(), mock.patch.object(ingest, "_READ_BYTES", size):
+            read = read_payments_in_blocks(payments, size, keys)
+            blocks = load_loan_data(loans, payments)
+    assert id_names(whole[1]) == order
+    assert whole[2].tolist() == tape.segment.tolist() == [order.index(i) for i in tape.loan_id]
+    assert whole[0].months.tolist() == [1 + k % 3 for k in range(40)]
+    assert same_read(read, whole)
+    assert same_payments(blocks.payments, tape.payments)
+    assert blocks.segment.tolist() == tape.segment.tolist()
+    assert build_observations(blocks) == build_observations(tape)
+
+
+@pytest.mark.parametrize("blocks", [contextlib.nullcontext, tiny_blocks], ids=["whole", "tiny"])
+@pytest.mark.parametrize("shape", ["absent", "filtered"])
+def test_merge_errors_name_the_stripped_id(tmp_path, blocks, shape):
+    """A trust-month gap and a principal sum past the exponent limit, of a
+    padded id that the loans file lacks, name it stripped."""
+    for extra, message in [("\tX41 ,1,10,10,10\n X41,3,10,10,10\n",
+                            r":\d+: loan X41 trust_month values are not a contiguous 1\.\.2 "
+                            r"sequence"),
+                           (" X41,1,10,10,9E+999999\nX41\t,2,10,10,9E+999999\n",
+                            r": loan 'X41': column 'principal' sums past the decimal exponent "
+                            r"limit")]:
+        loans, payments, _ = merge_tape(tmp_path, shape, extra)
+        with blocks(), pytest.raises(SchemaError, match=rf"payments\.csv{message}$"):
+            load_loan_data(loans, payments)
 
 
 def test_a_bad_cell_is_reported_before_a_month_gap(tmp_path):
@@ -1682,7 +1863,7 @@ def test_cells_that_are_not_plain_derive_only_their_own_bounds(tmp_path, monkeyp
         return start, end
 
     monkeypatch.setattr(_Columns, "_field", counting)
-    assert cols.money("v", allow_missing=True)[0].tolist() == [Decimal("1.005")] * rows
+    assert amounts(cols.money("v", allow_missing=True)) == [Decimal("1.005")] * rows
     assert sum(derived) <= 3 * rows
     derived.clear()
     assert cols.texts("id", np.arange(0, rows, 50)).count("L0") == 2
@@ -1727,7 +1908,7 @@ def test_ingest_peak_memory_stays_a_small_multiple_of_the_payments_file(tmp_path
 
 
 @pytest.mark.parametrize("shape, bound", [("blank", 2.8), ("long", 2.8), ("quoted", 16.0),
-                                          ("mils", 3.9)])
+                                          ("mils", 2.5)])
 def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, shape, bound):
     """The guard tape with a trailing blank line or one long row peaks like the
     plain tape (2.29 times; 3.09 with three money columns per row, 4.40 read
@@ -1736,9 +1917,11 @@ def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, 
     peaks at 14.3 times when the strings are laid out 2^15 rows at a time
     (27.5 times for the whole file at once, 32.5 with the cell table); the
     bound leaves 1.7 for csv, numpy and allocator versions.  One principal
-    of mils on the first row turns the loans' sums into Decimals, and each
-    later block's principal with them while it is added: 3.34 times, where
-    every row's three money cells as Decimals peaked at 12.78 times."""
+    of mils on the first row is kept as a Decimal for its own loan only:
+    1.98 times, as the plain tape (numpy 2.4), and the bound leaves 0.5.
+    While it turned every loan's sums into Decimals, and each later block's
+    principal with them, it peaked at 3.38 times, and with every row's
+    three money cells as Decimals at 12.78 times."""
     loans, payments, size = guard_tape(tmp_path)
     text = payments.read_bytes()
     if shape == "blank":
@@ -1775,15 +1958,20 @@ def test_build_observations_peak_stays_a_few_bytes_per_payment_row(tmp_path):
 def test_loaded_payments_hold_a_byte_per_row_and_a_few_per_loan(tmp_path):
     """What the load holds of the payments file: one flag byte per row, and
     per loan its segment's start and length, first balance and principal
-    paid (8 bytes each), so no per-row money column can come back."""
+    paid (8 bytes each), so no per-row money column can come back.  A loan
+    holding an amount that cents cannot hold adds one entry of two Decimals,
+    and no column holds objects."""
     loans, payments, _ = guard_tape(tmp_path)
     for shape in ("cents", "mils"):
-        if shape == "mils":  # the sums hold Decimals: 8 bytes of pointer each
+        if shape == "mils":  # the first loan's first principal is not whole cents
             payments.write_bytes(payments.read_bytes().replace(b",480.5\n", b",480.505\n", 1))
         held = load_loan_data(loans, payments).payments
-        assert held.paid.dtype == (object if shape == "mils" else np.int64)
-        nbytes = sum(getattr(held, name).nbytes for name in held.__dataclass_fields__)
-        assert nbytes <= 50000 + 32 * 2000, shape
+        columns = [getattr(held, name) for name in held.__dataclass_fields__ if name != "exact"]
+        assert held.first_balance.dtype == held.paid.dtype == np.int64
+        assert all(column.dtype != object for column in columns)
+        assert list(held.exact) == ([0] if shape == "mils" else [])
+        assert all(isinstance(amount, Decimal) for pair in held.exact.values() for amount in pair)
+        assert sum(column.nbytes for column in columns) <= 50000 + 32 * 2000, shape
 
 
 # ---------------------------------------------------------------------------
