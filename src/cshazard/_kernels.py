@@ -10,36 +10,52 @@ USING_NUMBA = False
 def guide_table(cdf):
     """Chen & Asau's guide table for inverse-CDF draws from a finite, nondecreasing `cdf`.
 
-    With m the smallest power of two >= 4 * cdf.size, g[j] is the first index
+    With m the smallest power of two >= 4 * cdf.size, guide[j] is the first index
     whose cumulative mass strictly exceeds j/m, capped at the last index
     (Chen & Asau, "On generating random variates from an empirical
     distribution", AIIE Transactions 6(2), 1974).  m is a power of two so
-    that j/m and u * m are exact: a draw u in bin j = int(u * m) is >= j/m,
-    and its index is never below g[j].
+    that j/m and u * m are exact: a draw u in bin j = int(u * m) lies in
+    [j/m, (j+1)/m).  Returns (guide, threshold): u's index is guide[j] + (u >=
+    threshold[j]), unless two or more masses before the last lie in the bin and
+    threshold[j] is NaN.
     """
     m = 1 << (4 * cdf.size - 1).bit_length()
-    first_bin = np.minimum(np.ceil(cdf * m), m).astype(np.int64)  # first j with j/m >= cdf[i]
-    return np.minimum(np.cumsum(np.bincount(first_bin, minlength=m + 1)[:m]), cdf.size - 1)
+    edges = np.arange(m + 1) / m
+    guide = np.searchsorted(cdf[:-1], edges[:-1], side="right")
+    two = np.searchsorted(cdf[:-1], edges[1:]) - guide >= 2
+    return guide, np.where(two, np.nan, np.append(cdf[:-1], np.inf)[guide])
 
 
-def draw_cells(u_entry, u_life, u_cause, cdf, guide, cause1_share, span):
-    """Map uniform draws to (entry offset, lifetime index, is_default).
+def draw_cells(u_entry, u_life, u_cause, cdf, table, cause1_share, span, offset_codes):
+    """Cell codes (entry offset * cdf.size + lifetime index) * 2 + is_default of draws in [0, 1).
 
-    Entry offsets are uniform on {0..span-1}; lifetime indices are sampled by
-    inverse CDF with the strict-inequality tie rule (smallest index whose
-    cumulative mass strictly exceeds the draw, the last index catching
-    anything beyond): each draw starts at its bin of `guide`, the
-    `guide_table(cdf)`, and steps up while the mass at its index is <= the
-    draw.  The cause draw is a Bernoulli against the per-age default share.
+    Offset o = int(u * span) adds offset_codes[min(o, offset_codes.size - 1)];
+    it needs no clamp, as fl(u * s) < s for u <= 1 - 2**-53 and an integer
+    2**e <= s <= 2**53: u * s is exact if s = 2**e, and otherwise at most
+    s - s * 2**-53 < s - 2**(e-53), the midpoint of s and the double below it.
+    Lifetime indices follow the strict-inequality tie rule (smallest index
+    whose cumulative mass strictly exceeds the draw, the last index catching
+    anything beyond): by `table`, the `guide_table(cdf)`, and by binary search
+    in bins with a NaN threshold.  The cause draw is a Bernoulli against the
+    per-age default share.
     """
-    offset = np.minimum((u_entry * span).astype(np.int64), span - 1)
-    idx = guide[(u_life * guide.size).astype(np.int64)]
-    last = cdf.size - 1
-    rows = ((cdf[idx] <= u_life) & (idx < last)).nonzero()[0]
-    while rows.size:  # as many rounds as one bin holds cdf values, at most
-        idx[rows] += 1
-        rows = rows[(cdf[idx[rows]] <= u_life[rows]) & (idx[rows] < last)]
-    return offset, idx, u_cause < cause1_share[idx]
+    guide, threshold = table
+    bins = (u_life * guide.size).astype(np.intp)
+    idx = guide.take(bins)
+    steps = threshold.take(bins)
+    idx += u_life >= steps
+    if np.isnan(threshold).any():
+        rows = np.isnan(steps).nonzero()[0]
+        idx[rows] = np.searchsorted(cdf[:-1], u_life[rows], side="right")
+    code = idx * 2 + (u_cause < cause1_share.take(idx))
+    code += offset_codes.take((u_entry * span).astype(np.intp), mode="clip")
+    return code
+
+
+def offset_codes(entry_lo, entry_hi, min_age, n_ages):
+    """2 * n_ages * offset for each entry offset up to the first past the law's last age,
+    whose cells every later offset shares: no lifetime clears their truncation."""
+    return np.arange(min(entry_hi, max(entry_lo, min_age + n_ages)) - entry_lo + 1) * (2 * n_ages)
 
 
 def truncate_censor(entry, life, censor_offset):
@@ -61,15 +77,16 @@ def assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
 
     Returns (entry, exit, event, is_default) for the retained draws.
     """
-    offset, idx, is_default = draw_cells(u_entry, u_life, u_cause, cdf, guide_table(cdf),
-                                         cause1_share, entry_hi - entry_lo + 1)
-    entry = entry_lo + offset
-    keep, exit_age, event = truncate_censor(entry, min_age + idx, censor_offset)
+    n = cdf.size
+    codes = draw_cells(u_entry, u_life, u_cause, cdf, guide_table(cdf), cause1_share,
+                       entry_hi - entry_lo + 1, offset_codes(entry_lo, entry_hi, min_age, n))
+    entry = entry_lo + codes // (2 * n)
+    keep, exit_age, event = truncate_censor(entry, min_age + codes // 2 % n, censor_offset)
     return (
         entry[keep].astype(np.int64),
         exit_age[keep].astype(np.int64),
         event[keep],
-        is_default[keep],
+        (codes[keep] & 1).astype(bool),
     )
 
 

@@ -50,6 +50,8 @@ def monthly_payment(principal: float, rate: float, term: int) -> float:
         raise ValueError(f"rate must be finite and >= 0, got {rate}")
     if rate == 0:
         return principal / term
+    if 1.0 + rate == 1.0:  # (1 + rate) ** -term rounds to 1; log1p keeps the rate
+        return principal * (rate / -math.expm1(-term * math.log1p(rate)))
     return principal * rate / (1.0 - (1.0 + rate) ** -term)
 
 
@@ -60,6 +62,8 @@ def balance_at(principal: float, rate: float, term: int, month: int) -> float:
     payment = monthly_payment(principal, rate, term)
     if rate == 0:
         return principal - payment * month
+    if 1.0 + rate == 1.0:  # the present value of the payments still due
+        return payment * (-math.expm1(-((term - month) * math.log1p(rate))) / rate)
     growth = (1.0 + rate) ** month
     return principal * growth - payment * (growth - 1.0) / rate
 

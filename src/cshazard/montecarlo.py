@@ -66,6 +66,8 @@ class SimConfig:
             raise ValueError("cohort size must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_theta(self.theta)
 
 
@@ -293,17 +295,16 @@ def run_study(config: SimConfig) -> StudyReport:
             lam_true[ai, ci], asym[ai, ci] = _hazard_and_variance(
                 dist, trunc, int(x), cause, n_observed, alpha)
 
-    span = trunc.hi - trunc.lo + 1
-    # entry offsets past the last age are always truncated and share the grid's last row
-    offsets = min(span, max(dist.max_age - trunc.lo + 1, 0) + 1)
-    # a draw's cell code is (entry offset * n_ages + lifetime index) * 2 + is_default
+    # cell codes as `draw_cells` gives them; offsets past the last age share the last row
+    offset_codes = _kernels.offset_codes(trunc.lo, trunc.hi, dist.min_age, n_ages)
+    offsets = offset_codes.size
     entry = np.repeat(trunc.lo + np.arange(offsets), 2 * n_ages)
     keep, exit_age, event = _kernels.truncate_censor(entry, np.tile(np.repeat(ages, 2), offsets),
                                                      trunc.censor_offset)
     is_default = np.tile([False, True], offsets * n_ages)
     n_codes = entry.size
     cdf, share = _law_arrays(dist)
-    guide = _kernels.guide_table(cdf)
+    table = _kernels.guide_table(cdf)
     z = normal_quantile(1.0 - config.theta / 2.0)
 
     estimates = np.empty((r, n_ages, 2))
@@ -316,11 +317,9 @@ def run_study(config: SimConfig) -> StudyReport:
         stop = min(first + block, r)
         codes, counts = [], []
         for rep in range(first, stop):
-            offset, idx, cause_bit = _kernels.draw_cells(*_uniforms(config, rep), cdf, guide,
-                                                         share, span)
-            if offsets < span:
-                offset = np.minimum(offset, offsets - 1)
-            hist = np.bincount((offset * n_ages + idx) * 2 + cause_bit, minlength=n_codes)
+            hist = np.bincount(_kernels.draw_cells(*_uniforms(config, rep), cdf, table, share,
+                                                   trunc.hi - trunc.lo + 1, offset_codes),
+                               minlength=n_codes)
             sel = ((hist > 0) & keep).nonzero()[0]  # the occupied live codes
             codes.append(sel)
             counts.append(hist[sel])

@@ -152,14 +152,14 @@ def _parameters(log_params: np.ndarray) -> np.ndarray:
 def _squared_residuals(x: np.ndarray, y: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Sum of squared residuals for each row of (m, 3) parameters (c, k, theta).
 
-    A row whose residual leaves float range scores 1e300.  Each row keeps its
-    own 1-D dot, which gives the bits of a one-point evaluation.
+    A row whose residual leaves float range scores 1e300.  The finite rows take
+    one batched (1, n) @ (n, 1) matmul, bit for bit a one-point evaluation's dot.
     """
     out = np.full(len(params), 1e300)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = y - _kernel(x, params[:, 0:1], params[:, 1:2], params[:, 2:3])
-        for i in np.flatnonzero(np.isfinite(resid).all(axis=1)):
-            out[i] = resid[i] @ resid[i]
+        rows = np.isfinite(resid).all(axis=1)
+        out[rows] = np.matmul(resid[rows, None, :], resid[rows, :, None]).ravel()
     return out
 
 
@@ -351,6 +351,8 @@ def fit_gamma_kernel(ages, values, restarts: int = DEFAULT_RESTARTS,
         raise ValueError("ages must be positive")
     if not np.any(y > 0):
         raise ValueError("cannot fit a curve with no positive values")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if budget < 1:

@@ -154,16 +154,19 @@ def loop_assemble_cohort(u_entry, u_life, u_cause, cdf, cause1_share,
             np.array(event, dtype=np.bool_), np.array(is_default, dtype=np.bool_))
 
 
-def searchsorted_cells(u_entry, u_life, u_cause, cdf, cause1_share, span):
-    """(entry offset, lifetime index, is_default) with a binary search per draw.
+def searchsorted_cells(u_entry, u_life, u_cause, cdf, cause1_share, span, fold):
+    """Cell codes (entry offset * n + lifetime index) * 2 + is_default, n = cdf.size,
+    with a binary search per draw.
 
-    The lifetime index is `np.searchsorted(cdf, u, side="right")` capped at the
-    last index: the first cumulative mass strictly above the draw.  This is the
-    lookup the guide table in `_kernels.draw_cells` replaced.
+    The entry offset is int(u * span) clamped to span - 1, and every offset
+    past `fold` counts as `fold`.  The lifetime index is
+    `np.searchsorted(cdf, u, side="right")` capped at the last index: the
+    first cumulative mass strictly above the draw.  This is the lookup the
+    guide table in `_kernels.draw_cells` replaced.
     """
-    offset = np.minimum((u_entry * span).astype(np.int64), span - 1)
+    offset = np.minimum(np.minimum((u_entry * span).astype(np.int64), span - 1), fold)
     idx = np.minimum(np.searchsorted(cdf, u_life, side="right"), cdf.size - 1)
-    return offset, idx, u_cause < cause1_share[idx]
+    return (offset * cdf.size + idx) * 2 + (u_cause < cause1_share[idx])
 
 
 # ---------------------------------------------------------------------------

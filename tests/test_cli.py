@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from cshazard.actuarial import (
     annualize,
     hazard_lookup,
     lifetime_return,
+    monthly_payment,
     nominal_monthly_rate,
     returns_table,
 )
@@ -625,6 +627,49 @@ def test_returns_long_zero_hazard_term_is_quiet_and_exact(tmp_path, capsys):
     assert max(abs(r - 6.5 / 1200) for r in rates) <= 1e-10
 
 
+def exact_payment(principal, rate, term):
+    """The annuity payment principal * r / (1 - (1 + r) ** -term) in exact rationals."""
+    r = Fraction(rate)
+    return Fraction(principal) * r / (1 - (1 + r) ** -term)
+
+
+def assert_tiny_rate_schedule(principal, rate, term):
+    """Where 1 + rate rounds to 1: the payment to 1e-12 of the exact annuity, and
+    balances that never increase and end at exactly 0."""
+    assert 1.0 + rate == 1.0
+    schedule = AmortizationSchedule.build(principal, rate, term)
+    exact = exact_payment(principal, rate, term)
+    assert abs(Fraction(schedule.payment) - exact) <= exact * Fraction(1e-12)
+    balances = schedule.balances.tolist()
+    assert all(later <= earlier for earlier, later in zip(balances, balances[1:]))
+    assert balances[-1] == 0.0 and math.copysign(1.0, balances[-1]) == 1.0
+    return schedule
+
+
+def test_returns_at_an_apr_where_one_plus_rate_rounds_to_one(tmp_path):
+    rc = cli.main(["returns", "--balance", "20000", "--apr", "1e-13", "--term", "360",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    schedule = assert_tiny_rate_schedule(20000.0, nominal_monthly_rate(1e-13), 360)
+    with open(tmp_path / "out" / "returns.csv", newline="") as fh:
+        prices = [row["price"] for row in csv.DictReader(fh)]
+    assert prices == [f"{b:.2f}" for b in schedule.balances[:-1].tolist()]
+    assert prices[0] == "20000.00" and prices[-1] == "55.56"
+
+
+def test_savings_at_a_new_apr_where_one_plus_rate_rounds_to_one(tmp_path):
+    rc = cli.main(["savings", "--balance", "20000", "--payment", "500", "--old-apr", "12",
+                   "--new-apr", "1e-300", "--format", "json",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "savings.json").read_text())
+    n = doc["remaining_payments"]
+    rate = nominal_monthly_rate(1e-300)
+    schedule = assert_tiny_rate_schedule(20000.0, rate, n)
+    assert doc["new_payment"] == round(schedule.payment, 2) == round(20000 / n, 2)
+    assert schedule.payment == monthly_payment(20000.0, rate, n)
+
+
 def exit_recipe(code, tmp):
     """CLI arguments of a run that ends with one exit code the README documents."""
     import numpy as np
@@ -912,6 +957,16 @@ def test_recovery_budget_below_restarts(tmp_path, capsys):
     assert not (tmp_path / "out" / "recovery_fit.json").exists()
 
 
+@pytest.mark.parametrize("command", ["recovery", "simulate"])
+def test_a_negative_seed_names_itself(tmp_path, capsys, command):
+    src = tmp_path / "recoveries.csv"
+    write_recoveries_csv(src)
+    args = [str(src)] if command == "recovery" else ["--n", "50", "--r", "2"]
+    assert cli.main([command, *args, "--seed", "-1", "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_benchmark_json(tmp_path):
@@ -1171,6 +1226,26 @@ def test_tape_pipeline_never_imports_numpy_ma(tmp_path):
                          env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
+
+
+SIMULATE_COLD = """
+import sys
+from cshazard import cli
+for fmt in ("csv", "json"):
+    assert cli.main(["simulate", "--n", "2000", "--r", "20", "--format", fmt,
+                     "--output-dir", sys.argv[1]]) == 0, fmt
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_simulate_never_imports_numpy_ma(tmp_path):
+    # the study's peak memory sits close to its import floor; numpy.ma would add about 2 MB
+    out = subprocess.run([sys.executable, "-c", SIMULATE_COLD, str(tmp_path / "out")],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+    assert all((tmp_path / "out" / name).exists() for name in ("study.csv", "study.json"))
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -46,13 +46,20 @@ def naive_counts(entry, exit_age, event, is_default, age_lo, age_hi):
     return at_risk, ev_d, ev_p
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_assemble_cohort_paths_agree(seed):
-    cdf, share = bench_arrays()
+# many masses below 1/m and zero masses between them: bins that hold two or more masses
+CROWDED_CDF = np.cumsum([0.3, 1e-4, 0.0, 2e-4, 1e-9, 0.0, 0.0, 3e-3, 0.2, 1e-5, 0.0, 0.4967089])
+
+
+@pytest.mark.parametrize("seed,cdf,share,hi", [
+    *(pytest.param(seed, *bench_arrays(), 5, id=str(seed)) for seed in range(4)),
+    # entries up to 15 on ages 1..12: offsets 12..14 fold into one
+    pytest.param(4, CROWDED_CDF, np.linspace(0.1, 0.9, 12), 15, id="crowded-law"),
+])
+def test_assemble_cohort_paths_agree(seed, cdf, share, hi):
     rng = np.random.default_rng(seed)
     u_entry, u_life, u_cause = random_draws(rng, 5000)
-    got = _kernels.assemble_cohort(u_entry, u_life, u_cause, cdf, share, 1, 5, 1, 5)
-    want = loop_assemble_cohort(u_entry, u_life, u_cause, cdf, share, 1, 5, 1, 5)
+    got = _kernels.assemble_cohort(u_entry, u_life, u_cause, cdf, share, 1, hi, 1, 5)
+    want = loop_assemble_cohort(u_entry, u_life, u_cause, cdf, share, 1, hi, 1, 5)
     for left, right in zip(got, want):
         np.testing.assert_array_equal(left, right)
         assert left.dtype == right.dtype
@@ -94,32 +101,75 @@ def lifetime_cdfs(draw):
     return np.cumsum(pmf / pmf.sum() * end)
 
 
+def edge_draws(rng, span, size):
+    """`size` entry draws: span's bin edges and the doubles just below them (all of
+    them for a span up to 64, the first, last and random ones beyond), the double
+    just below 1, and uniform draws."""
+    j = np.arange(span) if span <= 64 else np.concatenate(
+        [np.arange(64), span - 1 - np.arange(64), rng.integers(0, span, 64)])
+    edges = np.concatenate([j / span, np.nextafter((j + 1) / span, 0.0), [np.nextafter(1.0, 0.0)]])
+    return rng.permutation(np.resize(np.concatenate([edges, rng.random(size)]), size))
+
+
 @settings(max_examples=150, deadline=None)
-@given(lifetime_cdfs(), st.integers(0, 2**32 - 1))
-@example(bench_arrays()[0], 0)
-@example(np.cumsum([0.0, 0.0, 1.0, 0.0]), 1)  # zero mass before and after the only age
-@example(np.array([1.0 - 1e-9]), 2)  # one age that cannot catch a draw near 1
-def test_guide_table_lookup_matches_searchsorted(cdf, seed):
+@given(lifetime_cdfs(), st.integers(0, 2**32 - 1),
+       st.one_of(st.integers(1, 64), st.sampled_from([1000, 4099, 65537, 99991])),
+       st.integers(0, 10**6))
+@example(bench_arrays()[0], 0, 5, 0)
+@example(np.cumsum([0.0, 0.0, 1.0, 0.0]), 1, 3, 0)  # zero mass before and after the only age
+@example(np.array([1.0 - 1e-9]), 2, 1, 0)  # one age that cannot catch a draw near 1
+@example(CROWDED_CDF, 3, 64, 2)  # crowded bins take the binary search; the window passes the last age
+@example(CROWDED_CDF, 4, 99991, 0)
+def test_guide_table_lookup_matches_searchsorted(cdf, seed, span, lo):
     k = cdf.size
-    guide = _kernels.guide_table(cdf)
+    guide, threshold = _kernels.guide_table(cdf)
     m = guide.size
     assert m >= 4 * k and m < 8 * k and m & (m - 1) == 0  # the smallest power of two >= 4k
     bins = np.arange(m) / m
     np.testing.assert_array_equal(
         guide, np.minimum(np.searchsorted(cdf, bins, side="right"), k - 1))
+    # a bin's threshold is NaN where two or more masses that are not the last lie inside it
+    inside = (cdf[None, :-1] > bins[:, None]) & (cdf[None, :-1] < bins[:, None] + 1 / m)
+    np.testing.assert_array_equal(np.isnan(threshold), inside.sum(axis=1) >= 2)
+    single = ~np.isnan(threshold)
+    np.testing.assert_array_equal(threshold[single],
+                                  np.where(guide < k - 1, cdf[guide], np.inf)[single])
 
     rng = np.random.default_rng(seed)
     u_life = np.concatenate([
         rng.random(2000), [0.0, np.nextafter(1.0, 0.0)], bins, cdf,
         np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), np.nextafter(bins[1:], 0.0)])
     u_life = u_life[u_life < 1.0]  # uniform draws lie in [0, 1)
-    u_entry, u_cause = rng.random(u_life.size), rng.random(u_life.size)
+    u_entry, u_cause = edge_draws(rng, span, u_life.size), rng.random(u_life.size)
     share = rng.random(k)
-    got = _kernels.draw_cells(u_entry, u_life, u_cause, cdf, guide, share, 7)
-    want = searchsorted_cells(u_entry, u_life, u_cause, cdf, share, 7)
-    for left, right in zip(got, want):
-        np.testing.assert_array_equal(left, right)
-        assert left.dtype == right.dtype
+    entry_lo = 1 + lo % (k + 8)  # some windows start past the law's last age, k
+    got = _kernels.draw_cells(u_entry, u_life, u_cause, cdf, (guide, threshold), share, span,
+                              _kernels.offset_codes(entry_lo, entry_lo + span - 1, 1, k))
+    want = searchsorted_cells(u_entry, u_life, u_cause, cdf, share, span,
+                              max(k + 1 - entry_lo, 0))
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("pmf,two_mass_bins,m", [
+    pytest.param(benchmark_distribution().pmf, 0, 64, id="benchmark"),
+    pytest.param(np.random.default_rng(7).random(360), 15, 2048, id="360-age"),
+    pytest.param(np.diff(CROWDED_CDF, prepend=0.0), 2, 64, id="crowded"),
+])
+def test_guide_table_marks_only_bins_that_hold_two_masses(pmf, two_mass_bins, m):
+    pmf = np.asarray(pmf)
+    guide, threshold = _kernels.guide_table(np.cumsum(pmf / pmf.sum()))
+    assert guide.size == m and np.isnan(threshold).sum() == two_mass_bins
+
+
+def test_no_entry_draw_reaches_its_span():
+    # fl(u * s) < s for the largest draw below 1 and integer spans s up to 2**53
+    u = np.nextafter(1.0, 0.0)
+    powers = 2 ** np.arange(54, dtype=np.int64)
+    spans = np.concatenate([np.arange(1, 100_000), powers, powers[1:] - 1, powers[1:] + 1,
+                            np.random.default_rng(0).integers(1, 2**53, 100_000)])
+    spans = spans[spans <= 2**53]
+    assert ((u * spans.astype(np.float64)).astype(np.int64) < spans).all()
 
 
 @pytest.mark.parametrize("seed,n,lo,hi", [

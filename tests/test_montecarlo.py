@@ -381,13 +381,17 @@ def _long_law_config():
     SimConfig(dist=benchmark_distribution(), trunc=benchmark_truncation(), n=10_000,
               replicates=1000, seed=7),
     _long_law_config(),
-], ids=["benchmark", "long-law"])
+    # entries 1..15 on ages 1..10: offsets 10..14 all fold into offset 10
+    SimConfig(dist=benchmark_distribution(), trunc=TruncationLaw(1, 15, 5), n=500,
+              replicates=20, seed=5),
+], ids=["benchmark", "long-law", "window-past-last-age"])
 def test_run_study_is_bit_equal_under_the_searchsorted_oracle(config):
     calls = []
+    fold = max(config.dist.max_age + 1 - config.trunc.lo, 0)
 
-    def oracle(u_entry, u_life, u_cause, cdf, guide, cause1_share, span):
+    def oracle(u_entry, u_life, u_cause, cdf, table, cause1_share, span, offset_codes):
         calls.append(span)
-        return searchsorted_cells(u_entry, u_life, u_cause, cdf, cause1_share, span)
+        return searchsorted_cells(u_entry, u_life, u_cause, cdf, cause1_share, span, fold)
 
     got = run_study(config)
     with pytest.MonkeyPatch.context() as mp:

@@ -163,6 +163,8 @@ def test_fit_input_validation():
     for kwargs in ({"restarts": 0}, {"restarts": -2}, {"budget": 0}, {"budget": -100}):
         with pytest.raises(ValueError, match=rf"{next(iter(kwargs))} must be >= 1"):
             fit_gamma_kernel(x, y, **kwargs)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        fit_gamma_kernel(x, y, seed=-1)
 
 
 def test_fit_budget_exhaustion_reports_best_so_far():
@@ -289,6 +291,19 @@ def test_lockstep_matches_scipy_where_residuals_overflow():
     ages, values = steep_curve()
     results = check_against_scipy(ages, values, 3, 600)
     assert min(res.fun for res in results) == 1e300
+
+
+@pytest.mark.parametrize("curve", [hump_means, steep_curve])
+def test_batched_residuals_are_each_rows_own_dot(curve):
+    # the batched matmul gives the bits a one-point evaluation's 1-D dot gives
+    x, y = curve()
+    log_params = np.random.default_rng(3).normal([-2.0, 1.0, 2.0], 2.0, size=(300, 3))
+    params = recovery._parameters(log_params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = y - recovery._kernel(x, params[:, 0:1], params[:, 1:2], params[:, 2:3])
+        want = [row @ row if np.isfinite(row).all() else 1e300 for row in resid]
+    assert recovery._squared_residuals(x, y, params).tolist() == want
+    assert curve is hump_means or 1e300 in want
 
 
 @settings(max_examples=40, deadline=None)
