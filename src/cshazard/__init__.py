@@ -5,126 +5,43 @@ observations, tests credit-risk convergence between APR bands via CI overlap,
 and prices loans (risk-adjusted lifetime returns, refinance savings, recovery
 curves).  A built-in simulation study validates the estimator against its
 asymptotic theory.
+
+Each public name is imported from its module on first use (PEP 562), so a
+process loads only the modules it uses.
 """
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .convergence import (
-    ConvergenceResult,
-    Decision,
-    Rule,
-    TransitionMatrix,
-    convergence_point,
-    overlap_test,
-    transition_matrix,
-)
-from .errors import (
-    CshazardError,
-    EmptyResultError,
-    IncompatibleInputsError,
-    NumericalError,
-    SchemaError,
-    UnknownKeyError,
-)
-from .estimator import (
-    HazardCurve,
-    estimate_csh,
-    interpolate_zero_defaults,
-    normal_quantile,
-)
-from .ingest import (
-    FilterPolicy,
-    LoanTape,
-    ObservationTable,
-    RiskBand,
-    build_observations,
-    classify_risk_band,
-    filter_loans,
-)
-from .montecarlo import SimConfig, StudyReport, run_study, simulate_cohort
-from .recovery import (
-    GammaKernelFit,
-    RecoveryFitError,
-    RecoveryPoints,
-    fit_gamma_kernel,
-    recovery_at,
-    recovery_points,
-    smooth,
-)
-from .riskmodel import (
-    Cause,
-    CompetingRisksDistribution,
-    TruncationLaw,
-    all_cause_hazard,
-    cause_specific_hazard,
-    conditional_event_probs,
-    survival,
-)
-from .actuarial import (
-    AmortizationSchedule,
-    SavingsEstimate,
-    annualize,
-    balance_at,
-    lifetime_return,
-    monthly_payment,
-    refinance_savings,
-    remaining_payments,
-    returns_table,
-    savings_from_apr,
-)
+_NAMES = {
+    "riskmodel": "Cause CompetingRisksDistribution TruncationLaw all_cause_hazard "
+                 "cause_specific_hazard conditional_event_probs survival",
+    "ingest": "RiskBand LoanTape ObservationTable FilterPolicy classify_risk_band "
+              "filter_loans build_observations",
+    "estimator": "HazardCurve estimate_csh interpolate_zero_defaults normal_quantile",
+    "convergence": "Decision Rule ConvergenceResult TransitionMatrix overlap_test "
+                   "convergence_point transition_matrix",
+    "actuarial": "AmortizationSchedule SavingsEstimate monthly_payment balance_at annualize "
+                 "lifetime_return returns_table remaining_payments refinance_savings "
+                 "savings_from_apr",
+    "recovery": "RecoveryPoints GammaKernelFit RecoveryFitError recovery_points smooth "
+                "fit_gamma_kernel recovery_at",
+    "montecarlo": "SimConfig StudyReport run_study simulate_cohort",
+    "errors": "CshazardError SchemaError EmptyResultError UnknownKeyError "
+              "IncompatibleInputsError NumericalError",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 
-__all__ = [
-    "__version__",
-    "Cause",
-    "CompetingRisksDistribution",
-    "TruncationLaw",
-    "all_cause_hazard",
-    "cause_specific_hazard",
-    "conditional_event_probs",
-    "survival",
-    "RiskBand",
-    "LoanTape",
-    "ObservationTable",
-    "FilterPolicy",
-    "classify_risk_band",
-    "filter_loans",
-    "build_observations",
-    "HazardCurve",
-    "estimate_csh",
-    "interpolate_zero_defaults",
-    "normal_quantile",
-    "Decision",
-    "Rule",
-    "ConvergenceResult",
-    "TransitionMatrix",
-    "overlap_test",
-    "convergence_point",
-    "transition_matrix",
-    "AmortizationSchedule",
-    "SavingsEstimate",
-    "monthly_payment",
-    "balance_at",
-    "annualize",
-    "lifetime_return",
-    "returns_table",
-    "remaining_payments",
-    "refinance_savings",
-    "savings_from_apr",
-    "RecoveryPoints",
-    "GammaKernelFit",
-    "RecoveryFitError",
-    "recovery_points",
-    "smooth",
-    "fit_gamma_kernel",
-    "recovery_at",
-    "SimConfig",
-    "StudyReport",
-    "run_study",
-    "simulate_cohort",
-    "CshazardError",
-    "SchemaError",
-    "EmptyResultError",
-    "UnknownKeyError",
-    "IncompatibleInputsError",
-    "NumericalError",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -4,7 +4,8 @@ recovery, simulate.
 Every run writes its outputs plus a manifest sidecar recording the command,
 inputs, parameters, and a sha256 digest of each output file, so repeated runs
 can be checked byte for byte.  Outputs are plain CSV/JSON; plotting is left
-to external tools.
+to external tools.  A subcommand imports the modules it runs when it runs,
+so no process loads more of the package than its subcommand needs.
 
 Exit codes: 0 ok, 2 schema/parse error, 3 empty result, 4 unknown key,
 5 incompatible inputs, 6 numerical failure.
@@ -18,7 +19,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__, actuarial, convergence, estimator, ingest, montecarlo, recovery
+from . import __version__, estimator, montecarlo, recovery
+from ._csvio import _Columns, _header_of, _parse_float, _write_csv
 from .errors import CshazardError, EmptyResultError, SchemaError, UnknownKeyError
 from .riskmodel import Cause, CompetingRisksDistribution, TruncationLaw
 
@@ -95,6 +97,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_ingest(args) -> None:
+    from . import ingest
+
     tape = ingest.load_loan_data(args.loans, args.payments)
     observations = ingest.build_observations(tape)
     if len(observations) == 0:
@@ -121,6 +125,8 @@ def _parse_cause(raw: str) -> Cause | None:
 
 
 def _select_band(observations, band_label: str):
+    from . import ingest
+
     try:
         band = ingest.RiskBand.from_label(band_label)
     except ValueError:
@@ -132,6 +138,8 @@ def _select_band(observations, band_label: str):
 
 
 def cmd_estimate(args) -> None:
+    from . import ingest
+
     observations = ingest.read_observations_csv(args.observations, loan_ids=False)
     band_label = ""
     if args.band:
@@ -151,10 +159,9 @@ def cmd_estimate(args) -> None:
 
 
 def _sniff_kind(path: str | Path) -> str:
-    """Classify an input CSV as a hazard curve or an observation table."""
-    with open(path, "rb") as fh:  # only the header is decoded
-        header = fh.readline().decode("utf-8", "surrogateescape").strip().lower()
-    cols = {c.strip() for c in header.split(",")}
+    """Classify an input CSV as a hazard curve or an observation table by
+    the exact names of its header, the columns each kind requires."""
+    cols = set(_header_of(path))
     if {"age", "hazard", "at_risk"} <= cols:
         return "curve"
     if {"entry_age", "exit_age", "event"} <= cols:
@@ -185,6 +192,8 @@ def _curves_from_inputs(args) -> tuple[dict, list[str]]:
             curves[label], source[label] = curve, path
         return curves, list(curves)
     if kinds == ["observations"]:
+        from . import ingest
+
         observations = ingest.read_observations_csv(args.inputs[0], loan_ids=False)
         if args.bands:
             labels = [b.strip() for b in args.bands.split(",") if b.strip()]
@@ -213,6 +222,8 @@ def _curves_from_inputs(args) -> tuple[dict, list[str]]:
 
 
 def cmd_converge(args) -> None:
+    from . import convergence
+
     curves, order = _curves_from_inputs(args)
     matrix, results = convergence.transition_matrix(
         curves, min_test_age=args.min_age, run_length=args.run,
@@ -243,6 +254,8 @@ def _recovery_fn(args):
 
 
 def cmd_returns(args) -> None:
+    from . import actuarial
+
     rate = actuarial.nominal_monthly_rate(args.apr)
     schedule = actuarial.AmortizationSchedule.build(args.balance, rate, args.term)
     rates = actuarial.returns_table(
@@ -252,13 +265,15 @@ def cmd_returns(args) -> None:
         _recovery_fn(args))
 
     out, rates = _outdir(args) / args.out, rates.tolist()
-    ingest._write_csv(out, ["age", "price", "monthly_return", "annual_return"], [
+    _write_csv(out, ["age", "price", "monthly_return", "annual_return"], [
         range(1, len(rates) + 1), [f"{b:.2f}" for b in schedule.balances[:-1].tolist()],
         list(map(repr, rates)), [repr(actuarial.annualize(rho)) for rho in rates]])
     _finish(args, [out])
 
 
 def cmd_savings(args) -> None:
+    from . import actuarial
+
     est = actuarial.savings_from_apr(args.balance, args.payment,
                                      args.old_apr, args.new_apr,
                                      discount_rate=args.discount_rate)
@@ -278,17 +293,17 @@ def cmd_savings(args) -> None:
         out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     else:
         out = outdir / "savings.csv"
-        ingest._write_csv(out, list(doc), [[value] for value in doc.values()])
+        _write_csv(out, list(doc), [[value] for value in doc.values()])
     _finish(args, [out])
 
 
 def _read_recovery_observations(path: str | Path) -> list[tuple[int, float]]:
     """(age, recovery) pairs: each age a whole number >= 1, each recovery in [0, 1.5]."""
-    cols = ingest._Columns.read(path, ("age", "recovery"))
+    cols = _Columns.read(path, ("age", "recovery"))
     if cols.rows == 0:
         raise EmptyResultError(f"{path}: no recovery observations")
     ages = cols.ints("age")
-    fractions, = cols.numbers(("recovery",), ingest._parse_float, float)
+    fractions, = cols.numbers(("recovery",), _parse_float, float)
     cols.check_rows((
         (ages < 1, lambda i: f"age {cols.cell('age', i)} is below 1"),
         (~((fractions >= 0.0) & (fractions <= 1.5)),

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvio import _write_csv
 from .errors import UnknownKeyError
 from .estimator import HazardCurve, check_shared_grid
-from .ingest import _write_csv
 
 __all__ = [
     "Decision",

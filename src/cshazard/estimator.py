@@ -14,13 +14,17 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
+from ._csvio import _Columns, _parse_float, _write_csv
 from .errors import IncompatibleInputsError, SchemaError
-from .ingest import ObservationTable, _Columns, _parse_float, _write_csv
 from .riskmodel import Cause
+
+if TYPE_CHECKING:
+    from .ingest import ObservationTable
 
 __all__ = [
     "HazardCurve",

@@ -14,13 +14,17 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
+from ._csvio import _write_csv
 from .estimator import _log_ci, check_theta, normal_quantile
-from .ingest import ObservationTable, _write_csv
 from .riskmodel import Cause, CompetingRisksDistribution, TruncationLaw, survival
+
+if TYPE_CHECKING:
+    from .ingest import ObservationTable
 
 __all__ = [
     "SimConfig",
@@ -78,10 +82,11 @@ class SimConfig:
 def truncated_alpha(dist: CompetingRisksDistribution, trunc: TruncationLaw) -> float:
     """Probability a drawn lifetime clears truncation: sum_y Pr(Y=y) Pr(X>=y).
 
-    Pr(X >= y) is 1 below the law's first age and 0 past its last.
+    Pr(X >= y) is 1 below the law's first age and exactly 0 past its last,
+    so the sum stops at the last age whatever the width of the entry window.
     """
-    return sum(trunc.prob(y) * survival(dist, min(max(y, dist.min_age), dist.max_age + 1))
-               for y in trunc.support)
+    return sum((trunc.prob(y) * survival(dist, max(y, dist.min_age))
+                for y in range(trunc.lo, min(trunc.hi, dist.max_age) + 1)), 0.0)
 
 
 def _retention(dist: CompetingRisksDistribution, trunc: TruncationLaw) -> float:
@@ -184,6 +189,8 @@ def _law_arrays(dist: CompetingRisksDistribution):
 
 def simulate_cohort(config: SimConfig, replicate_index: int) -> ObservationTable:
     """One replicate's retained observations (no loan ids, no band)."""
+    from .ingest import ObservationTable
+
     entry, exit_age, event, is_default = _kernels.assemble_cohort(
         *_uniforms(config, replicate_index), *_law_arrays(config.dist),
         config.trunc.lo, config.trunc.hi, config.dist.min_age,

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._csvio import _write_csv
 from .errors import NumericalError, SchemaError
-from .ingest import _write_csv
 
 __all__ = [
     "RecoveryPoints",

@@ -441,7 +441,7 @@ def plain_cells(buf, start, end, point):
     A plain cell is an optional sign and 1..12 digits; with `point`, at most
     one '.' may sit among them with at most two digits after it, and the
     value is in hundredths.  Cells that are not plain read 0.  This is the
-    column-at-once loop the word-at-a-time `ingest._parse_plain` replaced.
+    column-at-once loop the word-at-a-time `_csvio._parse_plain` replaced.
     """
     minus, plus, dot_byte, zero, nine = b"-+.09"
     width, max_digits = 14, 12  # sign, 12 digits and a point

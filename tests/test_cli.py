@@ -379,6 +379,23 @@ def test_converge_outputs_are_byte_stable(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_converge_reads_quoted_curves_as_unquoted_ones(tmp_path):
+    # every cell quoted, the header too, as csv.writer(quoting=QUOTE_ALL) writes them
+    plain = write_staged_pair(tmp_path)
+    (tmp_path / "quoted").mkdir()
+    quoted = [tmp_path / "quoted" / path.name for path in plain]
+    for path, copy in zip(plain, quoted):
+        with open(path, newline="", encoding="utf-8") as src, \
+                open(copy, "w", newline="", encoding="utf-8") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+    assert quoted[0].read_text().startswith('"band","cause"')
+    outputs = []
+    for name, pair in (("plain", plain), ("quoted", quoted)):
+        assert cli.main(["converge", *map(str, pair), "--output-dir", str(tmp_path / name)]) == 0
+        outputs.append([(tmp_path / name / out).read_bytes() for out in ("matrix.csv", "trace.csv")])
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("flag,message", [
     ("--theta=0.3", "--theta applies only to converge on an observations CSV"),
     ("--window=200:300", "--window applies only to converge on an observations CSV"),
@@ -1059,6 +1076,19 @@ def test_simulate_entry_window_below_the_first_age(tmp_path):
     assert brute == pytest.approx(0.92)  # entries at 4 and 5 lose the early exits
 
 
+def test_simulate_entry_window_far_past_the_last_age(tmp_path):
+    # an entry past the law's last age keeps no lifetime, whatever the window's width
+    rc = cli.main(["simulate", "--n", "100", "--r", "2", "--entry-hi", "1000000000",
+                   "--tau", "5", "--format", "json", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    dist, lo = benchmark_distribution(), benchmark_truncation().lo
+    pmf = [Fraction(p) for p in dist.pmf]
+    exact = sum(sum(pmf[max(y, dist.min_age) - dist.min_age:])
+                for y in range(lo, dist.max_age + 1)) / (10**9 - lo + 1)
+    alpha = Fraction(json.loads((tmp_path / "study.json").read_text())["alpha_true"])
+    assert abs(alpha - exact) <= exact * Fraction(1, 10**12)
+
+
 def test_simulate_entry_window_past_the_last_age(tmp_path, capsys):
     (tmp_path / "bench.json").write_text(benchmark_distribution().to_json())
     rc = cli.main(["simulate", "--dist", str(tmp_path / "bench.json"), "--entry-lo", "20",
@@ -1168,20 +1198,25 @@ out = sys.argv[1]
 assert cli.main(["savings", "--balance", "7485", "--payment", "360",
                  "--old-apr", "22.37", "--new-apr", "3.59", "--output-dir", out]) == 0
 assert cli.main(["simulate", "--n", "200", "--r", "2", "--output-dir", out]) == 0
+assert cli.main(["returns", "--balance", "20000", "--apr", "9", "--term", "72",
+                 "--output-dir", out]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted({"cshazard.ingest", "cshazard.convergence"} & set(sys.modules)))
 """
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
     # scipy.optimize is most of the import time of the package, and only
     # the recovery fit needs it; every other subcommand must run without it.
+    # Nor do savings, simulate and returns load the loan-tape rules or the
+    # convergence test: the CLI imports a subcommand's modules when it runs.
     src = Path(__file__).parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                          capture_output=True, text=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "savings.csv").exists() and (tmp_path / "study.csv").exists()
+    assert out.stdout.splitlines()[-2:] == ["[]", "[]"]
+    assert all((tmp_path / name).exists() for name in ("savings.csv", "study.csv", "returns.csv"))
 
 
 RECOVERY_COLD = """

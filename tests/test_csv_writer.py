@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from oracles import csv_bytes
 
-from cshazard import actuarial, cli, convergence, ingest, montecarlo, recovery
+from cshazard import _csvio, actuarial, cli, convergence, ingest, montecarlo, recovery
 from cshazard.estimator import HazardCurve, write_curve_csv
 from cshazard.ingest import ObservationTable, RiskBand, write_observations_csv
 from cshazard.riskmodel import Cause
@@ -46,7 +46,7 @@ def written(write) -> bytes:
     st.lists(st.lists(CELL, min_size=width, max_size=width), max_size=6))))
 def test_write_csv_writes_the_bytes_of_csv_writer(table):
     header, rows = table
-    assert written(lambda path: ingest._write_csv(path, header, list(zip(*rows)))) == csv_bytes(
+    assert written(lambda path: _csvio._write_csv(path, header, list(zip(*rows)))) == csv_bytes(
         header, rows)
 
 

@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from conftest import observation_table, staged_curve, write_tape
 from oracles import decimal_outcome, plain_cells, reduceat_outcomes, row_payments
 
-from cshazard import cli, ingest
+from cshazard import _csvio, cli, ingest
+from cshazard._csvio import _Columns, _parse_plain, _SPARE
 from cshazard.cli import _read_recovery_observations
 from cshazard.errors import SchemaError
 from cshazard.estimator import read_curve_csv, write_curve_csv
@@ -44,9 +45,6 @@ from cshazard.ingest import (
     filter_loans,
     load_loan_data,
     read_observations_csv,
-    _Columns,
-    _parse_plain,
-    _SPARE,
     write_observations_csv,
 )
 from cshazard.riskmodel import Cause
@@ -704,7 +702,8 @@ def messy_copy(path, quote):
 
 
 def test_csv_module_reads_only_inside_the_columnar_reader():
-    """Every CSV input goes through `_Columns`; csv reads only its quoted files."""
+    """Every CSV input goes through `_csvio`; csv reads only its quoted files and
+    the header that `converge` sorts its inputs by."""
     found = []
 
     def visit(node, module, scope):
@@ -718,7 +717,7 @@ def test_csv_module_reads_only_inside_the_columnar_reader():
 
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cshazard").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, [])
-    assert found == ["ingest.py:_Columns._read_quoted"]
+    assert found == ["_csvio.py:_records"]
 
 
 def test_reader_ignores_extra_fields_and_rejects_short_rows(tmp_path):
@@ -805,10 +804,10 @@ def test_aprs_read_bit_for_bit_like_the_per_cell_parse(cells):
         path.write_text("n,apr_pct\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(cells)),
                         encoding="utf-8")
         cols = _Columns.read(path, ["apr_pct"])
-        parsed = labels_outcome(lambda: cols.labels("apr_pct", ingest._parse_apr, np.float64))
+        parsed = labels_outcome(lambda: cols.labels("apr_pct", _csvio._parse_apr, np.float64))
         assert labels_outcome(lambda: cols.aprs("apr_pct")) == parsed
         if not isinstance(parsed, str):
-            want = np.array([ingest._parse_apr(cell) for cell in cells])
+            want = np.array([_csvio._parse_apr(cell) for cell in cells])
             assert cols.aprs("apr_pct").view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -902,15 +901,15 @@ def check_codes_and_labels(texts, quoted, final_newline):
 # that are no label: spellings the parser also reads, unknown labels, a byte
 # that is not UTF-8, and cells that share a label's length and first byte.
 VOCABULARY_COLUMNS = {
-    "event": (ingest._parse_bool, np.bool_, ingest._BOOLS, ["0", "1"],
+    "event": (_csvio._parse_bool, np.bool_, ingest._BOOLS, ["0", "1"],
               ["TRUE", "t", "no", "2", " 1", "\udcff", "", "11", "0\0"]),
     "cause": (ingest._cause_code, np.int8, ingest._CAUSES, ["default", "prepay", ""],
               ["PREPAYMENT", "2", "1", " default", "lapsed", "prepax", "defaulT", "\udcff"]),
     "band": (ingest._band_code, np.int8, ingest._BANDS, [b.label for b in RiskBand] + [""],
              ["Prime", " near-prime ", "Deep Subprime", "platinum", "deep_subprimE",
               "deep_subprime_", "near_primx", "s", "\udcff"]),
-    "has_coborrower": (ingest._parse_bool, np.bool_, ingest._BOOLS,
-                       sorted(ingest._TRUE | ingest._FALSE),
+    "has_coborrower": (_csvio._parse_bool, np.bool_, ingest._BOOLS,
+                       sorted(_csvio._TRUE | _csvio._FALSE),
                        ["TRUE", "No", " y", "maybe", "", "fals", "f\0", "\udcff"]),
 }
 
@@ -981,7 +980,7 @@ def test_payment_ids_merge_however_the_rows_are_laid_out(tmp_path):
 
 def id_names(ids):
     """The loan ids of `_read_payments` by segment: by first row in the payments file."""
-    return [ingest._id_text(ids[:, k]) for k in range(ids.shape[1])]
+    return [_csvio._id_text(ids[:, k]) for k in range(ids.shape[1])]
 
 
 def test_ids_match_after_stripping_whitespace_as_str_strip(tmp_path):
@@ -1211,7 +1210,7 @@ def oracle_fields(data: bytes):
 
 def offsets_dtype():
     """The grid dtype of a small file: int32, unless `_INT32_BYTES` is patched down."""
-    return np.int32 if ingest._INT32_BYTES == 1 << 31 else np.int64
+    return np.int32 if _csvio._INT32_BYTES == 1 << 31 else np.int64
 
 
 def layout(ends, blank=False, extra=False, short=False):
@@ -1306,10 +1305,13 @@ def test_numeric_cells_reject_digit_groups_and_non_ascii_digits(tmp_path, column
 # cache-sized blocks: the separator scan and the numeric parse cross block edges
 
 
+@contextlib.contextmanager
 def tiny_blocks():
     """Payments read 16 bytes at a time, scan blocks of 16 bytes and parse
     blocks of 3 rows, so small files cross many block edges."""
-    return mock.patch.multiple(ingest, _READ_BYTES=16, _SCAN_BYTES=16, _PARSE_ROWS=3)
+    with mock.patch.object(ingest, "_READ_BYTES", 16), \
+            mock.patch.multiple(_csvio, _SCAN_BYTES=16, _PARSE_ROWS=3):
+        yield
 
 
 @pytest.mark.parametrize("blocks", [contextlib.nullcontext, tiny_blocks])
@@ -1745,13 +1747,13 @@ def test_a_bad_cell_is_reported_before_a_month_gap(tmp_path):
 
 def bounded_reads(limit=64):
     """`_fill` that fails past `limit` reads, so a read loop that never ends fails instead."""
-    fill, calls = ingest._fill, []
+    fill, calls = _csvio._fill, []
 
     def counted(*args):
         calls.append(args)
         assert len(calls) <= limit, "the file is read without end"
         return fill(*args)
-    return mock.patch.object(ingest, "_fill", counted)
+    return mock.patch.object(_csvio, "_fill", counted)
 
 
 @pytest.mark.parametrize("empty", ["loans", "payments"])
@@ -1765,7 +1767,7 @@ def test_an_empty_file_misses_every_required_column(tmp_path, empty):
     missing = rf"{empty}\.csv: missing required column\(s\) loan_id, "
     for size in (None, 1, 16, ingest._READ_BYTES):
         with bounded_reads(), pytest.raises(SchemaError, match=missing):
-            list(ingest._Columns.blocks(path, required, size))
+            list(_csvio._Columns.blocks(path, required, size))
     with bounded_reads(), pytest.raises(SchemaError, match=missing):
         load_loan_data(loans, payments)
     with tiny_blocks(), bounded_reads(), pytest.raises(SchemaError, match=missing):
@@ -1774,7 +1776,7 @@ def test_an_empty_file_misses_every_required_column(tmp_path, empty):
     os.close(write_end)
     with open(read_end, "rb"), bounded_reads(), pytest.raises(
             SchemaError, match=rf"/dev/fd/{read_end}: missing required column\(s\) loan_id, "):
-        list(ingest._Columns.blocks(f"/dev/fd/{read_end}", required, 16))
+        list(_csvio._Columns.blocks(f"/dev/fd/{read_end}", required, 16))
 
 
 def test_a_line_longer_than_the_block_is_read_in_doubling_steps(tmp_path):
@@ -1783,12 +1785,12 @@ def test_a_line_longer_than_the_block_is_read_in_doubling_steps(tmp_path):
     path = tmp_path / "payments.csv"
     path.write_bytes(b"x" * (1 << 16))
     with bounded_reads(limit=14), pytest.raises(SchemaError, match="missing required column"):
-        list(ingest._Columns.blocks(path, ingest._PAYMENT_COLUMNS, 16))
+        list(_csvio._Columns.blocks(path, ingest._PAYMENT_COLUMNS, 16))
 
 
 def int64_offsets():
     """Offsets held as int64 whatever the buffer's size, as in a buffer of 2 GiB or more."""
-    return mock.patch.object(ingest, "_INT32_BYTES", 0)
+    return mock.patch.object(_csvio, "_INT32_BYTES", 0)
 
 
 @LINE_ENDS
@@ -1996,8 +1998,8 @@ def test_separator_scan_matches_a_bytes_oracle_at_every_scan_size(data):
     """Lines, CRs before a newline, CRs and separator offsets: an undercount
     would still read every file right, through the bare-CR rewrite."""
     for size in range(1, 33):
-        with mock.patch.object(ingest, "_SCAN_BYTES", size):
-            _, found, lines, crlf, crs = ingest._separators(bytearray(data + bytes(_SPARE)))
+        with mock.patch.object(_csvio, "_SCAN_BYTES", size):
+            _, found, lines, crlf, crs = _csvio._separators(bytearray(data + bytes(_SPARE)))
         assert (found.tolist(), lines, crlf, crs) == scan_oracle(data), size
 
 
@@ -2009,15 +2011,15 @@ def test_a_crlf_file_never_takes_the_bare_cr_rewrite(tmp_path, final_newline):
     lines = [b"e,a,b,c,d"] + [b"," + b",".join(row) for row in ROWS]
     path.write_bytes(b"\r\n".join(lines) + (b"\r\n" if final_newline else b""))
     for size in range(1, 33):
-        with mock.patch.object(ingest, "_SCAN_BYTES", size), \
-                mock.patch.object(ingest, "_separators", wraps=ingest._separators) as scan:
+        with mock.patch.object(_csvio, "_SCAN_BYTES", size), \
+                mock.patch.object(_csvio, "_separators", wraps=_csvio._separators) as scan:
             cols = _Columns.read(path, ["a", "b", "c", "d"])
             assert scan.call_count == 1 and cols.cr == (1 if final_newline else None)
             assert [cols.cell("d", i) for i in range(4)] == [row[3].decode() for row in ROWS]
             blocks = list(_Columns.blocks(path, ["a", "b", "c", "d"], 16))
             assert scan.call_count == 1 + len(blocks) > 2
     path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r", 1))  # the header ends in a bare CR
-    with mock.patch.object(ingest, "_separators", wraps=ingest._separators) as scan:
+    with mock.patch.object(_csvio, "_separators", wraps=_csvio._separators) as scan:
         _Columns.read(path, ["a", "b", "c", "d"])
         assert scan.call_count == 2
 
@@ -2058,7 +2060,7 @@ def with_cells(path, cells):
 
 
 CURVE_GROUPS = [(("age", "events", "at_risk"), None, np.int64),
-                (("hazard", "var", "ci_lo", "ci_hi"), ingest._parse_float, np.float64),
+                (("hazard", "var", "ci_lo", "ci_hi"), _csvio._parse_float, np.float64),
                 (("interpolated",), None, np.bool_)]
 
 
@@ -2073,7 +2075,7 @@ def test_numbers_read_curve_and_recovery_cells_as_labels_does(tmp_path, cell):
     write_curve_csv(curve, staged_curve("prime", 3, 0.05, ages=range(1, 6)))
     recoveries = tmp_path / "recoveries.csv"
     recoveries.write_text("age,recovery\n3,0.5\n5,0.25\n3,0.125\n")
-    cases = [(recoveries, ["age", "recovery"], (("recovery",), ingest._parse_float, float),
+    cases = [(recoveries, ["age", "recovery"], (("recovery",), _csvio._parse_float, float),
               {(row, 1): cell}) for row in (0, 2)]
     for names, parse, dtype in CURVE_GROUPS:
         for name in names:
