@@ -97,6 +97,54 @@ def _parse_float(raw: str) -> float:
         raise ValueError(f"{raw!r} is not a valid number") from None
 
 
+def _parse_apr(raw: str) -> float:
+    try:
+        if _foreign(raw):
+            raise ValueError
+        apr = float(raw)
+    except ValueError:
+        raise ValueError(f"non-numeric value {raw!r}") from None
+    if not 0.0 <= apr < float("inf"):
+        raise ValueError(f"value {raw!r} is not a finite APR >= 0")
+    return apr
+
+
+class _Rejected(ValueError):
+    """A cell's error worded to follow its column's name ("column 'x' has ..."),
+    where any other parse error follows "column 'x': "."""
+
+
+def _parse_int(raw: str) -> int:
+    """An int64 cell."""
+    try:
+        if _foreign(raw):
+            raise ValueError
+        value = int(raw.strip())
+    except ValueError:
+        raise _Rejected(f"has non-integer value {raw!r}") from None
+    if not -2**63 <= value < 2**63:
+        raise _Rejected(f"value {raw!r} is out of range")
+    return value
+
+
+def _parse_money(raw: str, allow_missing: bool) -> Decimal | None:
+    """A finite amount, exactly; an empty or NA cell is None where `allow_missing`."""
+    text = raw.strip()
+    if text == "" or text.upper() == "NA":
+        if not allow_missing:
+            raise _Rejected("is missing a value")
+        return None
+    try:
+        if _foreign(text):
+            raise InvalidOperation
+        amount = Decimal(text)
+    except InvalidOperation:
+        raise _Rejected(f"has non-numeric value {raw!r}") from None
+    if not amount.is_finite():
+        raise _Rejected(f"has non-finite value {raw!r}")
+    return amount
+
+
 # A read file is followed by this many spare bytes: room for a closing
 # newline, and for an 8-byte word read at any offset inside the file.
 _SPARE = 9
@@ -472,23 +520,6 @@ def _header_names(loc: str, fields: list[bytes]) -> list[str]:
     return names
 
 
-def _records(raw):
-    """The csv module's reader of a binary file, each byte that is not UTF-8
-    escaped as a surrogate."""
-    return csv.reader(io.TextIOWrapper(raw, "utf-8", "surrogateescape", newline=""))
-
-
-def _header_of(path: str | Path) -> list[str]:
-    """The header's names as `_Columns` reads them, from the file's first
-    record alone; a name that is not UTF-8 keeps its bytes as surrogates."""
-    with open(path, "rb") as fh:
-        reader = _records(fh)
-        try:
-            return next(reader, [])
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-
-
 def _separators(data: bytearray) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """(buffer, separator offsets, lines, CRs before a newline, CRs) of file
     bytes ending in a newline and the spare bytes.
@@ -708,7 +739,8 @@ class _Columns:
         so none ends a file line: a quoted cell that ends in CR keeps it.
         No cell's bytes outlive its block.
         """
-        reader = _records(io.BufferedReader(rest))
+        reader = csv.reader(io.TextIOWrapper(io.BufferedReader(rest), "utf-8", "surrogateescape",
+                                             newline=""))
         try:  # a cell past the csv module's field limit is reported at its line
             if header is None:
                 names = [name.encode("utf-8", "surrogateescape") for name in next(reader, [])]
@@ -813,54 +845,65 @@ class _Columns:
         return [self.buf[s:e].tobytes().decode("utf-8") for s, e in zip(start.tolist(), end.tolist())]
 
     def labels(self, name: str, parse, dtype, known: _Vocabulary | None = None) -> np.ndarray:
-        """Parse each distinct cell once, in order of its first row.  A ValueError
-        becomes a SchemaError at the earliest row holding a cell `parse` rejects.
-
-        A cell that spells a label of `known` (a `_Vocabulary` of `parse`)
-        takes its value from there; only the other rows are parsed.
-        """
+        """Parse each distinct cell once, in order of its first row (`_fill`):
+        the first cell that is not UTF-8 or that `parse` rejects is a
+        SchemaError at its row.  A cell that spells a label of `known` (a
+        `_Vocabulary` of `parse`) takes its value from there; only the other
+        rows are parsed."""
         if known is None:
-            return self._parsed(name, parse, dtype, slice(None))
+            return self._fill(name, np.empty(self.rows, dtype), np.arange(self.rows), parse)
         values, spelt = known.match(self.buf, *self._field(name))
-        rows = np.flatnonzero(~spelt)
-        if rows.size:
-            values[rows] = self._parsed(name, parse, dtype, rows)
-        return values
-
-    def _parsed(self, name: str, parse, dtype, rows) -> np.ndarray:
-        """`parse` of each of `rows` (a slice or an index array), as `labels` reads them."""
-        code, first = self.codes(name, rows)
-        return self._each(name, parse, dtype, first)[code]
-
-    def _each(self, name: str, parse, dtype, rows: np.ndarray) -> np.ndarray:
-        """`parse` of each of `rows`, decoded in one batch (`texts`) and parsed
-        in order: a ValueError is a SchemaError at its row."""
-        values = []
-        for i, raw in zip(rows.tolist(), self.texts(name, rows)):
-            try:
-                values.append(parse(raw))
-            except ValueError as exc:
-                raise SchemaError(f"{self.loc(i)}: column {name!r}: {exc}") from None
-        return np.fromiter(values, dtype, len(values))
+        return self._fill(name, values, np.flatnonzero(~spelt), parse)
 
     def numbers(self, names, parse, dtype) -> np.ndarray:
         """`labels` of each named column, as the rows of one array, with no cell
         grouped (for small files of mostly distinct cells): a plain integer
         cell without a minus sign reads its value, which is `parse`'s, and
-        the rest are decoded in one batch and parsed in column and row order.
-        A failure is found again column by column (`_each`), so every error
-        and its row are those of `labels`."""
+        the rest go through `_parse_cells` in column and row order."""
         start, end = (np.concatenate(bounds) for bounds in zip(*map(self._field, names)))
         values, plain = _parse_plain(self.buf, start, end, False, True)
         values, rows = values.astype(dtype), np.flatnonzero(~plain)
-        try:
-            texts = self.texts(names[0], rows, (start[rows], end[rows]))
-            values[rows] = np.fromiter(map(parse, texts), dtype, rows.size)
-        except ValueError:  # a UnicodeDecodeError too
-            for k, name in enumerate(names):
-                mine = rows[(rows >= k * self.rows) & (rows < (k + 1) * self.rows)]
-                values[mine] = self._each(name, parse, dtype, mine - k * self.rows)
+        values[rows] = self._parse_cells(names, rows, parse, dtype, start[rows], end[rows])
         return values.reshape(len(names), self.rows)
+
+    def _parse_cells(self, names, cells: np.ndarray, parse, dtype, start, end) -> np.ndarray:
+        """`parse` of each of `cells`, bytes start[k]:end[k], decoded in one
+        batch (`texts`) and parsed in order: cell r + k * rows is row r of
+        column names[k].  The first cell that is not UTF-8 or that `parse`
+        rejects (a ValueError) is a SchemaError at its row."""
+        try:
+            return np.fromiter(map(parse, self.texts(names[0], cells, (start, end))), dtype,
+                               cells.size)
+        except ValueError:  # a UnicodeDecodeError too: found again cell by cell
+            pass
+        values = []
+        for i, s, e in zip(cells.tolist(), start.tolist(), end.tolist()):
+            try:
+                values.append(parse(self.buf[s:e].tobytes().decode("utf-8")))
+            except ValueError as exc:
+                loc, name = self.loc(i % self.rows), names[i // self.rows]
+                if isinstance(exc, UnicodeDecodeError):
+                    raise _not_utf8(loc, name, exc) from None
+                said = " " if isinstance(exc, _Rejected) else ": "
+                raise SchemaError(f"{loc}: column {name!r}{said}{exc}") from None
+        return np.fromiter(values, dtype, len(values))
+
+    def _distinct(self, name: str, rows: np.ndarray, parse, dtype,
+                  bounds=None) -> tuple[np.ndarray, np.ndarray]:
+        """(value of each distinct cell, code per row) of a column's `rows`:
+        rows are grouped by their bytes (`_group`, with (start, end) `bounds`
+        where given) and the first row of each code goes through
+        `_parse_cells`, so the first bad cell is found in row order."""
+        start, end = self._field(name, rows) if bounds is None else bounds
+        code, first = _group(_cell_keys(self.buf, start, end))
+        return self._parse_cells((name,), rows[first], parse, dtype, start[first], end[first]), code
+
+    def _fill(self, name: str, values: np.ndarray, rows: np.ndarray, parse) -> np.ndarray:
+        """`values` with each of `rows` set to `parse` of its cell (`_distinct`)."""
+        if rows.size:
+            distinct, code = self._distinct(name, rows, parse, values.dtype)
+            values[rows] = distinct[code]
+        return values
 
     def ids(self, name: str):
         """(code per row, first row of each code, the key of each code's id
@@ -905,32 +948,16 @@ class _Columns:
 
     def ints(self, name: str) -> np.ndarray:
         values, plain = self._parse(name, point=False)
-        for i in np.flatnonzero(~plain).tolist():
-            raw = self.cell(name, i)
-            try:
-                if _foreign(raw):
-                    raise ValueError
-                values[i] = int(raw.strip())
-            except ValueError:
-                raise SchemaError(f"{self.loc(i)}: column {name!r} has non-integer "
-                                  f"value {raw!r}") from None
-            except OverflowError:
-                raise SchemaError(f"{self.loc(i)}: column {name!r} value {raw!r} "
-                                  f"is out of range") from None
-        return values
+        return self._fill(name, values, np.flatnonzero(~plain), _parse_int)
 
     def aprs(self, name: str) -> np.ndarray:
         """APR percentages: a plain cell (`_parse_plain`) without a minus sign
         reads its cents over 100.0, which is exactly `float` of it (both are
         exact doubles, and division rounds correctly); any other cell goes
-        through `labels` with `_parse_apr`, so -0 keeps its sign and every
-        error its text and row."""
+        through `_parse_apr`, so -0 keeps its sign and every error its text
+        and row."""
         cents, plain = self._parse(name, point=True, unsigned=True)
-        values = cents / 100.0
-        rows = np.flatnonzero(~plain)
-        if rows.size:
-            values[rows] = self._parsed(name, _parse_apr, np.float64, rows)
-        return values
+        return self._fill(name, cents / 100.0, np.flatnonzero(~plain), _parse_apr)
 
     def money(self, name: str, allow_missing: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
         """(cents, missing, exact): amounts in int64 cents, and by row the
@@ -940,53 +967,34 @@ class _Columns:
 
         Empty and NA cells are missing (read as 0) where `allow_missing`,
         and a SchemaError otherwise; so are non-numeric and non-finite cells.
+        The byte parse reads plain cells, a byte test the empty and NA ones,
+        and `_parse_money` each distinct other cell (`_distinct`).
         """
         values, plain = self._parse(name, point=True)
+        plain &= np.abs(values) < _CENTS_LIMIT  # a plain cell may hold 12 whole digits
         rows = np.flatnonzero(~plain)  # a missing cell is never plain
         missing = np.zeros(self.rows, np.bool_)
+        if not rows.size:
+            return values, missing, {}
+        start, end = self._field(name, rows)
         if allow_missing:  # the spare bytes past the file hold start + 1 inside the buffer
-            start, end = self._field(name, rows)
-            missing[rows] = (end == start) | ((end - start == 2) & (self.buf[start] == _N)
-                                              & (self.buf[start + 1] == _A))
-            rows = rows[~missing[rows]]
-        exact = {}
-        for i in rows.tolist():
-            raw = self.cell(name, i)
-            text = raw.strip()
-            if text == "" or text.upper() == "NA":
-                if not allow_missing:
-                    raise SchemaError(f"{self.loc(i)}: column {name!r} is missing a value")
-                missing[i] = True
+            gone = (end == start) | ((end - start == 2) & (self.buf[start] == _N)
+                                     & (self.buf[start + 1] == _A))
+            missing[rows[gone]] = True
+            rows, start, end = rows[~gone], start[~gone], end[~gone]
+        amounts, code = self._distinct(name, rows, lambda raw: _parse_money(raw, allow_missing),
+                                       object, (start, end))
+        cents, absent, kept = (np.zeros(amounts.size, dtype) for dtype in (np.int64, bool, bool))
+        for k, amount in enumerate(amounts.tolist()):
+            if amount is None:
+                absent[k] = True
                 continue
-            try:
-                if _foreign(text):
-                    raise InvalidOperation
-                amount = Decimal(text)
-            except InvalidOperation:
-                raise SchemaError(f"{self.loc(i)}: column {name!r} has non-numeric "
-                                  f"value {raw!r}") from None
-            if not amount.is_finite():
-                raise SchemaError(f"{self.loc(i)}: column {name!r} has non-finite "
-                                  f"value {raw!r}")
-            cents = _cents_of(amount)
-            if cents is None:
-                exact[i] = amount
-                cents = -1 if amount.is_signed() else 1
-            values[i] = cents
-        return values, missing, exact
-
-
-
-def _parse_apr(raw: str) -> float:
-    try:
-        if _foreign(raw):
-            raise ValueError
-        apr = float(raw)
-    except ValueError:
-        raise ValueError(f"non-numeric value {raw!r}") from None
-    if not 0.0 <= apr < float("inf"):
-        raise ValueError(f"value {raw!r} is not a finite APR >= 0")
-    return apr
+            whole = _cents_of(amount)
+            kept[k] = whole is None
+            cents[k] = (-1 if amount.is_signed() else 1) if whole is None else whole
+        values[rows], missing[rows] = cents[code], absent[code]
+        at = np.flatnonzero(kept[code])
+        return values, missing, dict(zip(rows[at].tolist(), amounts[code[at]].tolist()))
 
 
 _QUOTE_IF = (",", '"', "\r", "\n")  # a cell holding one of these is quoted

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, estimator, montecarlo, recovery
-from ._csvio import _Columns, _header_of, _parse_float, _write_csv
+from ._csvio import _Columns, _parse_float, _write_csv
 from .errors import CshazardError, EmptyResultError, SchemaError, UnknownKeyError
 from .riskmodel import Cause, CompetingRisksDistribution, TruncationLaw
 
@@ -158,24 +158,14 @@ def cmd_estimate(args) -> None:
     _finish(args, [out])
 
 
-def _sniff_kind(path: str | Path) -> str:
-    """Classify an input CSV as a hazard curve or an observation table by
-    the exact names of its header, the columns each kind requires."""
-    cols = set(_header_of(path))
-    if {"age", "hazard", "at_risk"} <= cols:
-        return "curve"
-    if {"entry_age", "exit_age", "event"} <= cols:
-        return "observations"
-    raise SchemaError(f"{path}: header matches neither a curve nor an observation table")
-
-
 # The converge flags only observations mode reads, with their defaults.
 _OBSERVATIONS_MODE_FLAGS = {"theta": estimator.DEFAULT_THETA, "window": "full", "bands": ""}
 
 
 def _curves_from_inputs(args) -> tuple[dict, list[str]]:
-    kinds = [_sniff_kind(p) for p in args.inputs]
-    if all(k == "curve" for k in kinds) and len(args.inputs) >= 2:
+    """Two or more inputs are curve CSVs, and one is an observations CSV; a
+    file of the other kind misses its reader's required columns."""
+    if len(args.inputs) >= 2:
         for name, default in _OBSERVATIONS_MODE_FLAGS.items():
             if getattr(args, name) != default:
                 raise ValueError(f"--{name} applies only to converge on an observations CSV; "
@@ -191,34 +181,31 @@ def _curves_from_inputs(args) -> tuple[dict, list[str]]:
                                   f"label {label!r}")
             curves[label], source[label] = curve, path
         return curves, list(curves)
-    if kinds == ["observations"]:
-        from . import ingest
+    from . import ingest
 
-        observations = ingest.read_observations_csv(args.inputs[0], loan_ids=False)
-        if args.bands:
-            labels = [b.strip() for b in args.bands.split(",") if b.strip()]
-        else:
-            present = set(observations.band.tolist())
-            labels = [b.label for b in ingest.RiskBand if b.value in present]
-        if len(labels) < 2:
-            raise EmptyResultError("need at least two bands to compare")
-        window = _parse_window(args.window)
-        if window is None:
-            window = (1, int(observations.exit_age.max()))
-        curves = {}
-        order = []
-        for label in labels:
-            band, subset = _select_band(observations, label)
-            curve = estimator.estimate_csh(subset, Cause.DEFAULT, age_range=window,
-                                           band=band.label, theta=args.theta)
-            if curve.ages.size == 0:
-                raise EmptyResultError(
-                    f"no loans in band {band.label!r} at risk in window {args.window}")
-            curves[band.label] = curve
-            order.append(band.label)
-        return estimator.align_grids(curves), order
-    raise SchemaError(
-        "converge expects either two or more curve CSVs or a single observations CSV")
+    observations = ingest.read_observations_csv(args.inputs[0], loan_ids=False)
+    if args.bands:
+        labels = [b.strip() for b in args.bands.split(",") if b.strip()]
+    else:
+        present = set(observations.band.tolist())
+        labels = [b.label for b in ingest.RiskBand if b.value in present]
+    if len(labels) < 2:
+        raise EmptyResultError("need at least two bands to compare")
+    window = _parse_window(args.window)
+    if window is None:
+        window = (1, int(observations.exit_age.max()))
+    curves = {}
+    order = []
+    for label in labels:
+        band, subset = _select_band(observations, label)
+        curve = estimator.estimate_csh(subset, Cause.DEFAULT, age_range=window,
+                                       band=band.label, theta=args.theta)
+        if curve.ages.size == 0:
+            raise EmptyResultError(
+                f"no loans in band {band.label!r} at risk in window {args.window}")
+        curves[band.label] = curve
+        order.append(band.label)
+    return estimator.align_grids(curves), order
 
 
 def cmd_converge(args) -> None:

@@ -97,14 +97,16 @@ def convergence_point(curve_a: HazardCurve, curve_b: HazardCurve,
     ages = check_shared_grid(curve_a, curve_b)
     decisions = _decisions(curve_a.ci_lo, curve_a.ci_hi, curve_b.ci_lo, curve_b.ci_hi)
 
-    # A run starts at i when ages i .. i + run_length - 1 all fail to reject
-    # and step by one; cumulative sums count both over every window at once.
+    # A run starts at i when ages i .. i + run - 1 all fail to reject and
+    # step by one; cumulative sums count both over every window at once.  A
+    # run longer than the grid can never start, so `run` stops one past it.
+    run = min(run_length, ages.size + 1)
     fails = np.cumsum(np.append(0, decisions == Decision.FAIL_TO_REJECT))
     steps = np.cumsum(np.append(0, np.diff(ages) == 1))
-    start = np.arange(max(ages.size - run_length + 1, 0))
+    start = np.arange(max(ages.size - run + 1, 0))
     runs = np.flatnonzero((ages[start] >= min_test_age)
-                          & (fails[start + run_length] - fails[start] == run_length)
-                          & (steps[start + run_length - 1] - steps[start] == run_length - 1))
+                          & (fails[start + run] - fails[start] == run)
+                          & (steps[start + run - 1] - steps[start] == run - 1))
     run_month = int(ages[runs[0]]) if runs.size else None
 
     # The both-zero tail follows the last age where either hazard is not zero;

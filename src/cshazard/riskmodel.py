@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, SchemaError
 
 __all__ = [
     "Cause",
@@ -50,6 +50,17 @@ class Cause(Enum):
         if key in ("prepay", "prepayment", "2"):
             return cls.PREPAY
         raise ValueError(f"unknown cause label: {label!r}")
+
+
+def _json_float(value) -> float | None:
+    """A JSON number as a float (an integer past float range reads infinite);
+    None for anything else, a bool too."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -104,17 +115,42 @@ class CompetingRisksDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "CompetingRisksDistribution":
-        doc = json.loads(text)
-        return cls(
-            min_age=int(doc["min_age"]),
-            max_age=int(doc["max_age"]),
-            pmf=tuple(float(p) for p in doc["pmf"]),
-            cause1_share=tuple(float(s) for s in doc["cause1_share"]),
-        )
+        """A law written by `to_json`: an object whose `min_age` and `max_age`
+        are whole numbers and whose `pmf` and `cause1_share` are lists of
+        numbers.  Anything else is a SchemaError naming the key."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not valid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise SchemaError(f"expected a JSON object, found {type(doc).__name__}")
+        missing = [key for key in ("min_age", "max_age", "pmf", "cause1_share") if key not in doc]
+        if missing:
+            raise SchemaError(f"missing key(s) {', '.join(missing)}")
+        ages = {}
+        for key in ("min_age", "max_age"):
+            age = doc[key]
+            if not (type(age) is int or type(age) is float and age.is_integer()):  # no bool
+                raise SchemaError(f"{key!r} must be a whole number, not {age!r}")
+            ages[key] = int(age)
+        lists = {}
+        for key in ("pmf", "cause1_share"):
+            if not isinstance(doc[key], list):
+                raise SchemaError(f"{key!r} must be a list of numbers, not {doc[key]!r}")
+            values = [_json_float(v) for v in doc[key]]
+            if None in values:
+                k = values.index(None)
+                raise SchemaError(f"{key!r}[{k}] must be a number, not {doc[key][k]!r}")
+            lists[key] = tuple(values)
+        return cls(**ages, **lists)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "CompetingRisksDistribution":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """`from_json` of a file; a SchemaError names the file."""
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, Inexact
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -616,3 +617,99 @@ def csv_bytes(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# a column's cells parsed one row at a time
+
+
+def row_by_row(cells, rule, column):
+    """A column's cells (bytes) decoded and parsed one row at a time, in row
+    order, as `_Columns.ints` and `money` read the cells their byte parse
+    left before every reader shared one routine.
+
+    Returns (values, None), or (None, (row, message)) at the first cell that
+    is not UTF-8 or that `rule` rejects.  A rule's ValueError holds the
+    message's text after the column's name, its own separator included.
+    """
+    values = []
+    for row, cell in enumerate(cells):
+        try:
+            text = cell.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return None, (row, f"column {column!r}: byte 0x{cell[exc.start]:02x} "
+                               f"at position {exc.start} is not UTF-8")
+        try:
+            values.append(rule(text))
+        except ValueError as exc:
+            return None, (row, f"column {column!r}{exc}")
+    return values, None
+
+
+def _grammar(text: str) -> bool:
+    """Whether a numeric cell avoids '_' and non-ASCII characters, which
+    int, float and Decimal accept and the CSV number grammar does not."""
+    return "_" not in text and text.isascii()
+
+
+def int_rule(text: str) -> int:
+    """An int64 cell."""
+    try:
+        value = int(text.strip()) if _grammar(text) else None
+    except ValueError:
+        value = None
+    if value is None:
+        raise ValueError(f" has non-integer value {text!r}")
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f" value {text!r} is out of range")
+    return value
+
+
+def money_rule(allow_missing: bool):
+    """The rule of a money cell: its exact Decimal, or None for an empty or
+    NA cell (any case, padded too) where `allow_missing`."""
+    def rule(text: str):
+        key = text.strip()
+        if key == "" or key.upper() == "NA":
+            if allow_missing:
+                return None
+            raise ValueError(" is missing a value")
+        try:
+            amount = Decimal(key) if _grammar(key) else None
+        except ArithmeticError:
+            amount = None
+        if amount is None:
+            raise ValueError(f" has non-numeric value {text!r}")
+        if not amount.is_finite():
+            raise ValueError(f" has non-finite value {text!r}")
+        return amount
+    return rule
+
+
+def whole_cents(amount: Decimal) -> int | None:
+    """An amount in cents when that is a whole number below 10**12 in size, else None."""
+    cents = Fraction(amount) * 100
+    return int(cents) if cents.denominator == 1 and abs(cents) < 10**12 else None
+
+
+def apr_rule(text: str) -> float:
+    """An APR percentage: a finite float >= 0 (-0.0 keeps its sign)."""
+    try:
+        apr = float(text) if _grammar(text) else None
+    except ValueError:
+        apr = None
+    if apr is None:
+        raise ValueError(f": non-numeric value {text!r}")
+    if not 0.0 <= apr < math.inf:
+        raise ValueError(f": value {text!r} is not a finite APR >= 0")
+    return apr
+
+
+def parse_rule(parse):
+    """The rule of a label parser: its ValueError follows the column's name and ': '."""
+    def rule(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f": {exc}") from None
+    return rule

@@ -367,6 +367,18 @@ def test_theta_whose_half_vanishes_beside_one_exits_2(tmp_path, capsys):
         assert not (tmp_path / "out" / out).exists()
 
 
+def test_converge_run_past_the_grid_finds_no_overlap_run(tmp_path):
+    """A --run too large for int64 exits 0 like a run one longer than the grid."""
+    a, b = write_staged_pair(tmp_path)
+    longest = read_curve_csv(a).ages.size + 1
+    for name, run in (("grid", longest), ("huge", 10**20)):
+        rc = cli.main(["converge", str(a), str(b), "--run", str(run),
+                       "--output-dir", str(tmp_path / name)])
+        assert rc == 0
+    assert (tmp_path / "huge" / "matrix.csv").read_bytes() == \
+        (tmp_path / "grid" / "matrix.csv").read_bytes()
+
+
 def test_converge_outputs_are_byte_stable(tmp_path):
     a, b = write_staged_pair(tmp_path)
     blobs = []
@@ -775,8 +787,8 @@ def error_path_recipe(case, tmp):
     ("non-boolean-flag", 2, "loans.csv:2: column 'has_coborrower': non-boolean value 'maybe'"),
     ("dash-window", 2, "window must be LO:HI or 'full', got '5-9'"),
     ("one-band", 3, "need at least two bands to compare"),
-    ("curve-and-observations", 2, "converge expects either two or more curve CSVs or a "
-                                  "single observations CSV"),
+    ("curve-and-observations", 2, "observations.csv: missing required column(s) age, events, "
+                                  "at_risk, hazard, var, ci_lo, ci_hi, interpolated"),
     ("recovery-rate", 2, "recovery rate must lie in [0, 1]"),
     ("header-only-curve", 2, "empty.csv: curve file has no rows"),
 ])
@@ -1038,6 +1050,28 @@ def test_simulate_rejects_a_non_finite_pmf(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: pmf entries must be finite and nonnegative")
     assert not (tmp_path / "out" / "study.json").exists()
+
+
+LAW = '"max_age": 2, "pmf": [0.5, 0.5], "cause1_share": [0.5, 0.5]'
+
+
+@pytest.mark.parametrize("law, message", [
+    ('{"min_age": 1}', "dist.json: missing key(s) max_age, pmf, cause1_share"),
+    ("[1, 2]", "dist.json: expected a JSON object, found list"),
+    ('{"min_age": 1, "max_age": 2, "pmf": [0.5, 0.5], "cause1_share": [null, 0.5]}',
+     "dist.json: 'cause1_share'[0] must be a number, not None"),
+    ('{"min_age": 1e400, ' + LAW + "}", "dist.json: 'min_age' must be a whole number, not inf"),
+    ('{"min_age": true, ' + LAW + "}", "dist.json: 'min_age' must be a whole number, not True"),
+], ids=["missing-keys", "list", "null-share", "huge-age", "bool-age"])
+def test_simulate_rejects_a_malformed_law_file(tmp_path, capsys, law, message):
+    (tmp_path / "dist.json").write_text(law)
+    rc = cli.main(["simulate", "--dist", str(tmp_path / "dist.json"), "--entry-lo", "1",
+                   "--entry-hi", "1", "--tau", "1", "--n", "10", "--r", "1",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_entry_flags_apply_to_the_preset(tmp_path):

@@ -28,7 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import observation_table, staged_curve, write_tape
-from oracles import decimal_outcome, plain_cells, reduceat_outcomes, row_payments
+from oracles import (apr_rule, decimal_outcome, int_rule, money_rule, parse_rule, plain_cells,
+                     reduceat_outcomes, row_by_row, row_payments, whole_cents)
 
 from cshazard import _csvio, cli, ingest
 from cshazard._csvio import _Columns, _parse_plain, _SPARE
@@ -702,8 +703,7 @@ def messy_copy(path, quote):
 
 
 def test_csv_module_reads_only_inside_the_columnar_reader():
-    """Every CSV input goes through `_csvio`; csv reads only its quoted files and
-    the header that `converge` sorts its inputs by."""
+    """Every CSV input goes through `_csvio`; csv reads only its quoted files."""
     found = []
 
     def visit(node, module, scope):
@@ -717,7 +717,7 @@ def test_csv_module_reads_only_inside_the_columnar_reader():
 
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cshazard").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, [])
-    assert found == ["_csvio.py:_records"]
+    assert found == ["_csvio.py:_Columns._read_quoted"]
 
 
 def test_reader_ignores_extra_fields_and_rejects_short_rows(tmp_path):
@@ -1910,7 +1910,7 @@ def test_ingest_peak_memory_stays_a_small_multiple_of_the_payments_file(tmp_path
 
 
 @pytest.mark.parametrize("shape, bound", [("blank", 2.8), ("long", 2.8), ("quoted", 16.0),
-                                          ("mils", 2.5)])
+                                          ("mils", 2.5), ("padded", 2.5)])
 def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, shape, bound):
     """The guard tape with a trailing blank line or one long row peaks like the
     plain tape (2.29 times; 3.09 with three money columns per row, 4.40 read
@@ -1923,13 +1923,19 @@ def test_ingest_peak_memory_holds_on_blank_lines_long_rows_and_quotes(tmp_path, 
     1.98 times, as the plain tape (numpy 2.4), and the bound leaves 0.5.
     While it turned every loan's sums into Decimals, and each later block's
     principal with them, it peaked at 3.38 times, and with every row's
-    three money cells as Decimals at 12.78 times."""
+    three money cells as Decimals at 12.78 times.  With every trust_month
+    and money cell padded by a space, each distinct padded cell parsed once,
+    it peaks at 2.06 times (2.02 while padded cells were parsed row by row),
+    and the bound leaves 0.44."""
     loans, payments, size = guard_tape(tmp_path)
     text = payments.read_bytes()
     if shape == "blank":
         text += b"\n"
     elif shape == "mils":
         text = text.replace(b",480.5\n", b",480.505\n", 1)
+    elif shape == "padded":  # every trust_month and money cell
+        header, rows = text.split(b"\n", 1)
+        text = header + b"\n" + rows.replace(b",", b", ")
     else:
         header, first, rest = text.split(b"\n", 2)
         first = first + b",extra" if shape == "long" else b'"' + first.replace(b",", b'",', 1)
@@ -2096,3 +2102,130 @@ def test_numbers_read_curve_and_recovery_cells_as_labels_does(tmp_path, cell):
                     got = parse_outcome(lambda: [row for ns, p, d in CURVE_GROUPS
                                                  for row in cols.numbers(ns, p or _whole_cell, d)])
                     assert_same_outcome(got, want)
+
+
+# ---------------------------------------------------------------------------
+# one routine for the cells the byte parsers leave, checked row by row
+
+
+# Cells of every kind a numeric reader meets: plain, padded, signed, mils,
+# exponents, empty and NA, digit groups, non-ASCII, not UTF-8, out of range.
+READER_CELLS = [b"7", b"-7", b"+7", b"-0", b"12.34", b"-0.00", b" 12", b"12 ", b" 3.5 ", b"1.005",
+                b"-2.125", b"1e3", b"2.5E-1", b"", b"NA", b" NA", b"na", b"1_0",
+                "٣".encode(), "é".encode(), b"\xff", b"4\xe9", b"99999999999999999999",
+                b"-9223372036854775808", b"9223372036854775808", b"nan", b"-inf", b"x",
+                b"1234567890123"]
+
+
+@st.composite
+def reader_cell(draw):
+    """One of READER_CELLS, or a plain number of 1-12 digits, signed or not,
+    with 0-2 digits after a point."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(READER_CELLS))
+    digits = draw(st.text("0123456789", min_size=1, max_size=12))
+    point = draw(st.integers(0, min(2, len(digits) - 1)))
+    cell = digits[:len(digits) - point] + ("." + digits[len(digits) - point:] if point else "")
+    return (draw(st.sampled_from(["", "-", "+"])) + cell).encode()
+
+
+def oracle_outcome(path, found):
+    """The values of a `row_by_row` result, or its error as a reader words it."""
+    values, error = found
+    return values if error is None else f"{path}:{error[0] + 2}: {error[1]}"
+
+
+def read_outcome(read):
+    """What `read()` returns, or the text of its SchemaError."""
+    try:
+        return read()
+    except SchemaError as exc:
+        return str(exc)
+
+
+def money_outcome(path, cells, allow_missing):
+    """(cents, missing, exact amounts' reprs by row) of a money column by
+    the row-by-row oracle, or its error's text."""
+    amounts = oracle_outcome(path, row_by_row(cells, money_rule(allow_missing), "x"))
+    if isinstance(amounts, str):
+        return amounts
+    cents = [0 if a is None else whole_cents(a) for a in amounts]
+    exact = {k: repr(a) for k, a in enumerate(amounts) if a is not None and cents[k] is None}
+    cents = [(-1 if amounts[k].is_signed() else 1) if k in exact else c
+             for k, c in enumerate(cents)]
+    return cents, [a is None for a in amounts], exact
+
+
+def float_bits(values):
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+def check_readers_against_the_oracle(path, rows):
+    xs, ys = [x for x, _ in rows], [y for _, y in rows]
+    cols = _Columns.read(path, ["x", "y"])
+    assert read_outcome(lambda: cols.ints("x").tolist()) == oracle_outcome(
+        path, row_by_row(xs, int_rule, "x"))
+    for allow_missing in (False, True):
+        got = read_outcome(lambda: cols.money("x", allow_missing))
+        if not isinstance(got, str):
+            cents, missing, exact = got
+            got = cents.tolist(), missing.tolist(), {k: repr(a) for k, a in exact.items()}
+        assert got == money_outcome(path, xs, allow_missing)
+    want = oracle_outcome(path, row_by_row(xs, apr_rule, "x"))
+    assert read_outcome(lambda: float_bits(cols.aprs("x"))) == (
+        want if isinstance(want, str) else float_bits(want))
+    parse = parse_rule(_csvio._parse_float)
+    want = oracle_outcome(path, row_by_row(xs, parse, "x"))
+    assert read_outcome(lambda: float_bits(cols.labels("x", _csvio._parse_float, np.float64))) \
+        == (want if isinstance(want, str) else float_bits(want))
+    want = want if isinstance(want, str) else oracle_outcome(path, row_by_row(ys, parse, "y"))
+    if not isinstance(want, str):
+        want = float_bits(oracle_outcome(path, row_by_row(xs, parse, "x")) + want)
+    assert read_outcome(lambda: float_bits(
+        cols.numbers(("x", "y"), _csvio._parse_float, np.float64).ravel())) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(reader_cell(), reader_cell()), min_size=1, max_size=12), st.booleans())
+def test_every_reader_matches_the_row_by_row_oracle(rows, tiny):
+    """ints, money (cents, missing flags and exact amounts), aprs, labels and
+    numbers give the oracle's values, or its first error's file:line and
+    text, whether the file is read whole or in tiny blocks."""
+    with tempfile.TemporaryDirectory() as tmp, tiny_blocks() if tiny else contextlib.nullcontext():
+        path = Path(tmp) / "cells.csv"
+        path.write_bytes(b"n,x,y\n" + b"".join(b"%d,%s,%s\n" % (i, x, y)
+                                               for i, (x, y) in enumerate(rows)))
+        check_readers_against_the_oracle(path, rows)
+
+
+def test_every_reader_reports_the_first_bad_cell_in_row_order(tmp_path):
+    """A cell the parse rejects at line 3 is reported before a cell that is
+    not UTF-8 at line 5, by every reader."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,b\n1,x\n4x,y\n3,z\n\xff,w\n")
+    cols = _Columns.read(path, ["a", "b"])
+    reads = [("column 'a' has non-integer value '4x'", lambda: cols.ints("a")),
+             ("column 'a' has non-numeric value '4x'", lambda: cols.money("a")),
+             ("column 'a' has non-numeric value '4x'", lambda: cols.money("a", True)),
+             ("column 'a': non-numeric value '4x'", lambda: cols.aprs("a")),
+             ("column 'a': '4x' is not a valid number",
+              lambda: cols.labels("a", _csvio._parse_float, float)),
+             ("column 'a': '4x' is not a valid number",
+              lambda: cols.numbers(("a",), _csvio._parse_float, float))]
+    for message, read in reads:
+        assert read_outcome(read) == f"{path}:3: {message}"
+
+
+def test_padded_trust_months_parse_once_per_distinct_cell(tmp_path, monkeypatch):
+    """A block whose padded trust months hold d distinct cells calls the int
+    parse d times, however many rows hold them."""
+    months, loans = 30, 40
+    path = tmp_path / "payments.csv"
+    payments_file(path, [(f"L{loan}", f" {month}" if loan % 2 else month)
+                         for loan in range(loans) for month in range(1, months + 1)])
+    calls = []
+    parse = _csvio._parse_int
+    monkeypatch.setattr(_csvio, "_parse_int", lambda raw: calls.append(raw) or parse(raw))
+    cols = _Columns.read(path, ingest._PAYMENT_COLUMNS)
+    assert cols.ints("trust_month").tolist() == list(range(1, months + 1)) * loans
+    assert sorted(calls) == sorted(f" {month}" for month in range(1, months + 1))

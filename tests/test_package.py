@@ -87,3 +87,16 @@ def test_only_ingest_reads_its_private_names():
     assert any(path.name == "cli.py" for path in modules)
     assert [hit for path in modules if path.name != "ingest.py"
             for hit in private_reads_of_ingest(path)] == []
+
+
+def test_only_the_shared_routine_and_texts_read_single_cells():
+    """Inside `_Columns`, the cells the byte parsers leave go through one
+    routine: no reader but `_parse_cells` and `texts` calls `self.cell`."""
+    tree = ast.parse((SRC / "cshazard" / "_csvio.py").read_text(encoding="utf-8"))
+    columns, = (node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "_Columns")
+    callers = {method.name for method in columns.body if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "cell"
+               and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"}
+    assert callers <= {"_parse_cells", "texts"}, callers
